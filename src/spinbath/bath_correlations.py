@@ -15,12 +15,13 @@ import hashlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import AccuracyError, DomainError, InfraredError, UsageError
+from .fileio import atomic_write
 from .quadrature import capped_edges, integrate_refining
 from .spectral_density import BathSpec, eval_J, infrared_exponent
 
@@ -29,6 +30,9 @@ _IR_Q2_MIN = 0.05
 _SERIES_CUT = 1e-4
 _SUPPORT_DROP = 1e-18
 _CHUNK = 8
+# Part of every cache key: tables computed under another stop rule or
+# support bound are recomputed, never served.
+_NUMERICS_VERSION = "quad-v2"
 
 
 @dataclass(frozen=True)
@@ -36,12 +40,15 @@ class JSource:
     """A spectral density J(omega) with the metadata the quadrature needs.
 
     Built from a BathSpec via j_source_from_spec, or injected directly in
-    tests with a closed-form J.
+    tests with a closed-form J.  breaks lists frequencies where J is not
+    smooth (the knots of a tabulated form factor); panel edges are put on
+    them so that refinement converges at the rate of a smooth integrand.
     """
 
     j: Callable[[np.ndarray], np.ndarray]
     omega_max: float
     ir_exponent: float
+    breaks: Optional[np.ndarray] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -60,12 +67,19 @@ class TailFit:
 
 @dataclass(frozen=True, eq=False)
 class KernelTable:
+    """Kernels on t_grid with per-entry error estimates (columns q1, q2, qz).
+
+    converged is False when some chunk of the tabulation stopped at the
+    refinement limit before meeting the stop rule; err_est then shows where.
+    """
+
     t_grid: np.ndarray
     q1: np.ndarray
     q2: np.ndarray
     qz: np.ndarray
     err_est: np.ndarray
     tail: TailFit
+    converged: bool
 
 
 def coth_stable(x: np.ndarray) -> np.ndarray:
@@ -97,11 +111,20 @@ def inv_sinh(x: np.ndarray) -> np.ndarray:
 
 
 def _support_bound(h) -> float:
+    """Upper integration limit: J has fallen below _SUPPORT_DROP of its peak.
+
+    Searches the grid 32 scale 2^k: halves from 32 scale while J at the
+    half point is still below the drop, then doubles until J is below it.
+    """
     if h.family == "tabulated":
         return float(h.grid[-1])
     probe = np.geomspace(1e-4, 32.0, 160) * h.scale
     peak = float(np.max(eval_J(h, probe)))
     omega = 32.0 * h.scale
+    for _ in range(60):
+        if not eval_J(h, 0.5 * omega) < _SUPPORT_DROP * peak:
+            break
+        omega *= 0.5
     for _ in range(60):
         if eval_J(h, omega) < _SUPPORT_DROP * peak:
             return float(omega)
@@ -113,7 +136,8 @@ def j_source_from_spec(spec: BathSpec) -> JSource:
     h = spec.h
     return JSource(j=lambda w: np.asarray(eval_J(h, w), dtype=float),
                    omega_max=_support_bound(h),
-                   ir_exponent=infrared_exponent(h))
+                   ir_exponent=infrared_exponent(h),
+                   breaks=h.grid if h.family == "tabulated" else None)
 
 
 def _as_source(spec_or_source: Union[BathSpec, JSource]) -> JSource:
@@ -132,15 +156,16 @@ def _require_ir(source: JSource, minimum: float, kernel: str) -> None:
             exponent=source.ir_exponent)
 
 
-def _initial_edges(omega_max: float, t_cap: float, beta: Optional[float],
+def _initial_edges(source: JSource, t_cap: float, beta: Optional[float],
                    head_exp: float) -> np.ndarray:
     """Panel edges: per-octave geometric head, period-capped linear main part.
 
     The integrands behave like omega^(head_exp - 1) near 0, so the head runs
     deep enough that the omitted mass below the first edge is ~1e-18 of the
     head contribution.  Octave spacing also resolves the 1/beta thermal knee
-    at whatever scale it sits.
+    at whatever scale it sits.  The source's breaks are added as edges.
     """
+    omega_max = source.omega_max
     width = omega_max / 8.0
     if t_cap > 0.0:
         width = min(width, np.pi / (2.0 * t_cap))
@@ -151,7 +176,11 @@ def _initial_edges(omega_max: float, t_cap: float, beta: Optional[float],
         octaves = max(octaves, int(np.ceil(np.log2(4.0 * beta * w0))))
     octaves = min(octaves, 4000)
     head = w0 * 2.0 ** -np.arange(octaves, 0, -1, dtype=float)
-    return np.concatenate([head, main[1:]])
+    edges = np.concatenate([head, main[1:]])
+    if source.breaks is not None:
+        breaks = np.asarray(source.breaks, dtype=float)
+        edges = np.union1d(edges, breaks[(breaks > edges[0]) & (breaks < omega_max)])
+    return edges
 
 
 def _kernel_rows(source: JSource, beta: Optional[float], ts: np.ndarray, which: str):
@@ -163,6 +192,10 @@ def _kernel_rows(source: JSource, beta: Optional[float], ts: np.ndarray, which: 
         parts = []
         if which in ("all", "q1"):
             parts.append(g * np.sin(theta))
+        if which == "q1":
+            # Zero-temperature Q2 integrand: a nonnegative row that gives the
+            # call a scale, so Q1 at a sign change can meet the stop rule.
+            parts.append(g * 2.0 * np.sin(0.5 * theta) ** 2)
         if need_thermal:
             x = 0.5 * beta * omega
             s2 = 2.0 * np.sin(0.5 * theta) ** 2
@@ -178,11 +211,9 @@ def _kernel_rows(source: JSource, beta: Optional[float], ts: np.ndarray, which: 
 def _evaluate(source: JSource, beta: Optional[float], ts: Sequence[float],
               tol: float, which: str = "all"):
     ts = np.asarray(ts, dtype=float)
-    edges = _initial_edges(source.omega_max, float(np.max(ts)), beta,
-                           source.ir_exponent)
+    edges = _initial_edges(source, float(np.max(ts)), beta, source.ir_exponent)
     rows = _kernel_rows(source, beta, ts, which)
-    values, errors = integrate_refining(rows, edges, rtol=tol)
-    return values, errors
+    return integrate_refining(rows, edges, rtol=tol)
 
 
 def _single(spec_or_source, t, beta, tol, which, kernel, ir_min):
@@ -197,10 +228,10 @@ def _single(spec_or_source, t, beta, tol, which, kernel, ir_min):
             raise UsageError("%s with an injected JSource needs beta" % kernel)
     if t == 0.0 and which in ("q1", "q2"):
         return 0.0, 0.0
-    values, errors = _evaluate(source, beta, [t], tol, which=which)
-    value = float(values[0])
-    err = float(errors[0])
-    if err > max(10.0 * tol * abs(value), 1e-6):
+    res = _evaluate(source, beta, [t], tol, which=which)
+    value = float(res.values[0])
+    err = float(res.errors[0])
+    if not res.converged:
         raise AccuracyError("%s quadrature did not converge at t=%g" % (kernel, t),
                             partial=value, err=err)
     return value, err
@@ -208,7 +239,11 @@ def _single(spec_or_source, t, beta, tol, which, kernel, ir_min):
 
 def q1(spec: Union[BathSpec, JSource], t: float, *,
        beta: Optional[float] = None, tol: float = 1e-9):
-    """Q1(t) = int_0^inf J(w) w^-2 sin(w t) dw, with its error estimate."""
+    """Q1(t) = int_0^inf J(w) w^-2 sin(w t) dw, with its error estimate.
+
+    tol is relative to max(|Q1(t)|, int_0^inf J(w) w^-2 (1 - cos(w t)) dw),
+    so a sign change of Q1 does not demand accuracy beyond roundoff.
+    """
     return _single(spec, t, beta, tol, "q1", "q1", _IR_Q1_MIN)
 
 
@@ -229,6 +264,7 @@ def c2_saturation(spec: Union[BathSpec, JSource], *,
     """int_0^inf J(w) w^-2 coth(beta w/2) dw, the Q2 plateau.
 
     Finite only when the infrared exponent exceeds 2; returns inf otherwise.
+    Raises AccuracyError if the quadrature does not converge.
     """
     source = _as_source(spec)
     if isinstance(spec, BathSpec):
@@ -237,14 +273,17 @@ def c2_saturation(spec: Union[BathSpec, JSource], *,
         raise UsageError("c2_saturation with an injected JSource needs beta")
     if not source.ir_exponent > 2.05:
         return np.inf
-    edges = _initial_edges(source.omega_max, 0.0, beta, source.ir_exponent - 2.0)
+    edges = _initial_edges(source, 0.0, beta, source.ir_exponent - 2.0)
 
     def rows(omega):
         g = np.asarray(source.j(omega), dtype=float) / omega ** 2
         return (g * coth_stable(0.5 * beta * omega))[None, :]
 
-    values, _ = integrate_refining(rows, edges, rtol=tol)
-    return float(values[0])
+    res = integrate_refining(rows, edges, rtol=tol)
+    if not res.converged:
+        raise AccuracyError("c2_saturation quadrature did not converge",
+                            partial=float(res.values[0]), err=float(res.errors[0]))
+    return float(res.values[0])
 
 
 def _time_grid(t_max: float, n: int) -> np.ndarray:
@@ -284,16 +323,10 @@ _CSV_HEADER = "t,q1,q2,qz,err1,err2,errz"
 
 
 def _cache_key(spec: BathSpec, t_max: float, n: int, tol: float) -> str:
-    canonical = "|".join(["%.17g" % spec.beta, spec.h.content_key(),
-                          "%.17g" % t_max, str(n), "%.17g" % tol])
+    canonical = "|".join([_NUMERICS_VERSION, "%.17g" % spec.beta,
+                          spec.h.content_key(), "%.17g" % t_max, str(n),
+                          "%.17g" % tol])
     return hashlib.sha256(canonical.encode()).hexdigest()[:32]
-
-
-def _write_atomic(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _save_table(cache_dir: str, key: str, spec: BathSpec, t_max: float, n: int,
@@ -303,7 +336,7 @@ def _save_table(cache_dir: str, key: str, spec: BathSpec, t_max: float, n: int,
         rows.append(",".join("%.17g" % v for v in (
             table.t_grid[i], table.q1[i], table.q2[i], table.qz[i],
             table.err_est[i, 0], table.err_est[i, 1], table.err_est[i, 2])))
-    _write_atomic(os.path.join(cache_dir, key + ".csv"), "\n".join(rows) + "\n")
+    atomic_write(os.path.join(cache_dir, key + ".csv"), "\n".join(rows) + "\n")
     meta = {
         "key": key,
         "beta": spec.beta,
@@ -311,12 +344,13 @@ def _save_table(cache_dir: str, key: str, spec: BathSpec, t_max: float, n: int,
         "t_max": t_max,
         "n": n,
         "tol": tol,
+        "converged": table.converged,
         "tail": {"q2_slope": table.tail.q2_slope,
                  "q1_limit": table.tail.q1_limit,
                  "c2_inf": table.tail.c2_inf},
     }
-    _write_atomic(os.path.join(cache_dir, key + ".json"),
-                  json.dumps(meta, sort_keys=True, indent=1))
+    atomic_write(os.path.join(cache_dir, key + ".json"),
+                 json.dumps(meta, sort_keys=True, indent=1))
 
 
 def _load_table(cache_dir: str, key: str) -> Optional[KernelTable]:
@@ -331,7 +365,8 @@ def _load_table(cache_dir: str, key: str) -> Optional[KernelTable]:
                    q1_limit=meta["tail"]["q1_limit"],
                    c2_inf=meta["tail"]["c2_inf"])
     return KernelTable(t_grid=data[:, 0], q1=data[:, 1], q2=data[:, 2],
-                       qz=data[:, 3], err_est=data[:, 4:7], tail=tail)
+                       qz=data[:, 3], err_est=data[:, 4:7], tail=tail,
+                       converged=meta["converged"])
 
 
 def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
@@ -340,9 +375,11 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
     """Tabulate all three kernels on a geometric-then-linear t grid.
 
     The degenerate call (n <= 1 or t_max = 0) returns a single zeroed row
-    without running any quadrature.  With cache_dir set, results are stored
-    as CSV plus a JSON sidecar, keyed by a content hash of the bath and grid
-    parameters, and written atomically.
+    without running any quadrature.  The table's converged flag is False if
+    any chunk stopped at the refinement limit; consumers check it.  With
+    cache_dir set, results are stored as CSV plus a JSON sidecar, keyed by a
+    content hash of the numerics version, the bath and grid parameters, and
+    written atomically.
     """
     source = _as_source(spec)
     _require_ir(source, _IR_Q1_MIN, "tabulate_kernels")
@@ -363,15 +400,15 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
         z = np.zeros(len(t))
         return KernelTable(t_grid=t, q1=z.copy(), q2=z.copy(), qz=z.copy(),
                            err_est=np.zeros((len(t), 3)),
-                           tail=TailFit(0.0, 0.0, np.inf))
+                           tail=TailFit(0.0, 0.0, np.inf), converged=True)
 
     chunks = [t[i:i + _CHUNK] for i in range(0, len(t), _CHUNK)]
 
     def run(chunk):
-        values, errors = _evaluate(source, beta, chunk, tol, which="all")
+        res = _evaluate(source, beta, chunk, tol, which="all")
         m = len(chunk)
-        return (values[:m], values[m:2 * m], values[2 * m:],
-                np.stack([errors[:m], errors[m:2 * m], errors[2 * m:]], axis=1))
+        return (res.values.reshape(3, m), res.errors.reshape(3, m).T,
+                res.converged)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -379,15 +416,14 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
     else:
         results = [run(c) for c in chunks]
 
-    q1v = np.concatenate([r[0] for r in results])
-    q2v = np.concatenate([r[1] for r in results])
-    qzv = np.concatenate([r[2] for r in results])
-    err = np.concatenate([r[3] for r in results], axis=0)
+    q1v, q2v, qzv = np.concatenate([r[0] for r in results], axis=1)
+    err = np.concatenate([r[1] for r in results], axis=0)
     q1v[0] = q2v[0] = 0.0
     err[0, 0] = err[0, 1] = 0.0
 
     table = KernelTable(t_grid=t, q1=q1v, q2=q2v, qz=qzv, err_est=err,
-                        tail=_fit_tail(source, beta, t, q2v, tol))
+                        tail=_fit_tail(source, beta, t, q2v, tol),
+                        converged=all(r[2] for r in results))
     if cache_key is not None:
         os.makedirs(cache_dir, exist_ok=True)
         _save_table(cache_dir, cache_key, spec, t_max, n, tol, table)

@@ -13,57 +13,37 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from importlib.metadata import PackageNotFoundError, version as _dist_version
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import __version__
 from .bath_correlations import tabulate_kernels
 from .config import RunConfig, load_config
 from .constants_ledger import constants_report
 from .errors import ConfigurationError, SpinBathError
+from .fileio import atomic_write
 from .relaxation import (default_time_horizon, gamma_rate, lso_entries,
                          lso_matrix, p_of_t, report_dict)
 from .spectral_density import check_condition_A
 from .truncated_oracle import run_oracle_schedule
 
 
-def _tool_version() -> str:
-    try:
-        return _dist_version("artifact")
-    except PackageNotFoundError:
-        return "unknown"
-
-
 # --- report emission ----------------------------------------------------------
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
 
 def _write_json(path: str, payload: dict, config: RunConfig) -> None:
     body = dict(payload)
     body["config_sha256"] = config.content_hash
-    body["version"] = _tool_version()
-    _atomic_write(path, json.dumps(body, sort_keys=True, indent=2) + "\n")
+    body["version"] = __version__
+    atomic_write(path, json.dumps(body, sort_keys=True, indent=2) + "\n")
 
 
 def _write_csv(path: str, header: str, rows, config: RunConfig) -> None:
     lines = ["# config_sha256=%s version=%s"
-             % (config.content_hash, _tool_version()), header]
+             % (config.content_hash, __version__), header]
     lines.extend(",".join("%.17g" % v for v in row) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _pair(w) -> list:

@@ -5,11 +5,21 @@ local frequency, so adaptivity is organized around panel widths capped by a
 quarter period rather than around error indicators: a capped composite rule
 is evaluated, every panel is split in two, and the change between the two
 passes is the error estimate.
+
+One call integrates a stack of rows, and ``rtol`` is relative to the scale
+of the whole call: refinement stops once every row's error is at most
+``rtol * max(|v_i|, floor, max_j |v_j|)``, that is ``rtol`` times the
+largest value of the call (never less than ``floor``).  This is the
+absolute-plus-relative convention of QUADPACK (Piessens et al. 1983) with
+the absolute part set by the call itself: a row that crosses zero needs
+only the absolute accuracy ``rtol * max_j |v_j|``, not a relative accuracy
+it can never reach.  The result says whether the rule was met.
 """
 
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -73,6 +83,23 @@ def integrate_on_edges(f: Callable, edges: np.ndarray, order: int = 6):
     return np.sum(f(nodes) * w, axis=-1)
 
 
+@dataclass(frozen=True, eq=False)
+class Quadrature:
+    """Outcome of integrate_refining, one entry per integrand row.
+
+    errors is the change under the last doubling, which overestimates the
+    error of the returned (finer) values in the asymptotic regime.
+    converged says whether that change met the stop rule; nodes counts the
+    integrand nodes of all passes and passes the doublings made.
+    """
+
+    values: np.ndarray
+    errors: np.ndarray
+    converged: bool
+    nodes: int
+    passes: int
+
+
 def integrate_refining(
     f: Callable,
     edges: np.ndarray,
@@ -80,21 +107,28 @@ def integrate_refining(
     rtol: float = 1e-9,
     max_refine: int = 8,
     floor: float = 1e-300,
-):
-    """Integrate with panel doubling until the change drops below rtol.
+) -> Quadrature:
+    """Integrate with panel doubling until the change meets the stop rule.
 
-    Returns (values, errors) with one entry per integrand row returned by f.
-    The error is the change under the last doubling, which overestimates the
-    error of the returned (finer) value in the asymptotic regime.
+    f maps nodes to one row or a stack of rows.  A pass stops refinement
+    when every row's change is at most rtol times the call scale
+    max(floor, max_j |v_j|); after max_refine doublings without that the
+    result reports converged=False.
     """
     edges = np.asarray(edges, dtype=float)
     vals = np.atleast_1d(integrate_on_edges(f, edges, order))
+    nodes = order * (len(edges) - 1)
     err = np.full(vals.shape, np.inf)
-    for _ in range(max_refine):
+    converged = False
+    passes = 0
+    while passes < max_refine and not converged:
         edges = refine_edges(edges)
         new = np.atleast_1d(integrate_on_edges(f, edges, order))
+        nodes += order * (len(edges) - 1)
+        passes += 1
         err = np.abs(new - vals)
         vals = new
-        if np.all(err <= rtol * np.maximum(np.abs(vals), floor)):
-            break
-    return vals, err
+        scale = max(floor, float(np.max(np.abs(vals))))
+        converged = bool(np.all(err <= rtol * scale))
+    return Quadrature(values=vals, errors=err, converged=converged,
+                      nodes=nodes, passes=passes)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .bath_correlations import KernelTable, tabulate_kernels
-from .errors import DivergentIntegralError, DomainError
+from .errors import AccuracyError, DivergentIntegralError, DomainError
 from .quadrature import integrate_refining
 from .spectral_density import BathSpec
 
@@ -98,7 +98,13 @@ def _oscillation_edges(spec: BathSpec, table: KernelTable, a: float,
 
 
 def _integrate_lso(spec: BathSpec, table: KernelTable, tol: float):
-    """Common quadrature: rows (x_plus, x_minus, z, rate) on [0, t_max]."""
+    """Common quadrature: rows (x_plus, x_minus, z, rate) on [0, t_max].
+
+    Raises AccuracyError if the table or this quadrature did not converge.
+    """
+    if not table.converged:
+        raise AccuracyError("kernel table did not converge; its err_est shows "
+                            "where", err=float(np.max(table.err_est)))
     env = _envelope(spec, table)
     a, e_inf, phi = env.a, env.e_inf, env.phi
     eps = spec.eps
@@ -122,7 +128,11 @@ def _integrate_lso(spec: BathSpec, table: KernelTable, tol: float):
         rr = np.cos(ph) * np.cos(a * q1v) * e2 - e_inf * np.cos(phi) * np.cos(ph)
         return np.vstack([xp, xm, zz, rr])
 
-    values, errors = integrate_refining(rows, edges, rtol=tol)
+    res = integrate_refining(rows, edges, rtol=tol)
+    if not res.converged:
+        raise AccuracyError("level-shift quadrature did not converge",
+                            partial=res.values, err=float(np.max(res.errors)))
+    values = res.values
     if e_inf > 0.0:
         tail = e_inf * np.sin(phi) / eps
         values = values + np.array([tail, -tail, 0.0, 0.0])
@@ -133,7 +143,7 @@ def _integrate_lso(spec: BathSpec, table: KernelTable, tol: float):
     elif not env.damping_ok:
         end = float(np.exp(-a * table.q2[-1]))
         err_table += end / max(abs(eps), a * table.tail.q2_slope, 1.0 / t[-1])
-    err = float(np.max(errors)) + err_table
+    err = float(np.max(res.errors)) + err_table
     return values, err, env
 
 
@@ -212,6 +222,9 @@ def default_time_horizon(spec: BathSpec, max_doublings: int = 8) -> float:
     T = 8.0 * max(spec.beta, 1.0, eps_scale)
     for _ in range(max_doublings):
         probe = tabulate_kernels(spec, T, 64, tol=1e-6)
+        if not probe.converged:
+            raise AccuracyError("horizon probe at t_max=%g did not converge" % T,
+                                err=float(np.max(probe.err_est)))
         end = a * probe.q2[-1]
         if end >= _DECAY_THRESHOLD:
             return T

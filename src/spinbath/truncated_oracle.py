@@ -22,8 +22,8 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg import eigh, expm
 
-from .errors import (ConfigurationError, PreconditionError, ScalingError,
-                     TruncationError)
+from .errors import (AccuracyError, ConfigurationError, PreconditionError,
+                     ScalingError, TruncationError)
 from .quadrature import integrate_refining
 from .spectral_density import BathSpec, GluedFunction, coupling_function, power_exp
 
@@ -330,9 +330,14 @@ def _resolvent_pairing(s: float, avec: np.ndarray, bvec: np.ndarray,
         return np.vstack([g.real, g.imag])
 
     edges = np.linspace(0.0, tau_max, n_pan + 1)
-    vals, _ = integrate_refining(f, edges, order=_TAU_ORDER, rtol=1e-9,
-                                 max_refine=max_refine, floor=1e-3)
-    return complex(vals[0], vals[1])
+    res = integrate_refining(f, edges, order=_TAU_ORDER, rtol=1e-9,
+                             max_refine=max_refine, floor=1e-3)
+    value = complex(res.values[0], res.values[1])
+    if not res.converged:
+        raise AccuracyError("resolvent pairing at s=%g did not converge after "
+                            "%d doublings" % (s, res.passes), partial=value,
+                            err=float(np.max(res.errors)))
+    return value
 
 
 def _lso_virtual(model: FiniteModel, eta: float) -> np.ndarray:

@@ -1,11 +1,17 @@
 """Tests for the bath kernels against closed-form and quadrature oracles."""
 
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import spinbath as sb
+from spinbath import bath_correlations
 from spinbath.bath_correlations import coth_stable, inv_sinh
+from spinbath.fileio import atomic_write
 
 OHMIC = sb.JSource(j=lambda w: w * np.exp(-w), omega_max=45.0, ir_exponent=1.0)
 
@@ -222,6 +228,34 @@ def test_tabulate_cache_distinguishes_specs(tmp_path):
     sb.tabulate_kernels(_spec(p=1.0), 5.0, 8, cache_dir=cache)
     sb.tabulate_kernels(_spec(p=0.5, cutoff="gaussian"), 5.0, 8, cache_dir=cache)
     assert len(list(tmp_path.iterdir())) == 4
+
+
+def test_tabulate_cache_never_serves_other_numerics(tmp_path, monkeypatch):
+    spec = _spec(p=1.0, beta=2.0)
+    cache = str(tmp_path)
+    sb.tabulate_kernels(spec, 5.0, 8, cache_dir=cache)
+    assert sb.tabulate_kernels(spec, 5.0, 8, cache_dir=cache).converged
+    monkeypatch.setattr(bath_correlations, "_NUMERICS_VERSION", "quad-v1")
+    sb.tabulate_kernels(spec, 5.0, 8, cache_dir=cache)
+    assert len(list(tmp_path.iterdir())) == 4
+
+
+def test_atomic_write_survives_concurrent_writers(tmp_path):
+    path = str(tmp_path / "key.csv")
+    texts = [("%d\n" % i) * 4000 for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(atomic_write, path, texts[i % 8])
+                       for i in range(64)]
+            for future in futures:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    with open(path) as fh:
+        assert fh.read() in texts
+    assert os.listdir(tmp_path) == ["key.csv"]
 
 
 def test_error_estimates_honest():

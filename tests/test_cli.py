@@ -43,7 +43,7 @@ def test_rate_writes_stamped_reports(tmp_path):
     report = _read_json(out, "rate.json")
     expected_hash = sb.load_config(cfg).content_hash
     assert report["config_sha256"] == expected_hash
-    assert report["version"]
+    assert report["version"] == sb.__version__
     assert report["tau_inv"] > 0.0
     lines = (out / "p_of_t.csv").read_text().splitlines()
     assert lines[0] == "# config_sha256=%s version=%s" % (expected_hash,
