@@ -145,10 +145,8 @@ def cmd_oracle(config: RunConfig, out_dir: str, jobs: int = 1) -> int:
     xp, xm, z, err = lso_entries(spec, table, tol=config.lso.tol)
     continuum = {"x_plus": xp, "x_minus": xm, "z": z}
     rungs = []
-    for (m_pos, eta), lam in zip(report.schedule, report.rungs):
-        entries = {k: _pair(v) for k, v in
-                   zip(("x_plus", "x_minus", "z"),
-                       (lam[0, 0], lam[1, 1], 0.5 * (lam[0, 1] + lam[1, 0])))}
+    for i, ((m_pos, eta), lam) in enumerate(zip(report.schedule, report.rungs)):
+        entries = {k: _pair(v) for k, v in report.entries(i).items()}
         rungs.append({"m_pos": m_pos, "eta": eta, "entries": entries,
                       "matrix": [[r, c] + _pair(lam[r, c])
                                  for r in range(2) for c in range(2)]})

@@ -157,10 +157,6 @@ class GluedFunction:
         return complex(self.angular_factor
                        * np.sum(self.weights * np.conj(self.values) * other.values))
 
-    def scaled(self, factor: complex) -> "GluedFunction":
-        return GluedFunction(self.grid, factor * self.values, self.weights,
-                             self.angular_factor, self.beta, None)
-
     def sign_relation_residual(self) -> float:
         """max |conj(g(-u)) + exp(-beta u / 2) g(u)| / max |g| over u > 0."""
         if self.beta is None:

@@ -8,6 +8,14 @@ follow from a shared generator (V^2 = 1, unitarity of the dressing,
 commutation relations at the truncation edge acquire an error that has to
 vanish along n_max refinement.
 
+A model stores the per-mode factors of these operators, never a dense
+dim x dim matrix: every operator is a short sum of Kronecker products of a
+4x4 spin matrix with per-mode factors, applied to vectors one mode axis at
+a time.  The KMS vector is the action of a matrix exponential on a vector
+(scipy's expm_multiply on that apply), and the unitary-equivalence, Weyl
+and level-shift checks apply the operators to the few vectors they need.
+Dense matrices of the operators are built on first access, for tests.
+
 Models whose Hilbert dimension exceeds the dense cap stay virtual: only
 the level-shift matrix is available for them, through a per-mode
 factorized time integral that agrees with the dense resolvent path up to
@@ -16,11 +24,13 @@ quadrature tolerance.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import eigh, expm
+from scipy.linalg import expm
+from scipy.sparse.linalg import LinearOperator, expm_multiply
 
 from .errors import (AccuracyError, ConfigurationError, PreconditionError,
                      ScalingError, TruncationError)
@@ -165,20 +175,39 @@ def _wmode(z: complex, a: np.ndarray) -> np.ndarray:
     return w
 
 
-def _weyl(amps: np.ndarray, a: np.ndarray) -> np.ndarray:
-    acc = _wmode(amps[0], a)
-    for z in amps[1:]:
-        acc = np.kron(_wmode(z, a), acc)
+def _on_mode(op: np.ndarray, x: np.ndarray, j: int) -> np.ndarray:
+    """op applied to mode j of every vector in x (mode 0 fastest)."""
+    d = op.shape[-1]
+    return (op @ x.reshape(-1, d, d ** j)).reshape(x.shape)
+
+
+def _bath_apply(factors: Optional[np.ndarray], summed: bool,
+                x: np.ndarray) -> np.ndarray:
+    if factors is None:
+        return x
+    if summed:
+        return sum(_on_mode(w, x, j) for j, w in enumerate(factors))
+    for j, w in enumerate(factors):
+        x = _on_mode(w, x, j)
+    return x
+
+
+def _bath_dense(factors: Optional[np.ndarray], summed: bool,
+                bath_dim: int) -> np.ndarray:
+    if factors is None:
+        return np.eye(bath_dim)
+    n, d = len(factors), factors.shape[-1]
+    if summed:
+        return sum(np.kron(np.eye(d ** (n - 1 - j)), np.kron(w, np.eye(d ** j)))
+                   for j, w in enumerate(factors))
+    acc = factors[0]
+    for w in factors[1:]:
+        acc = np.kron(w, acc)
     return acc
 
 
-def _field_sum(hvec: np.ndarray, a: np.ndarray, d: int) -> np.ndarray:
-    n = hvec.size
-    out = np.zeros((d ** n, d ** n), dtype=complex)
-    for j in range(n):
-        op = _phi(hvec[j], a)
-        out += np.kron(np.eye(d ** (n - 1 - j)), np.kron(op, np.eye(d ** j)))
-    return out
+def _scaled(terms: list, k: float) -> list:
+    return [(k * spin, factors, summed) for spin, factors, summed in terms]
 
 
 def _bath_diag(freqs: np.ndarray, d: int) -> np.ndarray:
@@ -188,33 +217,65 @@ def _bath_diag(freqs: np.ndarray, d: int) -> np.ndarray:
     return diag
 
 
-class FiniteModel:
-    """Dense truncated model, or a virtual handle past the size cap.
+class _DenseView:
+    """Dense matrix of a factored operator, built on first access and kept."""
 
-    L0, P_Omega, and Pi0 are stored as diagonals; the occupation basis is
-    little-endian over modes (mode 0 fastest) with the four spin sectors
-    outermost.  I, L, and cal_L are assembled on access so the resident
-    set stays at five dense matrices.  Virtual models keep only the
-    discretization; their operator attributes raise, and lso_finite is
-    the one supported computation.
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, model, owner=None):
+        if model is None:
+            return self
+        return model._dense(self.name)
+
+
+class FiniteModel:
+    """Kronecker-factored truncated model, or a virtual handle past the size cap.
+
+    The occupation basis is little-endian over modes (mode 0 fastest) with
+    the four spin sectors outermost.  A materialized model stores per-mode
+    (n_max+1)^2 factors only: weyl[k, j] is the Weyl factor of mode j for
+    the amplitude vectors c, -c, ct, -ct (k = 0..3) and for the four
+    spin-sector dressings of U (k = 4..7), and field[k, j] is the field
+    factor of mode j in V (k = 0) and JVJ (k = 1); L0, P_Omega and Pi0 are
+    diagonals.  Every operator is a short sum of 4x4 spin matrices tensored
+    with a product or a sum of per-mode factors, and _apply applies it to
+    vectors one mode axis at a time (the shuffle algorithm of Fernandes,
+    Plateau and Stewart 1998), so memory grows with dim, not dim^2.
+
+    The dense matrices cal_V, cal_JVJ, V, JVJ, U, I, L (untransformed
+    generator L0 + spin flip + (q0/2)(V - JVJ)) and cal_L (transformed
+    generator L0 + delta I) are built from the same factors on first access
+    and kept, read-only.  They exist for tests; no library path reads them.
+    Virtual models keep only the discretization; their operator attributes
+    raise, and lso_finite is the one supported computation.
     """
 
+    cal_V = _DenseView()
+    cal_JVJ = _DenseView()
+    V = _DenseView()
+    JVJ = _DenseView()
+    U = _DenseView()
+    I = _DenseView()
+    L = _DenseView()
+    cal_L = _DenseView()
+
     def __init__(self, spec: BathSpec, trunc: TruncationSpec, bath: DiscretizedBath,
-                 materialized: bool, **arrays):
+                 materialized: bool, *, L0=None, weyl=None, field=None,
+                 P_Omega=None, Pi0=None):
         self.spec = spec
         self.trunc = trunc
         self.bath = bath
         self.materialized = materialized
         self.bath_dim = (trunc.n_max + 1) ** bath.n_modes
         self.dim = 4 * self.bath_dim
-        self.L0 = arrays.get("L0")
-        self.cal_V = arrays.get("cal_V")
-        self.cal_JVJ = arrays.get("cal_JVJ")
-        self.V = arrays.get("V")
-        self.JVJ = arrays.get("JVJ")
-        self.U = arrays.get("U")
-        self.P_Omega = arrays.get("P_Omega")
-        self.Pi0 = arrays.get("Pi0")
+        self.L0 = L0
+        self.weyl = weyl
+        self.field = field
+        self.P_Omega = P_Omega
+        self.Pi0 = Pi0
+        self._ops = self._operators() if materialized else {}
+        self._views = {}
 
     def _need(self, what: str):
         if not self.materialized:
@@ -222,57 +283,81 @@ class FiniteModel:
                 "%s needs a materialized model; bath dimension %d exceeds the "
                 "dense cap %d" % (what, self.bath_dim, _DENSE_BATH_CAP))
 
-    @property
-    def I(self) -> np.ndarray:
-        self._need("I")
-        return -0.5 * (self.cal_V - self.cal_JVJ)
-
-    @property
-    def L(self) -> np.ndarray:
-        """Untransformed generator: L0 + spin flip + (q0/2)(V - JVJ)."""
-        self._need("L")
+    def _operators(self) -> dict:
+        """name -> (diagonal or None, [(spin 4x4, factors or None, summed)])."""
+        W, F = self.weyl, self.field
         spec = self.spec
-        out = np.diag(self.L0.astype(complex))
-        out += np.kron(-0.5 * spec.delta * (_SX_L - _SX_R),
-                       np.eye(self.bath_dim))
-        out += 0.5 * spec.q0 * (self.V - self.JVJ)
+        cal_V = [(_SP_L, W[0], False), (_SM_L, W[1], False)]
+        cal_JVJ = [(_SP_R, W[2], False), (_SM_R, W[3], False)]
+        V = [(_SZ_L, F[0], True)]
+        JVJ = [(-_SZ_R, F[1], True)]
+        I = _scaled(cal_V, -0.5) + _scaled(cal_JVJ, 0.5)
+        flip = [(-0.5 * spec.delta * (_SX_L - _SX_R), None, False)]
+        return {
+            "cal_V": (None, cal_V),
+            "cal_JVJ": (None, cal_JVJ),
+            "V": (None, V),
+            "JVJ": (None, JVJ),
+            "U": (None, [(np.diag(e), W[4 + s], False)
+                         for s, e in enumerate(np.eye(4))]),
+            "I": (None, I),
+            "L": (self.L0, flip + _scaled(V, 0.5 * spec.q0)
+                  + _scaled(JVJ, -0.5 * spec.q0)),
+            "cal_L": (self.L0, _scaled(I, spec.delta)),
+        }
+
+    def _apply(self, name: str, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """Operator `name` (or its adjoint) applied to every vector x[..., :]."""
+        self._need(name)
+        diag, terms = self._ops[name]
+        xs = x.reshape(-1, 4, self.bath_dim)
+        out = np.zeros(xs.shape, dtype=complex)
+        for spin, factors, summed in terms:
+            if adjoint:
+                spin = spin.conj().T
+                if factors is not None:
+                    factors = np.conj(np.swapaxes(factors, -1, -2))
+            cols = np.flatnonzero(np.any(spin != 0, axis=0))
+            out += spin[:, cols] @ _bath_apply(factors, summed, xs[:, cols])
+        out = out.reshape(x.shape)
+        if diag is not None:
+            out += diag * x
         return out
 
-    @property
-    def cal_L(self) -> np.ndarray:
-        """Transformed generator: diag(L0) + delta * I."""
-        self._need("cal_L")
-        out = self.spec.delta * self.I
-        out[np.diag_indices(self.dim)] += self.L0
-        return out
+    def _dense(self, name: str) -> np.ndarray:
+        self._need(name)
+        if name not in self._views:
+            diag, terms = self._ops[name]
+            out = np.zeros((self.dim, self.dim), dtype=complex)
+            for spin, factors, summed in terms:
+                out += np.kron(spin, _bath_dense(factors, summed, self.bath_dim))
+            if diag is not None:
+                out[np.diag_indices(self.dim)] += diag
+            out.flags.writeable = False
+            self._views[name] = out
+        return self._views[name]
 
 
 def build_model(bath: DiscretizedBath, spec: BathSpec,
                 trunc: TruncationSpec) -> FiniteModel:
-    """Assemble the truncated operators, or a virtual handle past the cap."""
+    """Per-mode factors of the truncated operators, or a virtual handle past the cap."""
     d = trunc.n_max + 1
     if d ** bath.n_modes > _DENSE_BATH_CAP:
         return FiniteModel(spec, trunc, bath, materialized=False)
     a = _annihilator(d)
     c = bath.amps
     ct = np.conj(c[::-1])
-    bd = d ** bath.n_modes
-
-    cal_V = np.kron(_SP_L, _weyl(c, a)) + np.kron(_SM_L, _weyl(-c, a))
-    cal_JVJ = np.kron(_SP_R, _weyl(ct, a)) + np.kron(_SM_R, _weyl(-ct, a))
+    amplitudes = [c, -c, ct, -ct] + [0.5 * (s_left * c + s_right * ct)
+                                     for s_left, s_right in _SECTOR_SIGNS]
+    weyl = np.array([[_wmode(z, a) for z in amps] for amps in amplitudes])
 
     if spec.q0 != 0.0:
         hvec = (1j * bath.freqs * c / spec.q0).real
     else:
         hvec = np.zeros(bath.n_modes)
-    V = np.kron(_SZ_L, _field_sum(hvec, a, d))
-    JVJ = -np.kron(_SZ_R, _field_sum(hvec[::-1], a, d))
+    field = np.array([[_phi(h, a) for h in hs] for hs in (hvec, hvec[::-1])])
 
-    U = np.zeros((4 * bd, 4 * bd), dtype=complex)
-    for s, (s_left, s_right) in enumerate(_SECTOR_SIGNS):
-        block = _weyl(0.5 * (s_left * c + s_right * ct), a)
-        U[s * bd:(s + 1) * bd, s * bd:(s + 1) * bd] = block
-
+    bd = d ** bath.n_modes
     bath_diag = _bath_diag(bath.freqs, d)
     spin_diag = np.array([0.0, spec.eps, -spec.eps, 0.0])
     L0 = np.concatenate([sd + bath_diag for sd in spin_diag])
@@ -281,9 +366,8 @@ def build_model(bath: DiscretizedBath, spec: BathSpec,
     P_Omega[np.arange(4) * bd] = 1.0
     Pi0 = np.zeros(4 * bd)
     Pi0[[0, 3 * bd]] = 1.0
-    return FiniteModel(spec, trunc, bath, materialized=True,
-                       L0=L0, cal_V=cal_V, cal_JVJ=cal_JVJ, V=V, JVJ=JVJ,
-                       U=U, P_Omega=P_Omega, Pi0=Pi0)
+    return FiniteModel(spec, trunc, bath, materialized=True, L0=L0, weyl=weyl,
+                       field=field, P_Omega=P_Omega, Pi0=Pi0)
 
 
 def check_unitary_equivalence(model: FiniteModel) -> float:
@@ -293,28 +377,84 @@ def check_unitary_equivalence(model: FiniteModel) -> float:
     n = model.bath.n_modes
     probes = [0] + [d ** j for j in range(n)]
     cols = np.array([s * model.bath_dim + b for s in range(4) for b in probes])
-    Uh_cols = model.U.conj().T[:, cols]
-    R = model.U @ (model.L @ Uh_cols) - model.cal_L[:, cols]
+    B = np.zeros((cols.size, model.dim), dtype=complex)
+    B[np.arange(cols.size), cols] = 1.0
+    Uh_B = model._apply("U", B, adjoint=True)
+    R = model._apply("U", model._apply("L", Uh_B)) - model._apply("cal_L", B)
     den = float(np.linalg.norm(model.L0[cols]))
     return float(np.linalg.norm(R) / den)
 
 
 def _lso_dense(model: FiniteModel, eta: float) -> np.ndarray:
-    I = model.I
-    v = [I[:, 0], I[:, 3 * model.bath_dim]]
-    den = model.L0 - 1j * eta
-    x = [vi / den for vi in v]
+    e = np.zeros((2, model.dim))
+    e[[0, 1], [0, 3 * model.bath_dim]] = 1.0
+    v = model._apply("I", e)
+    x = v / (model.L0 - 1j * eta)
     return np.array([[np.vdot(v[a], x[b]) for b in range(2)] for a in range(2)])
 
 
+class _RungPhases:
+    """Mode phase sums of the resolvent pairings of one rung.
+
+    Pairing k needs F_k(tau) = prod_j sum_n p_kjn exp(-i f_j n tau), where
+    p_kj = conj(W_j(a_kj) Omega) * W_j(b_kj) Omega.  The vacuum columns take
+    one small expm per mode and distinct amplitude vector.  Per node set,
+    z_j = exp(-i f_j tau) is computed once per mode and serves every
+    pairing through a Horner sum in z_j; the pairings of a rung share their
+    panel edges, so each node set is evaluated once for all of them.
+    Pairings with equal coefficients share one sum: the truncated field is
+    off-diagonal in the occupation basis, so W_j(-z) Omega = (-1)^N
+    W_j(z) Omega, and the 8 pairings of a rung have 4 distinct
+    coefficient sets.
+    """
+
+    def __init__(self, bath: DiscretizedBath, n_max: int, amplitude_pairs):
+        a_op = _annihilator(n_max + 1)
+        vacua = {}
+
+        def vacuum(amps):
+            key = amps.tobytes()
+            if key not in vacua:
+                vacua[key] = np.array([_wmode(z, a_op)[:, 0] for z in amps])
+            return vacua[key]
+
+        pairs = np.array([np.conj(vacuum(a)) * vacuum(b)
+                          for a, b in amplitude_pairs])
+        self.pairs, row = np.unique(pairs, axis=0, return_inverse=True)
+        self._row = row.reshape(-1)
+        self.freqs = bath.freqs
+        self._sums = {}
+
+    def __call__(self, tau: np.ndarray, k: int) -> np.ndarray:
+        """F_k(tau) of pairing k."""
+        hit = self._sums.get(tau.size)
+        if hit is None or not np.array_equal(hit[0], tau):
+            hit = self._sums[tau.size] = (tau.copy(), self._evaluate(tau))
+        return hit[1][self._row[k]]
+
+    def _evaluate(self, tau: np.ndarray) -> np.ndarray:
+        F = np.ones((len(self.pairs), tau.size), dtype=complex)
+        d = self.pairs.shape[-1]
+        for j, f in enumerate(self.freqs):
+            z = np.exp((-1j * f) * tau)
+            p = self.pairs[:, j, :, None]
+            acc = p[:, d - 1] * z
+            for n in range(d - 2, 0, -1):
+                acc += p[:, n]
+                acc *= z
+            acc += p[:, 0]
+            F *= acc
+        return F
+
+
 def _resolvent_pairing(s: float, avec: np.ndarray, bvec: np.ndarray,
-                       bath: DiscretizedBath, n_max: int, eta: float) -> complex:
-    """<W(a)Omega, (dGamma - s - i eta)^{-1} W(b)Omega> by time integration."""
-    d = n_max + 1
-    a_op = _annihilator(d)
-    occ = np.arange(d)
-    pair = [np.conj(_wmode(avec[j], a_op)[:, 0]) * _wmode(bvec[j], a_op)[:, 0]
-            for j in range(bath.n_modes)]
+                       bath: DiscretizedBath, eta: float,
+                       phase_sum: Callable[[np.ndarray], np.ndarray]) -> complex:
+    """<W(a)Omega, (dGamma - s - i eta)^{-1} W(b)Omega> by time integration.
+
+    phase_sum(tau) is <W(a)Omega, exp(-i dGamma tau) W(b)Omega>, the
+    product over modes of the per-mode phase sums.
+    """
     tau_max = _TAU_DECADES / eta
     w_char = abs(s) + eta + 0.5 * float(
         np.sum(np.abs(bath.freqs) * (np.abs(avec) ** 2 + np.abs(bvec) ** 2)))
@@ -323,10 +463,7 @@ def _resolvent_pairing(s: float, avec: np.ndarray, bvec: np.ndarray,
     max_refine = max(1, int(np.log2(max(2.0, _TAU_NODE_CAP / (n_pan * _TAU_ORDER)))))
 
     def f(tau):
-        F = np.ones(tau.shape, dtype=complex)
-        for j in range(bath.n_modes):
-            F *= pair[j] @ np.exp(-1j * bath.freqs[j] * np.outer(occ, tau))
-        g = 1j * np.exp(-(eta + 1j * s) * tau) * F
+        g = 1j * np.exp(-(eta + 1j * s) * tau) * phase_sum(tau)
         return np.vstack([g.real, g.imag])
 
     edges = np.linspace(0.0, tau_max, n_pan + 1)
@@ -344,15 +481,19 @@ def _lso_virtual(model: FiniteModel, eta: float) -> np.ndarray:
     c = model.bath.amps
     ct = np.conj(c[::-1])
     eps = model.spec.eps
-    n_max = model.trunc.n_max
-
-    def R(s, avec, bvec):
-        return _resolvent_pairing(s, avec, bvec, model.bath, n_max, eta)
-
-    l00 = 0.25 * (R(-eps, -c, -c) + R(eps, -ct, -ct))
-    l11 = 0.25 * (R(eps, c, c) + R(-eps, ct, ct))
-    l01 = -0.25 * (R(-eps, -c, ct) + R(eps, -ct, c))
-    l10 = -0.25 * (R(eps, c, -ct) + R(-eps, ct, -c))
+    # (s, a, b) of the pairings <W(a)Omega, (dGamma - s - i eta)^{-1} W(b)Omega>,
+    # two per entry of the 2x2 matrix, in the order l00, l11, l01, l10
+    pairings = ((-eps, -c, -c), (eps, -ct, -ct), (eps, c, c), (-eps, ct, ct),
+                (-eps, -c, ct), (eps, -ct, c), (eps, c, -ct), (-eps, ct, -c))
+    phases = _RungPhases(model.bath, model.trunc.n_max,
+                         [(a, b) for _, a, b in pairings])
+    r = [_resolvent_pairing(s, a, b, model.bath, eta,
+                            functools.partial(phases, k=k))
+         for k, (s, a, b) in enumerate(pairings)]
+    l00 = 0.25 * (r[0] + r[1])
+    l11 = 0.25 * (r[2] + r[3])
+    l01 = -0.25 * (r[4] + r[5])
+    l10 = -0.25 * (r[6] + r[7])
     return np.array([[l00, l01], [l10, l11]])
 
 
@@ -361,8 +502,9 @@ def lso_finite(model: FiniteModel, eta: Optional[float] = None, *,
     """Level-shift matrix Pi0 I (L0 - i eta)^{-1} I Pi0 of the finite model.
 
     Returns the 2x2 matrix in the (phi_++ Omega, phi_-- Omega) basis.
-    Materialized models invert the diagonal free generator exactly;
-    virtual (or force_virtual) ones use the factorized time integral.
+    Materialized models invert the diagonal free generator exactly on the
+    two columns I Pi0; virtual (or force_virtual) ones use the factorized
+    time integral.
     """
     if eta is None:
         eta = model.trunc.eta
@@ -376,10 +518,10 @@ def lso_finite(model: FiniteModel, eta: Optional[float] = None, *,
 def kms_vector(model: FiniteModel) -> Tuple[np.ndarray, float]:
     """KMS vector of the dressed model and its kernel residual.
 
-    Applies exp(-beta (L0 - (delta/2) cal_V) / 2) to the decoupled KMS
-    vector (spin Gibbs tensor vacuum) through an eigendecomposition with
-    the spectrum shifted so the largest amplitude is 1; returns the
-    normalized vector and || cal_L psi ||.
+    Applies exp(-beta A / 2), A = L0 - (delta/2) cal_V, to the decoupled KMS
+    vector (spin Gibbs tensor vacuum) with scipy's expm_multiply (Al-Mohy
+    and Higham 2011) on the factored, Hermitian A; returns the normalized
+    vector and || cal_L psi ||.
     """
     model._need("kms_vector")
     spec = model.spec
@@ -396,12 +538,27 @@ def kms_vector(model: FiniteModel) -> Tuple[np.ndarray, float]:
             raise ScalingError(
                 "beta (||L0|| + |delta|) = %g exceeds the exponential budget "
                 "%g; use a smaller beta" % (reach, _EXP_BUDGET))
-        A = np.diag(model.L0).astype(complex) - 0.5 * spec.delta * model.cal_V
-        w, Q = eigh(A)
-        amp = np.exp(-0.5 * spec.beta * (w - w.min()))
-        psi = Q @ (amp * (Q.conj().T @ psi0))
+        half_beta = 0.5 * spec.beta
+
+        def matvec(x):
+            x = np.ravel(x)
+            return -half_beta * (model.L0 * x
+                                 - 0.5 * spec.delta * model._apply("cal_V", x))
+
+        op = LinearOperator((model.dim, model.dim), matvec=matvec,
+                            rmatvec=matvec, dtype=complex)
+        # expm_multiply estimates norms of op with numpy's global random
+        # stream; a fixed seed keeps psi reproducible, and the caller's
+        # stream is restored untouched
+        state = np.random.get_state()
+        try:
+            np.random.seed(0)
+            psi = expm_multiply(op, psi0,
+                                traceA=-half_beta * float(np.sum(model.L0)))
+        finally:
+            np.random.set_state(state)
         psi /= np.linalg.norm(psi)
-    residual = float(np.linalg.norm(model.cal_L @ psi))
+    residual = float(np.linalg.norm(model._apply("cal_L", psi)))
     return psi, residual
 
 
@@ -413,9 +570,7 @@ def weyl_sequence_check(model: FiniteModel, s: float, n_seq: int = 4) -> np.ndar
     """
     model._need("weyl_sequence_check")
     psi, _ = kms_vector(model)
-    cal_L = model.cal_L
-    d = model.trunc.n_max + 1
-    a_op = _annihilator(d)
+    adag = _annihilator(model.trunc.n_max + 1).T
     out = []
     for n in range(1, n_seq + 1):
         sel = np.abs(model.bath.freqs - s) <= 1.0 / n
@@ -423,13 +578,9 @@ def weyl_sequence_check(model: FiniteModel, s: float, n_seq: int = 4) -> np.ndar
             raise PreconditionError(
                 "window [%g, %g] contains no discretized mode"
                 % (s - 1.0 / n, s + 1.0 / n))
-        adag = np.zeros((model.bath_dim, model.bath_dim), dtype=complex)
-        for j in np.nonzero(sel)[0]:
-            adag += np.kron(np.eye(d ** (model.bath.n_modes - 1 - j)),
-                            np.kron(a_op.T, np.eye(d ** j)))
-        phi_n = np.kron(np.eye(4), adag) @ psi
+        phi_n = sum(_on_mode(adag, psi, j) for j in np.nonzero(sel)[0])
         nrm = np.linalg.norm(phi_n)
-        out.append(np.linalg.norm(cal_L @ phi_n - s * phi_n) / nrm)
+        out.append(np.linalg.norm(model._apply("cal_L", phi_n) - s * phi_n) / nrm)
     return np.asarray(out)
 
 

@@ -1,12 +1,16 @@
 """Tests for the finite truncated models and the level-shift oracle."""
 
 import dataclasses
+import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh
 
 import spinbath as sb
+from spinbath import quadrature, truncated_oracle
 
 SPEC, TRUNC = sb.standard_test_bath()
 
@@ -179,6 +183,57 @@ def test_weyl_unitarity_monitor_trips():
         sb.build_model(bath, SPEC, trunc)
 
 
+# --- factored operators -------------------------------------------------------
+
+FACTORED_OPS = ("cal_V", "cal_JVJ", "V", "JVJ", "U", "I", "L", "cal_L")
+
+
+@pytest.fixture(scope="module")
+def factored_models():
+    f_beta = sb.coupling_function(SPEC)
+
+    @functools.lru_cache(maxsize=None)
+    def model(m_pos, n_max):
+        trunc = sb.TruncationSpec(m_pos=m_pos, u_max=3.0, n_max=n_max, eta=0.1)
+        bath = sb.discretize(f_beta, trunc)
+        # a generic phase makes every Weyl factor complex, not only real
+        bath = dataclasses.replace(bath, amps=bath.amps * np.exp(0.3j))
+        return sb.build_model(bath, SPEC, trunc)
+
+    return model
+
+
+@settings(max_examples=30, deadline=None)
+@given(m_pos=st.integers(min_value=1, max_value=2),
+       n_max=st.integers(min_value=1, max_value=3),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       name=st.sampled_from(FACTORED_OPS))
+def test_factored_apply_matches_dense_view(factored_models, m_pos, n_max, seed, name):
+    model = factored_models(m_pos, n_max)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((2, model.dim)) + 1j * rng.standard_normal((2, model.dim))
+    dense = getattr(model, name)
+    for got, want in ((model._apply(name, x), x @ dense.T),
+                      (model._apply(name, x, adjoint=True), x @ dense.conj())):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_model_stores_no_dense_matrix(small_model):
+    _, _, model = small_model
+    fresh = sb.build_model(model.bath, model.spec, model.trunc)
+    stored = [v for v in vars(fresh).values() if isinstance(v, np.ndarray)]
+    assert max(v.size for v in stored) == fresh.dim
+    assert fresh.weyl.shape == (8, fresh.bath.n_modes, 4, 4)
+    assert fresh.field.shape == (2, fresh.bath.n_modes, 4, 4)
+
+
+def test_dense_views_are_cached_and_read_only(small_model):
+    _, _, model = small_model
+    assert model.cal_V is model.cal_V
+    with pytest.raises(ValueError):
+        model.cal_V[0, 0] = 1.0
+
+
 # --- unitary equivalence ------------------------------------------------------
 
 def test_equivalence_residual_refines_with_n_max():
@@ -210,6 +265,72 @@ def test_lso_dense_matches_virtual(small_model):
     dense = sb.lso_finite(model)
     virtual = sb.lso_finite(model, force_virtual=True)
     assert np.abs(dense - virtual).max() <= 1e-7
+
+
+def _direct_pairing(s, avec, bvec, bath, n_max, eta):
+    """The pairing with each mode's phase sum taken term by term."""
+    a_op = truncated_oracle._annihilator(n_max + 1)
+    occ = np.arange(n_max + 1)
+    pair = [np.conj(truncated_oracle._wmode(avec[j], a_op)[:, 0])
+            * truncated_oracle._wmode(bvec[j], a_op)[:, 0]
+            for j in range(bath.n_modes)]
+    tau_max = truncated_oracle._TAU_DECADES / eta
+    w_char = abs(s) + eta + 0.5 * float(
+        np.sum(np.abs(bath.freqs) * (np.abs(avec) ** 2 + np.abs(bvec) ** 2)))
+    order, cap = truncated_oracle._TAU_ORDER, truncated_oracle._TAU_NODE_CAP
+    n_pan = int(min(max(8, np.ceil(tau_max * w_char / 1.5)), cap // (2 * order)))
+    max_refine = max(1, int(np.log2(max(2.0, cap / (n_pan * order)))))
+
+    def f(tau):
+        F = np.ones(tau.shape, dtype=complex)
+        for j in range(bath.n_modes):
+            F *= pair[j] @ np.exp(-1j * bath.freqs[j] * np.outer(occ, tau))
+        g = 1j * np.exp(-(eta + 1j * s) * tau) * F
+        return np.vstack([g.real, g.imag])
+
+    res = quadrature.integrate_refining(f, np.linspace(0.0, tau_max, n_pan + 1),
+                                        order=order, rtol=1e-9,
+                                        max_refine=max_refine, floor=1e-3)
+    assert res.converged
+    return complex(res.values[0], res.values[1])
+
+
+def test_shared_phase_pairings_match_direct_phase_sum():
+    spec = sb.standard_oracle_bath()
+    m_pos, eta = truncated_oracle._ORACLE_SCHEDULE[0]
+    n_max = 3
+    trunc = sb.TruncationSpec(m_pos, 12.0 / spec.beta, n_max, eta, budget=np.inf)
+    model = sb.build_model(sb.discretize(sb.coupling_function(spec), trunc), spec, trunc)
+    bath = model.bath
+    c = bath.amps
+    ct = np.conj(c[::-1])
+    eps = spec.eps
+    pairings = [(-eps, -c, -c), (eps, -ct, -ct), (eps, c, c), (-eps, ct, ct),
+                (-eps, -c, ct), (eps, -ct, c), (eps, c, -ct), (-eps, ct, -c)]
+    phases = truncated_oracle._RungPhases(bath, n_max, [(a, b) for _, a, b in pairings])
+    want = []
+    for k, (s, a, b) in enumerate(pairings):
+        got = truncated_oracle._resolvent_pairing(
+            s, a, b, bath, eta, functools.partial(phases, k=k))
+        want.append(_direct_pairing(s, a, b, bath, n_max, eta))
+        assert abs(got - want[-1]) <= 1e-13 * abs(want[-1])
+    r = want
+    lam = np.array([[0.25 * (r[0] + r[1]), -0.25 * (r[4] + r[5])],
+                    [-0.25 * (r[6] + r[7]), 0.25 * (r[2] + r[3])]])
+    got = sb.lso_finite(model)
+    assert np.abs(got - lam).max() <= 1e-13 * np.abs(lam).max()
+
+
+def test_unconverged_pairing_raises(small_model, monkeypatch):
+    _, _, model = small_model
+
+    def capped(f, edges, **kwargs):
+        kwargs.update(rtol=1e-30, max_refine=1)
+        return quadrature.integrate_refining(f, edges, **kwargs)
+
+    monkeypatch.setattr(truncated_oracle, "integrate_refining", capped)
+    with pytest.raises(sb.AccuracyError, match="did not converge"):
+        sb.lso_finite(model, force_virtual=True)
 
 
 def test_lso_entries_structure(small_model):
@@ -289,6 +410,38 @@ def test_kms_normalized(small_model):
     assert np.linalg.norm(psi) == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("n_max", [2, 3])
+def test_kms_matches_dense_eigh_reference(n_max):
+    trunc = dataclasses.replace(TRUNC, n_max=n_max)
+    model = _build(trunc=trunc)
+    psi, res = sb.kms_vector(model)
+
+    g = 0.25 * SPEC.beta * SPEC.eps
+    psi0 = np.zeros(model.dim, dtype=complex)
+    psi0[0] = np.exp(-g - abs(g))
+    psi0[3 * model.bath_dim] = np.exp(g - abs(g))
+    psi0 /= np.linalg.norm(psi0)
+    w, Q = eigh(np.diag(model.L0).astype(complex) - 0.5 * SPEC.delta * model.cal_V)
+    ref = Q @ (np.exp(-0.5 * SPEC.beta * (w - w.min())) * (Q.conj().T @ psi0))
+    ref /= np.linalg.norm(ref)
+    ref_res = np.linalg.norm(model.cal_L @ ref)
+
+    assert abs(np.vdot(ref, psi)) >= 1.0 - 1e-12
+    assert res == pytest.approx(ref_res, rel=1e-9)
+
+
+def test_kms_leaves_global_random_stream_alone(small_model):
+    _, _, model = small_model
+    np.random.seed(7)
+    expected = np.random.random_sample(3)
+    np.random.seed(7)
+    first, _ = sb.kms_vector(model)
+    assert np.array_equal(np.random.random_sample(3), expected)
+    np.random.seed(8)
+    second, _ = sb.kms_vector(model)
+    assert np.array_equal(first, second)
+
+
 def test_kms_overflow_guard():
     spec = dataclasses.replace(SPEC, beta=500.0)
     trunc = sb.TruncationSpec(m_pos=1, u_max=3.0, n_max=1, eta=0.1)
@@ -317,6 +470,21 @@ def test_weyl_empty_window_is_a_precondition():
     model = _build(spec=spec, trunc=WEYL_TRUNC)
     with pytest.raises(sb.PreconditionError):
         sb.weyl_sequence_check(model, s=10.0)
+
+
+def test_weyl_model_runs_in_small_memory():
+    spec = dataclasses.replace(SPEC, delta=0.02)
+    bath = sb.discretize(sb.coupling_function(spec), WEYL_TRUNC)
+    tracemalloc.start()
+    try:
+        model = sb.build_model(bath, spec, WEYL_TRUNC)
+        sb.kms_vector(model)
+        sb.weyl_sequence_check(model, s=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.dim == 4096
+    assert peak < 64 * 2 ** 20
 
 
 def test_weyl_free_field_matches_window_rms():
