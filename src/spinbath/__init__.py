@@ -57,6 +57,7 @@ from .relaxation import (
     lso_matrix,
     p_infinity,
     p_of_t,
+    rate_and_lso,
     report_dict,
 )
 from .spectral_density import (

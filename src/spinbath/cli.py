@@ -25,7 +25,8 @@ from .constants_ledger import constants_report
 from .errors import ConfigurationError, SpinBathError
 from .fileio import atomic_write
 from .relaxation import (default_time_horizon, gamma_rate, lso_entries,
-                         lso_matrix, p_of_t, report_dict)
+                         lso_matrix, p_of_t, rate_and_lso, report_dict,
+                         report_params)
 from .spectral_density import check_condition_A
 from .truncated_oracle import run_oracle_schedule
 
@@ -53,11 +54,12 @@ def _pair(w) -> list:
 # --- shared pipeline pieces ---------------------------------------------------
 
 def _kernel_table(config: RunConfig, out_dir: str, jobs: int = 1):
+    """The kernel table, and its horizon probes, through out_dir/cache."""
     spec = config.bath
     t_max = config.kernels.t_max
-    if t_max is None:
-        t_max = default_time_horizon(spec)
     cache_dir = os.path.join(out_dir, "cache")
+    if t_max is None:
+        t_max = default_time_horizon(spec, cache_dir=cache_dir)
     return tabulate_kernels(spec, t_max, config.kernels.n,
                             tol=config.kernels.tol, jobs=jobs,
                             cache_dir=cache_dir)
@@ -68,8 +70,7 @@ def _kernel_table(config: RunConfig, out_dir: str, jobs: int = 1):
 def cmd_rate(config: RunConfig, out_dir: str, jobs: int = 1) -> int:
     spec = config.bath
     table = _kernel_table(config, out_dir, jobs)
-    rate = gamma_rate(spec, table, tol=config.lso.tol)
-    lso = lso_matrix(spec, table, tol=config.lso.tol)
+    rate, lso = rate_and_lso(spec, table, tol=config.lso.tol)
     if "json" in config.output.formats:
         _write_json(os.path.join(out_dir, "rate.json"),
                     report_dict(spec, rate, lso), config)
@@ -89,8 +90,7 @@ def cmd_lso(config: RunConfig, out_dir: str, jobs: int = 1) -> int:
     table = _kernel_table(config, out_dir, jobs)
     m = lso_matrix(spec, table, tol=config.lso.tol)
     payload = {
-        "params": {"beta": spec.beta, "eps": spec.eps, "delta": spec.delta,
-                   "q0": spec.q0, "h": spec.h.content_key()},
+        "params": report_params(spec),
         "x_plus": _pair(m.x_plus),
         "x_minus": _pair(m.x_minus),
         "z": _pair(m.z),
@@ -170,11 +170,9 @@ def cmd_oracle(config: RunConfig, out_dir: str, jobs: int = 1) -> int:
 
 
 def _sweep_point(args):
-    spec, t_max, n, tab_tol, lso_tol = args
-    if t_max is None:
-        t_max = default_time_horizon(spec)
-    table = tabulate_kernels(spec, t_max, n, tol=tab_tol)
-    rate = gamma_rate(spec, table, tol=lso_tol)
+    config, out_dir = args
+    table = _kernel_table(config, out_dir)
+    rate = gamma_rate(config.bath, table, tol=config.lso.tol)
     return rate.tau_inv, rate.tau0_inv, rate.p_inf, rate.err
 
 
@@ -183,9 +181,9 @@ def cmd_sweep(config: RunConfig, out_dir: str, jobs: int = 1) -> int:
         raise ConfigurationError("sweep: section is required for the sweep "
                                  "subcommand")
     param = config.sweep.param_name
-    tasks = [(dataclasses.replace(config.bath, **{param: v}),
-              config.kernels.t_max, config.kernels.n, config.kernels.tol,
-              config.lso.tol) for v in config.sweep.values]
+    tasks = [(dataclasses.replace(
+                  config, bath=dataclasses.replace(config.bath, **{param: v})),
+              out_dir) for v in config.sweep.values]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_point, tasks))

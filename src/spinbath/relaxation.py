@@ -17,6 +17,7 @@ so the trace identity survives the regularization exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -84,13 +85,30 @@ def _envelope(spec: BathSpec, table: KernelTable) -> _Envelope:
 
 def _oscillation_edges(spec: BathSpec, table: KernelTable, a: float,
                        s1: CubicSpline, s2: CubicSpline) -> np.ndarray:
+    """Panel edges whose widths follow the local phase rate of the integrand.
+
+    The spline derivatives are evaluated from their coefficients as scipy's
+    PPoly does (same interval rule, same summation order), so the edges are
+    bitwise those of ``d(t)`` calls, without the per-call overhead.
+    """
     T = float(table.t_grid[-1])
     d1, d2 = s1.derivative(), s2.derivative()
+    x = d1.x.tolist()
+    a1, b1, c1 = d1.c.tolist()
+    a2, b2, c2 = d2.c.tolist()
+    last = len(x) - 2
     lo, hi = T / 4000.0, T / 8.0
     edges = [0.0]
     t = 0.0
+    i = 0
     while t < T:
-        rate = abs(spec.eps) + a * (abs(float(d1(t))) + abs(float(d2(t))))
+        while i < last and x[i + 1] <= t:
+            i += 1
+        s = t - x[i]
+        ss = s * s
+        v1 = c1[i] + b1[i] * s + a1[i] * ss
+        v2 = c2[i] + b2[i] * s + a2[i] * ss
+        rate = abs(spec.eps) + a * (abs(v1) + abs(v2))
         width = min(hi, max(lo, 0.25 * np.pi / max(rate, 1.0 / T)))
         t = min(t + width, T)
         edges.append(t)
@@ -147,15 +165,22 @@ def _integrate_lso(spec: BathSpec, table: KernelTable, tol: float):
     return values, err, env
 
 
-def gamma_rate(spec: BathSpec, table: KernelTable, tol: float = 1e-8) -> RateReport:
-    """Relaxation rate tau^-1 = delta^2 int_0^inf cos(eps t) cos(a Q1) e^{-a Q2} dt."""
-    values, err, env = _integrate_lso(spec, table, tol)
+def _rate_report(spec: BathSpec, values, err: float, env: _Envelope) -> RateReport:
     tau0_inv = float(values[3])
     return RateReport(tau_inv=float(spec.delta ** 2 * tau0_inv),
                       tau0_inv=tau0_inv,
                       p_inf=p_infinity(spec),
                       err=err,
                       damping_ok=env.damping_ok)
+
+
+def _entries(values):
+    return 0.5j * values[0], 0.5j * values[1], -0.5j * values[2]
+
+
+def gamma_rate(spec: BathSpec, table: KernelTable, tol: float = 1e-8) -> RateReport:
+    """Relaxation rate tau^-1 = delta^2 int_0^inf cos(eps t) cos(a Q1) e^{-a Q2} dt."""
+    return _rate_report(spec, *_integrate_lso(spec, table, tol))
 
 
 def p_of_t(spec: BathSpec, rate: RateReport, t: float) -> float:
@@ -169,10 +194,7 @@ def p_of_t(spec: BathSpec, rate: RateReport, t: float) -> float:
 def lso_entries(spec: BathSpec, table: KernelTable, tol: float = 1e-8):
     """(x_plus, x_minus, z, err): the level-shift matrix entries."""
     values, err, _ = _integrate_lso(spec, table, tol)
-    x_plus = 0.5j * values[0]
-    x_minus = 0.5j * values[1]
-    z = -0.5j * values[2]
-    return x_plus, x_minus, z, err
+    return _entries(values) + (err,)
 
 
 def _gibbs_vector(spec: BathSpec) -> np.ndarray:
@@ -189,22 +211,36 @@ def _db_residual(spec: BathSpec, x_plus: complex, z: complex) -> float:
     return float(np.exp(c) * abs(np.exp(-c) * x_plus + z) / max(abs(x_plus), floor))
 
 
-def lso_matrix(spec: BathSpec, table: KernelTable, tol: float = 1e-8) -> LevelShiftMatrix:
-    """Assemble Lambda_0 = [[x(eps), z], [z, x(-eps)]] with its diagnostics.
+def rate_and_lso(spec: BathSpec, table: KernelTable,
+                 tol: float = 1e-8) -> Tuple[RateReport, LevelShiftMatrix]:
+    """The rate report and Lambda_0 = [[x(eps), z], [z, x(-eps)]] with its
+    diagnostics, from one quadrature of all four rows.
 
-    tau0_inv for the trace gap comes from gamma_rate, whose quadrature
-    refines independently of the entry integrals.
+    The trace gap compares Im(x(eps) + x(-eps)) with tau0_inv, the rate row
+    of that same quadrature.
     """
-    x_plus, x_minus, z, err = lso_entries(spec, table, tol)
+    values, err, env = _integrate_lso(spec, table, tol)
+    rate = _rate_report(spec, values, err, env)
+    x_plus, x_minus, z = _entries(values)
     matrix = np.array([[x_plus, z], [z, x_minus]])
-    tau0_inv = gamma_rate(spec, table, tol).tau0_inv
+    tau0_inv = rate.tau0_inv
     trace_gap = float(abs((x_plus + x_minus).imag - tau0_inv) / abs(tau0_inv))
     psi = _gibbs_vector(spec)
     kernel_residual = float(np.linalg.norm(matrix @ psi))
-    return LevelShiftMatrix(x_plus=x_plus, x_minus=x_minus, z=z, matrix=matrix,
-                            db_residual=_db_residual(spec, x_plus, z),
-                            trace_gap=trace_gap,
-                            kernel_residual=kernel_residual)
+    lso = LevelShiftMatrix(x_plus=x_plus, x_minus=x_minus, z=z, matrix=matrix,
+                           db_residual=_db_residual(spec, x_plus, z),
+                           trace_gap=trace_gap,
+                           kernel_residual=kernel_residual)
+    return rate, lso
+
+
+def lso_matrix(spec: BathSpec, table: KernelTable, tol: float = 1e-8) -> LevelShiftMatrix:
+    """Assemble Lambda_0 = [[x(eps), z], [z, x(-eps)]] with its diagnostics.
+
+    This is the matrix half of rate_and_lso: the tau0_inv of its trace gap is
+    the rate row of the same quadrature as the entries.
+    """
+    return rate_and_lso(spec, table, tol)[1]
 
 
 def fgr_check(spec: BathSpec, table: KernelTable, tol: float = 1e-8):
@@ -213,15 +249,20 @@ def fgr_check(spec: BathSpec, table: KernelTable, tol: float = 1e-8):
     return rate.tau0_inv > 10.0 * rate.err, rate.tau0_inv
 
 
-def default_time_horizon(spec: BathSpec, max_doublings: int = 8) -> float:
-    """A t_max at which the damping envelope has decayed or visibly saturated."""
+def default_time_horizon(spec: BathSpec, max_doublings: int = 8,
+                         cache_dir: Optional[str] = None) -> float:
+    """A t_max at which the damping envelope has decayed or visibly saturated.
+
+    The 64-point probe tables go through the kernel cache when cache_dir is
+    set; their key has no q0, eps or delta, so neighbouring configs share them.
+    """
     if spec.q0 == 0.0:
         raise DivergentIntegralError("q0 = 0: no damping, no finite horizon")
     a = spec.q0 ** 2 / np.pi
     eps_scale = 1.0 / abs(spec.eps) if spec.eps != 0.0 else 1.0
     T = 8.0 * max(spec.beta, 1.0, eps_scale)
     for _ in range(max_doublings):
-        probe = tabulate_kernels(spec, T, 64, tol=1e-6)
+        probe = tabulate_kernels(spec, T, 64, tol=1e-6, cache_dir=cache_dir)
         if not probe.converged:
             raise AccuracyError("horizon probe at t_max=%g did not converge" % T,
                                 err=float(np.max(probe.err_est)))
@@ -235,14 +276,19 @@ def default_time_horizon(spec: BathSpec, max_doublings: int = 8) -> float:
     return T
 
 
+def report_params(spec: BathSpec) -> dict:
+    """The "params" block shared by the rate and level-shift reports."""
+    return {"beta": spec.beta, "eps": spec.eps, "delta": spec.delta,
+            "q0": spec.q0, "h": spec.h.content_key()}
+
+
 def report_dict(spec: BathSpec, rate: RateReport, lso: LevelShiftMatrix) -> dict:
     """The JSON-ready relaxation report."""
     def pair(w):
         return [float(w.real), float(w.imag)]
 
     return {
-        "params": {"beta": spec.beta, "eps": spec.eps, "delta": spec.delta,
-                   "q0": spec.q0, "h": spec.h.content_key()},
+        "params": report_params(spec),
         "tau_inv": float(rate.tau_inv),
         "tau0_inv": float(rate.tau0_inv),
         "p_inf": float(rate.p_inf),

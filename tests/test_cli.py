@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 import spinbath as sb
+from spinbath import bath_correlations
 from spinbath.cli import main
 
 BASE = {
@@ -224,6 +225,9 @@ def test_sweep_schema_and_parallel_agreement(tmp_path):
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
     report = _read_json(out1, "sweep.json")
     assert [row["value"] for row in report["rows"]] == [0.5, 1.0]
+    assert report["rows"] == _read_json(out2, "sweep.json")["rows"]
+    assert _cache_listing(out1) and _cache_listing(out2)
+    assert set(_cache_listing(out1)) == set(_cache_listing(out2))
     data = np.loadtxt(out1 / "sweep.csv", delimiter=",", skiprows=2)
     assert np.all(np.diff(data[:, 1]) != 0.0)
 
@@ -233,6 +237,45 @@ def test_sweep_requires_section(tmp_path, capsys):
     assert main(["sweep", "--config", cfg,
                  "--out", str(tmp_path / "out")]) == 1
     assert "sweep" in capsys.readouterr().err
+
+
+# --- kernel cache ---------------------------------------------------------------
+
+def _cache_listing(out_dir):
+    cache = out_dir / "cache"
+    if not cache.is_dir():
+        return {}
+    return {p.name: p.stat().st_mtime_ns for p in cache.iterdir()}
+
+
+def test_lso_after_rate_reads_only_the_cache(tmp_path, monkeypatch):
+    # with kernels.t_max unset, the horizon probes are cached as well as the
+    # table, so the second command of a config tabulates nothing
+    cfg = _config(tmp_path)
+    assert sb.load_config(cfg).kernels.t_max is None
+    out = tmp_path / "out"
+    assert main(["rate", "--config", cfg, "--out", str(out)]) == 0
+    before = _cache_listing(out)
+    assert before
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("kernel quadrature ran on a warm cache")
+
+    monkeypatch.setattr(bath_correlations, "_evaluate", no_quadrature)
+    assert main(["lso", "--config", cfg, "--out", str(out)]) == 0
+    assert _cache_listing(out) == before
+
+
+def test_horizon_through_cache_is_exact(tmp_path):
+    spec = sb.load_config(_config(tmp_path)).bath
+    cache = tmp_path / "cache"
+    plain = sb.default_time_horizon(spec)
+    cold = sb.default_time_horizon(spec, cache_dir=str(cache))
+    files = sorted(cache.iterdir())
+    assert files
+    warm = sb.default_time_horizon(spec, cache_dir=str(cache))
+    assert cold == plain and warm == plain
+    assert sorted(cache.iterdir()) == files
 
 
 # --- argument handling ----------------------------------------------------------

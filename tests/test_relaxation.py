@@ -4,8 +4,13 @@ import json
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
 import spinbath as sb
+from spinbath import relaxation
+from spinbath.cli import main
 
 OHMIC = sb.power_exp(-0.5, "exponential")
 GAUSS_OHMIC = sb.power_exp(-0.5, "gaussian")
@@ -236,3 +241,69 @@ def test_default_time_horizon_decays(ohmic_setup):
     spec, table = ohmic_setup
     a = spec.q0 ** 2 / np.pi
     assert a * table.q2[-1] >= -np.log(1e-12)
+
+
+# --- one quadrature per command -------------------------------------------------
+
+def _scalar_walk_edges(spec, table, a, s1, s2):
+    """Reference: the edge walk through scalar PPoly calls of the derivatives."""
+    T = float(table.t_grid[-1])
+    d1, d2 = s1.derivative(), s2.derivative()
+    lo, hi = T / 4000.0, T / 8.0
+    edges = [0.0]
+    t = 0.0
+    while t < T:
+        rate = abs(spec.eps) + a * (abs(float(d1(t))) + abs(float(d2(t))))
+        width = min(hi, max(lo, 0.25 * np.pi / max(rate, 1.0 / T)))
+        t = min(t + width, T)
+        edges.append(t)
+    return np.asarray(edges)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.sampled_from([-0.5, 0.5]),
+       cutoff=st.sampled_from(["exponential", "gaussian"]),
+       beta=st.floats(0.5, 4.0), eps=st.floats(0.25, 1.0),
+       q0=st.floats(0.5, 2.0), n=st.sampled_from([16, 40, 64]))
+def test_oscillation_edges_match_scalar_walk(p, cutoff, beta, eps, q0, n):
+    spec = _spec(beta=beta, eps=eps, q0=q0, h=sb.power_exp(p, cutoff))
+    table = sb.tabulate_kernels(spec, 8.0 * max(beta, 1.0, 1.0 / eps), n,
+                                tol=1e-6)
+    a = q0 ** 2 / np.pi
+    s1 = CubicSpline(table.t_grid, table.q1)
+    s2 = CubicSpline(table.t_grid, table.q2)
+    fast = relaxation._oscillation_edges(spec, table, a, s1, s2)
+    assert np.array_equal(fast, _scalar_walk_edges(spec, table, a, s1, s2))
+
+
+@pytest.mark.parametrize("command", ["rate", "lso"])
+def test_command_runs_one_level_shift_quadrature(command, tmp_path, monkeypatch):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "bath": {"beta": 1.0, "eps": 0.5, "delta": 0.2, "q0": 1.0,
+                 "h": {"family": "power_exp", "p": -0.5,
+                       "cutoff": "exponential"}},
+        "kernels": {"n": 200, "tol": 1.0e-8}}))
+    calls = []
+    original = relaxation.integrate_refining
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(relaxation, "integrate_refining", counting)
+    assert main([command, "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("setup", ["ohmic_setup", "saturated_setup"])
+def test_rate_and_lso_share_one_quadrature(setup, request):
+    spec, table = request.getfixturevalue(setup)
+    rate, lso = sb.rate_and_lso(spec, table)
+    assert rate == sb.gamma_rate(spec, table)
+    x_plus, x_minus, z, _ = sb.lso_entries(spec, table)
+    assert (lso.x_plus, lso.x_minus, lso.z) == (x_plus, x_minus, z)
+    tau0_inv = sb.gamma_rate(spec, table).tau0_inv
+    gap = float(abs((x_plus + x_minus).imag - tau0_inv) / abs(tau0_inv))
+    assert sb.lso_matrix(spec, table).trace_gap == gap
