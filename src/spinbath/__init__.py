@@ -9,7 +9,6 @@ from .errors import (
     DomainError,
     EvaluationError,
     InfraredError,
-    NumericalError,
     PreconditionError,
     ScalingError,
     SpinBathError,

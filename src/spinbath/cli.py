@@ -120,7 +120,8 @@ def cmd_threshold(config: RunConfig, out_dir: str,
     c = config.constants
     report = constants_report(config.bath, c.alpha, eps_hat=c.eps_hat,
                               xi=c.xi, c_kms=c.c_kms, c3=c.c3, c5=c.c5,
-                              tau0=c.tau0, allow_heuristics=allow_heuristics)
+                              tau0=c.tau0, allow_heuristics=allow_heuristics,
+                              cache_dir=os.path.join(out_dir, "cache"))
     payload = {
         "c1": report.c1,
         "c2": report.c2,
@@ -152,8 +153,7 @@ def cmd_oracle(config: RunConfig, out_dir: str, jobs: int = 1) -> int:
                                  for r in range(2) for c in range(2)]})
     payload = {
         "schedule": [[m, eta] for m, eta in report.schedule],
-        "truncation": {"m_pos": o.m_pos, "u_max": o.u_max, "n_max": o.n_max,
-                       "eta": o.eta, "budget": o.budget},
+        "truncation": {"u_max": o.u_max, "n_max": o.n_max},
         "rungs": rungs,
         "extrapolated": {k: _pair(v) for k, v in report.extrapolated.items()},
         "observed_order": {k: float(v) for k, v in

@@ -39,15 +39,12 @@ class LsoConfig:
 class OracleConfig:
     """Truncation fields plus the (m_pos, eta) refinement schedule.
 
-    schedule None means the documented default ladder; the bare
-    m_pos/eta/budget fields are echoed into oracle reports.
+    schedule None means the documented default ladder; u_max None means
+    12 / beta.
     """
 
-    m_pos: int
     u_max: Optional[float]
     n_max: int
-    eta: float
-    budget: float
     schedule: Optional[Tuple[Tuple[int, float], ...]]
 
 
@@ -217,16 +214,9 @@ def _parse_schedule(node: dict, path: str):
 
 def _parse_oracle(raw: dict) -> OracleConfig:
     node = _section(raw, "oracle")
-    _reject_unknown(node, {"m_pos", "u_max", "n_max", "eta", "budget",
-                           "schedule"}, "oracle")
-    budget = _number(node, "budget", "oracle", default=2e5)
-    if not budget >= 4.0:
-        raise ConfigurationError("oracle.budget: must be at least 4")
-    return OracleConfig(m_pos=_count(node, "m_pos", "oracle", default=8),
-                        u_max=_positive(node, "u_max", "oracle"),
+    _reject_unknown(node, {"u_max", "n_max", "schedule"}, "oracle")
+    return OracleConfig(u_max=_positive(node, "u_max", "oracle"),
                         n_max=_count(node, "n_max", "oracle", default=3),
-                        eta=_positive(node, "eta", "oracle", default=0.05),
-                        budget=budget,
                         schedule=_parse_schedule(node, "oracle"))
 
 

@@ -128,14 +128,15 @@ def constants_report(spec: BathSpec, alpha: float, *,
                      c5: Optional[float] = None,
                      tau0: Optional[float] = None,
                      allow_heuristics: bool = False,
-                     grid=None) -> ConstantsReport:
+                     cache_dir: Optional[str] = None) -> ConstantsReport:
     """Assemble the full constants ledger for one bath.
 
     c_kms and c5 have no computable definition here and must be supplied.
     c3 falls back to the flagged heuristic 10*c2 only with allow_heuristics.
-    tau0 is computed from the relaxation rate when not supplied.
+    tau0 is computed from the relaxation rate when not supplied, on a kernel
+    table (and horizon probes) read from and stored in cache_dir if given.
     """
-    f_beta = coupling_function(spec, grid)
+    f_beta = coupling_function(spec)
     if eps_hat is None:
         eps_hat = default_eps_hat(alpha)
     c1, c2 = constants_c1_c2(f_beta, alpha, eps_hat)
@@ -157,8 +158,9 @@ def constants_report(spec: BathSpec, alpha: float, *,
     else:
         inputs_used["c3"] = {"value": float(c3), "provenance": "user"}
     if tau0 is None:
-        horizon = default_time_horizon(spec)
-        table = tabulate_kernels(spec, horizon, 400, tol=1e-9)
+        horizon = default_time_horizon(spec, cache_dir=cache_dir)
+        table = tabulate_kernels(spec, horizon, 400, tol=1e-9,
+                                 cache_dir=cache_dir)
         _, tau0_inv = fgr_check(spec, table)
         tau0 = 1.0 / tau0_inv
         inputs_used["tau0"] = {"value": float(tau0), "provenance": "computed"}

@@ -50,10 +50,6 @@ class TruncationError(SpinBathError):
     """Fock truncation too small for the requested operation."""
 
 
-class NumericalError(SpinBathError):
-    """A numerical subroutine failed to converge."""
-
-
 class ScalingError(SpinBathError):
     """Parameters outside the representable floating-point range."""
 

@@ -59,24 +59,6 @@ def capped_edges(a: float, b: float, max_width: float, min_panels: int = 8) -> n
     return np.linspace(a, b, n + 1)
 
 
-def geometric_refine_first(edges: np.ndarray, smallest: float, max_extra: int = 40) -> np.ndarray:
-    """Subdivide the first panel geometrically toward its left endpoint.
-
-    Inserts edges at left + width/2, width/4, ... until the innermost cell is
-    no wider than ``smallest`` (or ``max_extra`` cells were added).  Used to
-    resolve integrand structure on a scale much finer than the panel cap,
-    e.g. the thermal factor near omega = 0.
-    """
-    edges = np.asarray(edges, dtype=float)
-    left = edges[0]
-    width = edges[1] - left
-    if width <= smallest:
-        return edges
-    k = min(max_extra, int(np.ceil(np.log2(width / smallest))))
-    inner = left + width * 0.5 ** np.arange(k, 0, -1)
-    return np.concatenate([edges[:1], inner, edges[1:]])
-
-
 def integrate_on_edges(f: Callable, edges: np.ndarray, order: int = 6):
     """Integral of f over the panels; f may return a stack (..., n_nodes)."""
     nodes, w = panel_nodes(edges, order)

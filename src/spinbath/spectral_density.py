@@ -25,6 +25,7 @@ TWO_PI_SQ = 2.0 * np.pi ** 2
 _SERIES_CUT = 1e-4
 _IR_FIT_DECADE = (1e-4, 1e-3)
 _COUPLING_IR_THRESHOLD = 2.95
+_CONDITION_A_REFINEMENTS = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,6 +294,18 @@ def _fourier_weighted_value(grid: np.ndarray, values: np.ndarray,
     return float(np.sqrt(np.sum((weight * ghat_abs) ** 2) * dxi * angular))
 
 
+def _refined_values(f, beta: float, base: GridSpec, alpha: float, ks) -> list:
+    """Fourier-weighted values of f glued on the k-th refinements of base.
+
+    Each refinement doubles u_max and halves the step: (u_max 2^k, n 4^k).
+    """
+    values = []
+    for k in ks:
+        g = glue(f, beta, GridSpec(u_max=base.u_max * 2 ** k, n=base.n * 4 ** k))
+        values.append(_fourier_weighted_value(g.grid, g.values, alpha, g.angular_factor))
+    return values
+
+
 def regularity_norm(g: GluedFunction, alpha: float) -> Tuple[float, bool]:
     """Sobolev norm of order alpha, || (1 + xi^2)^{alpha/2} g_hat ||_L2.
 
@@ -305,10 +318,9 @@ def regularity_norm(g: GluedFunction, alpha: float) -> Tuple[float, bool]:
         raise DomainError("alpha must be nonnegative")
     value = _fourier_weighted_value(g.grid, g.values, alpha, g.angular_factor)
     if g.source is not None and g.beta is not None:
-        n = len(g.grid)
         u_max = float(g.grid[-1] + 0.5 * _uniform_step(g.grid))
-        fine = glue(g.source, g.beta, GridSpec(u_max=2.0 * u_max, n=4 * n))
-        ref = _fourier_weighted_value(fine.grid, fine.values, alpha, fine.angular_factor)
+        ref, = _refined_values(g.source, g.beta, GridSpec(u_max=u_max, n=len(g.grid)),
+                               alpha, [1])
     else:
         n = len(g.grid)
         sl = slice(n // 4, 3 * n // 4, 2)
@@ -343,7 +355,7 @@ def infrared_exponent(h: FormFactor) -> float:
     return float(slope)
 
 
-def check_condition_A(spec: BathSpec, alpha: float, refinements: int = 2):
+def check_condition_A(spec: BathSpec, alpha: float):
     """Regularity check of the glued (i h / u) at Fourier weight order alpha.
 
     Returns (verdict, report) with verdict in {"pass", "fail",
@@ -358,19 +370,16 @@ def check_condition_A(spec: BathSpec, alpha: float, refinements: int = 2):
         return 1j * np.asarray(h(u), dtype=complex) / u
 
     base = default_grid(h, spec.beta)
-    values = []
-    for k in range(refinements + 1):
-        g = glue(f, spec.beta, GridSpec(u_max=base.u_max * 2 ** k, n=base.n * 4 ** k))
-        values.append(_fourier_weighted_value(g.grid, g.values, alpha, g.angular_factor))
-    values = np.asarray(values)
+    rungs = range(_CONDITION_A_REFINEMENTS + 1)
+    values = np.asarray(_refined_values(f, spec.beta, base, alpha, rungs))
     report = {
         "alpha": float(alpha),
         "values": values.tolist(),
-        "u_max": [base.u_max * 2 ** k for k in range(refinements + 1)],
-        "n": [base.n * 4 ** k for k in range(refinements + 1)],
+        "u_max": [base.u_max * 2 ** k for k in rungs],
+        "n": [base.n * 4 ** k for k in rungs],
     }
     if np.max(values) == 0.0:
-        report["rel_changes"] = [0.0] * refinements
+        report["rel_changes"] = [0.0] * _CONDITION_A_REFINEMENTS
         return "pass", report
     rel = np.abs(np.diff(values)) / np.maximum(values[1:], 1e-300)
     report["rel_changes"] = rel.tolist()

@@ -8,18 +8,20 @@ follow from a shared generator (V^2 = 1, unitarity of the dressing,
 commutation relations at the truncation edge acquire an error that has to
 vanish along n_max refinement.
 
-A model stores the per-mode factors of these operators, never a dense
-dim x dim matrix: every operator is a short sum of Kronecker products of a
-4x4 spin matrix with per-mode factors, applied to vectors one mode axis at
-a time.  The KMS vector is the action of a matrix exponential on a vector
-(scipy's expm_multiply on that apply), and the unitary-equivalence, Weyl
-and level-shift checks apply the operators to the few vectors they need.
-Dense matrices of the operators are built on first access, for tests.
+Every model, at every size, is its per-mode factors: the Weyl factors of
+the interaction amplitudes and of the polaron dressing, all from one
+batched matrix exponential, and the field factors of V and JVJ.  Every
+operator is a short sum of Kronecker products of a 4x4 spin matrix with
+per-mode factors, applied to vectors one mode axis at a time, and the
+level-shift pairings read the vacuum columns of the same Weyl factors.
 
-Models whose Hilbert dimension exceeds the dense cap stay virtual: only
-the level-shift matrix is available for them, through a per-mode
-factorized time integral that agrees with the dense resolvent path up to
-quadrature tolerance.
+A model whose bath dimension is within the dense cap is materialized: it
+also holds the vector-sized diagonals, so the KMS vector (scipy's
+expm_multiply on the apply), the unitary-equivalence and Weyl checks and
+the exact level-shift resolvent run on it, and dense matrices of the
+operators are built on first access, for tests.  Past the cap the
+level-shift matrix is a per-mode factorized time integral that agrees with
+the resolvent up to quadrature tolerance.
 """
 
 from __future__ import annotations
@@ -69,7 +71,8 @@ class TruncationSpec:
     """Discretization and truncation parameters of one finite model.
 
     budget caps the total Hilbert dimension 4 (n_max+1)^(2 m_pos); pass
-    inf to allow models that only the virtual level-shift path can touch.
+    inf to allow models past the dense cap, where only the level-shift
+    matrix is available.
     """
 
     m_pos: int
@@ -161,18 +164,39 @@ def _annihilator(d: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, d)), 1)
 
 
-def _phi(z: complex, a: np.ndarray) -> np.ndarray:
+def _phi(z, a: np.ndarray) -> np.ndarray:
+    """Truncated field generators of the amplitudes z (any shape), (..., d, d)."""
+    z = np.asarray(z)[..., None, None]
     return (z * a.T + np.conj(z) * a) / np.sqrt(2.0)
 
 
-def _wmode(z: complex, a: np.ndarray) -> np.ndarray:
+def _wmode(z, a: np.ndarray) -> np.ndarray:
+    """Weyl factors exp(i phi(z)) of the amplitudes z, one batched expm.
+
+    A scalar z gives one (d, d) factor.  The unitarity monitor raises on
+    the worst factor of the batch.
+    """
+    z = np.asarray(z)
     w = expm(1j * _phi(z, a))
-    drift = np.abs(w.conj().T @ w - np.eye(a.shape[0])).max()
-    if drift > _WEYL_UNITARITY_TOL:
+    drift = np.abs(np.swapaxes(w.conj(), -1, -2) @ w
+                   - np.eye(a.shape[0])).max(axis=(-2, -1))
+    worst = np.argmax(drift)
+    if drift.flat[worst] > _WEYL_UNITARITY_TOL:
         raise TruncationError(
             "Weyl-mode exponential lost unitarity (residual %g at amplitude "
-            "%g); raise n_max" % (drift, abs(z)))
+            "%g); raise n_max" % (drift.flat[worst], abs(z.flat[worst])))
     return w
+
+
+def _amplitude_sets(c: np.ndarray) -> np.ndarray:
+    """The 8 amplitude vectors of a model's Weyl factors, (8, n_modes).
+
+    Sets 0..3 are c, -c, ct, -ct (ct = conj(c) mirrored), the amplitudes of
+    cal_V and cal_JVJ; sets 4..7 are the four spin-sector dressings of U.
+    """
+    ct = np.conj(c[::-1])
+    return np.array([c, -c, ct, -ct] + [0.5 * (s_left * c + s_right * ct)
+                                        for s_left, s_right in _SECTOR_SIGNS])
 
 
 def _on_mode(op: np.ndarray, x: np.ndarray, j: int) -> np.ndarray:
@@ -230,25 +254,27 @@ class _DenseView:
 
 
 class FiniteModel:
-    """Kronecker-factored truncated model, or a virtual handle past the size cap.
+    """Kronecker-factored truncated model, one representation at every size.
 
     The occupation basis is little-endian over modes (mode 0 fastest) with
-    the four spin sectors outermost.  A materialized model stores per-mode
-    (n_max+1)^2 factors only: weyl[k, j] is the Weyl factor of mode j for
-    the amplitude vectors c, -c, ct, -ct (k = 0..3) and for the four
+    the four spin sectors outermost.  Every model stores per-mode
+    (n_max+1)^2 factors: weyl[k, j] is the Weyl factor of mode j for the
+    amplitude vectors c, -c, ct, -ct (k = 0..3) and for the four
     spin-sector dressings of U (k = 4..7), and field[k, j] is the field
-    factor of mode j in V (k = 0) and JVJ (k = 1); L0, P_Omega and Pi0 are
-    diagonals.  Every operator is a short sum of 4x4 spin matrices tensored
-    with a product or a sum of per-mode factors, and _apply applies it to
-    vectors one mode axis at a time (the shuffle algorithm of Fernandes,
-    Plateau and Stewart 1998), so memory grows with dim, not dim^2.
+    factor of mode j in V (k = 0) and JVJ (k = 1).  Every operator is a
+    short sum of 4x4 spin matrices tensored with a product or a sum of
+    per-mode factors, and _apply applies it to vectors one mode axis at a
+    time (the shuffle algorithm of Fernandes, Plateau and Stewart 1998),
+    so memory grows with dim, not dim^2.
 
-    The dense matrices cal_V, cal_JVJ, V, JVJ, U, I, L (untransformed
+    materialized (bath_dim within the dense cap) models also hold the
+    diagonals L0, P_Omega and Pi0 and the operator table; the vector
+    operations raise ConfigurationError on the others, whose diagonals are
+    None.  The dense matrices cal_V, cal_JVJ, V, JVJ, U, I, L (untransformed
     generator L0 + spin flip + (q0/2)(V - JVJ)) and cal_L (transformed
-    generator L0 + delta I) are built from the same factors on first access
-    and kept, read-only.  They exist for tests; no library path reads them.
-    Virtual models keep only the discretization; their operator attributes
-    raise, and lso_finite is the one supported computation.
+    generator L0 + delta I) of a materialized model are built from the
+    same factors on first access and kept, read-only.  They exist for
+    tests; no library path reads them.
     """
 
     cal_V = _DenseView()
@@ -260,22 +286,38 @@ class FiniteModel:
     L = _DenseView()
     cal_L = _DenseView()
 
-    def __init__(self, spec: BathSpec, trunc: TruncationSpec, bath: DiscretizedBath,
-                 materialized: bool, *, L0=None, weyl=None, field=None,
-                 P_Omega=None, Pi0=None):
+    def __init__(self, spec: BathSpec, trunc: TruncationSpec, bath: DiscretizedBath):
         self.spec = spec
         self.trunc = trunc
         self.bath = bath
-        self.materialized = materialized
-        self.bath_dim = (trunc.n_max + 1) ** bath.n_modes
+        d = trunc.n_max + 1
+        self.bath_dim = d ** bath.n_modes
         self.dim = 4 * self.bath_dim
-        self.L0 = L0
-        self.weyl = weyl
-        self.field = field
-        self.P_Omega = P_Omega
-        self.Pi0 = Pi0
-        self._ops = self._operators() if materialized else {}
+        a = _annihilator(d)
+        self.weyl = _wmode(_amplitude_sets(bath.amps), a)
+        if spec.q0 != 0.0:
+            hvec = (1j * bath.freqs * bath.amps / spec.q0).real
+        else:
+            hvec = np.zeros(bath.n_modes)
+        self.field = _phi(np.array([hvec, hvec[::-1]]), a)
+        self.L0 = self.P_Omega = self.Pi0 = None
+        self._ops = {}
         self._views = {}
+        if not self.materialized:
+            return
+        spin_diag = np.array([0.0, spec.eps, -spec.eps, 0.0])
+        self.L0 = (spin_diag[:, None] + _bath_diag(bath.freqs, d)).ravel()
+        bd = self.bath_dim
+        self.P_Omega = np.zeros(4 * bd)
+        self.P_Omega[np.arange(4) * bd] = 1.0
+        self.Pi0 = np.zeros(4 * bd)
+        self.Pi0[[0, 3 * bd]] = 1.0
+        self._ops = self._operators()
+
+    @property
+    def materialized(self) -> bool:
+        """Whether the model holds vector-sized state (bath_dim within the cap)."""
+        return self.bath_dim <= _DENSE_BATH_CAP
 
     def _need(self, what: str):
         if not self.materialized:
@@ -340,34 +382,9 @@ class FiniteModel:
 
 def build_model(bath: DiscretizedBath, spec: BathSpec,
                 trunc: TruncationSpec) -> FiniteModel:
-    """Per-mode factors of the truncated operators, or a virtual handle past the cap."""
-    d = trunc.n_max + 1
-    if d ** bath.n_modes > _DENSE_BATH_CAP:
-        return FiniteModel(spec, trunc, bath, materialized=False)
-    a = _annihilator(d)
-    c = bath.amps
-    ct = np.conj(c[::-1])
-    amplitudes = [c, -c, ct, -ct] + [0.5 * (s_left * c + s_right * ct)
-                                     for s_left, s_right in _SECTOR_SIGNS]
-    weyl = np.array([[_wmode(z, a) for z in amps] for amps in amplitudes])
-
-    if spec.q0 != 0.0:
-        hvec = (1j * bath.freqs * c / spec.q0).real
-    else:
-        hvec = np.zeros(bath.n_modes)
-    field = np.array([[_phi(h, a) for h in hs] for hs in (hvec, hvec[::-1])])
-
-    bd = d ** bath.n_modes
-    bath_diag = _bath_diag(bath.freqs, d)
-    spin_diag = np.array([0.0, spec.eps, -spec.eps, 0.0])
-    L0 = np.concatenate([sd + bath_diag for sd in spin_diag])
-
-    P_Omega = np.zeros(4 * bd)
-    P_Omega[np.arange(4) * bd] = 1.0
-    Pi0 = np.zeros(4 * bd)
-    Pi0[[0, 3 * bd]] = 1.0
-    return FiniteModel(spec, trunc, bath, materialized=True, L0=L0, weyl=weyl,
-                       field=field, P_Omega=P_Omega, Pi0=Pi0)
+    """The finite model of a discretized bath: its per-mode factors, plus the
+    diagonals when it is materialized."""
+    return FiniteModel(spec, trunc, bath)
 
 
 def check_unitary_equivalence(model: FiniteModel) -> float:
@@ -397,32 +414,24 @@ class _RungPhases:
     """Mode phase sums of the resolvent pairings of one rung.
 
     Pairing k needs F_k(tau) = prod_j sum_n p_kjn exp(-i f_j n tau), where
-    p_kj = conj(W_j(a_kj) Omega) * W_j(b_kj) Omega.  The vacuum columns take
-    one small expm per mode and distinct amplitude vector.  Per node set,
-    z_j = exp(-i f_j tau) is computed once per mode and serves every
-    pairing through a Horner sum in z_j; the pairings of a rung share their
-    panel edges, so each node set is evaluated once for all of them.
+    p_kj = conj(W_j(a_kj) Omega) * W_j(b_kj) Omega.  vacua[i, j] is the
+    vacuum column W_j Omega of amplitude set i, taken from the model's Weyl
+    factors, and set_pairs[k] = (a, b) names the sets of pairing k.  Per
+    node set, z_j = exp(-i f_j tau) is computed once per mode and serves
+    every pairing through a Horner sum in z_j; the pairings of a rung share
+    their panel edges, so each node set is evaluated once for all of them.
     Pairings with equal coefficients share one sum: the truncated field is
     off-diagonal in the occupation basis, so W_j(-z) Omega = (-1)^N
     W_j(z) Omega, and the 8 pairings of a rung have 4 distinct
     coefficient sets.
     """
 
-    def __init__(self, bath: DiscretizedBath, n_max: int, amplitude_pairs):
-        a_op = _annihilator(n_max + 1)
-        vacua = {}
-
-        def vacuum(amps):
-            key = amps.tobytes()
-            if key not in vacua:
-                vacua[key] = np.array([_wmode(z, a_op)[:, 0] for z in amps])
-            return vacua[key]
-
-        pairs = np.array([np.conj(vacuum(a)) * vacuum(b)
-                          for a, b in amplitude_pairs])
-        self.pairs, row = np.unique(pairs, axis=0, return_inverse=True)
+    def __init__(self, freqs: np.ndarray, vacua: np.ndarray, set_pairs):
+        a, b = np.array(set_pairs).T
+        self.pairs, row = np.unique(np.conj(vacua[a]) * vacua[b], axis=0,
+                                    return_inverse=True)
         self._row = row.reshape(-1)
-        self.freqs = bath.freqs
+        self.freqs = freqs
         self._sums = {}
 
     def __call__(self, tau: np.ndarray, k: int) -> np.ndarray:
@@ -478,16 +487,16 @@ def _resolvent_pairing(s: float, avec: np.ndarray, bvec: np.ndarray,
 
 
 def _lso_virtual(model: FiniteModel, eta: float) -> np.ndarray:
-    c = model.bath.amps
-    ct = np.conj(c[::-1])
+    amps = _amplitude_sets(model.bath.amps)
     eps = model.spec.eps
-    # (s, a, b) of the pairings <W(a)Omega, (dGamma - s - i eta)^{-1} W(b)Omega>,
-    # two per entry of the 2x2 matrix, in the order l00, l11, l01, l10
-    pairings = ((-eps, -c, -c), (eps, -ct, -ct), (eps, c, c), (-eps, ct, ct),
-                (-eps, -c, ct), (eps, -ct, c), (eps, c, -ct), (-eps, ct, -c))
-    phases = _RungPhases(model.bath, model.trunc.n_max,
+    # (s, a, b) of the pairings <W(amps[a])Omega, (dGamma - s - i eta)^{-1}
+    # W(amps[b])Omega> over the sets c, -c, ct, -ct, two per entry of the 2x2
+    # matrix, in the order l00, l11, l01, l10
+    pairings = ((-eps, 1, 1), (eps, 3, 3), (eps, 0, 0), (-eps, 2, 2),
+                (-eps, 1, 2), (eps, 3, 0), (eps, 0, 3), (-eps, 2, 1))
+    phases = _RungPhases(model.bath.freqs, model.weyl[:4, :, :, 0],
                          [(a, b) for _, a, b in pairings])
-    r = [_resolvent_pairing(s, a, b, model.bath, eta,
+    r = [_resolvent_pairing(s, amps[a], amps[b], model.bath, eta,
                             functools.partial(phases, k=k))
          for k, (s, a, b) in enumerate(pairings)]
     l00 = 0.25 * (r[0] + r[1])
@@ -503,8 +512,8 @@ def lso_finite(model: FiniteModel, eta: Optional[float] = None, *,
 
     Returns the 2x2 matrix in the (phi_++ Omega, phi_-- Omega) basis.
     Materialized models invert the diagonal free generator exactly on the
-    two columns I Pi0; virtual (or force_virtual) ones use the factorized
-    time integral.
+    two columns I Pi0; larger ones (or force_virtual) use the factorized
+    time integral over the vacuum columns of the model's Weyl factors.
     """
     if eta is None:
         eta = model.trunc.eta

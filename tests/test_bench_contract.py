@@ -1,0 +1,53 @@
+"""The package names the benchmark's tracer reads (bench/spans.py).
+
+The tracer reports a renamed or removed function as an absent metric
+rather than failing, so a refactor could silently blank benchmark metrics;
+these checks make such a change fail here instead.
+"""
+
+import importlib
+import inspect
+import pathlib
+import types
+
+import pytest
+
+import spinbath as sb
+
+SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    # executed from source, so no bytecode cache is written under bench/
+    module = types.ModuleType("bench_spans")
+    exec(compile(SPANS.read_text(), str(SPANS), "exec"), vars(module))
+    return module
+
+
+def test_traced_functions_exist(spans):
+    for layer in spans.LAYERS:
+        importlib.import_module("%s.%s" % (spans.PACKAGE, layer))
+    names = spans.FUNCTION_BUSY + spans.FUNCTION_CALLS + tuple(spans._OBSERVERS)
+    assert names
+    for layer, fn in names:
+        module = importlib.import_module("%s.%s" % (spans.PACKAGE, layer))
+        obj = getattr(module, fn, None)
+        assert inspect.isfunction(obj), "%s.%s" % (layer, fn)
+        # the tracer wraps only functions defined in their own layer
+        assert obj.__module__ == module.__name__, "%s.%s" % (layer, fn)
+
+
+def test_quadrature_callers_bind_the_integrator(spans):
+    for caller in spans.QUAD_CALLERS:
+        module = importlib.import_module("%s.%s" % (spans.PACKAGE, caller))
+        assert "integrate_refining" in vars(module), caller
+
+
+def test_models_carry_the_observed_fields():
+    spec, trunc = sb.standard_test_bath()
+    model = sb.build_model(sb.discretize(sb.coupling_function(spec), trunc),
+                           spec, trunc)
+    assert isinstance(model.materialized, bool)
+    assert model.dim == 4 * trunc.bath_dim
+    assert "force_virtual" in inspect.signature(sb.lso_finite).parameters

@@ -266,6 +266,32 @@ def test_lso_after_rate_reads_only_the_cache(tmp_path, monkeypatch):
     assert _cache_listing(out) == before
 
 
+def test_threshold_after_oracle_reads_only_the_cache(tmp_path, monkeypatch):
+    # with the default kernels section, oracle tabulates the same 400-point
+    # table (and horizon probes) that threshold needs for tau0
+    raw = {"bath": dict(BASE["bath"], **SMOOTH_BATH["bath"]),
+           "oracle": {"n_max": 1, "u_max": 3.0,
+                      "schedule": [[1, 0.4], [2, 0.2], [3, 0.1]]},
+           "constants": {"c_kms": 2.0, "c3": 5.0, "c5": 1.0}}
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    assert main(["threshold", "--config", str(cfg), "--out", str(cold)]) == 0
+    assert main(["oracle", "--config", str(cfg), "--out", str(warm)]) == 0
+    before = _cache_listing(warm)
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("kernel quadrature ran on a warm cache")
+
+    monkeypatch.setattr(bath_correlations, "integrate_refining", no_quadrature)
+    assert main(["threshold", "--config", str(cfg), "--out", str(warm)]) == 0
+    assert _cache_listing(warm) == before
+    report = _read_json(warm, "threshold.json")
+    assert report["inputs_used"]["tau0"]["provenance"] == "computed"
+    assert ((warm / "threshold.json").read_bytes()
+            == (cold / "threshold.json").read_bytes())
+
+
 def test_horizon_through_cache_is_exact(tmp_path):
     spec = sb.load_config(_config(tmp_path)).bath
     cache = tmp_path / "cache"

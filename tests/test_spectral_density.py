@@ -259,6 +259,15 @@ def test_condition_a_rough_form_factor_fails():
     assert report["values"][-1] > report["values"][0]
 
 
+@pytest.mark.parametrize("h, alpha", [(sb.power_exp(3.5, "exponential"), 2.2),
+                                      (sb.power_exp(0.5, "gaussian"), 3.0)])
+def test_condition_a_coarse_value_is_the_regularity_norm(h, alpha):
+    spec = _spec_with(h)
+    _, report = sb.check_condition_A(spec, alpha)
+    g = sb.glue(lambda u: 1j * h(u) / u, spec.beta, default_grid(h, spec.beta))
+    assert report["values"][0] == sb.regularity_norm(g, alpha)[0]
+
+
 def test_condition_a_boundary_near_p_for_u35():
     """Bisect the pass/fail boundary for h = u^3.5 e^-u; it sits near alpha = p."""
     spec = _spec_with(sb.power_exp(3.5, "exponential"))

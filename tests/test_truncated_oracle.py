@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import eigh
+from scipy.linalg import eigh, expm
 
 import spinbath as sb
 from spinbath import quadrature, truncated_oracle
@@ -227,6 +227,48 @@ def test_model_stores_no_dense_matrix(small_model):
     assert fresh.field.shape == (2, fresh.bath.n_modes, 4, 4)
 
 
+def test_model_past_the_cap_stores_only_its_factors():
+    trunc = sb.TruncationSpec(m_pos=6, u_max=3.0, n_max=2, eta=0.1,
+                              budget=np.inf)
+    model = _build(trunc=trunc)
+    assert not model.materialized
+    assert model.weyl.shape == (8, 12, 3, 3)
+    assert model.field.shape == (2, 12, 3, 3)
+    stored = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
+    assert max(v.size for v in stored) == model.weyl.size
+    with pytest.raises(AttributeError):
+        model.materialized = True
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(min_value=2, max_value=6),
+       polar=st.lists(st.tuples(st.floats(min_value=0.0, max_value=30.0),
+                                st.floats(min_value=0.0, max_value=2 * np.pi)),
+                      min_size=1, max_size=6))
+def test_batched_weyl_factors_equal_single_expm(d, polar):
+    a = truncated_oracle._annihilator(d)
+    row = np.array([r * np.exp(1j * t) for r, t in polar])
+    z = np.array([row, -np.conj(row)])
+    got = truncated_oracle._wmode(z, a)
+    want = np.array([[expm(1j * truncated_oracle._phi(x, a)) for x in row]
+                     for row in z])
+    assert np.array_equal(got, want)
+    single = truncated_oracle._wmode(z[0, 0], a)
+    assert single.shape == (d, d)
+    assert np.array_equal(single, want[0, 0])
+
+
+def test_virtual_level_shift_reuses_the_model_factors(small_model, monkeypatch):
+    _, _, model = small_model
+
+    def no_expm(*args, **kwargs):
+        raise AssertionError("expm ran after build_model")
+
+    monkeypatch.setattr(truncated_oracle, "expm", no_expm)
+    virtual = sb.lso_finite(model, force_virtual=True)
+    assert np.abs(virtual - sb.lso_finite(model)).max() <= 1e-7
+
+
 def test_dense_views_are_cached_and_read_only(small_model):
     _, _, model = small_model
     assert model.cal_V is model.cal_V
@@ -260,11 +302,14 @@ def test_equivalence_residual_ignores_delta():
 
 # --- level-shift matrix -------------------------------------------------------
 
-def test_lso_dense_matches_virtual(small_model):
+def test_lso_dense_matches_virtual(small_model, factored_models):
     _, _, model = small_model
-    dense = sb.lso_finite(model)
-    virtual = sb.lso_finite(model, force_virtual=True)
-    assert np.abs(dense - virtual).max() <= 1e-7
+    # the phased model has complex vacuum columns, so pairings built from a
+    # transposed or unconjugated factor differ from the dense resolvent
+    for m in (model, factored_models(2, 3)):
+        dense = sb.lso_finite(m)
+        virtual = sb.lso_finite(m, force_virtual=True)
+        assert np.abs(dense - virtual).max() <= 1e-7
 
 
 def _direct_pairing(s, avec, bvec, bath, n_max, eta):
@@ -307,7 +352,9 @@ def test_shared_phase_pairings_match_direct_phase_sum():
     eps = spec.eps
     pairings = [(-eps, -c, -c), (eps, -ct, -ct), (eps, c, c), (-eps, ct, ct),
                 (-eps, -c, ct), (eps, -ct, c), (eps, c, -ct), (-eps, ct, -c)]
-    phases = truncated_oracle._RungPhases(bath, n_max, [(a, b) for _, a, b in pairings])
+    phases = truncated_oracle._RungPhases(
+        bath.freqs, model.weyl[:4, :, :, 0],
+        [(1, 1), (3, 3), (0, 0), (2, 2), (1, 2), (3, 0), (0, 3), (2, 1)])
     want = []
     for k, (s, a, b) in enumerate(pairings):
         got = truncated_oracle._resolvent_pairing(
