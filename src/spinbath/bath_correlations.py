@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -33,6 +34,8 @@ _CHUNK = 8
 # Part of every cache key: tables computed under another stop rule or
 # support bound are recomputed, never served.
 _NUMERICS_VERSION = "quad-v2"
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -353,20 +356,49 @@ def _save_table(cache_dir: str, key: str, spec: BathSpec, t_max: float, n: int,
                  json.dumps(meta, sort_keys=True, indent=1))
 
 
-def _load_table(cache_dir: str, key: str) -> Optional[KernelTable]:
-    csv_path = os.path.join(cache_dir, key + ".csv")
-    meta_path = os.path.join(cache_dir, key + ".json")
-    if not (os.path.exists(csv_path) and os.path.exists(meta_path)):
-        return None
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+def _read_entry(csv_path: str, meta_path: str, key: str, t_max: float,
+                n: int, tol: float) -> KernelTable:
     with open(meta_path) as fh:
         meta = json.load(fh)
+    if meta["key"] != key:
+        raise ValueError("the sidecar names key %s" % meta["key"])
+    if (meta["t_max"], meta["n"], meta["tol"]) != (t_max, n, tol):
+        raise ValueError("it was computed for t_max=%r, n=%r, tol=%r"
+                         % (meta["t_max"], meta["n"], meta["tol"]))
+    with open(csv_path) as fh:
+        rows = fh.read().splitlines()[1:]
+    if len(rows) != n:
+        raise ValueError("it has %d rows, not %d" % (len(rows), n))
+    data = np.loadtxt(rows, delimiter=",", ndmin=2)
+    if data.shape[1] != 7 or not np.isfinite(data).all():
+        raise ValueError("its rows are not 7 finite numbers")
     tail = TailFit(q2_slope=meta["tail"]["q2_slope"],
                    q1_limit=meta["tail"]["q1_limit"],
                    c2_inf=meta["tail"]["c2_inf"])
     return KernelTable(t_grid=data[:, 0], q1=data[:, 1], q2=data[:, 2],
                        qz=data[:, 3], err_est=data[:, 4:7], tail=tail,
                        converged=meta["converged"])
+
+
+def _load_table(cache_dir: str, key: str, t_max: float, n: int,
+                tol: float) -> Optional[KernelTable]:
+    """The cached table of key, or None when it is absent or does not hold up.
+
+    An entry holds up when its sidecar names this key and request (t_max, n,
+    tol) and its CSV is n rows of 7 finite numbers.  One that does not, or
+    does not parse, is logged as a warning; the caller then recomputes it
+    and rewrites both files.
+    """
+    csv_path = os.path.join(cache_dir, key + ".csv")
+    meta_path = os.path.join(cache_dir, key + ".json")
+    if not (os.path.exists(csv_path) and os.path.exists(meta_path)):
+        return None
+    try:
+        return _read_entry(csv_path, meta_path, key, t_max, n, tol)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        _log.warning("kernel cache entry %s is unusable (%s); recomputing it",
+                     key, exc)
+        return None
 
 
 def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
@@ -379,7 +411,8 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
     any chunk stopped at the refinement limit; consumers check it.  With
     cache_dir set, results are stored as CSV plus a JSON sidecar, keyed by a
     content hash of the numerics version, the bath and grid parameters, and
-    written atomically.
+    written atomically; an entry that fails its load check is recomputed
+    and rewritten.
     """
     source = _as_source(spec)
     _require_ir(source, _IR_Q1_MIN, "tabulate_kernels")
@@ -391,7 +424,7 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
     cache_key = None
     if cache_dir is not None and isinstance(spec, BathSpec):
         cache_key = _cache_key(spec, t_max, n, tol)
-        cached = _load_table(cache_dir, cache_key)
+        cached = _load_table(cache_dir, cache_key, t_max, n, tol)
         if cached is not None:
             return cached
 
@@ -427,7 +460,7 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
     if cache_key is not None:
         os.makedirs(cache_dir, exist_ok=True)
         _save_table(cache_dir, cache_key, spec, t_max, n, tol, table)
-        loaded = _load_table(cache_dir, cache_key)
+        loaded = _load_table(cache_dir, cache_key, t_max, n, tol)
         if loaded is not None:
             return loaded
     return table

@@ -153,7 +153,7 @@ def cmd_oracle(config: RunConfig, out_dir: str, jobs: int = 1) -> int:
                                  for r in range(2) for c in range(2)]})
     payload = {
         "schedule": [[m, eta] for m, eta in report.schedule],
-        "truncation": {"u_max": o.u_max, "n_max": o.n_max},
+        "truncation": {"u_max": report.u_max, "n_max": o.n_max},
         "rungs": rungs,
         "extrapolated": {k: _pair(v) for k, v in report.extrapolated.items()},
         "observed_order": {k: float(v) for k, v in

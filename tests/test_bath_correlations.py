@@ -1,7 +1,9 @@
 """Tests for the bath kernels against closed-form and quadrature oracles."""
 
+import json
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -238,6 +240,76 @@ def test_tabulate_cache_never_serves_other_numerics(tmp_path, monkeypatch):
     monkeypatch.setattr(bath_correlations, "_NUMERICS_VERSION", "quad-v1")
     sb.tabulate_kernels(spec, 5.0, 8, cache_dir=cache)
     assert len(list(tmp_path.iterdir())) == 4
+
+
+def _truncate_csv(csv, meta):
+    text = csv.read_text()
+    csv.write_text(text[:len(text) // 2])
+
+
+def _garble_json(csv, meta):
+    meta.write_text(meta.read_text()[:-7])
+
+
+def _rewrite_meta(**fields):
+    def corrupt(csv, meta):
+        data = json.loads(meta.read_text())
+        data.update(fields)
+        meta.write_text(json.dumps(data))
+    return corrupt
+
+
+def _drop_last_row(csv, meta):
+    csv.write_text("".join(csv.read_text().splitlines(True)[:-1]))
+
+
+def _nan_row(csv, meta):
+    lines = csv.read_text().splitlines(True)
+    cells = lines[3].split(",")
+    cells[2] = "nan"
+    lines[3] = ",".join(cells)
+    csv.write_text("".join(lines))
+
+
+def _header_only_csv(csv, meta):
+    csv.write_text(csv.read_text().splitlines(True)[0])
+
+
+def _six_columns(csv, meta):
+    lines = csv.read_text().splitlines()
+    csv.write_text("\n".join([lines[0]] + [r.rsplit(",", 1)[0] for r in lines[1:]]))
+
+
+@pytest.mark.parametrize("corrupt", [
+    _truncate_csv, _garble_json, _rewrite_meta(key="0" * 32), _drop_last_row,
+    _nan_row, _rewrite_meta(n=15), _rewrite_meta(tol=1e-8), _header_only_csv,
+    _six_columns,
+], ids=["truncated_csv", "garbled_json", "wrong_key", "wrong_row_count",
+        "nan_row", "other_n", "other_tol", "header_only", "six_columns"])
+def test_tabulate_cache_recomputes_bad_entries(tmp_path, caplog, corrupt):
+    spec = _spec(p=1.0, beta=2.0)
+    cache = str(tmp_path)
+    cold = sb.tabulate_kernels(spec, 5.0, 16, cache_dir=cache)
+    (csv,) = tmp_path.glob("*.csv")
+    meta = csv.with_suffix(".json")
+    cold_bytes = csv.read_bytes(), meta.read_bytes()
+    corrupt(csv, meta)
+    with caplog.at_level("WARNING", logger="spinbath"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warm = sb.tabulate_kernels(spec, 5.0, 16, cache_dir=cache)
+    assert (csv.read_bytes(), meta.read_bytes()) == cold_bytes
+    assert sorted(p.name for p in tmp_path.iterdir()) == [csv.name, meta.name]
+    assert np.array_equal(warm.q2, cold.q2) and warm.tail == cold.tail
+    (record,) = caplog.records
+    assert record.name.startswith("spinbath") and csv.stem in record.getMessage()
+
+
+def test_tabulate_cache_hit_logs_nothing(tmp_path, caplog):
+    spec = _spec(p=1.0, beta=2.0)
+    sb.tabulate_kernels(spec, 5.0, 16, cache_dir=str(tmp_path))
+    with caplog.at_level("DEBUG", logger="spinbath"):
+        sb.tabulate_kernels(spec, 5.0, 16, cache_dir=str(tmp_path))
+    assert not caplog.records
 
 
 def test_atomic_write_survives_concurrent_writers(tmp_path):

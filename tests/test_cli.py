@@ -209,6 +209,23 @@ def test_oracle_report_schema(tmp_path):
     assert report["config_sha256"] == sb.load_config(cfg).content_hash
 
 
+def test_oracle_reports_the_default_span(tmp_path):
+    # without oracle.u_max the ladder discretizes on 12 / beta, and the
+    # report says so
+    updates = {
+        "bath": {"beta": 3.0, "eps": 0.25, "delta": 0.1,
+                 "q0": 1.2568508382517989,
+                 "h": {"family": "power_exp", "p": 0.5, "cutoff": "gaussian"}},
+        "kernels": {"n": 300, "tol": 1.0e-8},
+        "oracle": {"n_max": 1, "schedule": [[1, 0.4], [2, 0.2], [3, 0.1]]},
+    }
+    cfg = _config(tmp_path, updates)
+    assert sb.load_config(cfg).oracle.u_max is None
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", cfg, "--out", str(out)]) == 0
+    assert _read_json(out, "oracle.json")["truncation"]["u_max"] == 12.0 / 3.0
+
+
 # --- sweep ----------------------------------------------------------------------
 
 def test_sweep_schema_and_parallel_agreement(tmp_path):

@@ -167,11 +167,23 @@ def test_polaron_dressing_is_unitary(small_model):
     assert np.abs(model.U.conj().T @ model.U - eye).max() <= 1e-12
 
 
-def test_vacuum_projections_sit_on_sector_vacua(small_model):
-    _, _, model = small_model
+def test_vacuum_projections_sit_on_sector_vacua(small_model, monkeypatch):
+    # the level-shift columns I Pi0 and the decoupled KMS vector both sit on
+    # the two sector vacua of Pi0, basis vectors 0 and 3 * bath_dim
+    _, bath, model = small_model
     bd = model.bath_dim
-    assert np.array_equal(np.nonzero(model.P_Omega)[0], np.arange(4) * bd)
-    assert np.array_equal(np.nonzero(model.Pi0)[0], np.array([0, 3 * bd]))
+    seen = []
+    apply = model._apply
+    monkeypatch.setattr(model, "_apply", lambda name, x, adjoint=False:
+                        seen.append((name, x.copy())) or apply(name, x, adjoint))
+    sb.lso_finite(model)
+    ((name, columns),) = seen
+    assert name == "I"
+    assert [np.flatnonzero(c).tolist() for c in columns] == [[0], [3 * bd]]
+    assert np.array_equal(columns[:, [0, 3 * bd]], np.eye(2))
+    free = sb.build_model(bath, dataclasses.replace(SPEC, delta=0.0), TRUNC)
+    psi, _ = sb.kms_vector(free)
+    assert np.flatnonzero(psi).tolist() == [0, 3 * bd]
 
 
 def test_weyl_unitarity_monitor_trips():
@@ -366,6 +378,134 @@ def test_shared_phase_pairings_match_direct_phase_sum():
                     [-0.25 * (r[6] + r[7]), 0.25 * (r[2] + r[3])]])
     got = sb.lso_finite(model)
     assert np.abs(got - lam).max() <= 1e-13 * np.abs(lam).max()
+
+
+RUNG_SET_PAIRS = [(1, 1), (3, 3), (0, 0), (2, 2), (1, 2), (3, 0), (0, 3), (2, 1)]
+
+
+def _rung_model(rung):
+    spec = sb.standard_oracle_bath()
+    m_pos, eta = truncated_oracle._ORACLE_SCHEDULE[rung]
+    trunc = sb.TruncationSpec(m_pos, 12.0 / spec.beta, 3, eta, budget=np.inf)
+    return sb.build_model(sb.discretize(sb.coupling_function(spec), trunc),
+                          spec, trunc)
+
+
+def _rung_phases(model):
+    return truncated_oracle._RungPhases(model.bath.freqs, model.weyl[:4, :, :, 0],
+                                        RUNG_SET_PAIRS)
+
+
+class _PairingEdges(Exception):
+    pass
+
+
+@pytest.fixture(scope="module")
+def last_rung():
+    """Phase sums of the last default rung and the nodes of its pairings'
+    first doubling, the largest node set the rung evaluates."""
+    model = _rung_model(-1)
+
+    def stop(f, edges, order, **kwargs):
+        raise _PairingEdges(edges, order)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(truncated_oracle, "integrate_refining", stop)
+        with pytest.raises(_PairingEdges) as info:
+            sb.lso_finite(model)
+    edges, order = info.value.args
+    tau, _ = quadrature.panel_nodes(quadrature.refine_edges(edges), order)
+    return _rung_phases(model), tau
+
+
+def _extended_phase_sum(phases, tau):
+    """prod_j sum_n p_jn exp(-i f_j n tau) in extended precision."""
+    pairs = phases.pairs.astype(np.clongdouble)
+    t = tau.astype(np.longdouble)
+    F = np.ones((len(pairs), tau.size), dtype=np.clongdouble)
+    for j, f in enumerate(phases.freqs.astype(np.longdouble)):
+        z = np.exp(np.clongdouble(-1j) * (f * t))
+        zn = np.ones_like(z)
+        acc = np.zeros_like(F)
+        for n in range(pairs.shape[-1]):
+            acc += pairs[:, j, n, None] * zn
+            zn *= z
+        F *= acc
+    return F
+
+
+def test_rung_phase_sums_match_extended_precision(last_rung):
+    phases, tau = last_rung
+    assert phases.freqs.size == 64 and phases.pairs.shape[-1] == 4
+    assert tau.size == 79584
+    sub = tau[::9]
+    assert sub.size > 2 * truncated_oracle._PHASE_BLOCK
+    want = _extended_phase_sum(phases, sub)
+    got = phases._evaluate(sub)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("rung", range(len(truncated_oracle._ORACLE_SCHEDULE)))
+def test_mirrored_mode_phases_are_conjugates(rung):
+    m_pos, eta = truncated_oracle._ORACLE_SCHEDULE[rung]
+    freqs = _rung_model(rung).bath.freqs
+    tau = np.linspace(0.0, truncated_oracle._TAU_DECADES / eta, 4001)
+    for k in range(m_pos):
+        z = np.exp((-1j * freqs[m_pos + k]) * tau)
+        assert np.array_equal(np.exp((-1j * freqs[m_pos - 1 - k]) * tau), np.conj(z))
+
+
+def test_rung_phase_sums_stay_within_block_memory(last_rung):
+    phases, tau = last_rung
+    tracemalloc.start()
+    try:
+        F = phases._evaluate(tau)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= F.nbytes + 2 * 2 ** 20
+
+
+@pytest.fixture(scope="module")
+def first_rung_phases():
+    return _rung_phases(_rung_model(0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(length=st.integers(truncated_oracle._PHASE_BLOCK - 3,
+                          2 * truncated_oracle._PHASE_BLOCK + 3),
+       data=st.data())
+def test_rung_phase_sums_do_not_depend_on_blocking(first_rung_phases, length, data):
+    # pieces of at least two nodes: numpy takes a matrix-vector product for a
+    # one-column block, which rounds differently
+    cut = data.draw(st.integers(2, length - 2))
+    tau = np.linspace(0.0, 225.0, length)
+    whole = first_rung_phases._evaluate(tau)
+    pieces = np.concatenate([first_rung_phases._evaluate(tau[:cut]),
+                             first_rung_phases._evaluate(tau[cut:])], axis=1)
+    assert np.array_equal(whole, pieces)
+
+
+def test_rung_phases_need_the_discretize_grid(first_rung_phases):
+    freqs = first_rung_phases.freqs
+    vacua = np.ones((4, freqs.size, 2), dtype=complex)
+    skewed = freqs.copy()
+    skewed[-1] *= 1.0 + 1e-9
+    for bad in (skewed, freqs[1:], np.sort(np.abs(freqs))):
+        with pytest.raises(sb.PreconditionError, match="uniform mode grid"):
+            truncated_oracle._RungPhases(bad, vacua, RUNG_SET_PAIRS)
+
+
+def test_rung_pairings_share_one_damping_factor_per_rate(small_model, monkeypatch):
+    _, _, model = small_model
+    calls = []
+    damping = truncated_oracle._damping
+    monkeypatch.setattr(truncated_oracle, "_damping",
+                        lambda rate, tau: calls.append((rate, tau.size))
+                        or damping(rate, tau))
+    sb.lso_finite(model, force_virtual=True)
+    assert len({rate for rate, _ in calls}) == 2
+    assert len(calls) == len(set(calls))
 
 
 def test_unconverged_pairing_raises(small_model, monkeypatch):
