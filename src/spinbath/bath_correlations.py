@@ -58,13 +58,12 @@ class JSource:
 class TailFit:
     """Large-t asymptotics fitted from a tabulation.
 
-    q2_slope is the linear growth rate of Q2, q1_limit the t -> inf limit of
-    Q1, and c2_inf the saturation value of Q2 (inf unless the infrared
-    exponent exceeds 2, where Q2 stays bounded).
+    q2_slope is the linear growth rate of Q2 and c2_inf the saturation value
+    of Q2 (inf unless the infrared exponent exceeds 2, where Q2 stays
+    bounded).
     """
 
     q2_slope: float
-    q1_limit: float
     c2_inf: float
 
 
@@ -267,7 +266,9 @@ def c2_saturation(spec: Union[BathSpec, JSource], *,
     """int_0^inf J(w) w^-2 coth(beta w/2) dw, the Q2 plateau.
 
     Finite only when the infrared exponent exceeds 2; returns inf otherwise.
-    Raises AccuracyError if the quadrature does not converge.
+    Raises AccuracyError if the quadrature does not converge, or if the
+    geometric head of the panels, which deepens as the exponent nears 2,
+    reaches frequencies whose square underflows to 0.
     """
     source = _as_source(spec)
     if isinstance(spec, BathSpec):
@@ -279,7 +280,13 @@ def c2_saturation(spec: Union[BathSpec, JSource], *,
     edges = _initial_edges(source, 0.0, beta, source.ir_exponent - 2.0)
 
     def rows(omega):
-        g = np.asarray(source.j(omega), dtype=float) / omega ** 2
+        w2 = omega ** 2
+        if not w2.all():
+            raise AccuracyError(
+                "c2_saturation: infrared exponent %.4g is too close to 2; the "
+                "panels reach frequencies whose square underflows"
+                % source.ir_exponent)
+        g = np.asarray(source.j(omega), dtype=float) / w2
         return (g * coth_stable(0.5 * beta * omega))[None, :]
 
     res = integrate_refining(rows, edges, rtol=tol)
@@ -309,17 +316,11 @@ def _fit_tail(source: JSource, beta: float, t: np.ndarray, q2v: np.ndarray,
     else:
         slope = 0.0
     slope = max(slope, 0.0)
-    s = source.ir_exponent
-    if abs(s - 1.0) <= 0.05:
-        lo = np.geomspace(1e-7, 1e-6, 8) * source.omega_max
-        q1_limit = 0.5 * np.pi * float(np.mean(source.j(lo) / lo))
-    else:
-        q1_limit = 0.0
-    if s > 2.05:
+    if source.ir_exponent > 2.05:
         c2_inf = c2_saturation(source, beta=beta, tol=tol)
     else:
         c2_inf = np.inf
-    return TailFit(q2_slope=slope, q1_limit=q1_limit, c2_inf=c2_inf)
+    return TailFit(q2_slope=slope, c2_inf=c2_inf)
 
 
 _CSV_HEADER = "t,q1,q2,qz,err1,err2,errz"
@@ -349,7 +350,6 @@ def _save_table(cache_dir: str, key: str, spec: BathSpec, t_max: float, n: int,
         "tol": tol,
         "converged": table.converged,
         "tail": {"q2_slope": table.tail.q2_slope,
-                 "q1_limit": table.tail.q1_limit,
                  "c2_inf": table.tail.c2_inf},
     }
     atomic_write(os.path.join(cache_dir, key + ".json"),
@@ -373,7 +373,6 @@ def _read_entry(csv_path: str, meta_path: str, key: str, t_max: float,
     if data.shape[1] != 7 or not np.isfinite(data).all():
         raise ValueError("its rows are not 7 finite numbers")
     tail = TailFit(q2_slope=meta["tail"]["q2_slope"],
-                   q1_limit=meta["tail"]["q1_limit"],
                    c2_inf=meta["tail"]["c2_inf"])
     return KernelTable(t_grid=data[:, 0], q1=data[:, 1], q2=data[:, 2],
                        qz=data[:, 3], err_est=data[:, 4:7], tail=tail,
@@ -433,7 +432,7 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
         z = np.zeros(len(t))
         return KernelTable(t_grid=t, q1=z.copy(), q2=z.copy(), qz=z.copy(),
                            err_est=np.zeros((len(t), 3)),
-                           tail=TailFit(0.0, 0.0, np.inf), converged=True)
+                           tail=TailFit(0.0, np.inf), converged=True)
 
     chunks = [t[i:i + _CHUNK] for i in range(0, len(t), _CHUNK)]
 

@@ -3,15 +3,11 @@
 All integrals run over a KernelTable through cubic splines, with a = q0^2/pi
 applied here (tables exclude it).  For superohmic baths the damping envelope
 saturates at E_inf = exp(-a C2) > 0 instead of decaying; the integrals then
-exist only as Abel limits, handled by subtracting the exact asymptotic
-integrand on [0, t_max] and adding its closed-form Abel tail:
-
-    x(+eps):  subtract E_inf cos(eps t - phi),  tail  E_inf sin(phi)/eps
-    x(-eps):  subtract E_inf cos(eps t + phi),  tail -E_inf sin(phi)/eps
-    z, rate:  subtract E_inf cos(eps t) (times cos(phi) for the rate), tail 0
-
-with phi = a Q1(inf).  The +-sin(phi)/eps tails cancel in Im(x(+eps)+x(-eps)),
-so the trace identity survives the regularization exactly.
+exist only as Abel limits.  Every row (x(+eps), x(-eps), z and the rate)
+subtracts the same asymptotic integrand E_inf cos(eps t) on [0, t_max].  The
+Abel tail of that term, lim_{eta->0} int_0^inf E_inf cos(eps t) e^{-eta t} dt
+= lim E_inf eta / (eta^2 + eps^2), is 0 for eps != 0, so nothing is added
+back; at eps = 0 it diverges.
 """
 
 from __future__ import annotations
@@ -60,7 +56,6 @@ def p_infinity(spec: BathSpec) -> float:
 class _Envelope:
     a: float
     e_inf: float
-    phi: float
     damping_ok: bool
     mismatch: float
 
@@ -78,8 +73,7 @@ def _envelope(spec: BathSpec, table: KernelTable) -> _Envelope:
     if not damping_ok and np.isfinite(c2) and a * c2 < _DECAY_THRESHOLD:
         e_inf = float(np.exp(-a * c2))
         mismatch = abs(float(np.exp(-end)) - e_inf)
-    phi = a * table.tail.q1_limit
-    return _Envelope(a=a, e_inf=e_inf, phi=phi, damping_ok=damping_ok,
+    return _Envelope(a=a, e_inf=e_inf, damping_ok=damping_ok,
                      mismatch=mismatch)
 
 
@@ -124,11 +118,12 @@ def _integrate_lso(spec: BathSpec, table: KernelTable, tol: float):
         raise AccuracyError("kernel table did not converge; its err_est shows "
                             "where", err=float(np.max(table.err_est)))
     env = _envelope(spec, table)
-    a, e_inf, phi = env.a, env.e_inf, env.phi
+    a, e_inf = env.a, env.e_inf
     eps = spec.eps
     if e_inf > 0.0 and eps == 0.0:
         raise DivergentIntegralError(
-            "saturated envelope at eps = 0: the Abel regularization diverges")
+            "saturated envelope at eps = 0: the constant E_inf term has no "
+            "Abel limit")
     t = table.t_grid
     s1 = CubicSpline(t, table.q1)
     s2 = CubicSpline(t, table.q2)
@@ -140,20 +135,18 @@ def _integrate_lso(spec: BathSpec, table: KernelTable, tol: float):
         e2 = np.exp(-a * q2v)
         ez = np.exp(-a * qzv)
         ph = eps * tt
-        xp = np.cos(ph - a * q1v) * e2 - e_inf * np.cos(ph - phi)
-        xm = np.cos(ph + a * q1v) * e2 - e_inf * np.cos(ph + phi)
-        zz = np.cos(ph) * ez - e_inf * np.cos(ph)
-        rr = np.cos(ph) * np.cos(a * q1v) * e2 - e_inf * np.cos(phi) * np.cos(ph)
+        c = np.cos(ph)
+        sub = e_inf * c
+        xp = np.cos(ph - a * q1v) * e2 - sub
+        xm = np.cos(ph + a * q1v) * e2 - sub
+        zz = c * ez - sub
+        rr = c * np.cos(a * q1v) * e2 - sub
         return np.vstack([xp, xm, zz, rr])
 
     res = integrate_refining(rows, edges, rtol=tol)
     if not res.converged:
         raise AccuracyError("level-shift quadrature did not converge",
                             partial=res.values, err=float(np.max(res.errors)))
-    values = res.values
-    if e_inf > 0.0:
-        tail = e_inf * np.sin(phi) / eps
-        values = values + np.array([tail, -tail, 0.0, 0.0])
     env_len = float(np.trapezoid(np.exp(-a * table.q2), t))
     err_table = a * float(np.max(table.err_est[:, :2])) * env_len
     if env.mismatch > 0.0:
@@ -162,7 +155,7 @@ def _integrate_lso(spec: BathSpec, table: KernelTable, tol: float):
         end = float(np.exp(-a * table.q2[-1]))
         err_table += end / max(abs(eps), a * table.tail.q2_slope, 1.0 / t[-1])
     err = float(np.max(res.errors)) + err_table
-    return values, err, env
+    return res.values, err, env
 
 
 def _rate_report(spec: BathSpec, values, err: float, env: _Envelope) -> RateReport:

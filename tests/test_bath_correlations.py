@@ -1,6 +1,7 @@
 """Tests for the bath kernels against closed-form and quadrature oracles."""
 
 import json
+import multiprocessing
 import os
 import sys
 import warnings
@@ -157,6 +158,15 @@ def test_c2_saturation_infinite_for_ohmic():
     assert sb.c2_saturation(OHMIC, beta=2.0) == np.inf
 
 
+def test_c2_saturation_declines_an_underflowing_head():
+    # infrared exponent 2.06: the geometric head spans 1000 octaves below the
+    # first panel, where omega^2 underflows and J / omega^2 would be 0/0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(sb.AccuracyError, match="too close to 2"):
+            sb.c2_saturation(_spec(p=0.03125, beta=1.0))
+
+
 # --- tabulation ---------------------------------------------------------------
 
 def test_tabulate_degenerate_single_row():
@@ -175,16 +185,14 @@ def test_tabulate_invariants_and_tail():
     assert np.all(table.qz >= 0.0)
     # p = 1 is superohmic: Q1 tends to 0 and Q2 saturates, so the slope is tiny
     assert table.tail.q2_slope <= 1e-3
-    assert table.tail.q1_limit == 0.0
     assert np.isfinite(table.tail.c2_inf)
     assert table.q2[-1] == pytest.approx(table.tail.c2_inf, rel=0.05)
 
 
-def test_tabulate_ohmic_tail_has_q1_limit_and_slope():
+def test_tabulate_ohmic_tail_q1_plateau_and_slope():
     spec = _spec(p=-0.5, beta=1.0)
     table = sb.tabulate_kernels(spec, 80.0, 50)
     # J = 2 pi^2 w e^{-2w}: J'(0) = 2 pi^2, so Q1(inf) = pi/2 * 2 pi^2
-    assert table.tail.q1_limit == pytest.approx(np.pi ** 3, rel=1e-3)
     assert table.q1[-1] == pytest.approx(np.pi ** 3, rel=0.03)
     assert table.tail.c2_inf == np.inf
     # ohmic Q2 grows linearly with slope pi J'(0)/beta
@@ -310,6 +318,74 @@ def test_tabulate_cache_hit_logs_nothing(tmp_path, caplog):
     with caplog.at_level("DEBUG", logger="spinbath"):
         sb.tabulate_kernels(spec, 5.0, 16, cache_dir=str(tmp_path))
     assert not caplog.records
+
+
+def _no_quadrature(*args, **kwargs):
+    raise AssertionError("kernel quadrature ran on a cache hit")
+
+
+def _assert_cache_hit(cache, cold, monkeypatch, caplog):
+    """Reload the _spec(p=1.0, beta=2.0) table from cache: a hit that runs no
+    quadrature, logs and warns nothing, and leaves every file as it was."""
+    files = sorted(cache.iterdir())
+    before = [p.read_bytes() for p in files]
+    with monkeypatch.context() as mp, warnings.catch_warnings(), \
+            caplog.at_level("DEBUG", logger="spinbath"):
+        mp.setattr(bath_correlations, "integrate_refining", _no_quadrature)
+        warnings.simplefilter("error")
+        warm = sb.tabulate_kernels(_spec(p=1.0, beta=2.0), 5.0, 16,
+                                   cache_dir=str(cache))
+    assert not caplog.records
+    assert sorted(cache.iterdir()) == files
+    assert [p.read_bytes() for p in files] == before
+    assert np.array_equal(warm.q2, cold.q2) and warm.tail == cold.tail
+
+
+def test_tabulate_cache_serves_sidecars_with_q1_limit(tmp_path, monkeypatch,
+                                                      caplog):
+    # sidecars written before TailFit lost q1_limit carry it in their tail
+    # block; the numerics did not change, so they stay valid entries
+    cold = sb.tabulate_kernels(_spec(p=1.0, beta=2.0), 5.0, 16,
+                               cache_dir=str(tmp_path))
+    (meta,) = tmp_path.glob("*.json")
+    data = json.loads(meta.read_text())
+    assert set(data["tail"]) == {"c2_inf", "q2_slope"}
+    data["tail"]["q1_limit"] = 0.0
+    meta.write_text(json.dumps(data, sort_keys=True, indent=1))
+    _assert_cache_hit(tmp_path, cold, monkeypatch, caplog)
+
+
+def _tabulate_after(barrier, cache):
+    barrier.wait(timeout=60)
+    sb.tabulate_kernels(_spec(p=1.0, beta=2.0), 5.0, 16, cache_dir=cache)
+
+
+def test_two_processes_writing_one_key_leave_one_valid_entry(tmp_path,
+                                                            monkeypatch,
+                                                            caplog):
+    shared, cold_dir = tmp_path / "shared", tmp_path / "cold"
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(2)
+    procs = [ctx.Process(target=_tabulate_after, args=(barrier, str(shared)))
+             for _ in range(2)]
+    try:
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=120)
+        assert [proc.exitcode for proc in procs] == [0, 0]
+    finally:
+        for proc in procs:
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+    cold = sb.tabulate_kernels(_spec(p=1.0, beta=2.0), 5.0, 16,
+                               cache_dir=str(cold_dir))
+    names = sorted(p.name for p in cold_dir.iterdir())
+    assert sorted(p.name for p in shared.iterdir()) == names
+    assert [(shared / n).read_bytes() for n in names] == \
+        [(cold_dir / n).read_bytes() for n in names]
+    _assert_cache_hit(shared, cold, monkeypatch, caplog)
 
 
 def test_atomic_write_survives_concurrent_writers(tmp_path):

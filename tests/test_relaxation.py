@@ -5,12 +5,13 @@ import json
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
 import spinbath as sb
-from spinbath import relaxation
+from spinbath import bath_correlations, relaxation
 from spinbath.cli import main
+from spinbath.quadrature import integrate_refining
 
 OHMIC = sb.power_exp(-0.5, "exponential")
 GAUSS_OHMIC = sb.power_exp(-0.5, "gaussian")
@@ -184,7 +185,6 @@ def test_abel_tail_against_eta_regularization(saturated_setup):
     spec, table = saturated_setup
     a = spec.q0 ** 2 / np.pi
     e_inf = np.exp(-a * table.tail.c2_inf)
-    phi = a * table.tail.q1_limit
     eps = spec.eps
     from scipy.interpolate import CubicSpline
     T = float(table.t_grid[-1])
@@ -195,8 +195,7 @@ def test_abel_tail_against_eta_regularization(saturated_setup):
 
     def reference(eta):
         head = np.trapezoid(f * np.exp(-eta * tt), tt)
-        tail = (np.exp((1j * eps - eta) * T) * np.exp(-1j * phi)
-                / (eta - 1j * eps)).real * e_inf
+        tail = (np.exp((1j * eps - eta) * T) / (eta - 1j * eps)).real * e_inf
         return head + tail
 
     ref = 2.0 * reference(0.005) - reference(0.01)
@@ -307,3 +306,96 @@ def test_rate_and_lso_share_one_quadrature(setup, request):
     tau0_inv = sb.gamma_rate(spec, table).tau0_inv
     gap = float(abs((x_plus + x_minus).imag - tau0_inv) / abs(tau0_inv))
     assert sb.lso_matrix(spec, table).trace_gap == gap
+
+
+# --- the level-shift rows against the Abel-tail phase -----------------------------
+
+def _phased_integrate_lso(spec, table, tol):
+    """Reference: the level-shift quadrature with the Abel-tail phase phi.
+
+    phi = a Q1(inf), with Q1(inf) estimated as (pi/2) mean(J/omega) on the
+    lowest frequencies of an ohmic bath (|s - 1| <= 0.05) and 0 otherwise;
+    the x(+-eps) rows subtract E_inf cos(eps t -+ phi), the rate row
+    E_inf cos(phi) cos(eps t), and x(+-eps) get the tail +-E_inf sin(phi)/eps.
+    phi and E_inf are never both nonzero, so the library drops phi.
+    Returns (values, err, phi).
+    """
+    env = relaxation._envelope(spec, table)
+    a, e_inf, eps = env.a, env.e_inf, spec.eps
+    source = bath_correlations.j_source_from_spec(spec)
+    if abs(source.ir_exponent - 1.0) <= 0.05:
+        lo = np.geomspace(1e-7, 1e-6, 8) * source.omega_max
+        q1_limit = 0.5 * np.pi * float(np.mean(source.j(lo) / lo))
+    else:
+        q1_limit = 0.0
+    phi = a * q1_limit
+    t = table.t_grid
+    s1 = CubicSpline(t, table.q1)
+    s2 = CubicSpline(t, table.q2)
+    sz = CubicSpline(t, table.qz)
+    edges = relaxation._oscillation_edges(spec, table, a, s1, s2)
+
+    def rows(tt):
+        q1v, q2v, qzv = s1(tt), s2(tt), sz(tt)
+        e2 = np.exp(-a * q2v)
+        ez = np.exp(-a * qzv)
+        ph = eps * tt
+        xp = np.cos(ph - a * q1v) * e2 - e_inf * np.cos(ph - phi)
+        xm = np.cos(ph + a * q1v) * e2 - e_inf * np.cos(ph + phi)
+        zz = np.cos(ph) * ez - e_inf * np.cos(ph)
+        rr = np.cos(ph) * np.cos(a * q1v) * e2 - e_inf * np.cos(phi) * np.cos(ph)
+        return np.vstack([xp, xm, zz, rr])
+
+    res = integrate_refining(rows, edges, rtol=tol)
+    values = res.values
+    if e_inf > 0.0:
+        tail = e_inf * np.sin(phi) / eps
+        values = values + np.array([tail, -tail, 0.0, 0.0])
+    env_len = float(np.trapezoid(np.exp(-a * table.q2), t))
+    err_table = a * float(np.max(table.err_est[:, :2])) * env_len
+    if env.mismatch > 0.0:
+        err_table += env.mismatch / abs(eps)
+    elif not env.damping_ok:
+        end = float(np.exp(-a * table.q2[-1]))
+        err_table += end / max(abs(eps), a * table.tail.q2_slope, 1.0 / t[-1])
+    return values, float(np.max(res.errors)) + err_table, phi
+
+
+def _assert_rows_match_phased(spec, table, tol=1e-8):
+    values, err, env = relaxation._integrate_lso(spec, table, tol)
+    ref_values, ref_err, phi = _phased_integrate_lso(spec, table, tol)
+    assert np.array_equal(values, ref_values)
+    assert err == ref_err
+    return phi, env.e_inf
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.floats(-0.5, 2.0),
+       cutoff=st.sampled_from(["exponential", "gaussian"]),
+       beta=st.floats(0.5, 3.0), q0=st.floats(0.3, 1.5),
+       eps=st.floats(0.25, 1.0), sign=st.sampled_from([1.0, -1.0]))
+def test_rows_match_phased_reference_bitwise(p, cutoff, beta, q0, eps, sign):
+    spec = _spec(beta=beta, eps=sign * eps, q0=q0, h=sb.power_exp(p, cutoff))
+    try:
+        table = sb.tabulate_kernels(spec, 8.0 * max(beta, 1.0, 1.0 / eps), 64,
+                                    tol=1e-6)
+    except sb.AccuracyError as exc:
+        # an infrared exponent just above 2.05 has no Q2 plateau and so no
+        # table (test_c2_saturation_declines_an_underflowing_head)
+        assert "too close to 2" in str(exc)
+        reject()
+    phi, e_inf = _assert_rows_match_phased(spec, table)
+    assert phi == 0.0 or e_inf == 0.0
+
+
+@pytest.mark.parametrize("setup,eps", [
+    ("ohmic_setup", 0.5), ("ohmic_setup", -0.7),
+    ("saturated_setup", 0.5), ("saturated_setup", -0.7)])
+def test_rows_match_phased_reference_on_both_branches(setup, eps, request):
+    spec, table = request.getfixturevalue(setup)
+    spec = _spec(beta=spec.beta, eps=eps, q0=spec.q0, h=spec.h)
+    phi, e_inf = _assert_rows_match_phased(spec, table)
+    if setup == "ohmic_setup":
+        assert phi != 0.0 and e_inf == 0.0
+    else:
+        assert phi == 0.0 and e_inf > 0.0
