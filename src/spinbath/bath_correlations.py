@@ -150,12 +150,11 @@ def _as_source(spec_or_source: Union[BathSpec, JSource]) -> JSource:
     raise UsageError("expected a BathSpec or a JSource, got %r" % (spec_or_source,))
 
 
-def _require_ir(source: JSource, minimum: float, kernel: str) -> None:
-    if not source.ir_exponent > minimum:
+def _require_ir(exponent: float, minimum: float, kernel: str) -> None:
+    if not exponent > minimum:
         raise InfraredError(
             "%s needs infrared exponent > %g, fitted %.3f"
-            % (kernel, minimum, source.ir_exponent),
-            exponent=source.ir_exponent)
+            % (kernel, minimum, exponent), exponent=exponent)
 
 
 def _initial_edges(source: JSource, t_cap: float, beta: Optional[float],
@@ -222,7 +221,7 @@ def _single(spec_or_source, t, beta, tol, which, kernel, ir_min):
     if t < 0.0:
         raise DomainError("t must be nonnegative")
     source = _as_source(spec_or_source)
-    _require_ir(source, ir_min, kernel)
+    _require_ir(source.ir_exponent, ir_min, kernel)
     if which != "q1":
         if isinstance(spec_or_source, BathSpec):
             beta = spec_or_source.beta
@@ -372,11 +371,20 @@ def _read_entry(csv_path: str, meta_path: str, key: str, t_max: float,
     data = np.loadtxt(rows, delimiter=",", ndmin=2)
     if data.shape[1] != 7 or not np.isfinite(data).all():
         raise ValueError("its rows are not 7 finite numbers")
-    tail = TailFit(q2_slope=meta["tail"]["q2_slope"],
-                   c2_inf=meta["tail"]["c2_inf"])
+    converged = meta["converged"]
+    if not isinstance(converged, bool):
+        raise ValueError("its converged flag is %r, not a bool" % (converged,))
+    slope, c2_inf = meta["tail"]["q2_slope"], meta["tail"]["c2_inf"]
+    if not (isinstance(slope, float) and np.isfinite(slope) and slope >= 0.0):
+        raise ValueError("its tail q2_slope is %r, not a finite float >= 0"
+                         % (slope,))
+    if not (isinstance(c2_inf, float) and c2_inf > 0.0):
+        raise ValueError("its tail c2_inf is %r, not a float > 0 or inf"
+                         % (c2_inf,))
     return KernelTable(t_grid=data[:, 0], q1=data[:, 1], q2=data[:, 2],
-                       qz=data[:, 3], err_est=data[:, 4:7], tail=tail,
-                       converged=meta["converged"])
+                       qz=data[:, 3], err_est=data[:, 4:7],
+                       tail=TailFit(q2_slope=slope, c2_inf=c2_inf),
+                       converged=converged)
 
 
 def _load_table(cache_dir: str, key: str, t_max: float, n: int,
@@ -384,9 +392,11 @@ def _load_table(cache_dir: str, key: str, t_max: float, n: int,
     """The cached table of key, or None when it is absent or does not hold up.
 
     An entry holds up when its sidecar names this key and request (t_max, n,
-    tol) and its CSV is n rows of 7 finite numbers.  One that does not, or
-    does not parse, is logged as a warning; the caller then recomputes it
-    and rewrites both files.
+    tol), its converged flag is a bool, its tail is a finite float
+    q2_slope >= 0 and a float c2_inf > 0 (inf allowed), and its CSV is n
+    rows of 7 finite numbers.  One that does not, or does not parse, is
+    logged as a warning; the caller then recomputes it and rewrites both
+    files.
     """
     csv_path = os.path.join(cache_dir, key + ".csv")
     meta_path = os.path.join(cache_dir, key + ".json")
@@ -411,21 +421,23 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
     cache_dir set, results are stored as CSV plus a JSON sidecar, keyed by a
     content hash of the numerics version, the bath and grid parameters, and
     written atomically; an entry that fails its load check is recomputed
-    and rewritten.
+    and rewritten.  A hit builds no JSource, so it skips the support probe.
     """
-    source = _as_source(spec)
-    _require_ir(source, _IR_Q1_MIN, "tabulate_kernels")
-    if isinstance(spec, BathSpec):
-        beta = spec.beta
-    if beta is None:
-        raise UsageError("tabulate_kernels with an injected JSource needs beta")
-
     cache_key = None
     if cache_dir is not None and isinstance(spec, BathSpec):
+        _require_ir(infrared_exponent(spec.h), _IR_Q1_MIN,
+                    "tabulate_kernels")
         cache_key = _cache_key(spec, t_max, n, tol)
         cached = _load_table(cache_dir, cache_key, t_max, n, tol)
         if cached is not None:
             return cached
+
+    source = _as_source(spec)
+    _require_ir(source.ir_exponent, _IR_Q1_MIN, "tabulate_kernels")
+    if isinstance(spec, BathSpec):
+        beta = spec.beta
+    if beta is None:
+        raise UsageError("tabulate_kernels with an injected JSource needs beta")
 
     t = _time_grid(t_max, n)
     if n <= 1 or t_max <= 0.0:

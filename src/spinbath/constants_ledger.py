@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .bath_correlations import tabulate_kernels
 from .errors import ConfigurationError, DomainError, PreconditionError
@@ -83,6 +82,9 @@ def eigenvector_bounds(spec: BathSpec, consts: Tuple[float, float],
     a_term = d ** 2 * c1 ** 2 / 4.0
     b_term = d * c2
     if xi is None:
+        # scipy.optimize loads here, not at import: no other command needs it
+        from scipy.optimize import minimize_scalar
+
         res = minimize_scalar(_n_bound_at, bracket=(1e-9, 0.5, 1.0 - 1e-9),
                               args=(a_term, b_term), method="golden",
                               options={"xtol": 1e-12})

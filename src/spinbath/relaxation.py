@@ -1,11 +1,12 @@
 """Relaxation rate, P(t) law, and the level-shift operator entries.
 
-All integrals run over a KernelTable through cubic splines, with a = q0^2/pi
-applied here (tables exclude it).  For superohmic baths the damping envelope
-saturates at E_inf = exp(-a C2) > 0 instead of decaying; the integrals then
-exist only as Abel limits.  Every row (x(+eps), x(-eps), z and the rate)
-subtracts the same asymptotic integrand E_inf cos(eps t) on [0, t_max].  The
-Abel tail of that term, lim_{eta->0} int_0^inf E_inf cos(eps t) e^{-eta t} dt
+All integrals run over a KernelTable through not-a-knot cubic splines, with
+a = q0^2/pi applied here (tables exclude it).  For superohmic baths the
+damping envelope saturates at E_inf = exp(-a C2) > 0 instead of decaying;
+the integrals then exist only as Abel limits.  Every row (x(+eps), x(-eps),
+z and the rate) subtracts the same asymptotic integrand E_inf cos(eps t) on
+[0, t_max].  The Abel tail of that term,
+lim_{eta->0} int_0^inf E_inf cos(eps t) e^{-eta t} dt
 = lim E_inf eta / (eta^2 + eps^2), is 0 for eps != 0, so nothing is added
 back; at eps = 0 it diverges.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve, solve_banded
 
 from .bath_correlations import KernelTable, tabulate_kernels
 from .errors import AccuracyError, DivergentIntegralError, DomainError
@@ -77,19 +78,126 @@ def _envelope(spec: BathSpec, table: KernelTable) -> _Envelope:
                      mismatch=mismatch)
 
 
+@dataclass(frozen=True, eq=False)
+class _Spline:
+    """A cubic spline in scipy's PPoly layout: on [x[i], x[i+1]] it is
+    sum_k c[k, i] (t - x[i])^(3 - k)."""
+
+    x: np.ndarray
+    c: np.ndarray
+
+
+# PPoly.derivative's factors for the c[:-1] of a cubic
+_DERIVATIVE = np.array([[3.0], [2.0], [1.0]])
+
+
+def _not_a_knot(x, y) -> _Spline:
+    """The not-a-knot cubic spline through (x, y) (de Boor, A Practical Guide
+    to Splines, 2001), bitwise scipy's ``CubicSpline(x, y)``.
+
+    The slopes come from the same system, built by the same expressions in
+    the same order and solved by the same LAPACK call as scipy 1.17's
+    CubicSpline: the end slopes are both the chord slope at n = 2, the
+    parabola's at n = 3.  Inputs that CubicSpline rejects raise ValueError.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError("x and y must be 1-dimensional of one length")
+    n = len(x)
+    if n < 2:
+        raise ValueError("x must contain at least 2 elements")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("x and y must contain only finite values")
+    dx = np.diff(x)
+    if np.any(dx <= 0):
+        raise ValueError("x must be a strictly increasing sequence")
+    slope = np.diff(y) / dx
+    if n == 3:
+        A = np.zeros((3, 3))
+        A[0, 0] = 1
+        A[0, 1] = 1
+        A[1, 0] = dx[1]
+        A[1, 1] = 2 * (dx[0] + dx[1])
+        A[1, 2] = dx[0]
+        A[2, 1] = 1
+        A[2, 2] = 1
+        b = np.empty(3)
+        b[0] = 2 * slope[0]
+        b[1] = 3 * (dx[0] * slope[1] + dx[1] * slope[0])
+        b[2] = 2 * slope[1]
+        s = solve(A, b.reshape(3, 1), overwrite_a=True, overwrite_b=True,
+                  check_finite=False).reshape(3)
+    else:
+        A = np.zeros((3, n))
+        b = np.empty(n)
+        A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        A[0, 2:] = dx[:-1]
+        A[-1, :-2] = dx[1:]
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        if n == 2:
+            A[1, 0] = 1
+            A[0, 1] = 0
+            b[0] = slope[0]
+            A[1, -1] = 1
+            A[-1, -2] = 0
+            b[-1] = slope[0]
+        else:
+            A[1, 0] = dx[1]
+            A[0, 1] = x[2] - x[0]
+            d = x[2] - x[0]
+            b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0]
+                    + dx[0] ** 2 * slope[1]) / d
+            A[1, -1] = dx[-2]
+            A[-1, -2] = x[-1] - x[-3]
+            d = x[-1] - x[-3]
+            b[-1] = (dx[-1] ** 2 * slope[-2]
+                     + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+        s = solve_banded((1, 1), A, b.reshape(n, 1), overwrite_ab=True,
+                         overwrite_b=True, check_finite=False).reshape(n)
+    # CubicHermiteSpline's coefficients from the knot slopes s
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+    return _Spline(x=x, c=c)
+
+
+def _spline_values(x: np.ndarray, c: np.ndarray, t) -> np.ndarray:
+    """Values at t of the splines with coefficients c[..., 4, n-1] on knots x.
+
+    PPoly's rule: the interval is the last knot <= t, clipped to the end
+    intervals (which extrapolate), and the value is
+    c3 + c2 s + c1 (s s) + c0 ((s s) s), summed left to right.  One interval
+    search serves every spline of the stack; the sum is formed in place,
+    which reorders no rounding (a + b and b + a are bitwise equal).
+    """
+    i = np.clip(np.searchsorted(x, t, "right") - 1, 0, len(x) - 2)
+    s = t - x[i]
+    ss = s * s
+    ci = np.take(c, i, axis=-1)
+    value = ci[..., 2, :] * s
+    value += ci[..., 3, :]
+    ci[..., 1, :] *= ss
+    value += ci[..., 1, :]
+    ss *= s
+    ci[..., 0, :] *= ss
+    value += ci[..., 0, :]
+    return value
+
+
 def _oscillation_edges(spec: BathSpec, table: KernelTable, a: float,
-                       s1: CubicSpline, s2: CubicSpline) -> np.ndarray:
+                       s1: _Spline, s2: _Spline) -> np.ndarray:
     """Panel edges whose widths follow the local phase rate of the integrand.
 
-    The spline derivatives are evaluated from their coefficients as scipy's
-    PPoly does (same interval rule, same summation order), so the edges are
-    bitwise those of ``d(t)`` calls, without the per-call overhead.
+    s1 and s2 are the Q1 and Q2 splines in PPoly layout (scipy's CubicSpline
+    has it too).  Their derivatives are evaluated from the coefficients
+    c[:-1] * (3, 2, 1), which PPoly.derivative computes, by PPoly's interval
+    rule and summation order, so the edges are bitwise those of ``d(t)``
+    calls, without the per-call overhead.
     """
     T = float(table.t_grid[-1])
-    d1, d2 = s1.derivative(), s2.derivative()
-    x = d1.x.tolist()
-    a1, b1, c1 = d1.c.tolist()
-    a2, b2, c2 = d2.c.tolist()
+    x = s1.x.tolist()
+    a1, b1, c1 = (s1.c[:-1] * _DERIVATIVE).tolist()
+    a2, b2, c2 = (s2.c[:-1] * _DERIVATIVE).tolist()
     last = len(x) - 2
     lo, hi = T / 4000.0, T / 8.0
     edges = [0.0]
@@ -125,13 +233,12 @@ def _integrate_lso(spec: BathSpec, table: KernelTable, tol: float):
             "saturated envelope at eps = 0: the constant E_inf term has no "
             "Abel limit")
     t = table.t_grid
-    s1 = CubicSpline(t, table.q1)
-    s2 = CubicSpline(t, table.q2)
-    sz = CubicSpline(t, table.qz)
+    s1, s2, sz = (_not_a_knot(t, q) for q in (table.q1, table.q2, table.qz))
     edges = _oscillation_edges(spec, table, a, s1, s2)
+    coef = np.stack([s1.c, s2.c, sz.c])
 
     def rows(tt):
-        q1v, q2v, qzv = s1(tt), s2(tt), sz(tt)
+        q1v, q2v, qzv = _spline_values(t, coef, tt)
         e2 = np.exp(-a * q2v)
         ez = np.exp(-a * qzv)
         ph = eps * tt

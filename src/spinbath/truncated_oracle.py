@@ -32,7 +32,6 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.sparse.linalg import LinearOperator, expm_multiply
 
 from .errors import (AccuracyError, ConfigurationError, PreconditionError,
                      ScalingError, TruncationError)
@@ -600,6 +599,9 @@ def kms_vector(model: FiniteModel) -> Tuple[np.ndarray, float]:
     and Higham 2011) on the factored, Hermitian A; returns the normalized
     vector and || cal_L psi ||.
     """
+    # scipy.sparse loads here, not at import: no other command needs it
+    from scipy.sparse.linalg import LinearOperator, expm_multiply
+
     model._need("kms_vector")
     spec = model.spec
     g = 0.25 * spec.beta * spec.eps

@@ -267,6 +267,14 @@ def _rewrite_meta(**fields):
     return corrupt
 
 
+def _rewrite_tail(**fields):
+    def corrupt(csv, meta):
+        data = json.loads(meta.read_text())
+        data["tail"].update(fields)
+        meta.write_text(json.dumps(data))
+    return corrupt
+
+
 def _drop_last_row(csv, meta):
     csv.write_text("".join(csv.read_text().splitlines(True)[:-1]))
 
@@ -291,9 +299,11 @@ def _six_columns(csv, meta):
 @pytest.mark.parametrize("corrupt", [
     _truncate_csv, _garble_json, _rewrite_meta(key="0" * 32), _drop_last_row,
     _nan_row, _rewrite_meta(n=15), _rewrite_meta(tol=1e-8), _header_only_csv,
-    _six_columns,
+    _six_columns, _rewrite_meta(converged="false"),
+    _rewrite_tail(q2_slope=float("nan")), _rewrite_tail(c2_inf="inf"),
 ], ids=["truncated_csv", "garbled_json", "wrong_key", "wrong_row_count",
-        "nan_row", "other_n", "other_tol", "header_only", "six_columns"])
+        "nan_row", "other_n", "other_tol", "header_only", "six_columns",
+        "string_converged", "nan_q2_slope", "string_c2_inf"])
 def test_tabulate_cache_recomputes_bad_entries(tmp_path, caplog, corrupt):
     spec = _spec(p=1.0, beta=2.0)
     cache = str(tmp_path)
@@ -353,6 +363,35 @@ def test_tabulate_cache_serves_sidecars_with_q1_limit(tmp_path, monkeypatch,
     data["tail"]["q1_limit"] = 0.0
     meta.write_text(json.dumps(data, sort_keys=True, indent=1))
     _assert_cache_hit(tmp_path, cold, monkeypatch, caplog)
+
+
+def test_tabulate_cache_hit_skips_the_support_probe(tmp_path, monkeypatch):
+    spec = _spec(p=1.0, beta=2.0)
+    cold = sb.tabulate_kernels(spec, 5.0, 16, cache_dir=str(tmp_path))
+    calls = []
+    original = bath_correlations._support_bound
+
+    def counting(h):
+        calls.append(h)
+        return original(h)
+
+    monkeypatch.setattr(bath_correlations, "_support_bound", counting)
+    warm = sb.tabulate_kernels(spec, 5.0, 16, cache_dir=str(tmp_path))
+    assert calls == []
+    for name in ("t_grid", "q1", "q2", "qz", "err_est"):
+        assert np.array_equal(getattr(warm, name), getattr(cold, name))
+    assert warm.tail == cold.tail and warm.converged is cold.converged
+
+
+def test_tabulate_cache_checks_the_infrared_exponent_first(tmp_path):
+    grid = np.linspace(0.0, 3.0, 301)
+    values = np.zeros_like(grid)
+    values[1:] = grid[1:] ** -0.75 * np.exp(-grid[1:])
+    spec = sb.BathSpec(beta=1.0, eps=0.5, delta=0.1, q0=1.0,
+                       h=sb.tabulated(grid, values))
+    with pytest.raises(sb.InfraredError):
+        sb.tabulate_kernels(spec, 5.0, 16, cache_dir=str(tmp_path))
+    assert not any(tmp_path.iterdir())
 
 
 def _tabulate_after(barrier, cache):

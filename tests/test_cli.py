@@ -2,6 +2,9 @@
 
 import copy
 import json
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -342,3 +345,32 @@ def test_jobs_validated(tmp_path, capsys):
     cfg = _config(tmp_path)
     assert main(["rate", "--config", cfg, "--jobs", "0"]) == 1
     assert "jobs" in capsys.readouterr().err
+
+
+# --- start-up -------------------------------------------------------------------
+
+_IMPORT_GUARD = """
+import sys
+sys.path.insert(0, {src!r})
+from spinbath.cli import main
+for command in ("rate", "lso"):
+    assert main([command, "--config", {cfg!r}, "--out", {out!r}]) == 0
+print(sorted(m for m in sys.modules
+             if m.split(".")[:2] in (["scipy", "interpolate"],
+                                     ["scipy", "optimize"],
+                                     ["scipy", "sparse"])))
+"""
+
+
+def test_rate_and_lso_load_no_unused_scipy(tmp_path):
+    # loaded at import, scipy.interpolate, scipy.optimize and scipy.sparse
+    # cost every command about 0.3 s; only kms_vector and the xi search of
+    # eigenvector_bounds call into them
+    cfg = _config(tmp_path, {"kernels": {"t_max": 20.0, "n": 64}})
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = _IMPORT_GUARD.format(src=str(src), cfg=cfg,
+                                out=str(tmp_path / "out"))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"

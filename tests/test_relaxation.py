@@ -242,6 +242,76 @@ def test_default_time_horizon_decays(ohmic_setup):
     assert a * table.q2[-1] >= -np.log(1e-12)
 
 
+# --- the not-a-knot spline against scipy's CubicSpline ---------------------------
+
+def _assert_spline_is_scipys(x, y):
+    """Coefficients, values and derivative coefficients bitwise CubicSpline's."""
+    ref = CubicSpline(x, y)
+    spline = relaxation._not_a_knot(x, y)
+    assert np.array_equal(spline.x, ref.x)
+    assert np.array_equal(spline.c, ref.c)
+    span = x[-1] - x[0]
+    mid = 0.5 * (x[:-1] + x[1:])
+    inner = x[0] + span * np.random.default_rng(len(x)).random(257)
+    outside = [x[0] - 0.01 * span, np.nextafter(x[0], -np.inf),
+               np.nextafter(x[-1], np.inf), x[-1] + 0.01 * span]
+    t = np.concatenate([x, mid, inner, outside])
+    assert np.array_equal(relaxation._spline_values(spline.x, spline.c, t),
+                          ref(t))
+    assert np.array_equal(spline.c[:-1] * relaxation._DERIVATIVE,
+                          ref.derivative().c)
+
+
+@st.composite
+def _spline_data(draw):
+    n = draw(st.integers(2, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        x = bath_correlations._time_grid(draw(st.floats(1e-2, 1e4)), n)
+    else:
+        x = np.cumsum(rng.uniform(1e-3, 1.0, n)) * draw(st.floats(1e-2, 1e2))
+    if draw(st.booleans()):
+        y = np.sin(x / x[-1] * draw(st.floats(0.1, 20.0))) + 0.1 * x
+    else:
+        y = rng.standard_normal(n) * draw(st.floats(1e-6, 1e6))
+    return x, y
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_spline_data())
+def test_not_a_knot_spline_is_scipys_bitwise(data):
+    _assert_spline_is_scipys(*data)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_not_a_knot_spline_is_scipys_on_short_grids(n):
+    x = np.array([0.0, 0.3, 1.1, 2.0])[:n]
+    _assert_spline_is_scipys(x, np.array([1.0, -0.5, 2.0, 0.25])[:n])
+    _assert_spline_is_scipys(x * 7.0, np.exp(-x))
+
+
+def _raised(build, x, y):
+    try:
+        build(x, y)
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("x,y", [
+    ([], []), ([0.0], [1.0]), ([0.0, 1.0, 1.0], [0.0, 1.0, 2.0]),
+    ([0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 2.0, 3.0]), ([0.0, 1.0], [0.0]),
+    ([0.0, np.nan, 2.0], [0.0, 1.0, 2.0]), ([0.0, 1.0, 2.0], [0.0, np.inf, 2.0]),
+    ([[0.0, 1.0], [2.0, 3.0]], [0.0, 1.0]),
+], ids=["empty", "one_point", "repeated_knot", "decreasing", "short_y",
+        "nan_x", "inf_y", "two_dim_x"])
+def test_not_a_knot_spline_rejects_what_scipy_rejects(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    expected = _raised(CubicSpline, x, y)
+    assert expected is not None
+    assert _raised(relaxation._not_a_knot, x, y) is expected
+
+
 # --- one quadrature per command -------------------------------------------------
 
 def _scalar_walk_edges(spec, table, a, s1, s2):
