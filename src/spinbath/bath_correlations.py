@@ -15,7 +15,6 @@ import hashlib
 import json
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -412,7 +411,7 @@ def _load_table(cache_dir: str, key: str, t_max: float, n: int,
 
 def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
                      beta: Optional[float] = None, tol: float = 1e-9,
-                     jobs: int = 1, cache_dir: Optional[str] = None) -> KernelTable:
+                     cache_dir: Optional[str] = None) -> KernelTable:
     """Tabulate all three kernels on a geometric-then-linear t grid.
 
     The degenerate call (n <= 1 or t_max = 0) returns a single zeroed row
@@ -421,15 +420,16 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
     cache_dir set, results are stored as CSV plus a JSON sidecar, keyed by a
     content hash of the numerics version, the bath and grid parameters, and
     written atomically; an entry that fails its load check is recomputed
-    and rewritten.  A hit builds no JSource, so it skips the support probe.
+    and rewritten.  A hit builds no JSource, so it skips the support probe;
+    hit or miss, the infrared exponent is fitted once.
     """
     cache_key = None
     if cache_dir is not None and isinstance(spec, BathSpec):
-        _require_ir(infrared_exponent(spec.h), _IR_Q1_MIN,
-                    "tabulate_kernels")
         cache_key = _cache_key(spec, t_max, n, tol)
         cached = _load_table(cache_dir, cache_key, t_max, n, tol)
         if cached is not None:
+            _require_ir(infrared_exponent(spec.h), _IR_Q1_MIN,
+                        "tabulate_kernels")
             return cached
 
     source = _as_source(spec)
@@ -446,19 +446,13 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
                            err_est=np.zeros((len(t), 3)),
                            tail=TailFit(0.0, np.inf), converged=True)
 
-    chunks = [t[i:i + _CHUNK] for i in range(0, len(t), _CHUNK)]
-
-    def run(chunk):
+    results = []
+    for i in range(0, len(t), _CHUNK):
+        chunk = t[i:i + _CHUNK]
         res = _evaluate(source, beta, chunk, tol, which="all")
         m = len(chunk)
-        return (res.values.reshape(3, m), res.errors.reshape(3, m).T,
-                res.converged)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, chunks))
-    else:
-        results = [run(c) for c in chunks]
+        results.append((res.values.reshape(3, m), res.errors.reshape(3, m).T,
+                        res.converged))
 
     q1v, q2v, qzv = np.concatenate([r[0] for r in results], axis=1)
     err = np.concatenate([r[1] for r in results], axis=0)

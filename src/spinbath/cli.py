@@ -53,7 +53,7 @@ def _pair(w) -> list:
 
 # --- shared pipeline pieces ---------------------------------------------------
 
-def _kernel_table(config: RunConfig, out_dir: str, jobs: int = 1):
+def _kernel_table(config: RunConfig, out_dir: str):
     """The kernel table, and its horizon probes, through out_dir/cache."""
     spec = config.bath
     t_max = config.kernels.t_max
@@ -61,15 +61,14 @@ def _kernel_table(config: RunConfig, out_dir: str, jobs: int = 1):
     if t_max is None:
         t_max = default_time_horizon(spec, cache_dir=cache_dir)
     return tabulate_kernels(spec, t_max, config.kernels.n,
-                            tol=config.kernels.tol, jobs=jobs,
-                            cache_dir=cache_dir)
+                            tol=config.kernels.tol, cache_dir=cache_dir)
 
 
 # --- subcommands ----------------------------------------------------------------
 
-def cmd_rate(config: RunConfig, out_dir: str, jobs: int = 1) -> int:
+def cmd_rate(config: RunConfig, out_dir: str) -> int:
     spec = config.bath
-    table = _kernel_table(config, out_dir, jobs)
+    table = _kernel_table(config, out_dir)
     rate, lso = rate_and_lso(spec, table, tol=config.lso.tol)
     if "json" in config.output.formats:
         _write_json(os.path.join(out_dir, "rate.json"),
@@ -85,9 +84,9 @@ def cmd_rate(config: RunConfig, out_dir: str, jobs: int = 1) -> int:
     return 0
 
 
-def cmd_lso(config: RunConfig, out_dir: str, jobs: int = 1) -> int:
+def cmd_lso(config: RunConfig, out_dir: str) -> int:
     spec = config.bath
-    table = _kernel_table(config, out_dir, jobs)
+    table = _kernel_table(config, out_dir)
     m = lso_matrix(spec, table, tol=config.lso.tol)
     payload = {
         "params": report_params(spec),
@@ -118,10 +117,14 @@ def cmd_regularity(config: RunConfig, alpha: Optional[float],
 def cmd_threshold(config: RunConfig, out_dir: str,
                   allow_heuristics: bool = False) -> int:
     c = config.constants
+    rate = None
+    if c.tau0 is None:
+        rate = gamma_rate(config.bath, _kernel_table(config, out_dir),
+                          tol=config.lso.tol)
     report = constants_report(config.bath, c.alpha, eps_hat=c.eps_hat,
                               xi=c.xi, c_kms=c.c_kms, c3=c.c3, c5=c.c5,
                               tau0=c.tau0, allow_heuristics=allow_heuristics,
-                              cache_dir=os.path.join(out_dir, "cache"))
+                              rate=rate)
     payload = {
         "c1": report.c1,
         "c2": report.c2,
@@ -137,12 +140,12 @@ def cmd_threshold(config: RunConfig, out_dir: str,
     return 0
 
 
-def cmd_oracle(config: RunConfig, out_dir: str, jobs: int = 1) -> int:
+def cmd_oracle(config: RunConfig, out_dir: str) -> int:
     spec = config.bath
     o = config.oracle
     report = run_oracle_schedule(spec, o.schedule, n_max=o.n_max,
                                  u_max=o.u_max)
-    table = _kernel_table(config, out_dir, jobs)
+    table = _kernel_table(config, out_dir)
     xp, xm, z, err = lso_entries(spec, table, tol=config.lso.tol)
     continuum = {"x_plus": xp, "x_minus": xm, "z": z}
     rungs = []
@@ -218,10 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="YAML run configuration")
     common.add_argument("--out", metavar="DIR",
                         help="output directory (overrides output.dir)")
-    common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallel workers for sweeps and tabulation")
-    common.add_argument("--allow-heuristics", action="store_true",
-                        help="permit flagged heuristic constants")
     parser = _Parser(prog="spinbath",
                      description="Thermal spin-boson relaxation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -233,33 +232,37 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="form-factor regularity verdict")
     reg.add_argument("alpha", nargs="?", type=float, default=None,
                      help="Sobolev order (default: constants.alpha)")
-    sub.add_parser("threshold", parents=[common],
-                   help="constants ledger and coupling threshold")
+    threshold = sub.add_parser("threshold", parents=[common],
+                               help="constants ledger and coupling threshold")
+    threshold.add_argument("--allow-heuristics", action="store_true",
+                           help="permit flagged heuristic constants")
     sub.add_parser("oracle", parents=[common],
                    help="finite-model level-shift oracle report")
-    sub.add_parser("sweep", parents=[common],
-                   help="rate sweep over one bath parameter")
+    sweep = sub.add_parser("sweep", parents=[common],
+                           help="rate sweep over one bath parameter")
+    sweep.add_argument("--jobs", type=int, default=1, metavar="N",
+                       help="worker processes for the sweep points")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.jobs < 1:
+    if args.command == "sweep" and args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return 1
     try:
         config = load_config(args.config)
         out_dir = args.out if args.out else config.output.dir
         if args.command == "rate":
-            return cmd_rate(config, out_dir, args.jobs)
+            return cmd_rate(config, out_dir)
         if args.command == "lso":
-            return cmd_lso(config, out_dir, args.jobs)
+            return cmd_lso(config, out_dir)
         if args.command == "regularity":
             return cmd_regularity(config, args.alpha, out_dir)
         if args.command == "threshold":
             return cmd_threshold(config, out_dir, args.allow_heuristics)
         if args.command == "oracle":
-            return cmd_oracle(config, out_dir, args.jobs)
+            return cmd_oracle(config, out_dir)
         return cmd_sweep(config, out_dir, args.jobs)
     except SpinBathError as exc:
         print("error: %s" % exc, file=sys.stderr)

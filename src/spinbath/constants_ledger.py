@@ -12,9 +12,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .bath_correlations import tabulate_kernels
 from .errors import ConfigurationError, DomainError, PreconditionError
-from .relaxation import default_time_horizon, fgr_check
+from .relaxation import RateReport
 from .spectral_density import BathSpec, GluedFunction, coupling_function, regularity_norm
 
 _SQRT2 = np.sqrt(2.0)
@@ -130,13 +129,13 @@ def constants_report(spec: BathSpec, alpha: float, *,
                      c5: Optional[float] = None,
                      tau0: Optional[float] = None,
                      allow_heuristics: bool = False,
-                     cache_dir: Optional[str] = None) -> ConstantsReport:
+                     rate: Optional[RateReport] = None) -> ConstantsReport:
     """Assemble the full constants ledger for one bath.
 
     c_kms and c5 have no computable definition here and must be supplied.
     c3 falls back to the flagged heuristic 10*c2 only with allow_heuristics.
-    tau0 is computed from the relaxation rate when not supplied, on a kernel
-    table (and horizon probes) read from and stored in cache_dir if given.
+    tau0, when not supplied, is 1/tau0_inv of the caller's rate report; with
+    neither, ConfigurationError is raised.
     """
     f_beta = coupling_function(spec)
     if eps_hat is None:
@@ -160,11 +159,10 @@ def constants_report(spec: BathSpec, alpha: float, *,
     else:
         inputs_used["c3"] = {"value": float(c3), "provenance": "user"}
     if tau0 is None:
-        horizon = default_time_horizon(spec, cache_dir=cache_dir)
-        table = tabulate_kernels(spec, horizon, 400, tol=1e-9,
-                                 cache_dir=cache_dir)
-        _, tau0_inv = fgr_check(spec, table)
-        tau0 = 1.0 / tau0_inv
+        if rate is None:
+            raise ConfigurationError(
+                "tau0 needs either a supplied value or a rate report")
+        tau0 = 1.0 / rate.tau0_inv
         inputs_used["tau0"] = {"value": float(tau0), "provenance": "computed"}
     else:
         inputs_used["tau0"] = {"value": float(tau0), "provenance": "user"}

@@ -26,6 +26,7 @@ from .spectral_density import BathSpec
 
 _ENVELOPE_FLOOR = 1e-12
 _DECAY_THRESHOLD = -np.log(_ENVELOPE_FLOOR)
+_HORIZON_DOUBLINGS = 8
 
 
 @dataclass(frozen=True)
@@ -349,19 +350,21 @@ def fgr_check(spec: BathSpec, table: KernelTable, tol: float = 1e-8):
     return rate.tau0_inv > 10.0 * rate.err, rate.tau0_inv
 
 
-def default_time_horizon(spec: BathSpec, max_doublings: int = 8,
+def default_time_horizon(spec: BathSpec,
                          cache_dir: Optional[str] = None) -> float:
     """A t_max at which the damping envelope has decayed or visibly saturated.
 
-    The 64-point probe tables go through the kernel cache when cache_dir is
-    set; their key has no q0, eps or delta, so neighbouring configs share them.
+    The first probe is 8 max(beta, 1, 1/|eps|), doubled at most
+    _HORIZON_DOUBLINGS times.  The 64-point probe tables go through the
+    kernel cache when cache_dir is set; their key has no q0, eps or delta,
+    so neighbouring configs share them.
     """
     if spec.q0 == 0.0:
         raise DivergentIntegralError("q0 = 0: no damping, no finite horizon")
     a = spec.q0 ** 2 / np.pi
     eps_scale = 1.0 / abs(spec.eps) if spec.eps != 0.0 else 1.0
     T = 8.0 * max(spec.beta, 1.0, eps_scale)
-    for _ in range(max_doublings):
+    for _ in range(_HORIZON_DOUBLINGS):
         probe = tabulate_kernels(spec, T, 64, tol=1e-6, cache_dir=cache_dir)
         if not probe.converged:
             raise AccuracyError("horizon probe at t_max=%g did not converge" % T,

@@ -518,18 +518,14 @@ def _damping(rate: complex, tau: np.ndarray) -> np.ndarray:
 def _resolvent_pairing(s: float, avec: np.ndarray, bvec: np.ndarray,
                        bath: DiscretizedBath, eta: float,
                        phase_sum: Callable[[np.ndarray], np.ndarray],
-                       damping: Optional[Callable[[np.ndarray], np.ndarray]] = None
-                       ) -> complex:
+                       damping: Callable[[np.ndarray], np.ndarray]) -> complex:
     """<W(a)Omega, (dGamma - s - i eta)^{-1} W(b)Omega> by time integration.
 
     phase_sum(tau) is <W(a)Omega, exp(-i dGamma tau) W(b)Omega>, the
     product over modes of the per-mode phase sums.  damping(tau) is the
     factor exp(-(eta + i s) tau) on the same nodes; the pairings of a rung
-    pass one that is computed once per (s, node set) and shared, and
-    without it the factor is computed here.
+    pass one that is computed once per (s, node set) and shared.
     """
-    if damping is None:
-        damping = functools.partial(_damping, eta + 1j * s)
     tau_max = _TAU_DECADES / eta
     w_char = abs(s) + eta + 0.5 * float(
         np.sum(np.abs(bath.freqs) * (np.abs(avec) ** 2 + np.abs(bvec) ** 2)))

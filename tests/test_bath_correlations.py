@@ -209,15 +209,6 @@ def test_tabulate_matches_pointwise_ops():
     assert table.qz[i] == pytest.approx(sb.qz(spec, t)[0], abs=1e-9)
 
 
-def test_tabulate_parallel_matches_serial():
-    spec = _spec(p=1.0, beta=1.0)
-    serial = sb.tabulate_kernels(spec, 10.0, 40)
-    threaded = sb.tabulate_kernels(spec, 10.0, 40, jobs=4)
-    assert np.array_equal(serial.q1, threaded.q1)
-    assert np.array_equal(serial.q2, threaded.q2)
-    assert np.array_equal(serial.qz, threaded.qz)
-
-
 def test_tabulate_cache_round_trip(tmp_path):
     spec = _spec(p=1.0, beta=2.0)
     cache = str(tmp_path)
@@ -381,6 +372,23 @@ def test_tabulate_cache_hit_skips_the_support_probe(tmp_path, monkeypatch):
     for name in ("t_grid", "q1", "q2", "qz", "err_est"):
         assert np.array_equal(getattr(warm, name), getattr(cold, name))
     assert warm.tail == cold.tail and warm.converged is cold.converged
+
+
+def test_tabulate_cache_miss_fits_the_infrared_exponent_once(tmp_path,
+                                                             monkeypatch):
+    calls = []
+    original = bath_correlations.infrared_exponent
+
+    def counting(h):
+        calls.append(h)
+        return original(h)
+
+    monkeypatch.setattr(bath_correlations, "infrared_exponent", counting)
+    spec = _spec(p=1.0, beta=2.0)
+    sb.tabulate_kernels(spec, 5.0, 16, cache_dir=str(tmp_path))
+    assert len(calls) == 1
+    sb.tabulate_kernels(spec, 5.0, 16, cache_dir=str(tmp_path))
+    assert len(calls) == 2
 
 
 def test_tabulate_cache_checks_the_infrared_exponent_first(tmp_path):

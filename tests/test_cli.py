@@ -12,7 +12,7 @@ import yaml
 
 import spinbath as sb
 from spinbath import bath_correlations
-from spinbath.cli import main
+from spinbath.cli import _build_parser, main
 
 BASE = {
     "bath": {"beta": 1.0, "eps": 0.5, "delta": 0.2, "q0": 1.0,
@@ -312,6 +312,23 @@ def test_threshold_after_oracle_reads_only_the_cache(tmp_path, monkeypatch):
             == (cold / "threshold.json").read_bytes())
 
 
+def test_threshold_reads_tau0_from_the_rate_table(tmp_path):
+    # tau0 comes from the config's kernels and lso sections, the same table
+    # and quadrature as rate's tau0_inv, so after rate nothing is tabulated
+    updates = copy.deepcopy(SMOOTH_BATH)
+    updates["kernels"] = {"n": 200}
+    updates["constants"] = {"c_kms": 2.0, "c3": 5.0, "c5": 1.0}
+    cfg = _config(tmp_path, updates)
+    out = tmp_path / "out"
+    assert main(["rate", "--config", cfg, "--out", str(out)]) == 0
+    before = _cache_listing(out)
+    assert main(["threshold", "--config", cfg, "--out", str(out)]) == 0
+    assert _cache_listing(out) == before
+    tau0 = _read_json(out, "threshold.json")["inputs_used"]["tau0"]
+    assert tau0 == {"value": 1.0 / _read_json(out, "rate.json")["tau0_inv"],
+                    "provenance": "computed"}
+
+
 def test_horizon_through_cache_is_exact(tmp_path):
     spec = sb.load_config(_config(tmp_path)).bath
     cache = tmp_path / "cache"
@@ -343,8 +360,33 @@ def test_bad_config_path_exits_one(tmp_path, capsys):
 
 def test_jobs_validated(tmp_path, capsys):
     cfg = _config(tmp_path)
-    assert main(["rate", "--config", cfg, "--jobs", "0"]) == 1
+    assert main(["sweep", "--config", cfg, "--jobs", "0"]) == 1
     assert "jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["rate", "--jobs", "2"],
+                                  ["oracle", "--jobs", "2"],
+                                  ["regularity", "--allow-heuristics"],
+                                  ["sweep", "--allow-heuristics"]])
+def test_flags_live_on_one_subcommand(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", "x.yaml"])
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--config", "c.yaml", "--jobs", "1", "--out", "o"],
+    ["sweep", "--config", "c.yaml", "--jobs", "2", "--out", "o"],
+    ["threshold", "--config", "c.yaml", "--allow-heuristics", "--out", "o"],
+    ["rate", "--config", "c.yaml", "--out", "o"],
+    ["lso", "--config", "c.yaml", "--out", "o"],
+    ["regularity", "--config", "c.yaml", "--out", "o"],
+    ["oracle", "--config", "c.yaml", "--out", "o"],
+])
+def test_benchmark_argv_forms_parse(argv):
+    # every command line form that the cli benchmark runs
+    args = _build_parser().parse_args(argv)
+    assert (args.command, args.config, args.out) == (argv[0], "c.yaml", "o")
 
 
 # --- start-up -------------------------------------------------------------------

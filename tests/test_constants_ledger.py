@@ -6,6 +6,7 @@ from spinbath import (
     ConfigurationError,
     DomainError,
     PreconditionError,
+    RateReport,
     constants_c1_c2,
     constants_report,
     coupling_function,
@@ -173,9 +174,20 @@ def test_report_requires_user_only_inputs():
 
 
 def test_report_computes_tau0_when_absent():
-    report = constants_report(SPEC, ALPHA, c_kms=1.0, c3=0.5, c5=1.0)
-    assert report.inputs_used["tau0"]["provenance"] == "computed"
-    assert report.inputs_used["tau0"]["value"] > 0.0
+    rate = RateReport(tau_inv=0.012, tau0_inv=0.3, p_inf=-0.24, err=1e-9,
+                      damping_ok=True)
+    report = constants_report(SPEC, ALPHA, c_kms=1.0, c3=0.5, c5=1.0,
+                              rate=rate)
+    assert report.inputs_used["tau0"] == {"value": 1.0 / 0.3,
+                                          "provenance": "computed"}
+    given = constants_report(SPEC, ALPHA, c_kms=1.0, c3=0.5, c5=1.0,
+                             tau0=1.0 / 0.3)
+    assert report.delta0 == given.delta0
+
+
+def test_report_without_tau0_or_rate_rejected():
+    with pytest.raises(ConfigurationError, match="tau0"):
+        constants_report(SPEC, ALPHA, c_kms=1.0, c3=0.5, c5=1.0)
 
 
 def test_report_deterministic():

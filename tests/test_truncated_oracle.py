@@ -370,7 +370,8 @@ def test_shared_phase_pairings_match_direct_phase_sum():
     want = []
     for k, (s, a, b) in enumerate(pairings):
         got = truncated_oracle._resolvent_pairing(
-            s, a, b, bath, eta, functools.partial(phases, k=k))
+            s, a, b, bath, eta, functools.partial(phases, k=k),
+            functools.partial(phases.damping, rate=eta + 1j * s))
         want.append(_direct_pairing(s, a, b, bath, n_max, eta))
         assert abs(got - want[-1]) <= 1e-13 * abs(want[-1])
     r = want
