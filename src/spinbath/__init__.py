@@ -50,7 +50,6 @@ from .relaxation import (
     LevelShiftMatrix,
     RateReport,
     default_time_horizon,
-    fgr_check,
     gamma_rate,
     lso_entries,
     lso_matrix,

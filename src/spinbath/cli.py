@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .bath_correlations import tabulate_kernels
 from .config import RunConfig, load_config
-from .constants_ledger import constants_report
+from .constants_ledger import check_user_inputs, constants_report
 from .errors import ConfigurationError, SpinBathError
 from .fileio import atomic_write
 from .relaxation import (default_time_horizon, gamma_rate, lso_entries,
@@ -117,6 +117,7 @@ def cmd_regularity(config: RunConfig, alpha: Optional[float],
 def cmd_threshold(config: RunConfig, out_dir: str,
                   allow_heuristics: bool = False) -> int:
     c = config.constants
+    check_user_inputs(c.c_kms, c.c5, c.c3, allow_heuristics)
     rate = None
     if c.tau0 is None:
         rate = gamma_rate(config.bath, _kernel_table(config, out_dir),

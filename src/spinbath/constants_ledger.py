@@ -71,8 +71,10 @@ def eigenvector_bounds(spec: BathSpec, consts: Tuple[float, float],
                        xi: Optional[float] = None) -> EigenvectorBounds:
     """Particle-number, pole, distance, and quadratic bounds on eigenvectors.
 
-    With xi = None the particle-number bound is minimized over xi in (0, 1)
-    by golden-section search.
+    With xi = None the particle-number bound (a/xi + b)/(1 - xi) is taken at
+    its minimizer over (0, 1), the root xi* = a / (a + sqrt(a^2 + a b)) of
+    b xi^2 + 2 a xi - a = 0 (1/2 at b = 0).  With a = 0 the bound decreases
+    towards xi = 0, so xi* = 0 and the bound is its infimum b.
     """
     c1, c2 = consts
     d = abs(spec.delta)
@@ -81,18 +83,13 @@ def eigenvector_bounds(spec: BathSpec, consts: Tuple[float, float],
     a_term = d ** 2 * c1 ** 2 / 4.0
     b_term = d * c2
     if xi is None:
-        # scipy.optimize loads here, not at import: no other command needs it
-        from scipy.optimize import minimize_scalar
-
-        res = minimize_scalar(_n_bound_at, bracket=(1e-9, 0.5, 1.0 - 1e-9),
-                              args=(a_term, b_term), method="golden",
-                              options={"xtol": 1e-12})
-        xi_star = float(res.x)
-    else:
-        if not 0.0 < xi < 1.0:
-            raise DomainError("xi must lie in (0, 1)")
+        xi_star = (a_term / (a_term + np.sqrt(a_term ** 2 + a_term * b_term))
+                   if a_term else 0.0)
+    elif 0.0 < xi < 1.0:
         xi_star = float(xi)
-    n_bound = _n_bound_at(xi_star, a_term, b_term)
+    else:
+        raise DomainError("xi must lie in (0, 1)")
+    n_bound = _n_bound_at(xi_star, a_term, b_term) if xi_star else b_term
     pbar = 10.0 * c2 * d
     if pbar < 1.0:
         dist = (2.0 / np.sqrt(3.0)) * d / np.sqrt(1.0 - pbar ** 2)
@@ -101,7 +98,7 @@ def eigenvector_bounds(spec: BathSpec, consts: Tuple[float, float],
     q_bound = 2.0 * d / abs(spec.eps) if spec.eps != 0.0 else np.inf
     return EigenvectorBounds(n_bound=float(n_bound), pbar_bound=float(pbar),
                              dist_bound=float(dist), q_bound=float(q_bound),
-                             xi_star=xi_star)
+                             xi_star=float(xi_star))
 
 
 def delta0_threshold(spec: BathSpec, consts: Tuple[float, float],
@@ -121,6 +118,22 @@ def delta0_threshold(spec: BathSpec, consts: Tuple[float, float],
     return min(1.0, bracket ** -2)
 
 
+def check_user_inputs(c_kms: Optional[float], c5: Optional[float],
+                      c3: Optional[float], allow_heuristics: bool) -> None:
+    """Raise ConfigurationError for a missing input only the user can give.
+
+    c_kms and c5 have no computable definition; c3 has one only as the
+    flagged heuristic.  Callers run this before any computation.
+    """
+    if c_kms is None or c5 is None:
+        raise ConfigurationError(
+            "c_kms and c5 must be supplied; no defaults exist for them")
+    if c3 is None and not allow_heuristics:
+        raise ConfigurationError(
+            "c3 has no definition; supply it or enable heuristics "
+            "to use the flagged default 10*c2")
+
+
 def constants_report(spec: BathSpec, alpha: float, *,
                      eps_hat: Optional[float] = None,
                      xi: Optional[float] = None,
@@ -135,8 +148,10 @@ def constants_report(spec: BathSpec, alpha: float, *,
     c_kms and c5 have no computable definition here and must be supplied.
     c3 falls back to the flagged heuristic 10*c2 only with allow_heuristics.
     tau0, when not supplied, is 1/tau0_inv of the caller's rate report; with
-    neither, ConfigurationError is raised.
+    neither, ConfigurationError is raised.  Missing user inputs are refused
+    before anything is computed.
     """
+    check_user_inputs(c_kms, c5, c3, allow_heuristics)
     f_beta = coupling_function(spec)
     if eps_hat is None:
         eps_hat = default_eps_hat(alpha)
@@ -144,16 +159,9 @@ def constants_report(spec: BathSpec, alpha: float, *,
     bounds = eigenvector_bounds(spec, (c1, c2), xi)
 
     inputs_used = {}
-    if c_kms is None or c5 is None:
-        raise ConfigurationError(
-            "c_kms and c5 must be supplied; no defaults exist for them")
     inputs_used["c_kms"] = {"value": float(c_kms), "provenance": "user"}
     inputs_used["c5"] = {"value": float(c5), "provenance": "user"}
     if c3 is None:
-        if not allow_heuristics:
-            raise ConfigurationError(
-                "c3 has no definition; supply it or enable heuristics "
-                "to use the flagged default 10*c2")
         c3 = 10.0 * c2
         inputs_used["c3"] = {"value": float(c3), "provenance": "heuristic_default"}
     else:

@@ -14,6 +14,12 @@ absolute-plus-relative convention of QUADPACK (Piessens et al. 1983) with
 the absolute part set by the call itself: a row that crosses zero needs
 only the absolute accuracy ``rtol * max_j |v_j|``, not a relative accuracy
 it can never reach.  The result says whether the rule was met.
+
+An integrand is called as ``f(nodes, weights)`` with the composite rule's
+nodes and weights and returns its row integrals, one value per row: most
+integrands sum each row times the weights, ``np.sum(row * weights)``,
+while one that factors into node weights times a small trig block can fold
+those factors into the weights and sum by a matrix-vector product.
 """
 
 from __future__ import annotations
@@ -60,9 +66,8 @@ def capped_edges(a: float, b: float, max_width: float, min_panels: int = 8) -> n
 
 
 def integrate_on_edges(f: Callable, edges: np.ndarray, order: int = 6):
-    """Integral of f over the panels; f may return a stack (..., n_nodes)."""
-    nodes, w = panel_nodes(edges, order)
-    return np.sum(f(nodes) * w, axis=-1)
+    """Row integrals of f over the panels: f(nodes, weights) of the rule."""
+    return f(*panel_nodes(edges, order))
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,10 +97,11 @@ def integrate_refining(
 ) -> Quadrature:
     """Integrate with panel doubling until the change meets the stop rule.
 
-    f maps nodes to one row or a stack of rows.  A pass stops refinement
-    when every row's change is at most rtol times the call scale
-    max(floor, max_j |v_j|); after max_refine doublings without that the
-    result reports converged=False.
+    f maps (nodes, weights) of the composite rule to the integrals of its
+    rows, a scalar or a 1-d array, and is called once per pass with the
+    same rows each time.  A pass stops refinement when every row's change
+    is at most rtol times the call scale max(floor, max_j |v_j|); after
+    max_refine doublings without that the result reports converged=False.
     """
     edges = np.asarray(edges, dtype=float)
     vals = np.atleast_1d(integrate_on_edges(f, edges, order))

@@ -238,7 +238,7 @@ def _integrate_lso(spec: BathSpec, table: KernelTable, tol: float):
     edges = _oscillation_edges(spec, table, a, s1, s2)
     coef = np.stack([s1.c, s2.c, sz.c])
 
-    def rows(tt):
+    def rows(tt, w):
         q1v, q2v, qzv = _spline_values(t, coef, tt)
         e2 = np.exp(-a * q2v)
         ez = np.exp(-a * qzv)
@@ -249,7 +249,7 @@ def _integrate_lso(spec: BathSpec, table: KernelTable, tol: float):
         xm = np.cos(ph + a * q1v) * e2 - sub
         zz = c * ez - sub
         rr = c * np.cos(a * q1v) * e2 - sub
-        return np.vstack([xp, xm, zz, rr])
+        return np.array([np.sum(row * w) for row in (xp, xm, zz, rr)])
 
     res = integrate_refining(rows, edges, rtol=tol)
     if not res.converged:
@@ -342,12 +342,6 @@ def lso_matrix(spec: BathSpec, table: KernelTable, tol: float = 1e-8) -> LevelSh
     the rate row of the same quadrature as the entries.
     """
     return rate_and_lso(spec, table, tol)[1]
-
-
-def fgr_check(spec: BathSpec, table: KernelTable, tol: float = 1e-8):
-    """(effective, tau0_inv): is the Fermi-Golden-Rule rate resolvably nonzero."""
-    rate = gamma_rate(spec, table, tol)
-    return rate.tau0_inv > 10.0 * rate.err, rate.tau0_inv
 
 
 def default_time_horizon(spec: BathSpec,

@@ -533,9 +533,9 @@ def _resolvent_pairing(s: float, avec: np.ndarray, bvec: np.ndarray,
                     _TAU_NODE_CAP // (2 * _TAU_ORDER)))
     max_refine = max(1, int(np.log2(max(2.0, _TAU_NODE_CAP / (n_pan * _TAU_ORDER)))))
 
-    def f(tau):
+    def f(tau, w):
         g = 1j * damping(tau) * phase_sum(tau)
-        return np.vstack([g.real, g.imag])
+        return np.array([np.sum(g.real * w), np.sum(g.imag * w)])
 
     edges = np.linspace(0.0, tau_max, n_pan + 1)
     res = integrate_refining(f, edges, order=_TAU_ORDER, rtol=1e-9,

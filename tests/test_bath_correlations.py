@@ -12,8 +12,9 @@ import pytest
 from scipy.integrate import quad
 
 import spinbath as sb
-from spinbath import bath_correlations
-from spinbath.bath_correlations import coth_stable, inv_sinh
+from spinbath import bath_correlations, quadrature
+from spinbath.bath_correlations import (_half_angles, _kernel_rows, _time_grid,
+                                        coth_stable, inv_sinh)
 from spinbath.fileio import atomic_write
 
 OHMIC = sb.JSource(j=lambda w: w * np.exp(-w), omega_max=45.0, ir_exponent=1.0)
@@ -238,6 +239,22 @@ def test_tabulate_cache_never_serves_other_numerics(tmp_path, monkeypatch):
     assert sb.tabulate_kernels(spec, 5.0, 8, cache_dir=cache).converged
     monkeypatch.setattr(bath_correlations, "_NUMERICS_VERSION", "quad-v1")
     sb.tabulate_kernels(spec, 5.0, 8, cache_dir=cache)
+    assert len(list(tmp_path.iterdir())) == 4
+
+
+def test_tabulate_cache_recomputes_quad_v2_entries(tmp_path, monkeypatch):
+    # entries written before the half-angle integrand are never served
+    spec = _spec(p=1.0, beta=2.0)
+    cache = str(tmp_path)
+    with monkeypatch.context() as mp:
+        mp.setattr(bath_correlations, "_NUMERICS_VERSION", "quad-v2")
+        sb.tabulate_kernels(spec, 5.0, 8, cache_dir=cache)
+    calls = []
+    original = bath_correlations.integrate_refining
+    monkeypatch.setattr(bath_correlations, "integrate_refining",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    sb.tabulate_kernels(spec, 5.0, 8, cache_dir=cache)
+    assert calls
     assert len(list(tmp_path.iterdir())) == 4
 
 
@@ -469,3 +486,91 @@ def test_refinement_convergence_within_err():
     base = sb.tabulate_kernels(spec, 6.0, 12, tol=1e-6)
     finer = sb.tabulate_kernels(spec, 6.0, 12, tol=5e-7)
     assert np.all(np.abs(base.q2 - finer.q2) <= base.err_est[:, 1] + 1e-13)
+
+
+# --- half-angle integrand -----------------------------------------------------
+
+OHMIC_SPEC = sb.BathSpec(beta=1.0, eps=0.25, delta=0.2, q0=1.0,
+                         h=sb.power_exp(-0.5, "exponential"))
+
+
+def _direct_rows(source, beta, ts, omega, w):
+    """The three kernel rows at (omega, w) in long double, trig evaluated
+    directly at every (t, omega) pair."""
+    L = np.longdouble
+    om = omega.astype(L)
+    g = w.astype(L) * np.asarray(source.j(omega), dtype=float).astype(L) / om ** 2
+    theta = np.multiply.outer(ts.astype(L), om)
+    s2 = 2 * np.sin(theta / 2) ** 2
+    x = L(0.5) * L(beta) * om
+    q1 = np.sum(np.sin(theta) * g, axis=1)
+    q2 = np.sum(s2 * (g / np.tanh(x)), axis=1)
+    qz = np.sum((np.tanh(x / 2) + s2 / np.sinh(x)) * g, axis=1)
+    return np.concatenate([q1, q2, qz])
+
+
+@pytest.mark.parametrize("spec, chunk", [
+    (sb.standard_oracle_bath(), slice(392, 400)),   # last, evenly spaced
+    (OHMIC_SPEC, slice(392, 400)),
+    (sb.standard_oracle_bath(), slice(8, 16)),      # geometric head
+], ids=["oracle-last", "ohmic-last", "oracle-head"])
+def test_chunk_rows_match_long_double_direct_evaluation(spec, chunk):
+    source = bath_correlations.j_source_from_spec(spec)
+    ts = _time_grid(32.0, 400)[chunk]
+    res = bath_correlations._evaluate(source, spec.beta, ts, 1e-9)
+    assert res.converged
+    edges = bath_correlations._initial_edges(source, float(ts[-1]), spec.beta,
+                                             source.ir_exponent)
+    for _ in range(res.passes):
+        edges = quadrature.refine_edges(edges)
+    omega, w = quadrature.panel_nodes(edges)
+    got = _kernel_rows(source, spec.beta, ts, "all")(omega, w)
+    # these are the nodes of the call's last pass
+    assert np.array_equal(got, res.values)
+    ref = _direct_rows(source, spec.beta, ts, omega, w)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # node by node: sin and cos within a few ulp of the half angle, and sin
+    # relatively accurate below angle 1, where the Q2 and Qz rows need it
+    half = np.multiply.outer(ts.astype(np.longdouble), omega) / 2
+    s, c = _half_angles(ts, omega)
+    bound = 2e-15 * np.maximum(half, 1.0)
+    assert np.all(np.abs(s - np.sin(half)) <= bound)
+    assert np.all(np.abs(c - np.cos(half)) <= bound)
+    small = half < 1.0
+    assert np.all(np.abs(s - np.sin(half))[small]
+                  <= 2e-15 * np.abs(np.sin(half))[small])
+
+
+def test_evenly_spaced_chunk_takes_two_sine_cosine_pairs_per_node(monkeypatch):
+    counts = {"sin": 0, "cos": 0}
+    for name in counts:
+        def counted(x, *args, _name=name, _f=getattr(np, name), **kwargs):
+            counts[_name] += np.size(x)
+            return _f(x, *args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+    omega = np.linspace(1e-3, 8.0, 1000)
+    t = _time_grid(32.0, 400)
+    for ts, per_node in ((t[392:400], 2), (t[8:16], 8), (t[128:136], 8),
+                         (t[-1:], 1)):
+        counts.update(sin=0, cos=0)
+        s, c = _half_angles(ts, omega)
+        assert counts == {"sin": per_node * 1000, "cos": per_node * 1000}
+        assert s.shape == c.shape == (len(ts), 1000)
+
+
+def test_oracle_bath_table_work_is_pinned(monkeypatch):
+    # node and pass totals of the 160-point table the kernels benchmark
+    # tabulates at beta 4; the integrand changes no refinement decision
+    totals = [0, 0]
+    original = bath_correlations.integrate_refining
+
+    def counting(*args, **kwargs):
+        res = original(*args, **kwargs)
+        totals[0] += res.nodes
+        totals[1] += res.passes
+        return res
+
+    monkeypatch.setattr(bath_correlations, "integrate_refining", counting)
+    table = sb.tabulate_kernels(sb.standard_oracle_bath(), 32.0, 160, tol=1e-9)
+    assert table.converged
+    assert totals == [38010, 28]

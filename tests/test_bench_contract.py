@@ -51,3 +51,30 @@ def test_models_carry_the_observed_fields():
     assert isinstance(model.materialized, bool)
     assert model.dim == 4 * trunc.bath_dim
     assert "force_virtual" in inspect.signature(sb.lso_finite).parameters
+
+
+def test_tracer_counts_the_nodes_of_the_weighted_integrand(spans, monkeypatch):
+    # the integrand takes (nodes, weights); the tracer's counting wrapper
+    # must forward both and still count every node the calls report
+    from spinbath import bath_correlations
+
+    tracer = spans.Tracer()
+    tracer.install()
+    records = []
+    try:
+        counted = bath_correlations.integrate_refining
+
+        def recording(*args, **kwargs):
+            res = counted(*args, **kwargs)
+            records.append(res.nodes)
+            return res
+
+        monkeypatch.setattr(bath_correlations, "integrate_refining", recording)
+        sb.tabulate_kernels(sb.standard_oracle_bath(), 8.0, 16, tol=1e-6)
+    finally:
+        monkeypatch.undo()
+        tracer.uninstall()
+    assert "quadrature.integrate_refining" not in tracer.absent
+    assert len(records) == tracer.quad["calls"] > 0
+    assert tracer.quad["nodes"] == sum(records) > 0
+    assert tracer.quad_by_caller["bath_correlations"]["nodes"] == sum(records)

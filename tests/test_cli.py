@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import spinbath as sb
-from spinbath import bath_correlations
+from spinbath import bath_correlations, cli, constants_ledger, relaxation
 from spinbath.cli import _build_parser, main
 
 BASE = {
@@ -181,6 +181,25 @@ def test_threshold_missing_required_inputs(tmp_path, capsys):
     assert main(["threshold", "--config", cfg,
                  "--out", str(tmp_path / "out")]) == 1
     assert "c_kms" in capsys.readouterr().err
+
+
+def test_threshold_refuses_missing_user_inputs_before_computing(
+        tmp_path, capsys, monkeypatch):
+    updates = copy.deepcopy(SMOOTH_BATH)
+    updates["constants"] = {"c_kms": 2.0, "c3": 5.0}
+
+    def computed(*args, **kwargs):
+        raise AssertionError("threshold computed before checking its inputs")
+
+    monkeypatch.setattr(cli, "tabulate_kernels", computed)
+    monkeypatch.setattr(relaxation, "tabulate_kernels", computed)
+    monkeypatch.setattr(constants_ledger, "coupling_function", computed)
+    out = tmp_path / "out"
+    assert main(["threshold", "--config", _config(tmp_path, updates),
+                 "--out", str(out)]) == 1
+    assert "c_kms and c5" in capsys.readouterr().err
+    assert not (out / "cache").exists()
+    assert not (out / "threshold.json").exists()
 
 
 # --- oracle ---------------------------------------------------------------------
@@ -395,8 +414,8 @@ _IMPORT_GUARD = """
 import sys
 sys.path.insert(0, {src!r})
 from spinbath.cli import main
-for command in ("rate", "lso"):
-    assert main([command, "--config", {cfg!r}, "--out", {out!r}]) == 0
+for command, cfg in {runs!r}:
+    assert main([command, "--config", cfg, "--out", {out!r}]) == 0
 print(sorted(m for m in sys.modules
              if m.split(".")[:2] in (["scipy", "interpolate"],
                                      ["scipy", "optimize"],
@@ -406,11 +425,15 @@ print(sorted(m for m in sys.modules
 
 def test_rate_and_lso_load_no_unused_scipy(tmp_path):
     # loaded at import, scipy.interpolate, scipy.optimize and scipy.sparse
-    # cost every command about 0.3 s; only kms_vector and the xi search of
-    # eigenvector_bounds call into them
-    cfg = _config(tmp_path, {"kernels": {"t_max": 20.0, "n": 64}})
+    # cost every command about 0.3 s; only kms_vector calls into them
+    kernels = {"kernels": {"t_max": 20.0, "n": 64}}
+    cfg = _config(tmp_path, kernels)
+    smooth = copy.deepcopy(SMOOTH_BATH)
+    smooth.update(kernels, constants={"c_kms": 2.0, "c3": 5.0, "c5": 1.0})
+    smooth_cfg = _config(tmp_path, smooth, name="smooth.yaml")
+    runs = [("rate", cfg), ("lso", cfg), ("threshold", smooth_cfg)]
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    code = _IMPORT_GUARD.format(src=str(src), cfg=cfg,
+    code = _IMPORT_GUARD.format(src=str(src), runs=runs,
                                 out=str(tmp_path / "out"))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)

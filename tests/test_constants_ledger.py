@@ -91,7 +91,7 @@ def test_sentinels_for_large_pbar_and_zero_eps():
     assert np.isinf(b.q_bound)
 
 
-def test_golden_section_matches_dense_scan(f_beta):
+def test_xi_minimizer_matches_dense_scan(f_beta):
     consts = constants_c1_c2(f_beta, ALPHA)
     b = eigenvector_bounds(SPEC, consts)
     xs = np.linspace(1e-4, 1.0 - 1e-4, 20001)
@@ -100,6 +100,39 @@ def test_golden_section_matches_dense_scan(f_beta):
     scan = (d**2 * c1**2 / (4 * xs) + d * c2) / (1.0 - xs)
     assert b.n_bound <= scan.min() * (1.0 + 1e-8)
     assert abs(b.xi_star - xs[scan.argmin()]) < 1e-3
+
+
+# a >= 1e-3 b keeps golden's bracket valid: f(0.5) < f(1e-9)
+@pytest.mark.parametrize("a_term", [1e-3, 0.1, 1.0, 10.0, 1e3])
+@pytest.mark.parametrize("b_term", [0.0, 1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3])
+def test_closed_form_xi_matches_golden_section(a_term, b_term):
+    from scipy.optimize import minimize_scalar
+
+    # delta 1, c1 = 2 sqrt(a), c2 = b give the terms a and b of the bound
+    spec = BathSpec(beta=1.0, eps=0.5, delta=1.0, q0=1.0, h=SPEC.h)
+    c1, c2 = 2.0 * np.sqrt(a_term), b_term
+    b = eigenvector_bounds(spec, (c1, c2))
+    a, bb = c1 ** 2 / 4.0, c2
+
+    def n_bound(xi):
+        return (a / xi + bb) / (1.0 - xi)
+
+    res = minimize_scalar(n_bound, bracket=(1e-9, 0.5, 1.0 - 1e-9),
+                          method="golden", options={"xtol": 1e-12})
+    assert b.n_bound == pytest.approx(n_bound(res.x), rel=1e-12, abs=0.0)
+    assert b.n_bound == n_bound(b.xi_star)
+    assert bb * b.xi_star ** 2 + 2.0 * a * b.xi_star - a == pytest.approx(
+        0.0, abs=1e-15 * max(a, bb))
+    if b_term == 0.0:
+        assert b.xi_star == 0.5
+
+
+def test_particle_bound_without_a_term_is_its_infimum():
+    # a = 0: (a/xi + b)/(1 - xi) = b/(1 - xi) decreases to b as xi -> 0
+    spec = BathSpec(beta=1.0, eps=0.5, delta=0.2, q0=1.0, h=SPEC.h)
+    b = eigenvector_bounds(spec, (0.0, 3.0))
+    assert (b.xi_star, b.n_bound) == (0.0, 0.2 * 3.0)
+    assert np.isfinite(b.pbar_bound)
 
 
 def test_bounds_monotone_in_delta(f_beta):

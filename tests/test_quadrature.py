@@ -15,6 +15,11 @@ from spinbath.quadrature import integrate_refining
 EDGES = np.linspace(0.0, 40.0, 17)
 
 
+def _summed(f):
+    # the engine calls an integrand with (nodes, weights) for its row integrals
+    return lambda x, w: np.sum(f(x) * w, axis=-1)
+
+
 def _crossing_row(omega):
     # int_0^inf sin(t w) (w - 1) e^-w dw = t (1 - t^2) / (1 + t^2)^2; zero at t = 1
     return np.sin(omega) * (omega - 1.0) * np.exp(-omega)
@@ -22,7 +27,8 @@ def _crossing_row(omega):
 
 def test_zero_crossing_row_converges_beside_a_large_row():
     res = integrate_refining(
-        lambda w: np.vstack([_crossing_row(w), 100.0 * np.exp(-w)]), EDGES)
+        _summed(lambda w: np.vstack([_crossing_row(w), 100.0 * np.exp(-w)])),
+        EDGES)
     assert res.converged
     assert res.passes < 8
     assert abs(res.values[0]) <= 1e-9 * 100.0
@@ -32,22 +38,23 @@ def test_zero_crossing_row_converges_beside_a_large_row():
 
 def test_lone_zero_crossing_row_has_no_relative_accuracy():
     # alone, the row sets its own scale (~1e-17 of roundoff) and cannot meet it
-    res = integrate_refining(_crossing_row, EDGES, max_refine=4)
+    res = integrate_refining(_summed(_crossing_row), EDGES, max_refine=4)
     assert not res.converged
     assert res.passes == 4
     assert abs(res.values[0]) < 1e-12
 
 
 def test_node_and_pass_counts():
-    res = integrate_refining(lambda w: np.exp(-w), EDGES, order=6, max_refine=3)
+    res = integrate_refining(_summed(lambda w: np.exp(-w)), EDGES, order=6,
+                             max_refine=3)
     assert res.converged
     panels = 16 * 2 ** np.arange(res.passes + 1)
     assert res.nodes == 6 * int(np.sum(panels))
 
 
 def test_capped_refinement_reports_no_convergence():
-    res = integrate_refining(lambda w: np.cos(50.0 * w), np.linspace(0.0, 10.0, 3),
-                             max_refine=1)
+    res = integrate_refining(_summed(lambda w: np.cos(50.0 * w)),
+                             np.linspace(0.0, 10.0, 3), max_refine=1)
     assert not res.converged
     assert res.passes == 1
     assert res.nodes == 6 * (2 + 4)

@@ -338,12 +338,12 @@ def _direct_pairing(s, avec, bvec, bath, n_max, eta):
     n_pan = int(min(max(8, np.ceil(tau_max * w_char / 1.5)), cap // (2 * order)))
     max_refine = max(1, int(np.log2(max(2.0, cap / (n_pan * order)))))
 
-    def f(tau):
+    def f(tau, w):
         F = np.ones(tau.shape, dtype=complex)
         for j in range(bath.n_modes):
             F *= pair[j] @ np.exp(-1j * bath.freqs[j] * np.outer(occ, tau))
         g = 1j * np.exp(-(eta + 1j * s) * tau) * F
-        return np.vstack([g.real, g.imag])
+        return np.sum(np.vstack([g.real, g.imag]) * w, axis=-1)
 
     res = quadrature.integrate_refining(f, np.linspace(0.0, tau_max, n_pan + 1),
                                         order=order, rtol=1e-9,
