@@ -8,20 +8,32 @@ The Qz integrand uses the combined form
 whose two pieces are separately nonnegative and O(w) at the origin, unlike
 the literal difference of two infrared-divergent integrals.
 
-One quadrature call integrates the rows of a chunk of up to 8 times t_k.
-Its integrand evaluates one sine/cosine pair s, c = sin, cos(t_k w / 2) per
-(t, w) pair, and writes sin(w t) = 2 s c and 1 - cos(w t) = 2 s^2; the
-latter keeps the small-angle accuracy that Q2 and Qz need.  On an evenly
-spaced chunk (the linear part of the time grid, most of the work) only row
-0 and the step angle are evaluated, and the other rows follow by angle
-addition.  The quadrature weights, J/w^2 and the per-node factors coth,
-1/sinh and tanh are folded into weight vectors, so each row block is one
+A table is integrated in chunks of 8 times, each held to the stop rule
+against its own largest value.  The thermal factors coth, 1/sinh and
+tanh(x/2) of x = beta w / 2 are computed once per node set, from expm1(-x)
+and exp(-x).  The quadrature weights, J/w^2 and those factors are folded
+into weight vectors b.
+
+A direct call (pointwise q1/q2/qz, and the chunks of the geometric part of
+the time grid) evaluates one sine/cosine pair s, c = sin, cos(t_k w / 2) per
+(t, w) pair and writes sin(w t) = 2 s c and 1 - cos(w t) = 2 s^2, which
+keeps the small-angle accuracy that Q2 and Qz need; each row block is one
 matrix-vector product of the (m, N) trig block.
+
+The whole chunks of the linear part of the grid, t_k = t_0 + k dt, share
+one node set: a geometric head below W = pi/(2 t_max), summed directly as
+above, and main panels with exact edges p W.  There, for each Gauss index,
+the sum over panels p of b_p exp(i t_k w_p) is a chirp-z transform in p
+(Rabiner, Schafer and Rader, 1969), one FFT convolution by Bluestein's
+identity k p = (k^2 + p^2 - (k - p)^2) / 2, and the main parts of Q2 and Qz
+are sum(b) - Re C(t_k): well conditioned, as t w >= pi/20 on those rows and
+panels.  The set is refined until every chunk meets the stop rule.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import logging
 import os
@@ -37,12 +49,11 @@ from .spectral_density import BathSpec, eval_J, infrared_exponent
 
 _IR_Q1_MIN = 0.95
 _IR_Q2_MIN = 0.05
-_SERIES_CUT = 1e-4
 _SUPPORT_DROP = 1e-18
 _CHUNK = 8
 # Part of every cache key: tables computed under another stop rule or
 # support bound are recomputed, never served.
-_NUMERICS_VERSION = "quad-v3"
+_NUMERICS_VERSION = "quad-v4"
 
 _log = logging.getLogger(__name__)
 
@@ -93,32 +104,17 @@ class KernelTable:
     converged: bool
 
 
-def coth_stable(x: np.ndarray) -> np.ndarray:
-    """coth(x) for x > 0 with a series branch below 1e-4."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = x < _SERIES_CUT
-    xs = x[small]
-    out[small] = 1.0 / xs + xs / 3.0 - xs ** 3 / 45.0
-    xl = x[~small]
-    out[~small] = 1.0 / np.tanh(xl)
-    return out
+def _thermal_factors(x: np.ndarray):
+    """coth(x), 1/sinh(x) and tanh(x/2) for x > 0.
 
-
-def inv_sinh(x: np.ndarray) -> np.ndarray:
-    """1/sinh(x) for x > 0 without overflow at large x."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = x < _SERIES_CUT
-    large = x >= 30.0
-    mid = ~small & ~large
-    xs = x[small]
-    out[small] = (1.0 - xs ** 2 / 6.0) / xs
-    out[mid] = 1.0 / np.sinh(x[mid])
-    xl = x[large]
-    e = np.exp(-xl)
-    out[large] = 2.0 * e / (1.0 - e * e)
-    return out
+    With e1 = expm1(-x) and e = expm1(-2x) = e1 (2 + e1): coth = (2 + e)/(-e)
+    and tanh(x/2) = -e1/(2 + e1), accurate at small x as at large, and
+    1/sinh = -2 exp(-x)/e, whose numerator keeps its relative accuracy where
+    1 + e1 would not (x above about 20).
+    """
+    e1 = np.expm1(-x)
+    e = e1 * (2.0 + e1)
+    return (2.0 + e) / -e, -2.0 * np.exp(-x) / e, -e1 / (2.0 + e1)
 
 
 def _support_bound(h) -> float:
@@ -166,68 +162,42 @@ def _require_ir(exponent: float, minimum: float, kernel: str) -> None:
             % (kernel, minimum, exponent), exponent=exponent)
 
 
-def _initial_edges(source: JSource, t_cap: float, beta: Optional[float],
-                   head_exp: float) -> np.ndarray:
-    """Panel edges: per-octave geometric head, period-capped linear main part.
+def _head_edges(w0: float, beta: Optional[float], head_exp: float) -> np.ndarray:
+    """Per-octave geometric edges below w0 (w0 itself excluded).
 
     The integrands behave like omega^(head_exp - 1) near 0, so the head runs
     deep enough that the omitted mass below the first edge is ~1e-18 of the
     head contribution.  Octave spacing also resolves the 1/beta thermal knee
-    at whatever scale it sits.  The source's breaks are added as edges.
+    at whatever scale it sits.
+    """
+    octaves = int(np.ceil(60.0 / min(max(head_exp, 0.05), 60.0)))
+    if beta is not None and 4.0 * beta * w0 > 1.0:
+        octaves = max(octaves, int(np.ceil(np.log2(4.0 * beta * w0))))
+    octaves = min(octaves, 4000)
+    return w0 * 2.0 ** -np.arange(octaves, 0, -1, dtype=float)
+
+
+def _initial_edges(source: JSource, t_cap: float, beta: Optional[float],
+                   head_exp: float) -> np.ndarray:
+    """Panel edges: geometric head, period-capped linear main part.
+
+    The main part has panels of width at most a quarter period at t_cap
+    and at most omega_max / 8; the source's breaks are added as edges.
     """
     omega_max = source.omega_max
     width = omega_max / 8.0
     if t_cap > 0.0:
         width = min(width, np.pi / (2.0 * t_cap))
     main = capped_edges(0.0, omega_max, width)
-    w0 = main[1]
-    octaves = int(np.ceil(60.0 / min(max(head_exp, 0.05), 60.0)))
-    if beta is not None and 4.0 * beta * w0 > 1.0:
-        octaves = max(octaves, int(np.ceil(np.log2(4.0 * beta * w0))))
-    octaves = min(octaves, 4000)
-    head = w0 * 2.0 ** -np.arange(octaves, 0, -1, dtype=float)
-    edges = np.concatenate([head, main[1:]])
+    edges = np.concatenate([_head_edges(main[1], beta, head_exp), main[1:]])
     if source.breaks is not None:
         breaks = np.asarray(source.breaks, dtype=float)
         edges = np.union1d(edges, breaks[(breaks > edges[0]) & (breaks < omega_max)])
     return edges
 
 
-def _half_angles(ts: np.ndarray, omega: np.ndarray):
-    """sin and cos of t_k omega / 2, as two (m, N) blocks.
-
-    On an evenly spaced chunk (every t_k within 4 ulp of t_0 + k step, m >= 3)
-    only row 0 and the step angle d = step omega / 2 are evaluated: in
-    z_k = exp(i t_k omega / 2), rows [span, 2 span) are rows [0, span) times
-    exp(i span d), with span doubling each stage (log2(m) stages), so the
-    block costs two sine/cosine pairs per node.  Any other chunk is
-    evaluated directly.
-    """
-    m = len(ts)
-    k = np.arange(m)
-    step = (ts[-1] - ts[0]) / max(m - 1, 1)
-    if m < 3 or np.any(np.abs(ts - (ts[0] + k * step)) > 4.0 * np.spacing(ts)):
-        half = np.multiply.outer(0.5 * ts, omega)
-        return np.sin(half), np.cos(half)
-    z = np.empty((m, len(omega)), dtype=complex)
-    a0 = (0.5 * ts[0]) * omega
-    z[0].real = np.cos(a0)
-    z[0].imag = np.sin(a0)
-    d = (0.5 * step) * omega
-    sd, cd = np.sin(d), np.cos(d)
-    span = 1
-    while span < m:
-        n = min(span, m - span)
-        np.multiply(z[:n], cd + 1j * sd, out=z[span:span + n])
-        span *= 2
-        if span < m:
-            # the double angle; 1 - 2 sin^2 is the more accurate cosine here
-            sd, cd = 2.0 * sd * cd, 1.0 - 2.0 * sd * sd
-    return z.imag, z.real
-
-
 def _kernel_rows(source: JSource, beta: Optional[float], ts: np.ndarray, which: str):
-    """The integrand of one kernel call: (nodes, weights) -> row integrals.
+    """The integrand of one direct kernel call: (nodes, weights) -> row integrals.
 
     Rows, in order: Q1 at every t ("all", "q1"); then the zero-temperature
     Q2 at every t ("q1"), or Q2 ("all", "q2") and Qz ("all", "qz").  With
@@ -242,7 +212,8 @@ def _kernel_rows(source: JSource, beta: Optional[float], ts: np.ndarray, which: 
     def rows(omega: np.ndarray, w: np.ndarray) -> np.ndarray:
         wg = w * (np.asarray(source.j(omega), dtype=float) / omega ** 2)
         wg2 = 2.0 * wg
-        s, c = _half_angles(ts, omega)
+        half = np.multiply.outer(0.5 * ts, omega)
+        s, c = np.sin(half), np.cos(half)
         out = []
         if which in ("all", "q1"):
             out.append((s * c) @ wg2)
@@ -253,13 +224,93 @@ def _kernel_rows(source: JSource, beta: Optional[float], ts: np.ndarray, which: 
             # scale, so Q1 at a sign change can meet the stop rule.
             out.append(ss @ wg2)
         if need_thermal:
-            x = 0.5 * beta * omega
+            coth, csch, tanh_half = _thermal_factors(0.5 * beta * omega)
             if which in ("all", "q2"):
-                out.append(ss @ (wg2 * coth_stable(x)))
+                out.append(ss @ (wg2 * coth))
             if which in ("all", "qz"):
-                out.append(np.dot(wg, np.tanh(0.5 * x))
-                           + ss @ (wg2 * inv_sinh(x)))
+                out.append(np.dot(wg, tanh_half) + ss @ (wg2 * csch))
         return np.concatenate(out)
+
+    return rows
+
+
+def _chirp(c: float, n: int) -> np.ndarray:
+    """exp(i c j^2) for j < n, to rounding however large the phase.
+
+    c j^2 is split as c_hi j^2 + c_lo j^2, where c_hi keeps as many leading
+    bits of c as make c_hi j^2 exact in double; sin and cos reduce an exact
+    argument of any size correctly, and c_lo j^2 is small.
+    """
+    jj = np.arange(n, dtype=float) ** 2
+    mant, exp = np.frexp(c)
+    bits = 53 - 2 * max(n - 1, 1).bit_length()
+    c_hi = np.ldexp(np.floor(np.ldexp(mant, bits)), exp - bits)
+    return np.exp(1j * (c_hi * jj)) * np.exp(1j * ((c - c_hi) * jj))
+
+
+def _chirp_sums(b: np.ndarray, omega: np.ndarray, ts: np.ndarray,
+                width: float, order: int) -> np.ndarray:
+    """sum_j b_j exp(i t_k omega_j) over evenly spaced panels, shape (m, K).
+
+    omega are the Gauss nodes of P panels of the given width, panel by
+    panel, so omega_pq = omega_0q + p width; ts are t_k = t_0 + k dt.  Then
+    t_k omega_pq = t_0 omega_pq + k dt omega_0q + k p dt width, and for each
+    Gauss index q the sum over p is a chirp-z transform with ratio
+    z = exp(i dt width).  Bluestein's identity k p = (k^2 + p^2 - (k-p)^2)/2
+    makes it an FFT convolution of length >= P + K with the chirp
+    exp(-i dt width n^2 / 2).
+    """
+    k_rows, panels = len(ts), len(omega) // order
+    dt = (ts[-1] - ts[0]) / (k_rows - 1)
+    a = (b * np.exp(1j * ts[0] * omega)).reshape(len(b), panels, order)
+    chirp = _chirp(0.5 * dt * width, max(panels, k_rows))
+    size = 1 << (panels + k_rows - 1).bit_length()
+    v = np.zeros(size, dtype=complex)
+    v[:k_rows] = chirp[:k_rows].conj()
+    v[size - panels + 1:] = chirp[panels - 1:0:-1].conj()
+    v = np.fft.fft(v)
+    step = np.exp(1j * np.multiply.outer(omega[:order], dt * np.arange(k_rows)))
+    out = 0.0
+    for q in range(order):
+        y = np.fft.ifft(np.fft.fft(a[:, :, q] * chirp[:panels], n=size) * v)
+        out = out + y[:, :k_rows] * step[q]
+    return out * chirp[:k_rows]
+
+
+def _lattice_rows(source: JSource, beta: float, ts: np.ndarray, width: float,
+                  panels: int, order: int = 6):
+    """The integrand of the linear rows ts on their shared node set.
+
+    The node set is a geometric head below width and the main panels
+    [p width, (p + 1) width], 1 <= p <= panels, each split in two per pass.
+    Returns (len(ts) / 8, 24): per chunk of 8 rows, Q1, Q2 and Qz as in
+    _kernel_rows.  The head is summed directly; the main panels by
+    _chirp_sums, with Q2 and Qz as sum(b) - Re C, well conditioned as long
+    as t omega >= pi/20 there.
+    """
+    def rows(omega: np.ndarray, w: np.ndarray) -> np.ndarray:
+        wg = w * (np.asarray(source.j(omega), dtype=float) / omega ** 2)
+        coth, csch, tanh_half = _thermal_factors(0.5 * beta * omega)
+        b = np.stack([wg, wg * coth, wg * csch])
+        head = int(np.searchsorted(omega, width))
+        sums = np.empty((3, len(ts)))
+        # the head in row blocks of about 2^14 (t, omega) pairs
+        step = max(1, 16384 // max(head, 1))
+        for i in range(0, len(ts), step):
+            sc = np.multiply.outer(0.5 * ts[i:i + step], omega[:head])
+            s = np.sin(sc)
+            np.cos(sc, out=sc)
+            sc *= s
+            s *= s
+            sums[0, i:i + step] = sc @ (2.0 * b[0, :head])
+            sums[1:, i:i + step] = (2.0 * b[1:, :head]) @ s.T
+        # the panels of this pass: each doubling halves the width exactly
+        halved = width * (panels * order / (len(omega) - head))
+        main = _chirp_sums(b[:, head:], omega[head:], ts, halved, order)
+        sums[0] += main[0].imag
+        sums[1:] += np.sum(b[1:, head:], axis=1)[:, None] - main[1:].real
+        sums[2] += np.dot(wg, tanh_half)
+        return sums.reshape(3, -1, _CHUNK).transpose(1, 0, 2).reshape(-1, 3 * _CHUNK)
 
     return rows
 
@@ -269,6 +320,31 @@ def _evaluate(source: JSource, beta: Optional[float], ts: Sequence[float],
     ts = np.asarray(ts, dtype=float)
     edges = _initial_edges(source, float(np.max(ts)), beta, source.ir_exponent)
     rows = _kernel_rows(source, beta, ts, which)
+    return integrate_refining(rows, edges, rtol=tol)
+
+
+def _shared_edges(source: JSource, beta: float, t_max: float):
+    """Initial edges of the linear rows' shared node set, with W and P.
+
+    The P main panels have exact edges p W, 1 <= p <= P + 1,
+    W = pi/(2 t_max), up to omega_max and at least 7 of them; below W the
+    geometric head.
+    """
+    width = np.pi / (2.0 * t_max)
+    main = width * np.arange(1, max(8, int(np.ceil(source.omega_max / width))) + 1)
+    edges = np.concatenate([_head_edges(width, beta, source.ir_exponent), main])
+    return edges, width, len(main) - 1
+
+
+def _evaluate_shared(source: JSource, beta: float, ts: np.ndarray,
+                     t_max: float, tol: float):
+    """The linear rows ts (whole chunks of 8) on one shared node set.
+
+    The stop rule holds per chunk, and the set is refined until every chunk
+    meets it.
+    """
+    edges, width, panels = _shared_edges(source, beta, t_max)
+    rows = _lattice_rows(source, beta, ts, width, panels)
     return integrate_refining(rows, edges, rtol=tol)
 
 
@@ -341,7 +417,7 @@ def c2_saturation(spec: Union[BathSpec, JSource], *,
                 "panels reach frequencies whose square underflows"
                 % source.ir_exponent)
         g = np.asarray(source.j(omega), dtype=float) / w2
-        return np.sum(g * coth_stable(0.5 * beta * omega) * w)
+        return np.sum(g * _thermal_factors(0.5 * beta * omega)[0] * w)
 
     res = integrate_refining(rows, edges, rtol=tol)
     if not res.converged:
@@ -350,16 +426,34 @@ def c2_saturation(spec: Union[BathSpec, JSource], *,
     return float(res.values[0])
 
 
+def _n_geo(n: int) -> int:
+    """The number of geometric times of an n-point grid (n >= 3)."""
+    return min(max(2, n // 3), n - 2)
+
+
 def _time_grid(t_max: float, n: int) -> np.ndarray:
+    """0, n_geo geometric times up to t_max / 10, then linear ones to t_max."""
     if n <= 1 or t_max <= 0.0:
         return np.zeros(max(n, 1))
     if n == 2:
         return np.array([0.0, t_max])
     t_switch = t_max / 10.0
-    n_geo = min(max(2, n // 3), n - 2)
+    n_geo = _n_geo(n)
     geo = np.geomspace(t_switch / 1000.0, t_switch, n_geo)
     lin = np.linspace(t_switch, t_max, n - n_geo)[1:]
     return np.concatenate([[0.0], geo, lin])
+
+
+def _shared_rows(n: int):
+    """Rows [first, stop) of an n-point grid: its whole chunks of linear times.
+
+    (0, 0) when there are none.
+    """
+    if n < 3:
+        return 0, 0
+    first = -(-(1 + _n_geo(n)) // _CHUNK) * _CHUNK
+    stop = n // _CHUNK * _CHUNK
+    return (first, stop) if stop > first else (0, 0)
 
 
 def _fit_tail(source: JSource, beta: float, t: np.ndarray, q2v: np.ndarray,
@@ -377,9 +471,6 @@ def _fit_tail(source: JSource, beta: float, t: np.ndarray, q2v: np.ndarray,
     return TailFit(q2_slope=slope, c2_inf=c2_inf)
 
 
-_CSV_HEADER = "t,q1,q2,qz,err1,err2,errz"
-
-
 def _cache_key(spec: BathSpec, t_max: float, n: int, tol: float) -> str:
     canonical = "|".join([_NUMERICS_VERSION, "%.17g" % spec.beta,
                           spec.h.content_key(), "%.17g" % t_max, str(n),
@@ -389,12 +480,10 @@ def _cache_key(spec: BathSpec, t_max: float, n: int, tol: float) -> str:
 
 def _save_table(cache_dir: str, key: str, spec: BathSpec, t_max: float, n: int,
                 tol: float, table: KernelTable) -> None:
-    rows = [_CSV_HEADER]
-    for i in range(len(table.t_grid)):
-        rows.append(",".join("%.17g" % v for v in (
-            table.t_grid[i], table.q1[i], table.q2[i], table.qz[i],
-            table.err_est[i, 0], table.err_est[i, 1], table.err_est[i, 2])))
-    atomic_write(os.path.join(cache_dir, key + ".csv"), "\n".join(rows) + "\n")
+    buf = io.BytesIO()
+    np.save(buf, np.column_stack([table.t_grid, table.q1, table.q2, table.qz,
+                                  table.err_est]))
+    atomic_write(os.path.join(cache_dir, key + ".npy"), buf.getvalue())
     meta = {
         "key": key,
         "beta": spec.beta,
@@ -410,7 +499,7 @@ def _save_table(cache_dir: str, key: str, spec: BathSpec, t_max: float, n: int,
                  json.dumps(meta, sort_keys=True, indent=1))
 
 
-def _read_entry(csv_path: str, meta_path: str, key: str, t_max: float,
+def _read_entry(npy_path: str, meta_path: str, key: str, t_max: float,
                 n: int, tol: float) -> KernelTable:
     with open(meta_path) as fh:
         meta = json.load(fh)
@@ -419,13 +508,11 @@ def _read_entry(csv_path: str, meta_path: str, key: str, t_max: float,
     if (meta["t_max"], meta["n"], meta["tol"]) != (t_max, n, tol):
         raise ValueError("it was computed for t_max=%r, n=%r, tol=%r"
                          % (meta["t_max"], meta["n"], meta["tol"]))
-    with open(csv_path) as fh:
-        rows = fh.read().splitlines()[1:]
-    if len(rows) != n:
-        raise ValueError("it has %d rows, not %d" % (len(rows), n))
-    data = np.loadtxt(rows, delimiter=",", ndmin=2)
-    if data.shape[1] != 7 or not np.isfinite(data).all():
-        raise ValueError("its rows are not 7 finite numbers")
+    with open(npy_path, "rb") as fh:
+        data = np.load(fh, allow_pickle=False)
+    if not (isinstance(data, np.ndarray) and data.dtype == np.float64
+            and data.shape == (n, 7) and np.isfinite(data).all()):
+        raise ValueError("its table is not %d rows of 7 finite floats" % n)
     converged = meta["converged"]
     if not isinstance(converged, bool):
         raise ValueError("its converged flag is %r, not a bool" % (converged,))
@@ -448,17 +535,17 @@ def _load_table(cache_dir: str, key: str, t_max: float, n: int,
 
     An entry holds up when its sidecar names this key and request (t_max, n,
     tol), its converged flag is a bool, its tail is a finite float
-    q2_slope >= 0 and a float c2_inf > 0 (inf allowed), and its CSV is n
-    rows of 7 finite numbers.  One that does not, or does not parse, is
-    logged as a warning; the caller then recomputes it and rewrites both
-    files.
+    q2_slope >= 0 and a float c2_inf > 0 (inf allowed), and its .npy holds
+    an (n, 7) float64 array of finite numbers (never a pickle).  One that
+    does not, or does not parse, is logged as a warning; the caller then
+    recomputes it and rewrites both files.
     """
-    csv_path = os.path.join(cache_dir, key + ".csv")
+    npy_path = os.path.join(cache_dir, key + ".npy")
     meta_path = os.path.join(cache_dir, key + ".json")
-    if not (os.path.exists(csv_path) and os.path.exists(meta_path)):
+    if not (os.path.exists(npy_path) and os.path.exists(meta_path)):
         return None
     try:
-        return _read_entry(csv_path, meta_path, key, t_max, n, tol)
+        return _read_entry(npy_path, meta_path, key, t_max, n, tol)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         _log.warning("kernel cache entry %s is unusable (%s); recomputing it",
                      key, exc)
@@ -473,7 +560,7 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
     The degenerate call (n <= 1 or t_max = 0) returns a single zeroed row
     without running any quadrature.  The table's converged flag is False if
     any chunk stopped at the refinement limit; consumers check it.  With
-    cache_dir set, results are stored as CSV plus a JSON sidecar, keyed by a
+    cache_dir set, results are stored as .npy plus a JSON sidecar, keyed by a
     content hash of the numerics version, the bath and grid parameters, and
     written atomically; an entry that fails its load check is recomputed
     and rewritten.  A hit builds no JSource, so it skips the support probe;
@@ -502,22 +589,32 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
                            err_est=np.zeros((len(t), 3)),
                            tail=TailFit(0.0, np.inf), converged=True)
 
-    results = []
-    for i in range(0, len(t), _CHUNK):
+    values, err = np.empty((3, n)), np.empty((n, 3))
+    first, stop = _shared_rows(n) if source.breaks is None else (0, 0)
+    converged = True
+    for i in [*range(0, first, _CHUNK), *range(stop, n, _CHUNK)]:
         chunk = t[i:i + _CHUNK]
-        res = _evaluate(source, beta, chunk, tol, which="all")
         m = len(chunk)
-        results.append((res.values.reshape(3, m), res.errors.reshape(3, m).T,
-                        res.converged))
+        res = _evaluate(source, beta, chunk, tol, which="all")
+        values[:, i:i + m] = res.values.reshape(3, m)
+        err[i:i + m] = res.errors.reshape(3, m).T
+        converged = converged and res.converged
+    if stop > first:
+        res = _evaluate_shared(source, beta, t[first:stop], t_max, tol)
+        # (chunks, 3 kernels x 8 rows) -> kernel-major values, row-major errors
+        chunks = res.values.reshape(-1, 3, _CHUNK)
+        values[:, first:stop] = chunks.transpose(1, 0, 2).reshape(3, -1)
+        chunks = res.errors.reshape(-1, 3, _CHUNK)
+        err[first:stop] = chunks.transpose(0, 2, 1).reshape(-1, 3)
+        converged = converged and res.converged
 
-    q1v, q2v, qzv = np.concatenate([r[0] for r in results], axis=1)
-    err = np.concatenate([r[1] for r in results], axis=0)
+    q1v, q2v, qzv = values
     q1v[0] = q2v[0] = 0.0
     err[0, 0] = err[0, 1] = 0.0
 
     table = KernelTable(t_grid=t, q1=q1v, q2=q2v, qz=qzv, err_est=err,
                         tail=_fit_tail(source, beta, t, q2v, tol),
-                        converged=all(r[2] for r in results))
+                        converged=converged)
     if cache_key is not None:
         os.makedirs(cache_dir, exist_ok=True)
         _save_table(cache_dir, cache_key, spec, t_max, n, tol, table)

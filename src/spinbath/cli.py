@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -216,7 +217,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process; parse_args keeps no state."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, metavar="PATH",
                         help="YAML run configuration")

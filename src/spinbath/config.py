@@ -20,6 +20,9 @@ from .errors import ConfigurationError
 from .spectral_density import BathSpec, FormFactor, power_exp, tabulated
 
 _SWEEP_PARAMS = ("beta", "eps", "delta", "q0")
+# libyaml's parser when PyYAML was built with it: the same documents and
+# errors as the pure-Python SafeLoader, parsed several times faster
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _FORMATS = ("csv", "json")
 
 
@@ -302,7 +305,7 @@ def parse_config(raw: dict) -> RunConfig:
 def load_config(path: str) -> RunConfig:
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_LOADER)
     except OSError as exc:
         raise ConfigurationError("cannot read config %s: %s" % (path, exc)) from exc
     except yaml.YAMLError as exc:

@@ -1,13 +1,14 @@
-"""Atomic text-file writes shared by the kernel cache and the report writers."""
+"""Atomic file writes shared by the kernel cache and the report writers."""
 
 from __future__ import annotations
 
 import os
 import tempfile
+from typing import Union
 
 
-def atomic_write(path: str, text: str) -> None:
-    """Write text to path through a unique temporary file and a rename.
+def atomic_write(path: str, text: Union[str, bytes]) -> None:
+    """Write text (or bytes) to path through a unique temporary file and a rename.
 
     Readers see either the old file or the complete new one, and concurrent
     writers of the same path never share a temporary file.
@@ -16,7 +17,7 @@ def atomic_write(path: str, text: str) -> None:
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb" if isinstance(text, bytes) else "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
     finally:

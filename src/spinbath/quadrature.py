@@ -20,6 +20,11 @@ nodes and weights and returns its row integrals, one value per row: most
 integrands sum each row times the weights, ``np.sum(row * weights)``,
 while one that factors into node weights times a small trig block can fold
 those factors into the weights and sum by a matrix-vector product.
+
+An integrand may also return a 2-d ``(groups, rows)`` array: several
+independent calls that share one node set.  The stop rule then holds per
+group, each against its own largest value, and refinement goes on until
+every group meets it.
 """
 
 from __future__ import annotations
@@ -102,6 +107,7 @@ def integrate_refining(
     same rows each time.  A pass stops refinement when every row's change
     is at most rtol times the call scale max(floor, max_j |v_j|); after
     max_refine doublings without that the result reports converged=False.
+    A 2-d result (groups, rows) has one scale per group, over its own rows.
     """
     edges = np.asarray(edges, dtype=float)
     vals = np.atleast_1d(integrate_on_edges(f, edges, order))
@@ -116,7 +122,7 @@ def integrate_refining(
         passes += 1
         err = np.abs(new - vals)
         vals = new
-        scale = max(floor, float(np.max(np.abs(vals))))
+        scale = np.maximum(floor, np.max(np.abs(vals), axis=-1, keepdims=True))
         converged = bool(np.all(err <= rtol * scale))
     return Quadrature(values=vals, errors=err, converged=converged,
                       nodes=nodes, passes=passes)

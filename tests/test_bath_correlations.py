@@ -13,8 +13,9 @@ from scipy.integrate import quad
 
 import spinbath as sb
 from spinbath import bath_correlations, quadrature
-from spinbath.bath_correlations import (_half_angles, _kernel_rows, _time_grid,
-                                        coth_stable, inv_sinh)
+from spinbath.bath_correlations import (_kernel_rows, _lattice_rows,
+                                        _shared_edges, _shared_rows,
+                                        _thermal_factors, _time_grid)
 from spinbath.fileio import atomic_write
 
 OHMIC = sb.JSource(j=lambda w: w * np.exp(-w), omega_max=45.0, ir_exponent=1.0)
@@ -25,21 +26,43 @@ def _spec(p=1.0, cutoff="exponential", beta=2.0, q0=1.0):
                        h=sb.power_exp(p, cutoff))
 
 
-# --- stable helpers ----------------------------------------------------------
+# --- thermal factors -----------------------------------------------------------
+
+def _coth_branches(x):
+    # the series-or-direct form the expm1 factors replaced, kept as reference
+    return np.where(x < 1e-4, 1.0 / x + x / 3.0 - x ** 3 / 45.0, 1.0 / np.tanh(x))
+
+
+def _inv_sinh_branches(x):
+    e = np.exp(-x)
+    with np.errstate(over="ignore"):
+        mid = 1.0 / np.sinh(x)
+    return np.where(x < 1e-4, (1.0 - x ** 2 / 6.0) / x,
+                    np.where(x < 30.0, mid, 2.0 * e / (1.0 - e * e)))
+
 
 def test_coth_stable_series_joins_direct():
-    x = np.array([1e-7, 5e-5, 9.9e-5, 1.01e-4, 1e-3, 0.1, 1.0, 50.0])
-    direct = np.cosh(x) / np.sinh(x)
-    assert np.allclose(coth_stable(x), direct, rtol=1e-12)
+    x = np.array([1e-300, 1e-7, 5e-5, 9.9e-5, 1.01e-4, 1e-3, 0.1, 1.0, 50.0, 1e9])
+    coth = _thermal_factors(x)[0]
+    assert np.allclose(coth, _coth_branches(x), rtol=1e-12, atol=0.0)
+    direct = np.cosh(x[1:-1]) / np.sinh(x[1:-1])
+    assert np.allclose(coth[1:-1], direct, rtol=1e-12, atol=0.0)
 
 
 def test_inv_sinh_branches():
     x = np.array([1e-7, 1e-5, 1e-3, 0.5, 10.0, 29.0, 31.0, 700.0, 800.0])
-    out = inv_sinh(x)
+    out = _thermal_factors(x)[1]
+    assert np.allclose(out, _inv_sinh_branches(x), rtol=1e-12, atol=0.0)
     safe = x < 700
-    assert np.allclose(out[safe], 1.0 / np.sinh(x[safe]), rtol=1e-10)
+    assert np.allclose(out[safe], 1.0 / np.sinh(x[safe]), rtol=1e-12, atol=0.0)
     assert np.isfinite(out).all()
     assert out[-1] == pytest.approx(2.0 * np.exp(-800.0), rel=1e-12)
+
+
+def test_half_angle_tanh_from_the_same_expm1():
+    x = np.array([1e-300, 1e-7, 1e-4, 0.1, 1.0, 10.0, 40.0, 800.0])
+    assert np.allclose(_thermal_factors(x)[2], np.tanh(0.5 * x), rtol=1e-12,
+                       atol=0.0)
 
 
 # --- q1 ----------------------------------------------------------------------
@@ -215,7 +238,7 @@ def test_tabulate_cache_round_trip(tmp_path):
     cache = str(tmp_path)
     first = sb.tabulate_kernels(spec, 5.0, 16, cache_dir=cache)
     files = sorted(p.name for p in tmp_path.iterdir())
-    assert len(files) == 2 and files[0].endswith(".csv") and files[1].endswith(".json")
+    assert len(files) == 2 and files[0].endswith(".json") and files[1].endswith(".npy")
     second = sb.tabulate_kernels(spec, 5.0, 16, cache_dir=cache)
     assert np.array_equal(first.t_grid, second.t_grid)
     assert np.array_equal(first.q1, second.q1)
@@ -258,17 +281,50 @@ def test_tabulate_cache_recomputes_quad_v2_entries(tmp_path, monkeypatch):
     assert len(list(tmp_path.iterdir())) == 4
 
 
-def _truncate_csv(csv, meta):
-    text = csv.read_text()
-    csv.write_text(text[:len(text) // 2])
+def test_tabulate_cache_recomputes_quad_v3_entries(tmp_path, monkeypatch):
+    # a quad-v3 entry, CSV plus sidecar as that version wrote it under its
+    # own key, is never served: the table is recomputed and stored as .npy
+    spec = _spec(p=1.0, beta=2.0)
+    table = sb.tabulate_kernels(spec, 5.0, 8)
+    with monkeypatch.context() as mp:
+        mp.setattr(bath_correlations, "_NUMERICS_VERSION", "quad-v3")
+        key = bath_correlations._cache_key(spec, 5.0, 8, 1e-9)
+    rows = np.column_stack([table.t_grid, table.q1, table.q2, table.qz,
+                            table.err_est])
+    np.savetxt(tmp_path / (key + ".csv"), rows, delimiter=",", fmt="%.17g",
+               header="t,q1,q2,qz,err1,err2,errz", comments="")
+    (tmp_path / (key + ".json")).write_text(json.dumps({
+        "key": key, "beta": 2.0, "h": spec.h.content_key(), "t_max": 5.0,
+        "n": 8, "tol": 1e-9, "converged": True,
+        "tail": {"q2_slope": table.tail.q2_slope, "c2_inf": table.tail.c2_inf}}))
+    calls = []
+    original = bath_correlations.integrate_refining
+    monkeypatch.setattr(bath_correlations, "integrate_refining",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    sb.tabulate_kernels(spec, 5.0, 8, cache_dir=str(tmp_path))
+    assert calls
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert len(names) == 4 and sum(n.endswith(".npy") for n in names) == 1
+    assert key + ".csv" in names
 
 
-def _garble_json(csv, meta):
+def _resave(transform):
+    def corrupt(npy, meta):
+        np.save(npy, transform(np.load(npy)))
+    return corrupt
+
+
+def _truncate_npy(npy, meta):
+    data = npy.read_bytes()
+    npy.write_bytes(data[:len(data) // 2])
+
+
+def _garble_json(npy, meta):
     meta.write_text(meta.read_text()[:-7])
 
 
 def _rewrite_meta(**fields):
-    def corrupt(csv, meta):
+    def corrupt(npy, meta):
         data = json.loads(meta.read_text())
         data.update(fields)
         meta.write_text(json.dumps(data))
@@ -276,58 +332,56 @@ def _rewrite_meta(**fields):
 
 
 def _rewrite_tail(**fields):
-    def corrupt(csv, meta):
+    def corrupt(npy, meta):
         data = json.loads(meta.read_text())
         data["tail"].update(fields)
         meta.write_text(json.dumps(data))
     return corrupt
 
 
-def _drop_last_row(csv, meta):
-    csv.write_text("".join(csv.read_text().splitlines(True)[:-1]))
+def _nan_entry(table):
+    table[3, 2] = np.nan
+    return table
 
 
-def _nan_row(csv, meta):
-    lines = csv.read_text().splitlines(True)
-    cells = lines[3].split(",")
-    cells[2] = "nan"
-    lines[3] = ",".join(cells)
-    csv.write_text("".join(lines))
+def _header_only(npy, meta):
+    # the .npy header of the table, and none of its data
+    data = npy.read_bytes()
+    npy.write_bytes(data[:len(data) - 16 * 7 * 8])
 
 
-def _header_only_csv(csv, meta):
-    csv.write_text(csv.read_text().splitlines(True)[0])
-
-
-def _six_columns(csv, meta):
-    lines = csv.read_text().splitlines()
-    csv.write_text("\n".join([lines[0]] + [r.rsplit(",", 1)[0] for r in lines[1:]]))
+def _object_array(npy, meta):
+    np.save(npy, np.load(npy).astype(object), allow_pickle=True)
 
 
 @pytest.mark.parametrize("corrupt", [
-    _truncate_csv, _garble_json, _rewrite_meta(key="0" * 32), _drop_last_row,
-    _nan_row, _rewrite_meta(n=15), _rewrite_meta(tol=1e-8), _header_only_csv,
-    _six_columns, _rewrite_meta(converged="false"),
-    _rewrite_tail(q2_slope=float("nan")), _rewrite_tail(c2_inf="inf"),
-], ids=["truncated_csv", "garbled_json", "wrong_key", "wrong_row_count",
+    _truncate_npy, _garble_json, _rewrite_meta(key="0" * 32),
+    _resave(lambda a: a[:-1]), _resave(_nan_entry), _rewrite_meta(n=15),
+    _rewrite_meta(tol=1e-8), _header_only, _resave(lambda a: a[:, :6]),
+    _rewrite_meta(converged="false"), _rewrite_tail(q2_slope=float("nan")),
+    _rewrite_tail(c2_inf="inf"), _resave(lambda a: a.T),
+    _resave(lambda a: a.astype(np.float32)), _object_array,
+], ids=["truncated_npy", "garbled_json", "wrong_key", "wrong_row_count",
         "nan_row", "other_n", "other_tol", "header_only", "six_columns",
-        "string_converged", "nan_q2_slope", "string_c2_inf"])
+        "string_converged", "nan_q2_slope", "string_c2_inf", "transposed",
+        "float32", "object_array"])
 def test_tabulate_cache_recomputes_bad_entries(tmp_path, caplog, corrupt):
     spec = _spec(p=1.0, beta=2.0)
     cache = str(tmp_path)
     cold = sb.tabulate_kernels(spec, 5.0, 16, cache_dir=cache)
-    (csv,) = tmp_path.glob("*.csv")
-    meta = csv.with_suffix(".json")
-    cold_bytes = csv.read_bytes(), meta.read_bytes()
-    corrupt(csv, meta)
+    (npy,) = tmp_path.glob("*.npy")
+    meta = npy.with_suffix(".json")
+    cold_bytes = npy.read_bytes(), meta.read_bytes()
+    corrupt(npy, meta)
+    assert (npy.read_bytes(), meta.read_bytes()) != cold_bytes
     with caplog.at_level("WARNING", logger="spinbath"), warnings.catch_warnings():
         warnings.simplefilter("error")
         warm = sb.tabulate_kernels(spec, 5.0, 16, cache_dir=cache)
-    assert (csv.read_bytes(), meta.read_bytes()) == cold_bytes
-    assert sorted(p.name for p in tmp_path.iterdir()) == [csv.name, meta.name]
+    assert (npy.read_bytes(), meta.read_bytes()) == cold_bytes
+    assert sorted(p.name for p in tmp_path.iterdir()) == [meta.name, npy.name]
     assert np.array_equal(warm.q2, cold.q2) and warm.tail == cold.tail
     (record,) = caplog.records
-    assert record.name.startswith("spinbath") and csv.stem in record.getMessage()
+    assert record.name.startswith("spinbath") and npy.stem in record.getMessage()
 
 
 def test_tabulate_cache_hit_logs_nothing(tmp_path, caplog):
@@ -452,6 +506,13 @@ def test_two_processes_writing_one_key_leave_one_valid_entry(tmp_path,
     _assert_cache_hit(shared, cold, monkeypatch, caplog)
 
 
+def test_atomic_write_takes_bytes(tmp_path):
+    path = tmp_path / "entry.npy"
+    atomic_write(str(path), b"\x93NUMPY\x00\n")
+    assert path.read_bytes() == b"\x93NUMPY\x00\n"
+    assert os.listdir(tmp_path) == ["entry.npy"]
+
+
 def test_atomic_write_survives_concurrent_writers(tmp_path):
     path = str(tmp_path / "key.csv")
     texts = [("%d\n" % i) * 4000 for i in range(8)]
@@ -488,7 +549,7 @@ def test_refinement_convergence_within_err():
     assert np.all(np.abs(base.q2 - finer.q2) <= base.err_est[:, 1] + 1e-13)
 
 
-# --- half-angle integrand -----------------------------------------------------
+# --- direct and chirp-z integrands ----------------------------------------------
 
 OHMIC_SPEC = sb.BathSpec(beta=1.0, eps=0.25, delta=0.2, q0=1.0,
                          h=sb.power_exp(-0.5, "exponential"))
@@ -515,6 +576,7 @@ def _direct_rows(source, beta, ts, omega, w):
     (sb.standard_oracle_bath(), slice(8, 16)),      # geometric head
 ], ids=["oracle-last", "ohmic-last", "oracle-head"])
 def test_chunk_rows_match_long_double_direct_evaluation(spec, chunk):
+    # the direct integrand of a chunk (geometric rows, pointwise kernels)
     source = bath_correlations.j_source_from_spec(spec)
     ts = _time_grid(32.0, 400)[chunk]
     res = bath_correlations._evaluate(source, spec.beta, ts, 1e-9)
@@ -529,38 +591,101 @@ def test_chunk_rows_match_long_double_direct_evaluation(spec, chunk):
     assert np.array_equal(got, res.values)
     ref = _direct_rows(source, spec.beta, ts, omega, w)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-    # node by node: sin and cos within a few ulp of the half angle, and sin
-    # relatively accurate below angle 1, where the Q2 and Qz rows need it
-    half = np.multiply.outer(ts.astype(np.longdouble), omega) / 2
-    s, c = _half_angles(ts, omega)
-    bound = 2e-15 * np.maximum(half, 1.0)
-    assert np.all(np.abs(s - np.sin(half)) <= bound)
-    assert np.all(np.abs(c - np.cos(half)) <= bound)
-    small = half < 1.0
-    assert np.all(np.abs(s - np.sin(half))[small]
-                  <= 2e-15 * np.abs(np.sin(half))[small])
 
 
-def test_evenly_spaced_chunk_takes_two_sine_cosine_pairs_per_node(monkeypatch):
-    counts = {"sin": 0, "cos": 0}
+FOUR_BATHS = {
+    "ohmic-beta1": OHMIC_SPEC,
+    "ohmic-beta4": sb.BathSpec(beta=4.0, eps=0.25, delta=0.2, q0=1.0,
+                               h=sb.power_exp(-0.5, "exponential")),
+    "gaussian-p0.5-beta4": sb.standard_oracle_bath(),
+    "exponential-p1-beta0.5": _spec(p=1.0, beta=0.5),
+}
+
+
+def _shared_pass(spec, t_max, n):
+    """The converged shared-set call of an n-point table, and its last nodes."""
+    source = bath_correlations.j_source_from_spec(spec)
+    first, stop = _shared_rows(n)
+    ts = _time_grid(t_max, n)[first:stop]
+    res = bath_correlations._evaluate_shared(source, spec.beta, ts, t_max, 1e-9)
+    edges, width, panels = _shared_edges(source, spec.beta, t_max)
+    for _ in range(res.passes):
+        edges = quadrature.refine_edges(edges)
+    return source, ts, res, quadrature.panel_nodes(edges), width, panels
+
+
+@pytest.mark.parametrize("name", list(FOUR_BATHS))
+def test_linear_rows_by_chirp_z_match_long_double_reference(name):
+    spec = FOUR_BATHS[name]
+    source, ts, res, (omega, w), width, panels = _shared_pass(spec, 32.0, 400)
+    assert res.converged and res.values.shape == (len(ts) // 8, 24)
+    got = _lattice_rows(source, spec.beta, ts, width, panels)(omega, w)
+    # these are the nodes of the call's last pass
+    assert np.array_equal(got, res.values)
+    # the first, a middle and the last chunk, each against its own largest
+    # value and against the largest value of the three
+    largest = 0.0
+    for g in (0, len(got) // 2, len(got) - 1):
+        ref = _direct_rows(source, spec.beta, ts[8 * g:8 * g + 8], omega, w)
+        diff = np.max(np.abs(got[g] - ref))
+        assert diff <= 1e-13 * np.max(np.abs(ref))
+        largest = max(largest, float(np.max(np.abs(ref))))
+    assert largest > 0.0
+
+
+def test_table_linear_rows_match_pointwise_kernels():
+    spec = _spec(p=0.5, cutoff="gaussian", beta=1.5)
+    tol = 1e-9
+    table = sb.tabulate_kernels(spec, 16.0, 64, tol=tol)
+    first, stop = _shared_rows(64)
+    assert (first, stop) == (24, 64)
+    for i in (first, 43, stop - 1):
+        t = float(table.t_grid[i])
+        point = [sb.q1(spec, t)[0], sb.q2(spec, t)[0], sb.qz(spec, t)[0]]
+        scale = max(abs(v) for v in point)
+        got = [table.q1[i], table.q2[i], table.qz[i]]
+        assert np.all(np.abs(np.subtract(got, point)) <= tol * scale)
+
+
+def test_linear_rows_take_trig_only_on_the_head(monkeypatch):
+    # per (t, omega) pair, sin and cos run only on the geometric head; the
+    # main panels take one complex exp per node, and the chirp and the
+    # per-Gauss-index steps take O(P + K) more
+    spec = OHMIC_SPEC
+    source, ts, res, (omega, w), width, panels = _shared_pass(spec, 32.0, 400)
+    counts = {"sin": 0, "cos": 0, "exp": 0}
     for name in counts:
         def counted(x, *args, _name=name, _f=getattr(np, name), **kwargs):
             counts[_name] += np.size(x)
             return _f(x, *args, **kwargs)
         monkeypatch.setattr(np, name, counted)
-    omega = np.linspace(1e-3, 8.0, 1000)
-    t = _time_grid(32.0, 400)
-    for ts, per_node in ((t[392:400], 2), (t[8:16], 8), (t[128:136], 8),
-                         (t[-1:], 1)):
-        counts.update(sin=0, cos=0)
-        s, c = _half_angles(ts, omega)
-        assert counts == {"sin": per_node * 1000, "cos": per_node * 1000}
-        assert s.shape == c.shape == (len(ts), 1000)
+    _lattice_rows(source, spec.beta, ts, width, panels)(omega, w)
+    head = int(np.searchsorted(omega, width))
+    main = len(omega) - head
+    p = main // 6
+    assert counts["sin"] == counts["cos"] == len(ts) * head
+    # per node the cutoff of J and exp(-x) of the thermal factors; per main
+    # node exp(i t_0 omega); two chirp factors of length max(P, K), and one
+    # step per Gauss index and row
+    assert counts["exp"] == (2 * len(omega) + main + 2 * max(p, len(ts))
+                             + 6 * len(ts))
+
+
+def test_shared_rows_are_whole_chunks_of_linear_times():
+    for n in (16, 24, 60, 64, 160, 400, 401):
+        first, stop = _shared_rows(n)
+        t = _time_grid(10.0, n)
+        assert first % 8 == 0 and stop % 8 == 0 and stop <= n
+        assert t[first] > 1.0 and first >= 1 + bath_correlations._n_geo(n)
+        steps = np.diff(t[first - 1:stop])
+        assert np.allclose(steps, steps[0], rtol=1e-12, atol=0.0)
+    assert _shared_rows(12) == (0, 0)
+    assert _shared_rows(400) == (136, 400)
 
 
 def test_oracle_bath_table_work_is_pinned(monkeypatch):
     # node and pass totals of the 160-point table the kernels benchmark
-    # tabulates at beta 4; the integrand changes no refinement decision
+    # tabulates at beta 4: 7 direct chunks and the shared set of the other 13
     totals = [0, 0]
     original = bath_correlations.integrate_refining
 
@@ -573,4 +698,4 @@ def test_oracle_bath_table_work_is_pinned(monkeypatch):
     monkeypatch.setattr(bath_correlations, "integrate_refining", counting)
     table = sb.tabulate_kernels(sb.standard_oracle_bath(), 32.0, 160, tol=1e-9)
     assert table.converged
-    assert totals == [38010, 28]
+    assert totals == [13926, 16]

@@ -393,6 +393,25 @@ def test_flags_live_on_one_subcommand(argv):
     assert exc.value.code == 1
 
 
+def test_a_rejected_flag_leaves_the_next_command_unchanged(tmp_path, capsys):
+    # the parser is built once per process and shared by every main call
+    cfg = _config(tmp_path, SMOOTH_BATH)
+
+    def run(out):
+        assert main(["regularity", "--config", cfg, "--out", str(out)]) == 0
+        return capsys.readouterr(), {p.name: p.read_bytes() for p in out.iterdir()}
+
+    before = run(tmp_path / "before")
+    with pytest.raises(SystemExit) as exc:
+        main(["regularity", "1.8", "--allow-heuristics", "--config", cfg])
+    assert exc.value.code == 1
+    assert "--allow-heuristics" in capsys.readouterr().err
+    after = run(tmp_path / "after")
+    assert after == before
+    assert json.loads(after[1]["regularity.json"])["alpha"] != 1.8
+    assert _build_parser() is _build_parser()
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--config", "c.yaml", "--jobs", "1", "--out", "o"],
     ["sweep", "--config", "c.yaml", "--jobs", "2", "--out", "o"],

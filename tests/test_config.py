@@ -1,10 +1,14 @@
 """Tests for strict config parsing and the content hash."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 import yaml
 
 import spinbath as sb
+from spinbath import config
 from spinbath.config import content_hash, parse_config
 
 MINIMAL = {
@@ -162,3 +166,92 @@ def test_load_config_errors(tmp_path):
     empty.write_text("")
     with pytest.raises(sb.ConfigurationError, match="bath"):
         sb.load_config(str(empty))
+
+
+# --- YAML loaders ------------------------------------------------------------------
+
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader")
+                               else [])
+
+
+def _test_configs(tmp_path):
+    """The shapes of config the tests write, and the benchmark's cli grid."""
+    u = np.linspace(0.01, 10.0, 50)
+    ff = tmp_path / "ff.csv"
+    np.savetxt(ff, np.column_stack([u, u * np.exp(-u)]), delimiter=",")
+    cli_base = {"bath": {"beta": 1.0, "eps": 0.5, "delta": 0.2, "q0": 1.0,
+                         "h": {"family": "power_exp", "p": -0.5,
+                               "cutoff": "exponential"}},
+                "kernels": {"n": 200, "tol": 1.0e-8}}
+    smooth = copy.deepcopy(cli_base)
+    smooth["bath"]["h"] = {"family": "power_exp", "p": 0.5, "cutoff": "gaussian"}
+    full = dict(copy.deepcopy(smooth),
+                kernels={"t_max": 12.5, "n": 64, "tol": 1e-6},
+                lso={"tol": 1e-8},
+                oracle={"n_max": 1, "u_max": 3.0,
+                        "schedule": [[1, 0.4], [2, 0.2], [3, 0.1]]},
+                constants={"c_kms": 2.0, "c3": 5.0, "c5": 1.0, "tau0": 2.0},
+                sweep={"param_name": "q0", "values": [0.5, 1.0, 1.5, 2.0]},
+                output={"dir": "out", "formats": ["json"]})
+    from_file = _raw()
+    from_file["bath"]["h"] = {"file": str(ff)}
+    raws = [_raw(), cli_base, smooth, full, from_file]
+    # the benchmark's cli grid, rebuilt: rate and lso configs, then the
+    # smooth config of its sweep, regularity, threshold and oracle commands
+    for cutoff in ("exponential", "gaussian"):
+        for beta in (0.5, 1.0, 2.0):
+            for eps in (0.25, 0.5, 1.0):
+                for q0 in (0.5, 1.0, 2.0):
+                    raws.append({"bath": {
+                        "beta": beta, "eps": eps, "delta": 0.2, "q0": q0,
+                        "h": {"family": "power_exp", "p": -0.5,
+                              "cutoff": cutoff}}})
+    raws.append({
+        "bath": {"beta": 1.0, "eps": 1.0, "delta": 0.1, "q0": 1.0,
+                 "h": {"family": "power_exp", "p": 0.5, "cutoff": "gaussian"}},
+        "oracle": {"n_max": 1, "u_max": 3.0,
+                   "schedule": [[1, 0.4], [2, 0.2], [3, 0.1]]},
+        "constants": {"c_kms": 1.0, "c5": 3.0},
+        "sweep": {"param_name": "q0", "values": [0.5, 1.0, 1.5, 2.0]}})
+    paths = []
+    for i, raw in enumerate(raws):
+        path = tmp_path / ("c%d.yaml" % i)
+        path.write_text(yaml.safe_dump(raw))
+        paths.append(str(path))
+    return paths
+
+
+def _comparable(cfg):
+    # bath specs and form factors compare by identity; compare their fields
+    # and the form factor's content key
+    b = cfg.bath
+    return (dataclasses.replace(cfg, bath=None),
+            (b.beta, b.eps, b.delta, b.q0, b.h.content_key()))
+
+
+def test_both_yaml_loaders_give_equal_configs(tmp_path, monkeypatch):
+    if len(LOADERS) == 1:
+        pytest.skip("PyYAML was built without libyaml")
+    paths = _test_configs(tmp_path)
+    assert len(paths) == 5 + 54 + 1
+    loaded = []
+    for loader in LOADERS:
+        monkeypatch.setattr(config, "_LOADER", loader)
+        loaded.append([_comparable(sb.load_config(p)) for p in paths])
+    assert loaded[0] == loaded[1]
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+def test_invalid_yaml_raises_configuration_error_under_each_loader(
+        tmp_path, monkeypatch, loader):
+    monkeypatch.setattr(config, "_LOADER", loader)
+    for i, text in enumerate(["bath: [unclosed\n", "bath: {a: 1\n",
+                              "a: b: c\n", "\tbath: 1\n"]):
+        bad = tmp_path / ("bad%d.yaml" % i)
+        bad.write_text(text)
+        with pytest.raises(sb.ConfigurationError, match="invalid YAML"):
+            sb.load_config(str(bad))
+
+
+def test_load_config_uses_libyaml_when_present():
+    assert config._LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)

@@ -44,6 +44,36 @@ def test_lone_zero_crossing_row_has_no_relative_accuracy():
     assert abs(res.values[0]) < 1e-12
 
 
+def test_grouped_rows_meet_the_stop_rule_per_group():
+    # (groups, rows): each group is held to its own largest value, so the
+    # crossing row, which passes beside the large row in one flat call,
+    # cannot pass in a group of its own
+    def rows(w):
+        return np.vstack([_crossing_row(w), 100.0 * np.exp(-w)])
+
+    flat = integrate_refining(_summed(rows), EDGES, max_refine=4)
+    grouped = integrate_refining(
+        lambda x, w: np.sum(rows(x) * w, axis=-1)[:, None], EDGES, max_refine=4)
+    assert flat.converged and not grouped.converged
+    assert grouped.values.shape == grouped.errors.shape == (2, 1)
+    assert grouped.passes == 4
+
+    # two well-scaled groups: each converges as it would alone, and the
+    # shared set is refined until the slower one does
+    def pair(x, w):
+        groups = [[np.exp(-x), np.cos(x) * np.exp(-x)],
+                  [np.cos(8.0 * x) * np.exp(-x), np.exp(-2.0 * x)]]
+        return np.sum(np.array(groups) * w, axis=-1)
+
+    both = integrate_refining(pair, EDGES)
+    alone = [integrate_refining(lambda x, w, g=g: pair(x, w)[g], EDGES)
+             for g in (0, 1)]
+    assert both.converged and all(a.converged for a in alone)
+    assert both.passes == max(a.passes for a in alone)
+    slow = int(np.argmax([a.passes for a in alone]))
+    assert np.array_equal(both.values[slow], alone[slow].values)
+
+
 def test_node_and_pass_counts():
     res = integrate_refining(_summed(lambda w: np.exp(-w)), EDGES, order=6,
                              max_refine=3)
