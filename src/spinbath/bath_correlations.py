@@ -14,19 +14,22 @@ tanh(x/2) of x = beta w / 2 are computed once per node set, from expm1(-x)
 and exp(-x).  The quadrature weights, J/w^2 and those factors are folded
 into weight vectors b.
 
-A direct call (pointwise q1/q2/qz, and the chunks of the geometric part of
-the time grid) evaluates one sine/cosine pair s, c = sin, cos(t_k w / 2) per
-(t, w) pair and writes sin(w t) = 2 s c and 1 - cos(w t) = 2 s^2, which
-keeps the small-angle accuracy that Q2 and Qz need; each row block is one
-matrix-vector product of the (m, N) trig block.
+A direct call (pointwise q1/q2/qz, and the chunks outside the shared node
+set below: geometric, straddling or partial chunks, and every chunk of a
+bath with breaks) writes sin(w t) = 2 s c and 1 - cos(w t) = 2 s^2 with
+s, c = sin, cos(t_k w / 2), which keeps the small-angle accuracy that Q2 and
+Qz need; each row block is one matrix product of the (m, N) trig block.
+s and c take one sine/cosine pair per (t, w) pair, or two per node on an
+evenly spaced chunk, by angle addition along the chunk.
 
-The whole chunks of the linear part of the grid, t_k = t_0 + k dt, share
-one node set: a geometric head below W = pi/(2 t_max), summed directly as
-above, and main panels with exact edges p W.  There, for each Gauss index,
-the sum over panels p of b_p exp(i t_k w_p) is a chirp-z transform in p
-(Rabiner, Schafer and Rader, 1969), one FFT convolution by Bluestein's
-identity k p = (k^2 + p^2 - (k - p)^2) / 2, and the main parts of Q2 and Qz
-are sum(b) - Re C(t_k): well conditioned, as t w >= pi/20 on those rows and
+For a bath without breaks, the whole chunks of the linear part of the
+grid, t_k = t_0 + k dt, share one node set: a geometric head below
+W = pi/(2 t_max), summed directly as above, and main panels with exact
+edges p W.  There, for each Gauss index, the sum over panels p of
+b_p exp(i t_k w_p) is a chirp-z transform in p (Rabiner, Schafer and Rader,
+1969), one FFT convolution by Bluestein's identity
+k p = (k^2 + p^2 - (k - p)^2) / 2, and the main parts of Q2 and Qz are
+sum(b) - Re C(t_k): well conditioned, as t w >= pi/20 on those rows and
 panels.  The set is refined until every chunk meets the stop rule.
 """
 
@@ -51,6 +54,9 @@ _IR_Q1_MIN = 0.95
 _IR_Q2_MIN = 0.05
 _SUPPORT_DROP = 1e-18
 _CHUNK = 8
+# Gauss-Legendre order of the linear rows' shared node set, whose panels
+# _chirp_sums reshapes by it
+_GAUSS_ORDER = 6
 # Part of every cache key: tables computed under another stop rule or
 # support bound are recomputed, never served.
 _NUMERICS_VERSION = "quad-v4"
@@ -196,40 +202,97 @@ def _initial_edges(source: JSource, t_cap: float, beta: Optional[float],
     return edges
 
 
+def _even_step(ts: np.ndarray) -> Optional[float]:
+    """The step of an evenly spaced chunk ts, or None.
+
+    A chunk is evenly spaced when it has 3 to 8 rows and every t_k is within
+    4 ulp of t_0 + k step.
+    """
+    m = len(ts)
+    if not 3 <= m <= _CHUNK:
+        return None
+    step = (ts[-1] - ts[0]) / (m - 1)
+    if np.any(np.abs(ts - (ts[0] + np.arange(m) * step)) > 4.0 * np.spacing(ts)):
+        return None
+    return step
+
+
+def _half_angles(ts: np.ndarray, omega: np.ndarray, step: Optional[float] = None):
+    """sin and cos of t_k omega / 2, as two (m, N) blocks.
+
+    Given the step of evenly spaced ts, only row 0 and the step angle
+    d = step omega / 2 are evaluated: in z_k = exp(i t_k omega / 2), rows
+    [span, 2 span) are rows [0, span) times exp(i span d), with span
+    doubling each stage, so the block costs two sine/cosine pairs per node.
+    Without a step the block is evaluated directly.
+    """
+    if step is None:
+        half = np.multiply.outer(0.5 * ts, omega)
+        return np.sin(half), np.cos(half)
+    m = len(ts)
+    z = np.empty((m, len(omega)), dtype=complex)
+    a0 = (0.5 * ts[0]) * omega
+    z[0].real = np.cos(a0)
+    z[0].imag = np.sin(a0)
+    d = (0.5 * step) * omega
+    sd, cd = np.sin(d), np.cos(d)
+    span = 1
+    while span < m:
+        n = min(span, m - span)
+        np.multiply(z[:n], cd + 1j * sd, out=z[span:span + n])
+        span *= 2
+        if span < m:
+            # the double angle; 1 - 2 sin^2 is the more accurate cosine here
+            sd, cd = 2.0 * sd * cd, 1.0 - 2.0 * sd * sd
+    return z.imag, z.real
+
+
+def _direct_sums(ts: np.ndarray, omega: np.ndarray, b: np.ndarray, n_sin: int,
+                 step: Optional[float] = None) -> np.ndarray:
+    """Direct sums over the nodes omega for every t in ts, shape (len(b), m).
+
+    Rows [0, n_sin) of the weight vectors b are summed against sin(t omega),
+    the others against 1 - cos(t omega).  With s, c = sin, cos(t omega / 2)
+    from _half_angles (by angle addition when ts is a chunk of the given
+    step), these are 2 s c and 2 s^2, which keeps the small-angle accuracy
+    that Q2 and Qz need.  The rows of ts are taken in blocks of about 2^14
+    (t, omega) pairs, never splitting a chunk.
+    """
+    out = np.empty((len(b), len(ts)))
+    block = max(_CHUNK, 16384 // max(len(omega), 1))
+    for i in range(0, len(ts), block):
+        s, c = _half_angles(ts[i:i + block], omega, step)
+        # fresh contiguous blocks, so the products run in BLAS
+        if n_sin:
+            out[:n_sin, i:i + block] = b[:n_sin] @ (s * c).T
+        out[n_sin:, i:i + block] = b[n_sin:] @ (s * s).T
+    out *= 2.0
+    return out
+
+
 def _kernel_rows(source: JSource, beta: Optional[float], ts: np.ndarray, which: str):
     """The integrand of one direct kernel call: (nodes, weights) -> row integrals.
 
     Rows, in order: Q1 at every t ("all", "q1"); then the zero-temperature
-    Q2 at every t ("q1"), or Q2 ("all", "q2") and Qz ("all", "qz").  With
-    s, c = sin, cos(t omega / 2), sin(t omega) = 2 s c and
-    1 - cos(t omega) = 2 s^2, which keeps its small-angle accuracy.  The
+    Q2 at every t ("q1"), or Q2 ("all", "q2") and Qz ("all", "qz").  The
     weights w J / omega^2 and the node factors coth, 1/sinh and tanh are
-    folded into weight vectors, so each row block is one matrix-vector
-    product of an (m, N) trig block.
+    folded into weight vectors for _direct_sums.
     """
-    need_thermal = which != "q1"
+    step = _even_step(ts)
 
     def rows(omega: np.ndarray, w: np.ndarray) -> np.ndarray:
         wg = w * (np.asarray(source.j(omega), dtype=float) / omega ** 2)
-        wg2 = 2.0 * wg
-        half = np.multiply.outer(0.5 * ts, omega)
-        s, c = np.sin(half), np.cos(half)
-        out = []
-        if which in ("all", "q1"):
-            out.append((s * c) @ wg2)
-        # a fresh contiguous block, so the products below run in BLAS
-        ss = s * s
         if which == "q1":
             # Zero-temperature Q2: a nonnegative row that gives the call a
             # scale, so Q1 at a sign change can meet the stop rule.
-            out.append(ss @ wg2)
-        if need_thermal:
-            coth, csch, tanh_half = _thermal_factors(0.5 * beta * omega)
-            if which in ("all", "q2"):
-                out.append(ss @ (wg2 * coth))
-            if which in ("all", "qz"):
-                out.append(np.dot(wg, tanh_half) + ss @ (wg2 * csch))
-        return np.concatenate(out)
+            return _direct_sums(ts, omega, np.array([wg, wg]), 1, step).ravel()
+        coth, csch, tanh_half = _thermal_factors(0.5 * beta * omega)
+        b = {"all": [wg, wg * coth, wg * csch], "q2": [wg * coth],
+             "qz": [wg * csch]}[which]
+        sums = _direct_sums(ts, omega, np.array(b), int(which == "all"), step)
+        if which in ("all", "qz"):
+            sums[-1] += np.dot(wg, tanh_half)
+        return sums.ravel()
 
     return rows
 
@@ -249,17 +312,18 @@ def _chirp(c: float, n: int) -> np.ndarray:
 
 
 def _chirp_sums(b: np.ndarray, omega: np.ndarray, ts: np.ndarray,
-                width: float, order: int) -> np.ndarray:
+                width: float) -> np.ndarray:
     """sum_j b_j exp(i t_k omega_j) over evenly spaced panels, shape (m, K).
 
-    omega are the Gauss nodes of P panels of the given width, panel by
-    panel, so omega_pq = omega_0q + p width; ts are t_k = t_0 + k dt.  Then
-    t_k omega_pq = t_0 omega_pq + k dt omega_0q + k p dt width, and for each
-    Gauss index q the sum over p is a chirp-z transform with ratio
-    z = exp(i dt width).  Bluestein's identity k p = (k^2 + p^2 - (k-p)^2)/2
-    makes it an FFT convolution of length >= P + K with the chirp
-    exp(-i dt width n^2 / 2).
+    omega are the _GAUSS_ORDER Gauss nodes of P panels of the given width,
+    panel by panel, so omega_pq = omega_0q + p width; ts are
+    t_k = t_0 + k dt.  Then t_k omega_pq = t_0 omega_pq + k dt omega_0q
+    + k p dt width, and for each Gauss index q the sum over p is a chirp-z
+    transform with ratio z = exp(i dt width).  Bluestein's identity
+    k p = (k^2 + p^2 - (k-p)^2)/2 makes it an FFT convolution of length
+    >= P + K with the chirp exp(-i dt width n^2 / 2).
     """
+    order = _GAUSS_ORDER
     k_rows, panels = len(ts), len(omega) // order
     dt = (ts[-1] - ts[0]) / (k_rows - 1)
     a = (b * np.exp(1j * ts[0] * omega)).reshape(len(b), panels, order)
@@ -278,35 +342,25 @@ def _chirp_sums(b: np.ndarray, omega: np.ndarray, ts: np.ndarray,
 
 
 def _lattice_rows(source: JSource, beta: float, ts: np.ndarray, width: float,
-                  panels: int, order: int = 6):
+                  panels: int):
     """The integrand of the linear rows ts on their shared node set.
 
     The node set is a geometric head below width and the main panels
     [p width, (p + 1) width], 1 <= p <= panels, each split in two per pass.
     Returns (len(ts) / 8, 24): per chunk of 8 rows, Q1, Q2 and Qz as in
-    _kernel_rows.  The head is summed directly; the main panels by
+    _kernel_rows.  The head is summed by _direct_sums; the main panels by
     _chirp_sums, with Q2 and Qz as sum(b) - Re C, well conditioned as long
     as t omega >= pi/20 there.
     """
     def rows(omega: np.ndarray, w: np.ndarray) -> np.ndarray:
         wg = w * (np.asarray(source.j(omega), dtype=float) / omega ** 2)
         coth, csch, tanh_half = _thermal_factors(0.5 * beta * omega)
-        b = np.stack([wg, wg * coth, wg * csch])
+        b = np.array([wg, wg * coth, wg * csch])
         head = int(np.searchsorted(omega, width))
-        sums = np.empty((3, len(ts)))
-        # the head in row blocks of about 2^14 (t, omega) pairs
-        step = max(1, 16384 // max(head, 1))
-        for i in range(0, len(ts), step):
-            sc = np.multiply.outer(0.5 * ts[i:i + step], omega[:head])
-            s = np.sin(sc)
-            np.cos(sc, out=sc)
-            sc *= s
-            s *= s
-            sums[0, i:i + step] = sc @ (2.0 * b[0, :head])
-            sums[1:, i:i + step] = (2.0 * b[1:, :head]) @ s.T
+        sums = _direct_sums(ts, omega[:head], b[:, :head], 1)
         # the panels of this pass: each doubling halves the width exactly
-        halved = width * (panels * order / (len(omega) - head))
-        main = _chirp_sums(b[:, head:], omega[head:], ts, halved, order)
+        halved = width * (panels * _GAUSS_ORDER / (len(omega) - head))
+        main = _chirp_sums(b[:, head:], omega[head:], ts, halved)
         sums[0] += main[0].imag
         sums[1:] += np.sum(b[1:, head:], axis=1)[:, None] - main[1:].real
         sums[2] += np.dot(wg, tanh_half)
@@ -345,7 +399,7 @@ def _evaluate_shared(source: JSource, beta: float, ts: np.ndarray,
     """
     edges, width, panels = _shared_edges(source, beta, t_max)
     rows = _lattice_rows(source, beta, ts, width, panels)
-    return integrate_refining(rows, edges, rtol=tol)
+    return integrate_refining(rows, edges, order=_GAUSS_ORDER, rtol=tol)
 
 
 def _single(spec_or_source, t, beta, tol, which, kernel, ir_min):
@@ -509,9 +563,10 @@ def _read_entry(npy_path: str, meta_path: str, key: str, t_max: float,
         raise ValueError("it was computed for t_max=%r, n=%r, tol=%r"
                          % (meta["t_max"], meta["n"], meta["tol"]))
     with open(npy_path, "rb") as fh:
-        data = np.load(fh, allow_pickle=False)
-    if not (isinstance(data, np.ndarray) and data.dtype == np.float64
-            and data.shape == (n, 7) and np.isfinite(data).all()):
+        # the .npy format alone: no zip archive, and never a pickle
+        data = np.lib.format.read_array(fh, allow_pickle=False)
+    if not (data.dtype == np.float64 and data.shape == (n, 7)
+            and np.isfinite(data).all()):
         raise ValueError("its table is not %d rows of 7 finite floats" % n)
     converged = meta["converged"]
     if not isinstance(converged, bool):

@@ -13,7 +13,8 @@ from scipy.integrate import quad
 
 import spinbath as sb
 from spinbath import bath_correlations, quadrature
-from spinbath.bath_correlations import (_kernel_rows, _lattice_rows,
+from spinbath.bath_correlations import (_even_step, _half_angles,
+                                        _kernel_rows, _lattice_rows,
                                         _shared_edges, _shared_rows,
                                         _thermal_factors, _time_grid)
 from spinbath.fileio import atomic_write
@@ -354,17 +355,27 @@ def _object_array(npy, meta):
     np.save(npy, np.load(npy).astype(object), allow_pickle=True)
 
 
+def _empty_npy(npy, meta):
+    npy.write_bytes(b"")
+
+
+def _zip_npy(npy, meta):
+    # the signature np.load takes for an .npz archive
+    npy.write_bytes(b"PK\x03\x04" + npy.read_bytes())
+
+
 @pytest.mark.parametrize("corrupt", [
     _truncate_npy, _garble_json, _rewrite_meta(key="0" * 32),
     _resave(lambda a: a[:-1]), _resave(_nan_entry), _rewrite_meta(n=15),
     _rewrite_meta(tol=1e-8), _header_only, _resave(lambda a: a[:, :6]),
     _rewrite_meta(converged="false"), _rewrite_tail(q2_slope=float("nan")),
     _rewrite_tail(c2_inf="inf"), _resave(lambda a: a.T),
-    _resave(lambda a: a.astype(np.float32)), _object_array,
+    _resave(lambda a: a.astype(np.float32)), _object_array, _empty_npy,
+    _zip_npy,
 ], ids=["truncated_npy", "garbled_json", "wrong_key", "wrong_row_count",
         "nan_row", "other_n", "other_tol", "header_only", "six_columns",
         "string_converged", "nan_q2_slope", "string_c2_inf", "transposed",
-        "float32", "object_array"])
+        "float32", "object_array", "empty_npy", "zip_signature"])
 def test_tabulate_cache_recomputes_bad_entries(tmp_path, caplog, corrupt):
     spec = _spec(p=1.0, beta=2.0)
     cache = str(tmp_path)
@@ -591,6 +602,70 @@ def test_chunk_rows_match_long_double_direct_evaluation(spec, chunk):
     assert np.array_equal(got, res.values)
     ref = _direct_rows(source, spec.beta, ts, omega, w)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # node by node: sin and cos within a few ulp of the half angle, and sin
+    # relatively accurate below angle 1, where the Q2 and Qz rows need it
+    half = np.multiply.outer(ts.astype(np.longdouble), omega) / 2
+    s, c = _half_angles(ts, omega, _even_step(ts))
+    bound = 2e-15 * np.maximum(half, 1.0)
+    assert np.all(np.abs(s - np.sin(half)) <= bound)
+    assert np.all(np.abs(c - np.cos(half)) <= bound)
+    small = half < 1.0
+    assert np.all(np.abs(s - np.sin(half))[small]
+                  <= 2e-15 * np.abs(np.sin(half))[small])
+
+
+def test_evenly_spaced_chunk_takes_two_sine_cosine_pairs_per_node(monkeypatch):
+    counts = {"sin": 0, "cos": 0}
+    for name in counts:
+        def counted(x, *args, _name=name, _f=getattr(np, name), **kwargs):
+            counts[_name] += np.size(x)
+            return _f(x, *args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+    omega = np.linspace(1e-3, 8.0, 1000)
+    t = _time_grid(32.0, 400)
+    # an evenly spaced chunk; geometric and straddling chunks, a single
+    # time, and more evenly spaced rows than a chunk are direct
+    for ts, per_node in ((t[392:400], 2), (t[8:16], 8), (t[128:136], 8),
+                         (t[-1:], 1), (t[360:400], 40)):
+        counts.update(sin=0, cos=0)
+        s, c = _half_angles(ts, omega, _even_step(ts))
+        assert counts == {"sin": per_node * 1000, "cos": per_node * 1000}
+        assert s.shape == c.shape == (len(ts), 1000)
+
+
+def test_chunks_of_a_bath_with_breaks_take_the_recurrence(monkeypatch):
+    # a tabulated bath takes no shared node set: its linear chunks are
+    # direct, at two sine/cosine pairs per node
+    u = np.linspace(0.01, 10.0, 50)
+    spec = sb.BathSpec(beta=1.0, eps=0.5, delta=0.1, q0=1.0,
+                       h=sb.tabulated(u, u * np.exp(-u)))
+    shared = []
+    monkeypatch.setattr(bath_correlations, "_evaluate_shared",
+                        lambda *args: shared.append(args))
+    sines = [0]
+    sin = np.sin
+
+    def counted_sin(x, *args, **kwargs):
+        sines[0] += np.size(x)
+        return sin(x, *args, **kwargs)
+
+    calls = []
+    original = bath_correlations._half_angles
+
+    def counting(ts, omega, step=None):
+        before = sines[0]
+        s, c = original(ts, omega, step)
+        calls.append((ts, len(omega), sines[0] - before))
+        return s, c
+
+    monkeypatch.setattr(np, "sin", counted_sin)
+    monkeypatch.setattr(bath_correlations, "_half_angles", counting)
+    table = sb.tabulate_kernels(spec, 20.0, 64, tol=1e-9)
+    assert table.converged and not shared
+    linear = [(n, count) for ts, n, count in calls if ts[0] > 2.0]
+    assert len(linear) >= 5 * 2
+    assert all(count == 2 * n for n, count in linear)
+    assert all(count == len(ts) * n for ts, n, count in calls if ts[0] < 2.0)
 
 
 FOUR_BATHS = {
