@@ -168,6 +168,12 @@ def _require_ir(exponent: float, minimum: float, kernel: str) -> None:
             % (kernel, minimum, exponent), exponent=exponent)
 
 
+def require_tabulable(exponent: float) -> None:
+    """Raise InfraredError unless a bath of this infrared exponent has a
+    kernel table (its Q1 column needs exponent > 0.95)."""
+    _require_ir(exponent, _IR_Q1_MIN, "tabulate_kernels")
+
+
 def _head_edges(w0: float, beta: Optional[float], head_exp: float) -> np.ndarray:
     """Per-octave geometric edges below w0 (w0 itself excluded).
 
@@ -517,12 +523,8 @@ def _fit_tail(source: JSource, beta: float, t: np.ndarray, q2v: np.ndarray,
         slope = float(np.polyfit(t[sel], q2v[sel], 1)[0])
     else:
         slope = 0.0
-    slope = max(slope, 0.0)
-    if source.ir_exponent > 2.05:
-        c2_inf = c2_saturation(source, beta=beta, tol=tol)
-    else:
-        c2_inf = np.inf
-    return TailFit(q2_slope=slope, c2_inf=c2_inf)
+    return TailFit(q2_slope=max(slope, 0.0),
+                   c2_inf=c2_saturation(source, beta=beta, tol=tol))
 
 
 def _cache_key(spec: BathSpec, t_max: float, n: int, tol: float) -> str:
@@ -626,12 +628,11 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
         cache_key = _cache_key(spec, t_max, n, tol)
         cached = _load_table(cache_dir, cache_key, t_max, n, tol)
         if cached is not None:
-            _require_ir(infrared_exponent(spec.h), _IR_Q1_MIN,
-                        "tabulate_kernels")
+            require_tabulable(infrared_exponent(spec.h))
             return cached
 
     source = _as_source(spec)
-    _require_ir(source.ir_exponent, _IR_Q1_MIN, "tabulate_kernels")
+    require_tabulable(source.ir_exponent)
     if isinstance(spec, BathSpec):
         beta = spec.beta
     if beta is None:

@@ -55,14 +55,18 @@ def _pair(w) -> list:
 # --- shared pipeline pieces ---------------------------------------------------
 
 def _kernel_table(config: RunConfig, out_dir: str):
-    """The kernel table, and its horizon probes, through out_dir/cache."""
+    """The command's kernel table, through out_dir/cache.
+
+    With kernels.t_max unset, t_max is default_time_horizon's, which
+    tabulates nothing and writes no cache entry.
+    """
     spec = config.bath
     t_max = config.kernels.t_max
-    cache_dir = os.path.join(out_dir, "cache")
     if t_max is None:
-        t_max = default_time_horizon(spec, cache_dir=cache_dir)
+        t_max = default_time_horizon(spec)
     return tabulate_kernels(spec, t_max, config.kernels.n,
-                            tol=config.kernels.tol, cache_dir=cache_dir)
+                            tol=config.kernels.tol,
+                            cache_dir=os.path.join(out_dir, "cache"))
 
 
 # --- subcommands ----------------------------------------------------------------

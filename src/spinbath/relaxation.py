@@ -14,12 +14,13 @@ back; at eps = 0 it diverges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.linalg import solve, solve_banded
 
-from .bath_correlations import KernelTable, tabulate_kernels
+from .bath_correlations import (KernelTable, c2_saturation, j_source_from_spec,
+                                q2, require_tabulable)
 from .errors import AccuracyError, DivergentIntegralError, DomainError
 from .quadrature import integrate_refining
 from .spectral_density import BathSpec
@@ -344,30 +345,28 @@ def lso_matrix(spec: BathSpec, table: KernelTable, tol: float = 1e-8) -> LevelSh
     return rate_and_lso(spec, table, tol)[1]
 
 
-def default_time_horizon(spec: BathSpec,
-                         cache_dir: Optional[str] = None) -> float:
+def default_time_horizon(spec: BathSpec) -> float:
     """A t_max at which the damping envelope has decayed or visibly saturated.
 
     The first probe is 8 max(beta, 1, 1/|eps|), doubled at most
-    _HORIZON_DOUBLINGS times.  The 64-point probe tables go through the
-    kernel cache when cache_dir is set; their key has no q0, eps or delta,
-    so neighbouring configs share them.
+    _HORIZON_DOUBLINGS times.  Each probe T reads the pointwise Q2(T) at
+    tol 1e-6; the bath's JSource and its plateau C2 are built once per call.
+    A bath whose kernels cannot be tabulated raises InfraredError, and an
+    unconverged Q2 raises AccuracyError.
     """
     if spec.q0 == 0.0:
         raise DivergentIntegralError("q0 = 0: no damping, no finite horizon")
     a = spec.q0 ** 2 / np.pi
+    source = j_source_from_spec(spec)
+    require_tabulable(source.ir_exponent)
+    c2 = c2_saturation(source, beta=spec.beta, tol=1e-6)
     eps_scale = 1.0 / abs(spec.eps) if spec.eps != 0.0 else 1.0
     T = 8.0 * max(spec.beta, 1.0, eps_scale)
     for _ in range(_HORIZON_DOUBLINGS):
-        probe = tabulate_kernels(spec, T, 64, tol=1e-6, cache_dir=cache_dir)
-        if not probe.converged:
-            raise AccuracyError("horizon probe at t_max=%g did not converge" % T,
-                                err=float(np.max(probe.err_est)))
-        end = a * probe.q2[-1]
-        if end >= _DECAY_THRESHOLD:
+        q2_end = q2(source, T, beta=spec.beta, tol=1e-6)[0]
+        if a * q2_end >= _DECAY_THRESHOLD:
             return T
-        c2 = probe.tail.c2_inf
-        if np.isfinite(c2) and abs(a * (probe.q2[-1] - c2)) < 1e-3 * max(1.0, a * c2):
+        if np.isfinite(c2) and abs(a * (q2_end - c2)) < 1e-3 * max(1.0, a * c2):
             return T
         T *= 2.0
     return T

@@ -63,40 +63,25 @@ _SX_R = _SP_R + _SM_R
 _SECTOR_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def _dim_log(m_pos: int, n_max: int) -> float:
-    return np.log(4.0) + 2.0 * m_pos * np.log(n_max + 1.0)
-
-
 @dataclass(frozen=True)
 class TruncationSpec:
     """Discretization and truncation parameters of one finite model.
 
-    budget caps the total Hilbert dimension 4 (n_max+1)^(2 m_pos); pass
-    inf to allow models past the dense cap, where only the level-shift
-    matrix is available.
+    Any size is admitted: a model whose bath dimension (n_max+1)^(2 m_pos)
+    exceeds the dense cap is not materialized, and offers only the
+    level-shift matrix.
     """
 
     m_pos: int
     u_max: float
     n_max: int
     eta: float
-    budget: float = 2e5
 
     def __post_init__(self):
         if self.m_pos < 1 or self.n_max < 1:
             raise ConfigurationError("m_pos and n_max must be at least 1")
         if not (self.u_max > 0.0 and self.eta > 0.0):
             raise ConfigurationError("u_max and eta must be positive")
-        if not self.budget >= 4.0:
-            raise ConfigurationError("budget must be at least 4")
-        if _dim_log(self.m_pos, self.n_max) > np.log(self.budget):
-            log_room = np.log(self.budget / 4.0)
-            m_fit = int(log_room / (2.0 * np.log(self.n_max + 1.0)))
-            n_fit = int(np.exp(log_room / (2.0 * self.m_pos))) - 1
-            raise ConfigurationError(
-                "dimension 4*(n_max+1)^(2*m_pos) exceeds budget %g; within it "
-                "m_pos <= %d at this n_max, or n_max <= %d at this m_pos"
-                % (self.budget, max(m_fit, 0), max(n_fit, 0)))
 
     @property
     def bath_dim(self) -> int:
@@ -707,7 +692,7 @@ def run_oracle_schedule(spec: Optional[BathSpec] = None,
     f_beta = coupling_function(spec)
     rungs = []
     for m, eta in sched:
-        trunc = TruncationSpec(m, span, n_max, eta, budget=np.inf)
+        trunc = TruncationSpec(m, span, n_max, eta)
         bath = discretize(f_beta, trunc)
         rungs.append(lso_finite(build_model(bath, spec, trunc), eta))
     entries = [_matrix_entries(lam) for lam in rungs]

@@ -1,10 +1,13 @@
-"""The package names the benchmark's tracer reads (bench/spans.py).
+"""The package names the benchmark's tracer reads (bench/spans.py), and
+the library calls its workloads make (bench/workloads.py).
 
 The tracer reports a renamed or removed function as an absent metric
-rather than failing, so a refactor could silently blank benchmark metrics;
-these checks make such a change fail here instead.
+rather than failing, so a refactor could silently blank benchmark metrics,
+and a removed parameter would fail every benchmark run; these checks make
+such a change fail here instead.
 """
 
+import ast
 import importlib
 import inspect
 import pathlib
@@ -14,7 +17,8 @@ import pytest
 
 import spinbath as sb
 
-SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+SPANS = BENCH / "spans.py"
 
 
 @pytest.fixture(scope="module")
@@ -78,3 +82,25 @@ def test_tracer_counts_the_nodes_of_the_weighted_integrand(spans, monkeypatch):
     assert len(records) == tracer.quad["calls"] > 0
     assert tracer.quad["nodes"] == sum(records) > 0
     assert tracer.quad_by_caller["bath_correlations"]["nodes"] == sum(records)
+
+
+def test_benchmark_library_calls_bind():
+    # every sb.<name>(...) call of the workloads, bound by its argument
+    # count and keyword names; the file is parsed, not imported
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name)
+             and node.func.value.id == "sb"]
+    assert {"default_time_horizon", "run_oracle_schedule", "TruncationSpec",
+            "lso_finite"} <= {call.func.attr for call in calls}
+    for call in calls:
+        assert not any(isinstance(a, ast.Starred) for a in call.args)
+        assert all(k.arg is not None for k in call.keywords)
+        signature = inspect.signature(getattr(sb, call.func.attr))
+        try:
+            signature.bind(*call.args, **{k.arg: k.value for k in call.keywords})
+        except TypeError as exc:
+            pytest.fail("bench/workloads.py:%d sb.%s: %s"
+                        % (call.lineno, call.func.attr, exc))

@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import spinbath as sb
-from spinbath import bath_correlations, cli, constants_ledger, relaxation
+from spinbath import bath_correlations, cli, constants_ledger
 from spinbath.cli import _build_parser, main
 
 BASE = {
@@ -192,7 +192,7 @@ def test_threshold_refuses_missing_user_inputs_before_computing(
         raise AssertionError("threshold computed before checking its inputs")
 
     monkeypatch.setattr(cli, "tabulate_kernels", computed)
-    monkeypatch.setattr(relaxation, "tabulate_kernels", computed)
+    monkeypatch.setattr(cli, "default_time_horizon", computed)
     monkeypatch.setattr(constants_ledger, "coupling_function", computed)
     out = tmp_path / "out"
     assert main(["threshold", "--config", _config(tmp_path, updates),
@@ -287,9 +287,26 @@ def _cache_listing(out_dir):
     return {p.name: p.stat().st_mtime_ns for p in cache.iterdir()}
 
 
+def test_cold_rate_caches_only_its_table(tmp_path):
+    # with kernels.t_max unset, the horizon reads pointwise Q2 and caches
+    # nothing: the cache holds the command's one table
+    cfg = _config(tmp_path)
+    assert sb.load_config(cfg).kernels.t_max is None
+    out = tmp_path / "out"
+    assert main(["rate", "--config", cfg, "--out", str(out)]) == 0
+    files = sorted(_cache_listing(out))
+    assert [f.rsplit(".", 1)[1] for f in files] == ["json", "npy"]
+    assert files[0].rsplit(".", 1)[0] == files[1].rsplit(".", 1)[0]
+    assert np.load(out / "cache" / files[1]).shape == (200, 7)
+
+
+def _no_tabulation(*args, **kwargs):
+    raise AssertionError("a kernel table was computed on a warm cache")
+
+
 def test_lso_after_rate_reads_only_the_cache(tmp_path, monkeypatch):
-    # with kernels.t_max unset, the horizon probes are cached as well as the
-    # table, so the second command of a config tabulates nothing
+    # the second command of a config reads the first one's table; only a
+    # table that missed the cache builds its time grid
     cfg = _config(tmp_path)
     assert sb.load_config(cfg).kernels.t_max is None
     out = tmp_path / "out"
@@ -297,17 +314,14 @@ def test_lso_after_rate_reads_only_the_cache(tmp_path, monkeypatch):
     before = _cache_listing(out)
     assert before
 
-    def no_quadrature(*args, **kwargs):
-        raise AssertionError("kernel quadrature ran on a warm cache")
-
-    monkeypatch.setattr(bath_correlations, "_evaluate", no_quadrature)
+    monkeypatch.setattr(bath_correlations, "_time_grid", _no_tabulation)
     assert main(["lso", "--config", cfg, "--out", str(out)]) == 0
     assert _cache_listing(out) == before
 
 
 def test_threshold_after_oracle_reads_only_the_cache(tmp_path, monkeypatch):
     # with the default kernels section, oracle tabulates the same 400-point
-    # table (and horizon probes) that threshold needs for tau0
+    # table that threshold needs for tau0
     raw = {"bath": dict(BASE["bath"], **SMOOTH_BATH["bath"]),
            "oracle": {"n_max": 1, "u_max": 3.0,
                       "schedule": [[1, 0.4], [2, 0.2], [3, 0.1]]},
@@ -319,10 +333,7 @@ def test_threshold_after_oracle_reads_only_the_cache(tmp_path, monkeypatch):
     assert main(["oracle", "--config", str(cfg), "--out", str(warm)]) == 0
     before = _cache_listing(warm)
 
-    def no_quadrature(*args, **kwargs):
-        raise AssertionError("kernel quadrature ran on a warm cache")
-
-    monkeypatch.setattr(bath_correlations, "integrate_refining", no_quadrature)
+    monkeypatch.setattr(bath_correlations, "_time_grid", _no_tabulation)
     assert main(["threshold", "--config", str(cfg), "--out", str(warm)]) == 0
     assert _cache_listing(warm) == before
     report = _read_json(warm, "threshold.json")
@@ -346,18 +357,6 @@ def test_threshold_reads_tau0_from_the_rate_table(tmp_path):
     tau0 = _read_json(out, "threshold.json")["inputs_used"]["tau0"]
     assert tau0 == {"value": 1.0 / _read_json(out, "rate.json")["tau0_inv"],
                     "provenance": "computed"}
-
-
-def test_horizon_through_cache_is_exact(tmp_path):
-    spec = sb.load_config(_config(tmp_path)).bath
-    cache = tmp_path / "cache"
-    plain = sb.default_time_horizon(spec)
-    cold = sb.default_time_horizon(spec, cache_dir=str(cache))
-    files = sorted(cache.iterdir())
-    assert files
-    warm = sb.default_time_horizon(spec, cache_dir=str(cache))
-    assert cold == plain and warm == plain
-    assert sorted(cache.iterdir()) == files
 
 
 # --- argument handling ----------------------------------------------------------

@@ -242,6 +242,60 @@ def test_default_time_horizon_decays(ohmic_setup):
     assert a * table.q2[-1] >= -np.log(1e-12)
 
 
+# Horizons of the benchmark's baths, as the 64-point probe tables chose them.
+# Ohmic p -0.5 grid, (cutoff, beta) -> rows eps 0.25, 0.5, 1 by q0 0.5, 1, 2:
+GRID_HORIZONS = {
+    ("exponential", 0.5): ((32, 32, 32), (16, 16, 16), (8, 8, 8)),
+    ("exponential", 1.0): ((32, 32, 32), (16, 16, 16), (16, 8, 8)),
+    ("exponential", 2.0): ((32, 32, 32), (16, 16, 16), (16, 16, 16)),
+    ("gaussian", 0.5): ((32, 32, 32), (16, 16, 16), (8, 8, 8)),
+    ("gaussian", 1.0): ((32, 32, 32), (16, 16, 16), (8, 8, 8)),
+    ("gaussian", 2.0): ((32, 32, 32), (16, 16, 16), (16, 16, 16)),
+}
+
+
+def _pinned_horizons():
+    for (cutoff, beta), rows in GRID_HORIZONS.items():
+        for eps, row in zip((0.25, 0.5, 1.0), rows):
+            for q0, T in zip((0.5, 1.0, 2.0), row):
+                yield _spec(beta, eps, 0.2, q0, sb.power_exp(-0.5, cutoff)), T
+    for q0 in (0.5, 1.0, 1.5, 2.0):
+        yield _spec(1.0, 1.0, 0.1, q0, SUPEROHMIC), 8.0
+    oracle = sb.standard_oracle_bath()
+    yield oracle, 32.0
+    for beta, T in ((1.0, 8.0), (2.0, 16.0)):
+        yield sb.BathSpec(beta=beta, eps=1.0, delta=oracle.delta, q0=oracle.q0,
+                          h=oracle.h), T
+
+
+def test_default_time_horizon_is_pinned():
+    pinned = list(_pinned_horizons())
+    assert len(pinned) == 61
+    for spec, T in pinned:
+        assert sb.default_time_horizon(spec) == T, spec
+
+
+def test_default_time_horizon_tabulates_nothing(monkeypatch):
+    def tabulated(*args, **kwargs):
+        raise AssertionError("the horizon built a kernel table")
+
+    monkeypatch.setattr(bath_correlations, "_time_grid", tabulated)
+    assert sb.default_time_horizon(_spec(beta=1.0, eps=1.0, q0=0.5)) == 16.0
+
+
+def test_default_time_horizon_refuses_what_tabulate_refuses():
+    grid = np.linspace(0.0, 3.0, 301)
+    values = np.zeros_like(grid)
+    values[1:] = grid[1:] ** -0.75 * np.exp(-grid[1:])
+    spec = _spec(h=sb.tabulated(grid, values))
+    with pytest.raises(sb.InfraredError):
+        sb.tabulate_kernels(spec, 5.0, 16)
+    with pytest.raises(sb.InfraredError):
+        sb.default_time_horizon(spec)
+    with pytest.raises(sb.DivergentIntegralError):
+        sb.default_time_horizon(_spec(q0=0.0))
+
+
 # --- the not-a-knot spline against scipy's CubicSpline ---------------------------
 
 def _assert_spline_is_scipys(x, y):

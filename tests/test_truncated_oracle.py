@@ -38,27 +38,6 @@ def test_truncation_spec_validation():
         sb.TruncationSpec(m_pos=2, u_max=0.0, n_max=3, eta=0.1)
     with pytest.raises(sb.ConfigurationError):
         sb.TruncationSpec(m_pos=2, u_max=3.0, n_max=3, eta=-0.1)
-    with pytest.raises(sb.ConfigurationError):
-        sb.TruncationSpec(m_pos=2, u_max=3.0, n_max=3, eta=0.1, budget=2.0)
-
-
-def test_budget_rejects_oversized_with_suggestions():
-    with pytest.raises(sb.ConfigurationError) as exc:
-        sb.TruncationSpec(m_pos=4, u_max=3.0, n_max=3, eta=0.1)
-    msg = str(exc.value)
-    assert "m_pos <= 3" in msg
-    assert "n_max <= 2" in msg
-
-
-def test_budget_checked_without_overflow():
-    with pytest.raises(sb.ConfigurationError):
-        sb.TruncationSpec(m_pos=200, u_max=3.0, n_max=50, eta=0.1)
-
-
-def test_budget_inf_admits_virtual_sizes():
-    trunc = sb.TruncationSpec(m_pos=6, u_max=3.0, n_max=9, eta=0.1,
-                              budget=np.inf)
-    assert trunc.bath_dim == 10 ** 12
 
 
 def test_bath_dim_matches_layout():
@@ -85,7 +64,7 @@ def test_discretize_norm_identity_at_documented_resolution():
     spec = sb.standard_oracle_bath()
     f_beta = sb.coupling_function(spec)
     trunc = sb.TruncationSpec(m_pos=8, u_max=12.0 / spec.beta, n_max=3,
-                              eta=0.1, budget=np.inf)
+                              eta=0.1)
     bath = sb.discretize(f_beta, trunc)
     target = 4.0 * f_beta.norm_sq()
     assert np.sum(np.abs(bath.amps) ** 2) == pytest.approx(target, rel=0.02)
@@ -96,8 +75,7 @@ def test_discretize_norm_error_halves_with_m_pos():
     target = 4.0 * f_beta.norm_sq()
     errs = []
     for m in (8, 16, 32):
-        trunc = sb.TruncationSpec(m_pos=m, u_max=8.0, n_max=1, eta=0.1,
-                                  budget=np.inf)
+        trunc = sb.TruncationSpec(m_pos=m, u_max=8.0, n_max=1, eta=0.1)
         bath = sb.discretize(f_beta, trunc)
         errs.append(abs(np.sum(np.abs(bath.amps) ** 2) - target) / target)
     assert errs[1] <= 0.5 * errs[0]
@@ -125,8 +103,7 @@ def wide_glue():
 @given(m_pos=st.integers(min_value=1, max_value=8),
        u_max=st.floats(min_value=1.0, max_value=20.0))
 def test_discretize_layout_properties(wide_glue, m_pos, u_max):
-    trunc = sb.TruncationSpec(m_pos=m_pos, u_max=u_max, n_max=1, eta=0.1,
-                              budget=np.inf)
+    trunc = sb.TruncationSpec(m_pos=m_pos, u_max=u_max, n_max=1, eta=0.1)
     bath = sb.discretize(wide_glue, trunc)
     assert np.array_equal(bath.freqs, -bath.freqs[::-1])
     assert np.all(np.isfinite(bath.amps))
@@ -240,8 +217,7 @@ def test_model_stores_no_dense_matrix(small_model):
 
 
 def test_model_past_the_cap_stores_only_its_factors():
-    trunc = sb.TruncationSpec(m_pos=6, u_max=3.0, n_max=2, eta=0.1,
-                              budget=np.inf)
+    trunc = sb.TruncationSpec(m_pos=6, u_max=3.0, n_max=2, eta=0.1)
     model = _build(trunc=trunc)
     assert not model.materialized
     assert model.weyl.shape == (8, 12, 3, 3)
@@ -356,7 +332,7 @@ def test_shared_phase_pairings_match_direct_phase_sum():
     spec = sb.standard_oracle_bath()
     m_pos, eta = truncated_oracle._ORACLE_SCHEDULE[0]
     n_max = 3
-    trunc = sb.TruncationSpec(m_pos, 12.0 / spec.beta, n_max, eta, budget=np.inf)
+    trunc = sb.TruncationSpec(m_pos, 12.0 / spec.beta, n_max, eta)
     model = sb.build_model(sb.discretize(sb.coupling_function(spec), trunc), spec, trunc)
     bath = model.bath
     c = bath.amps
@@ -387,7 +363,7 @@ RUNG_SET_PAIRS = [(1, 1), (3, 3), (0, 0), (2, 2), (1, 2), (3, 0), (0, 3), (2, 1)
 def _rung_model(rung):
     spec = sb.standard_oracle_bath()
     m_pos, eta = truncated_oracle._ORACLE_SCHEDULE[rung]
-    trunc = sb.TruncationSpec(m_pos, 12.0 / spec.beta, 3, eta, budget=np.inf)
+    trunc = sb.TruncationSpec(m_pos, 12.0 / spec.beta, 3, eta)
     return sb.build_model(sb.discretize(sb.coupling_function(spec), trunc),
                           spec, trunc)
 
@@ -548,8 +524,7 @@ def test_lso_rejects_bad_eta(small_model):
 
 
 def test_virtual_model_supports_only_lso():
-    trunc = sb.TruncationSpec(m_pos=6, u_max=3.0, n_max=2, eta=0.1,
-                              budget=np.inf)
+    trunc = sb.TruncationSpec(m_pos=6, u_max=3.0, n_max=2, eta=0.1)
     model = _build(trunc=trunc)
     assert not model.materialized
     with pytest.raises(sb.ConfigurationError):
