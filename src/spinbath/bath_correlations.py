@@ -1,6 +1,8 @@
 """Bath kernels Q1(t), Q2(t), Qz(t): evaluation, tabulation, caching.
 
 All kernels exclude the q0^2/pi prefactor; consumers apply it explicitly.
+Each entry point takes a BathSpec, which carries its beta, or an injected
+JSource with beta= (q1 needs none); beta= beside a BathSpec is a UsageError.
 The Qz integrand uses the combined form
 
     J(w)/w^2 * [tanh(beta w/4) + 2 sin^2(w t/2) / sinh(beta w/2)]
@@ -159,6 +161,16 @@ def _as_source(spec_or_source: Union[BathSpec, JSource]) -> JSource:
     if isinstance(spec_or_source, BathSpec):
         return j_source_from_spec(spec_or_source)
     raise UsageError("expected a BathSpec or a JSource, got %r" % (spec_or_source,))
+
+
+def _own_beta(spec_or_source, beta: Optional[float], what: str) -> Optional[float]:
+    """A BathSpec's beta, or the beta= given beside an injected JSource."""
+    if isinstance(spec_or_source, BathSpec):
+        if beta is not None:
+            raise UsageError("%s takes beta= only with an injected JSource; the "
+                             "BathSpec carries beta=%g" % (what, spec_or_source.beta))
+        return spec_or_source.beta
+    return beta
 
 
 def _require_ir(exponent: float, minimum: float, kernel: str) -> None:
@@ -411,11 +423,11 @@ def _evaluate_shared(source: JSource, beta: float, ts: np.ndarray,
 def _single(spec_or_source, t, beta, tol, which, kernel, ir_min):
     if t < 0.0:
         raise DomainError("t must be nonnegative")
+    own = _own_beta(spec_or_source, beta, kernel)
     source = _as_source(spec_or_source)
     _require_ir(source.ir_exponent, ir_min, kernel)
     if which != "q1":
-        if isinstance(spec_or_source, BathSpec):
-            beta = spec_or_source.beta
+        beta = own
         if beta is None:
             raise UsageError("%s with an injected JSource needs beta" % kernel)
     if t == 0.0 and which in ("q1", "q2"):
@@ -460,9 +472,8 @@ def c2_saturation(spec: Union[BathSpec, JSource], *,
     geometric head of the panels, which deepens as the exponent nears 2,
     reaches frequencies whose square underflows to 0.
     """
+    beta = _own_beta(spec, beta, "c2_saturation")
     source = _as_source(spec)
-    if isinstance(spec, BathSpec):
-        beta = spec.beta
     if beta is None:
         raise UsageError("c2_saturation with an injected JSource needs beta")
     if not source.ir_exponent > 2.05:
@@ -620,9 +631,12 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
     cache_dir set, results are stored as .npy plus a JSON sidecar, keyed by a
     content hash of the numerics version, the bath and grid parameters, and
     written atomically; an entry that fails its load check is recomputed
-    and rewritten.  A hit builds no JSource, so it skips the support probe;
-    hit or miss, the infrared exponent is fitted once.
+    and rewritten.  A miss returns the table it computed and stored (.npy
+    round-trips exactly), without reading it back.  A hit builds no
+    JSource, so it skips the support probe; hit or miss, the infrared
+    exponent is fitted once.
     """
+    beta = _own_beta(spec, beta, "tabulate_kernels")
     cache_key = None
     if cache_dir is not None and isinstance(spec, BathSpec):
         cache_key = _cache_key(spec, t_max, n, tol)
@@ -633,8 +647,6 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
 
     source = _as_source(spec)
     require_tabulable(source.ir_exponent)
-    if isinstance(spec, BathSpec):
-        beta = spec.beta
     if beta is None:
         raise UsageError("tabulate_kernels with an injected JSource needs beta")
 
@@ -674,7 +686,4 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
     if cache_key is not None:
         os.makedirs(cache_dir, exist_ok=True)
         _save_table(cache_dir, cache_key, spec, t_max, n, tol, table)
-        loaded = _load_table(cache_dir, cache_key, t_max, n, tol)
-        if loaded is not None:
-            return loaded
     return table

@@ -193,8 +193,10 @@ def cmd_sweep(config: RunConfig, out_dir: str, jobs: int = 1) -> int:
     tasks = [(dataclasses.replace(
                   config, bath=dataclasses.replace(config.bath, **{param: v})),
               out_dir) for v in config.sweep.values]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork pool starts all its workers up front: no more than there are points
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, tasks))
     else:
         results = [_sweep_point(t) for t in tasks]

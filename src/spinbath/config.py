@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -111,6 +112,9 @@ def _number(node: dict, key: str, path: str, default=None, required=False):
         return default
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError("%s.%s: expected a number, got %r"
+                                 % (path, key, value))
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigurationError("%s.%s: expected a finite number, got %r"
                                  % (path, key, value))
     return float(value)
 

@@ -306,6 +306,11 @@ def _refined_values(f, beta: float, base: GridSpec, alpha: float, ks) -> list:
     return values
 
 
+def _require_alpha(alpha: float) -> None:
+    if not (np.isfinite(alpha) and alpha >= 0):
+        raise DomainError("alpha must be finite and nonnegative, got %r" % (alpha,))
+
+
 def regularity_norm(g: GluedFunction, alpha: float) -> Tuple[float, bool]:
     """Sobolev norm of order alpha, || (1 + xi^2)^{alpha/2} g_hat ||_L2.
 
@@ -314,8 +319,7 @@ def regularity_norm(g: GluedFunction, alpha: float) -> Tuple[float, bool]:
     function the refinement re-glues it; otherwise a decimated inner-half
     evaluation stands in for the coarse value.
     """
-    if alpha < 0:
-        raise DomainError("alpha must be nonnegative")
+    _require_alpha(alpha)
     value = _fourier_weighted_value(g.grid, g.values, alpha, g.angular_factor)
     if g.source is not None and g.beta is not None:
         u_max = float(g.grid[-1] + 0.5 * _uniform_step(g.grid))
@@ -362,8 +366,9 @@ def check_condition_A(spec: BathSpec, alpha: float):
     "inconclusive"}.  The norm is recomputed on a ladder of refined grids
     (u_max doubled, step halved per rung); stability within 1% is a pass,
     persistent growth is a fail, anything else within the refinement budget
-    is inconclusive.
+    is inconclusive.  alpha must be finite and nonnegative.
     """
+    _require_alpha(alpha)
     h = spec.h
 
     def f(u):

@@ -20,15 +20,15 @@ also holds the free generator L0 as a vector-sized diagonal, so the KMS
 vector (scipy's expm_multiply on the apply), the unitary-equivalence and
 Weyl checks and the exact level-shift resolvent run on it, and dense
 matrices of the operators are built on first access, for tests.  Past the
-cap the level-shift matrix is a per-mode factorized time integral that
-agrees with the resolvent up to quadrature tolerance.
+cap the level-shift matrix is a per-mode factorized time integral, one
+quadrature over its eight resolvent pairings, that agrees with the
+resolvent up to quadrature tolerance.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -403,9 +403,8 @@ class _RungPhases:
     pairing k.  Pairings with equal coefficients share one sum: the
     truncated field is off-diagonal in the occupation basis, so W_j(-z)
     Omega = (-1)^N W_j(z) Omega, and the 8 pairings of a rung have 4
-    distinct coefficient sets.  The pairings of a rung share their panel
-    edges, so each node set is evaluated once for all of them, and the
-    damping factor exp(-(eta + i s) tau) once per (s, node set).
+    distinct coefficient sets, the rows of _evaluate; row[k] is the row of
+    pairing k.
 
     The phases come from the mode grid of discretize, midpoints
     +-(k + 1/2) step with freqs[2m-1-j] == -freqs[j]; the constructor
@@ -437,7 +436,7 @@ class _RungPhases:
         pairs, row = np.unique(np.conj(vacua[a]) * vacua[b], axis=0,
                                return_inverse=True)
         self.pairs = pairs
-        self._row = row.reshape(-1)
+        self.row = row.reshape(-1)
         self.freqs = freqs
         self._step = step
         # per positive mode k, the coefficients of mode m + k stacked on the
@@ -446,24 +445,6 @@ class _RungPhases:
         self._coef = np.ascontiguousarray(np.concatenate(
             [pairs[:, m:], np.conj(pairs[:, m - 1::-1])], axis=0
         ).transpose(1, 0, 2))
-        self._sums = {}
-
-    def _entry(self, tau: np.ndarray):
-        hit = self._sums.get(tau.size)
-        if hit is None or not np.array_equal(hit[0], tau):
-            hit = self._sums[tau.size] = (tau.copy(), self._evaluate(tau), {})
-        return hit
-
-    def __call__(self, tau: np.ndarray, k: int) -> np.ndarray:
-        """F_k(tau) of pairing k."""
-        return self._entry(tau)[1][self._row[k]]
-
-    def damping(self, tau: np.ndarray, rate: complex) -> np.ndarray:
-        """exp(-rate tau), kept with the node set's phase sums."""
-        damp = self._entry(tau)[2]
-        if rate not in damp:
-            damp[rate] = _damping(rate, tau)
-        return damp[rate]
 
     def _evaluate(self, tau: np.ndarray) -> np.ndarray:
         n_sets = len(self.pairs)
@@ -496,57 +477,62 @@ class _RungPhases:
         return F
 
 
-def _damping(rate: complex, tau: np.ndarray) -> np.ndarray:
-    return np.exp(-rate * tau)
+def _rung_pairings(model: FiniteModel, eta: float) -> list:
+    """The 8 resolvent pairings of a rung, in the order l00, l11, l01, l10.
 
-
-def _resolvent_pairing(s: float, avec: np.ndarray, bvec: np.ndarray,
-                       bath: DiscretizedBath, eta: float,
-                       phase_sum: Callable[[np.ndarray], np.ndarray],
-                       damping: Callable[[np.ndarray], np.ndarray]) -> complex:
-    """<W(a)Omega, (dGamma - s - i eta)^{-1} W(b)Omega> by time integration.
-
-    phase_sum(tau) is <W(a)Omega, exp(-i dGamma tau) W(b)Omega>, the
-    product over modes of the per-mode phase sums.  damping(tau) is the
-    factor exp(-(eta + i s) tau) on the same nodes; the pairings of a rung
-    pass one that is computed once per (s, node set) and shared.
+    Pairing k is <W(a)Omega, (dGamma - s - i eta)^{-1} W(b)Omega>, the time
+    integral i int_0^inf exp(-(eta + i s) tau) F_k(tau) dtau over the phase
+    sums F_k of _RungPhases.  One integrate_refining call takes all 8: its
+    integrand evaluates the phase sums once per node set and the damping
+    exp(-(eta + i s) tau) once per distinct rate, and returns one (re, im)
+    group per pairing, so the stop rule holds for each pairing against its
+    own size.  The panels come from the largest characteristic frequency
+    of the pairings, which agree to rounding (every pairing has the same
+    |s| and the same mirrored mode weights).  The node set is refined until
+    every pairing meets the rule, so a pairing that alone would have
+    stopped a pass earlier takes its value from a finer pass, within its
+    own tolerance.
     """
-    tau_max = _TAU_DECADES / eta
-    w_char = abs(s) + eta + 0.5 * float(
-        np.sum(np.abs(bath.freqs) * (np.abs(avec) ** 2 + np.abs(bvec) ** 2)))
-    n_pan = int(min(max(8, np.ceil(tau_max * w_char / 1.5)),
-                    _TAU_NODE_CAP // (2 * _TAU_ORDER)))
-    max_refine = max(1, int(np.log2(max(2.0, _TAU_NODE_CAP / (n_pan * _TAU_ORDER)))))
-
-    def f(tau, w):
-        g = 1j * damping(tau) * phase_sum(tau)
-        return np.array([np.sum(g.real * w), np.sum(g.imag * w)])
-
-    edges = np.linspace(0.0, tau_max, n_pan + 1)
-    res = integrate_refining(f, edges, order=_TAU_ORDER, rtol=1e-9,
-                             max_refine=max_refine, floor=1e-3)
-    value = complex(res.values[0], res.values[1])
-    if not res.converged:
-        raise AccuracyError("resolvent pairing at s=%g did not converge after "
-                            "%d doublings" % (s, res.passes), partial=value,
-                            err=float(np.max(res.errors)))
-    return value
-
-
-def _lso_virtual(model: FiniteModel, eta: float) -> np.ndarray:
     amps = _amplitude_sets(model.bath.amps)
     eps = model.spec.eps
-    # (s, a, b) of the pairings <W(amps[a])Omega, (dGamma - s - i eta)^{-1}
-    # W(amps[b])Omega> over the sets c, -c, ct, -ct, two per entry of the 2x2
-    # matrix, in the order l00, l11, l01, l10
+    # (s, a, b) of the pairings over the sets c, -c, ct, -ct, two per entry
+    # of the 2x2 matrix
     pairings = ((-eps, 1, 1), (eps, 3, 3), (eps, 0, 0), (-eps, 2, 2),
                 (-eps, 1, 2), (eps, 3, 0), (eps, 0, 3), (-eps, 2, 1))
     phases = _RungPhases(model.bath.freqs, model.weyl[:4, :, :, 0],
                          [(a, b) for _, a, b in pairings])
-    r = [_resolvent_pairing(s, amps[a], amps[b], model.bath, eta,
-                            functools.partial(phases, k=k),
-                            functools.partial(phases.damping, rate=eta + 1j * s))
-         for k, (s, a, b) in enumerate(pairings)]
+    freqs = np.abs(model.bath.freqs)
+    tau_max = _TAU_DECADES / eta
+    w_char = max(abs(s) + eta + 0.5 * float(
+        np.sum(freqs * (np.abs(amps[a]) ** 2 + np.abs(amps[b]) ** 2)))
+        for s, a, b in pairings)
+    n_pan = int(min(max(8, np.ceil(tau_max * w_char / 1.5)),
+                    _TAU_NODE_CAP // (2 * _TAU_ORDER)))
+    max_refine = max(1, int(np.log2(max(2.0, _TAU_NODE_CAP / (n_pan * _TAU_ORDER)))))
+    rates = [eta + 1j * s for s, _, _ in pairings]
+
+    def f(tau, w):
+        F = phases._evaluate(tau)
+        damping = {rate: np.exp(-rate * tau) for rate in dict.fromkeys(rates)}
+        out = np.empty((len(pairings), 2))
+        for k, rate in enumerate(rates):
+            g = 1j * damping[rate] * F[phases.row[k]]
+            out[k] = np.sum(g.real * w), np.sum(g.imag * w)
+        return out
+
+    edges = np.linspace(0.0, tau_max, n_pan + 1)
+    res = integrate_refining(f, edges, order=_TAU_ORDER, rtol=1e-9,
+                             max_refine=max_refine, floor=1e-3)
+    values = [complex(re, im) for re, im in res.values]
+    if not res.converged:
+        raise AccuracyError("resolvent pairings at s=+-%g did not converge "
+                            "after %d doublings" % (eps, res.passes),
+                            partial=values, err=float(np.max(res.errors)))
+    return values
+
+
+def _lso_virtual(model: FiniteModel, eta: float) -> np.ndarray:
+    r = _rung_pairings(model, eta)
     l00 = 0.25 * (r[0] + r[1])
     l11 = 0.25 * (r[2] + r[3])
     l01 = -0.25 * (r[4] + r[5])

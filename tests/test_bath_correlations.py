@@ -249,6 +249,44 @@ def test_tabulate_cache_round_trip(tmp_path):
     assert first.tail == second.tail
 
 
+def test_tabulate_cache_miss_returns_its_table_unread(tmp_path, monkeypatch):
+    spec = _spec(p=1.0, beta=2.0)
+    reads = []
+    read_entry = bath_correlations._read_entry
+    monkeypatch.setattr(bath_correlations, "_read_entry",
+                        lambda *args: reads.append(args) or read_entry(*args))
+    cold = sb.tabulate_kernels(spec, 5.0, 16, cache_dir=str(tmp_path))
+    assert reads == []
+    warm = sb.tabulate_kernels(spec, 5.0, 16, cache_dir=str(tmp_path))
+    assert len(reads) == 1
+    for name in ("t_grid", "q1", "q2", "qz", "err_est"):
+        assert np.array_equal(getattr(cold, name), getattr(warm, name))
+    assert cold.tail == warm.tail and cold.converged is warm.converged
+    for tail in (cold.tail, warm.tail):
+        assert type(tail.q2_slope) is float and type(tail.c2_inf) is float
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec: sb.q1(spec, 1.0, beta=3.0),
+    lambda spec: sb.q2(spec, 1.0, beta=3.0),
+    lambda spec: sb.qz(spec, 1.0, beta=3.0),
+    lambda spec: sb.c2_saturation(spec, beta=3.0),
+    lambda spec: sb.tabulate_kernels(spec, 5.0, 16, beta=3.0),
+], ids=["q1", "q2", "qz", "c2_saturation", "tabulate_kernels"])
+def test_beta_beside_a_bath_spec_is_refused(call, monkeypatch):
+    # a BathSpec carries its own beta; refused before any quadrature runs
+    monkeypatch.setattr(bath_correlations, "integrate_refining", _no_quadrature)
+    with pytest.raises(sb.UsageError, match="beta= only with an injected JSource"):
+        call(_spec(p=3.0, beta=1.0))
+
+
+def test_beta_beside_a_bath_spec_is_refused_on_a_cache_hit(tmp_path):
+    spec = _spec(p=1.0, beta=2.0)
+    sb.tabulate_kernels(spec, 5.0, 16, cache_dir=str(tmp_path))
+    with pytest.raises(sb.UsageError, match="beta="):
+        sb.tabulate_kernels(spec, 5.0, 16, beta=2.0, cache_dir=str(tmp_path))
+
+
 def test_tabulate_cache_distinguishes_specs(tmp_path):
     cache = str(tmp_path)
     sb.tabulate_kernels(_spec(p=1.0), 5.0, 8, cache_dir=cache)

@@ -132,6 +132,16 @@ def test_regularity_verdict_exit_codes(tmp_path):
     assert report["alpha"] == 2.2
 
 
+@pytest.mark.parametrize("alpha", ["-1", "nan", "inf"])
+def test_regularity_refuses_bad_alpha(tmp_path, capsys, alpha):
+    smooth = _config(tmp_path, SMOOTH_BATH)
+    out = tmp_path / "out"
+    assert main(["regularity", "--config", smooth, "--out", str(out),
+                 "--", alpha]) == 1
+    assert "alpha" in capsys.readouterr().err
+    assert not (out / "regularity.json").exists()
+
+
 def test_regularity_positional_alpha(tmp_path):
     smooth = _config(tmp_path, {"bath": {"h": {"family": "power_exp",
                                                "p": 3.5,
@@ -276,6 +286,38 @@ def test_sweep_requires_section(tmp_path, capsys):
     assert main(["sweep", "--config", cfg,
                  "--out", str(tmp_path / "out")]) == 1
     assert "sweep" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs, n_points, pools",
+                         [(64, 4, [4]), (2, 4, [2]), (4, 1, []), (1, 4, [])])
+def test_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch, jobs,
+                                                  n_points, pools):
+    # a fork pool starts all its workers up front; a stand-in pool records
+    # its size and maps in-process, so no real worker is started
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(cli, "_sweep_point", lambda task: (1.0, 1.0, 0.5, 0.0))
+    values = [0.5 * (k + 1) for k in range(n_points)]
+    cfg = _config(tmp_path, {"sweep": {"param_name": "q0", "values": values}})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--jobs", str(jobs),
+                 "--out", str(out)]) == 0
+    assert sizes == pools
+    assert [row["value"] for row in _read_json(out, "sweep.json")["rows"]] == values
 
 
 # --- kernel cache ---------------------------------------------------------------

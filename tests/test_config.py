@@ -68,6 +68,34 @@ def test_field_validation_messages_carry_paths():
         parse_config(_raw(oracle={"eta": 0.05}))
 
 
+@pytest.mark.parametrize("section, key", [
+    ("kernels", "t_max"), ("kernels", "tol"), ("lso", "tol"), ("bath", "beta"),
+    ("bath", "eps"), ("bath", "q0"), ("oracle", "u_max"), ("constants", "alpha"),
+    ("constants", "c5")])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 10 ** 400])
+def test_non_finite_numbers_rejected_with_path(section, key, value):
+    raw = _raw()
+    raw.setdefault(section, {})[key] = value
+    with pytest.raises(sb.ConfigurationError,
+                       match=r"%s\.%s: expected a finite number" % (section, key)):
+        parse_config(raw)
+
+
+def test_non_finite_form_factor_numbers_rejected_with_path():
+    raw = _raw()
+    raw["bath"]["h"] = dict(raw["bath"]["h"], p=np.nan)
+    with pytest.raises(sb.ConfigurationError, match=r"bath\.h\.p: expected a finite"):
+        parse_config(raw)
+
+
+def test_yaml_inf_and_nan_spellings_rejected(tmp_path):
+    for text in ("kernels: {t_max: .inf}", "kernels: {tol: .nan}"):
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(MINIMAL) + text + "\n")
+        with pytest.raises(sb.ConfigurationError, match="kernels.t_max|kernels.tol"):
+            sb.load_config(str(path))
+
+
 def test_bath_requires_all_fields():
     raw = _raw()
     del raw["bath"]["h"]

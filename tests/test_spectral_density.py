@@ -234,6 +234,14 @@ def test_regularity_norm_requires_uniform_grid():
         sb.regularity_norm(bad, 1.0)
 
 
+@pytest.mark.parametrize("alpha", [-1.0, np.nan, np.inf])
+def test_regularity_refuses_bad_alpha(alpha):
+    with pytest.raises(sb.DomainError, match="alpha"):
+        sb.regularity_norm(_glued_ih_over_u(3.5), alpha)
+    with pytest.raises(sb.DomainError, match="alpha"):
+        sb.check_condition_A(_spec_with(sb.power_exp(3.5, "exponential")), alpha)
+
+
 def _spec_with(h):
     return sb.BathSpec(beta=1.0, eps=0.5, delta=0.1, q0=1.0, h=h)
 

@@ -340,16 +340,10 @@ def test_shared_phase_pairings_match_direct_phase_sum():
     eps = spec.eps
     pairings = [(-eps, -c, -c), (eps, -ct, -ct), (eps, c, c), (-eps, ct, ct),
                 (-eps, -c, ct), (eps, -ct, c), (eps, c, -ct), (-eps, ct, -c)]
-    phases = truncated_oracle._RungPhases(
-        bath.freqs, model.weyl[:4, :, :, 0],
-        [(1, 1), (3, 3), (0, 0), (2, 2), (1, 2), (3, 0), (0, 3), (2, 1)])
-    want = []
-    for k, (s, a, b) in enumerate(pairings):
-        got = truncated_oracle._resolvent_pairing(
-            s, a, b, bath, eta, functools.partial(phases, k=k),
-            functools.partial(phases.damping, rate=eta + 1j * s))
-        want.append(_direct_pairing(s, a, b, bath, n_max, eta))
-        assert abs(got - want[-1]) <= 1e-13 * abs(want[-1])
+    got = truncated_oracle._rung_pairings(model, eta)
+    want = [_direct_pairing(s, a, b, bath, n_max, eta) for s, a, b in pairings]
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-13 * abs(w)
     r = want
     lam = np.array([[0.25 * (r[0] + r[1]), -0.25 * (r[4] + r[5])],
                     [-0.25 * (r[6] + r[7]), 0.25 * (r[2] + r[3])]])
@@ -473,16 +467,26 @@ def test_rung_phases_need_the_discretize_grid(first_rung_phases):
             truncated_oracle._RungPhases(bad, vacua, RUNG_SET_PAIRS)
 
 
-def test_rung_pairings_share_one_damping_factor_per_rate(small_model, monkeypatch):
-    _, _, model = small_model
-    calls = []
-    damping = truncated_oracle._damping
-    monkeypatch.setattr(truncated_oracle, "_damping",
-                        lambda rate, tau: calls.append((rate, tau.size))
-                        or damping(rate, tau))
-    sb.lso_finite(model, force_virtual=True)
-    assert len({rate for rate, _ in calls}) == 2
-    assert len(calls) == len(set(calls))
+def test_default_ladder_takes_one_quadrature_per_rung(monkeypatch):
+    calls, node_sets, phase_sums = [], [], []
+    integrate = truncated_oracle.integrate_refining
+    panel_nodes = quadrature.panel_nodes
+    evaluate = truncated_oracle._RungPhases._evaluate
+    monkeypatch.setattr(truncated_oracle._RungPhases, "_evaluate",
+                        lambda self, tau: phase_sums.append(tau.size)
+                        or evaluate(self, tau))
+    monkeypatch.setattr(truncated_oracle, "integrate_refining",
+                        lambda *args, **kwargs: calls.append(1)
+                        or integrate(*args, **kwargs))
+    monkeypatch.setattr(quadrature, "panel_nodes",
+                        lambda *args, **kwargs: node_sets.append(1)
+                        or panel_nodes(*args, **kwargs))
+    sb.run_oracle_schedule()
+    # three rungs, each an initial pass and one doubling
+    assert len(calls) == len(truncated_oracle._ORACLE_SCHEDULE) == 3
+    assert len(node_sets) == 6
+    # the phase sums once per node set, for all 8 pairings
+    assert len(phase_sums) == len(set(phase_sums)) == 6
 
 
 def test_unconverged_pairing_raises(small_model, monkeypatch):
