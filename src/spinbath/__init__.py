@@ -18,7 +18,6 @@ from .errors import (
 from .bath_correlations import (
     JSource,
     KernelTable,
-    TailFit,
     c2_saturation,
     j_source_from_spec,
     q1,

@@ -33,13 +33,17 @@ b_p exp(i t_k w_p) is a chirp-z transform in p (Rabiner, Schafer and Rader,
 k p = (k^2 + p^2 - (k - p)^2) / 2, and the main parts of Q2 and Qz are
 sum(b) - Re C(t_k): well conditioned, as t w >= pi/20 on those rows and
 panels.  The set is refined until every chunk meets the stop rule.
+
+A table is converged or not made: a chunk, or the shared set, that cannot
+meet the stop rule raises AccuracyError, and nothing is cached.  A cache
+entry is one .npy file holding one record: the table, its request
+(t_max, n, tol) and the Q2 plateau c2_inf.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
-import json
 import logging
 import os
 from dataclasses import dataclass, field
@@ -60,8 +64,9 @@ _CHUNK = 8
 # _chirp_sums reshapes by it
 _GAUSS_ORDER = 6
 # Part of every cache key: tables computed under another stop rule or
-# support bound are recomputed, never served.
-_NUMERICS_VERSION = "quad-v4"
+# support bound, or stored in another entry layout, are recomputed, never
+# served.
+_NUMERICS_VERSION = "quad-v4-record"
 
 _log = logging.getLogger(__name__)
 
@@ -82,25 +87,11 @@ class JSource:
     breaks: Optional[np.ndarray] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
-class TailFit:
-    """Large-t asymptotics fitted from a tabulation.
-
-    q2_slope is the linear growth rate of Q2 and c2_inf the saturation value
-    of Q2 (inf unless the infrared exponent exceeds 2, where Q2 stays
-    bounded).
-    """
-
-    q2_slope: float
-    c2_inf: float
-
-
 @dataclass(frozen=True, eq=False)
 class KernelTable:
-    """Kernels on t_grid with per-entry error estimates (columns q1, q2, qz).
-
-    converged is False when some chunk of the tabulation stopped at the
-    refinement limit before meeting the stop rule; err_est then shows where.
+    """Converged kernels on t_grid with per-entry error estimates (columns
+    q1, q2, qz), and the Q2 plateau c2_inf, c2_saturation at the table's tol
+    (inf unless the infrared exponent exceeds 2, where Q2 stays bounded).
     """
 
     t_grid: np.ndarray
@@ -108,8 +99,7 @@ class KernelTable:
     q2: np.ndarray
     qz: np.ndarray
     err_est: np.ndarray
-    tail: TailFit
-    converged: bool
+    c2_inf: float
 
 
 def _thermal_factors(x: np.ndarray):
@@ -527,17 +517,6 @@ def _shared_rows(n: int):
     return (first, stop) if stop > first else (0, 0)
 
 
-def _fit_tail(source: JSource, beta: float, t: np.ndarray, q2v: np.ndarray,
-              tol: float) -> TailFit:
-    sel = t >= 0.999 * (t[-1] / 10.0)
-    if np.count_nonzero(sel) >= 2 and t[-1] > 0.0:
-        slope = float(np.polyfit(t[sel], q2v[sel], 1)[0])
-    else:
-        slope = 0.0
-    return TailFit(q2_slope=max(slope, 0.0),
-                   c2_inf=c2_saturation(source, beta=beta, tol=tol))
-
-
 def _cache_key(spec: BathSpec, t_max: float, n: int, tol: float) -> str:
     canonical = "|".join([_NUMERICS_VERSION, "%.17g" % spec.beta,
                           spec.h.content_key(), "%.17g" % t_max, str(n),
@@ -545,79 +524,66 @@ def _cache_key(spec: BathSpec, t_max: float, n: int, tol: float) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:32]
 
 
-def _save_table(cache_dir: str, key: str, spec: BathSpec, t_max: float, n: int,
-                tol: float, table: KernelTable) -> None:
+def _record_dtype(n: int) -> np.dtype:
+    """The record of a cache entry: the (n, 7) table (t, Q1, Q2, Qz and the
+    three error estimates), its request and the Q2 plateau."""
+    return np.dtype([("table", "<f8", (n, 7)),
+                     ("request", [("t_max", "<f8"), ("n", "<i8"), ("tol", "<f8")]),
+                     ("c2_inf", "<f8")])
+
+
+def _save_table(path: str, t_max: float, n: int, tol: float,
+                table: KernelTable) -> None:
+    columns = np.column_stack([table.t_grid, table.q1, table.q2, table.qz,
+                               table.err_est])
     buf = io.BytesIO()
-    np.save(buf, np.column_stack([table.t_grid, table.q1, table.q2, table.qz,
-                                  table.err_est]))
-    atomic_write(os.path.join(cache_dir, key + ".npy"), buf.getvalue())
-    meta = {
-        "key": key,
-        "beta": spec.beta,
-        "h": spec.h.content_key(),
-        "t_max": t_max,
-        "n": n,
-        "tol": tol,
-        "converged": table.converged,
-        "tail": {"q2_slope": table.tail.q2_slope,
-                 "c2_inf": table.tail.c2_inf},
-    }
-    atomic_write(os.path.join(cache_dir, key + ".json"),
-                 json.dumps(meta, sort_keys=True, indent=1))
+    np.save(buf, np.array((columns, (t_max, n, tol), table.c2_inf),
+                          dtype=_record_dtype(n)))
+    atomic_write(path, buf.getvalue())
 
 
-def _read_entry(npy_path: str, meta_path: str, key: str, t_max: float,
-                n: int, tol: float) -> KernelTable:
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    if meta["key"] != key:
-        raise ValueError("the sidecar names key %s" % meta["key"])
-    if (meta["t_max"], meta["n"], meta["tol"]) != (t_max, n, tol):
-        raise ValueError("it was computed for t_max=%r, n=%r, tol=%r"
-                         % (meta["t_max"], meta["n"], meta["tol"]))
-    with open(npy_path, "rb") as fh:
+def _read_entry(path: str, t_max: float, n: int, tol: float) -> KernelTable:
+    with open(path, "rb") as fh:
         # the .npy format alone: no zip archive, and never a pickle
-        data = np.lib.format.read_array(fh, allow_pickle=False)
-    if not (data.dtype == np.float64 and data.shape == (n, 7)
-            and np.isfinite(data).all()):
-        raise ValueError("its table is not %d rows of 7 finite floats" % n)
-    converged = meta["converged"]
-    if not isinstance(converged, bool):
-        raise ValueError("its converged flag is %r, not a bool" % (converged,))
-    slope, c2_inf = meta["tail"]["q2_slope"], meta["tail"]["c2_inf"]
-    if not (isinstance(slope, float) and np.isfinite(slope) and slope >= 0.0):
-        raise ValueError("its tail q2_slope is %r, not a finite float >= 0"
-                         % (slope,))
-    if not (isinstance(c2_inf, float) and c2_inf > 0.0):
-        raise ValueError("its tail c2_inf is %r, not a float > 0 or inf"
-                         % (c2_inf,))
+        record = np.lib.format.read_array(fh, allow_pickle=False)
+    if not (record.dtype == _record_dtype(n) and record.shape == ()):
+        raise ValueError("it is not one kernel table record of %d rows" % n)
+    request = record["request"].item()
+    if request != (t_max, n, tol):
+        raise ValueError("it was computed for t_max=%r, n=%r, tol=%r" % request)
+    data, c2_inf = record["table"], float(record["c2_inf"])
+    if not (np.isfinite(data).all() and c2_inf > 0.0):
+        raise ValueError("its table is not finite, or its c2_inf %r not > 0"
+                         % c2_inf)
     return KernelTable(t_grid=data[:, 0], q1=data[:, 1], q2=data[:, 2],
-                       qz=data[:, 3], err_est=data[:, 4:7],
-                       tail=TailFit(q2_slope=slope, c2_inf=c2_inf),
-                       converged=converged)
+                       qz=data[:, 3], err_est=data[:, 4:7], c2_inf=c2_inf)
 
 
-def _load_table(cache_dir: str, key: str, t_max: float, n: int,
+def _load_table(path: str, t_max: float, n: int,
                 tol: float) -> Optional[KernelTable]:
-    """The cached table of key, or None when it is absent or does not hold up.
+    """The cached table at path, or None when it is absent or does not hold up.
 
-    An entry holds up when its sidecar names this key and request (t_max, n,
-    tol), its converged flag is a bool, its tail is a finite float
-    q2_slope >= 0 and a float c2_inf > 0 (inf allowed), and its .npy holds
-    an (n, 7) float64 array of finite numbers (never a pickle).  One that
-    does not, or does not parse, is logged as a warning; the caller then
-    recomputes it and rewrites both files.
+    An entry holds up when it is a record of exactly _record_dtype(n) (never
+    a pickle), of this request (t_max, n, tol), whose table is finite and
+    whose c2_inf is > 0 (inf allowed).  One that does not, or does not
+    parse, is logged as a warning; the caller then recomputes and rewrites it.
     """
-    npy_path = os.path.join(cache_dir, key + ".npy")
-    meta_path = os.path.join(cache_dir, key + ".json")
-    if not (os.path.exists(npy_path) and os.path.exists(meta_path)):
+    if not os.path.exists(path):
         return None
     try:
-        return _read_entry(npy_path, meta_path, key, t_max, n, tol)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        return _read_entry(path, t_max, n, tol)
+    except (OSError, ValueError) as exc:
         _log.warning("kernel cache entry %s is unusable (%s); recomputing it",
-                     key, exc)
+                     path, exc)
         return None
+
+
+def _raise_unconverged(res, ts: np.ndarray) -> None:
+    if not res.converged:
+        raise AccuracyError(
+            "kernel table did not converge on t in [%g, %g] after %d doublings"
+            % (ts[0], ts[-1], res.passes),
+            partial=res.values, err=float(np.max(res.errors)))
 
 
 def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
@@ -626,21 +592,22 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
     """Tabulate all three kernels on a geometric-then-linear t grid.
 
     The degenerate call (n <= 1 or t_max = 0) returns a single zeroed row
-    without running any quadrature.  The table's converged flag is False if
-    any chunk stopped at the refinement limit; consumers check it.  With
-    cache_dir set, results are stored as .npy plus a JSON sidecar, keyed by a
-    content hash of the numerics version, the bath and grid parameters, and
-    written atomically; an entry that fails its load check is recomputed
-    and rewritten.  A miss returns the table it computed and stored (.npy
-    round-trips exactly), without reading it back.  A hit builds no
-    JSource, so it skips the support probe; hit or miss, the infrared
-    exponent is fitted once.
+    without running any quadrature.  A chunk, or the shared node set, that
+    does not meet the stop rule within the refinement limit raises
+    AccuracyError naming its t range, and nothing is cached.  With cache_dir
+    set, a table is stored as one .npy record (see _record_dtype), keyed by
+    a content hash of the numerics version, the bath and grid parameters,
+    and written atomically; an entry that fails its load check is
+    recomputed and rewritten.  A miss returns the table it computed and
+    stored (.npy round-trips exactly), without reading it back.  A hit
+    builds no JSource, so it skips the support probe; hit or miss, the
+    infrared exponent is fitted once.
     """
     beta = _own_beta(spec, beta, "tabulate_kernels")
-    cache_key = None
+    path = None
     if cache_dir is not None and isinstance(spec, BathSpec):
-        cache_key = _cache_key(spec, t_max, n, tol)
-        cached = _load_table(cache_dir, cache_key, t_max, n, tol)
+        path = os.path.join(cache_dir, _cache_key(spec, t_max, n, tol) + ".npy")
+        cached = _load_table(path, t_max, n, tol)
         if cached is not None:
             require_tabulable(infrared_exponent(spec.h))
             return cached
@@ -654,36 +621,32 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
     if n <= 1 or t_max <= 0.0:
         z = np.zeros(len(t))
         return KernelTable(t_grid=t, q1=z.copy(), q2=z.copy(), qz=z.copy(),
-                           err_est=np.zeros((len(t), 3)),
-                           tail=TailFit(0.0, np.inf), converged=True)
+                           err_est=np.zeros((len(t), 3)), c2_inf=np.inf)
 
     values, err = np.empty((3, n)), np.empty((n, 3))
     first, stop = _shared_rows(n) if source.breaks is None else (0, 0)
-    converged = True
     for i in [*range(0, first, _CHUNK), *range(stop, n, _CHUNK)]:
         chunk = t[i:i + _CHUNK]
         m = len(chunk)
         res = _evaluate(source, beta, chunk, tol, which="all")
+        _raise_unconverged(res, chunk)
         values[:, i:i + m] = res.values.reshape(3, m)
         err[i:i + m] = res.errors.reshape(3, m).T
-        converged = converged and res.converged
     if stop > first:
         res = _evaluate_shared(source, beta, t[first:stop], t_max, tol)
+        _raise_unconverged(res, t[first:stop])
         # (chunks, 3 kernels x 8 rows) -> kernel-major values, row-major errors
         chunks = res.values.reshape(-1, 3, _CHUNK)
         values[:, first:stop] = chunks.transpose(1, 0, 2).reshape(3, -1)
         chunks = res.errors.reshape(-1, 3, _CHUNK)
         err[first:stop] = chunks.transpose(0, 2, 1).reshape(-1, 3)
-        converged = converged and res.converged
 
     q1v, q2v, qzv = values
     q1v[0] = q2v[0] = 0.0
     err[0, 0] = err[0, 1] = 0.0
 
     table = KernelTable(t_grid=t, q1=q1v, q2=q2v, qz=qzv, err_est=err,
-                        tail=_fit_tail(source, beta, t, q2v, tol),
-                        converged=converged)
-    if cache_key is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        _save_table(cache_dir, cache_key, spec, t_max, n, tol, table)
+                        c2_inf=c2_saturation(source, beta=beta, tol=tol))
+    if path is not None:
+        _save_table(path, t_max, n, tol, table)
     return table

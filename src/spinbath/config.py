@@ -104,19 +104,24 @@ def _reject_unknown(node: dict, allowed, path: str) -> None:
         raise ConfigurationError("%s: unknown keys: %s" % (path, ", ".join(extra)))
 
 
+def _finite(value, spot: str) -> float:
+    """value as a float; a bool, a non-number, .inf, .nan or an integer
+    beyond the float range is a ConfigurationError naming spot."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError("%s: expected a number, got %r" % (spot, value))
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigurationError("%s: expected a finite number, got %r"
+                                 % (spot, value))
+    return float(value)
+
+
 def _number(node: dict, key: str, path: str, default=None, required=False):
     value = node.get(key)
     if value is None:
         if required:
             raise ConfigurationError("%s.%s: value is required" % (path, key))
         return default
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError("%s.%s: expected a number, got %r"
-                                 % (path, key, value))
-    if not abs(value) <= sys.float_info.max:
-        raise ConfigurationError("%s.%s: expected a finite number, got %r"
-                                 % (path, key, value))
-    return float(value)
+    return _finite(value, "%s.%s" % (path, key))
 
 
 def _positive(node: dict, key: str, path: str, default=None, required=False):
@@ -145,9 +150,13 @@ def _form_factor(node, path: str) -> FormFactor:
         raise ConfigurationError("%s: expected a mapping" % path)
     if "file" in node:
         _reject_unknown(node, {"file"}, path)
+        if not isinstance(node["file"], str):
+            raise ConfigurationError("%s.file: expected a path, got %r"
+                                     % (path, node["file"]))
         try:
             data = np.loadtxt(node["file"], delimiter=",", ndmin=2)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
+            # ValueError: a header row, a non-numeric cell or ragged rows
             raise ConfigurationError("%s.file: %s" % (path, exc)) from exc
         if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:
             raise ConfigurationError(
@@ -213,9 +222,10 @@ def _parse_schedule(node: dict, path: str):
         if isinstance(m, bool) or not isinstance(m, int) or m < 1:
             raise ConfigurationError("%s: m_pos must be a positive integer"
                                      % spot)
-        if isinstance(eta, bool) or not isinstance(eta, (int, float)) or not eta > 0:
+        eta = _finite(eta, spot)
+        if not eta > 0:
             raise ConfigurationError("%s: eta must be positive" % spot)
-        out.append((m, float(eta)))
+        out.append((m, eta))
     return tuple(out)
 
 
@@ -258,13 +268,11 @@ def _parse_sweep(raw: dict) -> Optional[SweepConfig]:
         raise ConfigurationError("sweep.values: expected a nonempty list")
     out = []
     for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigurationError("sweep.values[%d]: expected a number, "
-                                     "got %r" % (i, v))
+        v = _finite(v, "sweep.values[%d]" % i)
         if param == "beta" and not v > 0:
             raise ConfigurationError("sweep.values[%d]: beta must be positive"
                                      % i)
-        out.append(float(v))
+        out.append(v)
     return SweepConfig(param_name=param, values=tuple(out))
 
 
@@ -277,6 +285,10 @@ def _parse_output(raw: dict) -> OutputConfig:
     formats = node.get("formats", list(_FORMATS))
     if not isinstance(formats, (list, tuple)) or not formats:
         raise ConfigurationError("output.formats: expected a nonempty list")
+    for i, f in enumerate(formats):
+        if not isinstance(f, str):
+            raise ConfigurationError("output.formats[%d]: expected a string, "
+                                     "got %r" % (i, f))
     bad = sorted(set(formats) - set(_FORMATS))
     if bad:
         raise ConfigurationError("output.formats: unknown formats: %s"
@@ -308,9 +320,9 @@ def parse_config(raw: dict) -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = yaml.load(fh, Loader=_LOADER)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError("cannot read config %s: %s" % (path, exc)) from exc
     except yaml.YAMLError as exc:
         raise ConfigurationError("invalid YAML in %s: %s" % (path, exc)) from exc

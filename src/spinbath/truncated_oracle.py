@@ -80,8 +80,8 @@ class TruncationSpec:
     def __post_init__(self):
         if self.m_pos < 1 or self.n_max < 1:
             raise ConfigurationError("m_pos and n_max must be at least 1")
-        if not (self.u_max > 0.0 and self.eta > 0.0):
-            raise ConfigurationError("u_max and eta must be positive")
+        if not (0.0 < self.u_max < np.inf and 0.0 < self.eta < np.inf):
+            raise ConfigurationError("u_max and eta must be positive and finite")
 
     @property
     def bath_dim(self) -> int:

@@ -104,3 +104,23 @@ def test_benchmark_library_calls_bind():
         except TypeError as exc:
             pytest.fail("bench/workloads.py:%d sb.%s: %s"
                         % (call.lineno, call.func.attr, exc))
+
+
+def test_a_cache_miss_adds_one_file_named_by_its_key(tmp_path):
+    # the cli workload counts a miss per new cache file stem (the name up to
+    # its first dot) and sums the new files' bytes: a miss must add one file
+    # whose stem is the key, and a hit none
+    from spinbath import bath_correlations
+
+    spec = sb.standard_oracle_bath()
+    key = bath_correlations._cache_key(spec, 5.0, 16, 1e-6)
+
+    def listing():
+        return {p.name: p.stat().st_size for p in tmp_path.iterdir()}
+
+    sb.tabulate_kernels(spec, 5.0, 16, tol=1e-6, cache_dir=str(tmp_path))
+    after_miss = listing()
+    assert len(after_miss) == 1
+    assert {name.split(".", 1)[0] for name in after_miss} == {key}
+    sb.tabulate_kernels(spec, 5.0, 16, tol=1e-6, cache_dir=str(tmp_path))
+    assert listing() == after_miss

@@ -336,10 +336,9 @@ def test_cold_rate_caches_only_its_table(tmp_path):
     assert sb.load_config(cfg).kernels.t_max is None
     out = tmp_path / "out"
     assert main(["rate", "--config", cfg, "--out", str(out)]) == 0
-    files = sorted(_cache_listing(out))
-    assert [f.rsplit(".", 1)[1] for f in files] == ["json", "npy"]
-    assert files[0].rsplit(".", 1)[0] == files[1].rsplit(".", 1)[0]
-    assert np.load(out / "cache" / files[1]).shape == (200, 7)
+    (name,) = _cache_listing(out)
+    assert name.endswith(".npy")
+    assert np.load(out / "cache" / name)["table"].shape == (200, 7)
 
 
 def _no_tabulation(*args, **kwargs):
@@ -416,6 +415,40 @@ def test_bad_config_path_exits_one(tmp_path, capsys):
     assert main(["rate", "--config", str(tmp_path / "none.yaml"),
                  "--out", str(tmp_path / "out")]) == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+def _csv(text):
+    def write(tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text(text)
+        return {"bath": {"h": {"file": str(path)}}}
+    return write
+
+
+def _not_utf8(tmp_path):
+    (tmp_path / "run.yaml").write_bytes(b"bath: {beta: 1.0, eps: \xe9}\n")
+    return None
+
+
+@pytest.mark.parametrize("make, where", [
+    (_csv("omega,h\n0,0\n1,0.5\n2,0.1\n"), "bath.h.file"),
+    (_csv("0,0\n1,x\n2,0.1\n"), "bath.h.file"),
+    (_csv("0,0\n1,0.5,7\n2,0.1\n"), "bath.h.file"),
+    (lambda tmp_path: {"bath": {"h": {"file": 3}}}, "bath.h.file"),
+    (lambda tmp_path: {"output": {"formats": [[1]]}}, "output.formats[0]"),
+    (_not_utf8, "run.yaml"),
+], ids=["csv-header", "csv-non-numeric", "csv-ragged", "file-not-a-string",
+        "formats-entry-not-a-string", "config-not-utf8"])
+def test_malformed_inputs_exit_one_with_one_error_line(tmp_path, capsys, make,
+                                                       where):
+    updates = make(tmp_path)
+    cfg = _config(tmp_path, updates) if updates else str(tmp_path / "run.yaml")
+    out = tmp_path / "out"
+    assert main(["rate", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and where in err
+    assert not out.exists()
 
 
 def test_jobs_validated(tmp_path, capsys):

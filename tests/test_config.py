@@ -88,6 +88,23 @@ def test_non_finite_form_factor_numbers_rejected_with_path():
         parse_config(raw)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 10 ** 400],
+                         ids=["inf", "-inf", "nan", "10**400"])
+@pytest.mark.parametrize("spot, sections", [
+    (r"oracle\.schedule\[2\]",
+     lambda v: {"oracle": {"schedule": [[1, 0.4], [2, 0.2], [3, v]]}}),
+    (r"sweep\.values\[1\]",
+     lambda v: {"sweep": {"param_name": "q0", "values": [1.0, v]}}),
+    (r"sweep\.values\[0\]",
+     lambda v: {"sweep": {"param_name": "beta", "values": [v]}}),
+], ids=["schedule-eta", "sweep-q0", "sweep-beta"])
+def test_non_finite_sweep_values_and_schedule_etas_rejected_with_path(
+        spot, sections, value):
+    with pytest.raises(sb.ConfigurationError,
+                       match=spot + ": expected a finite number"):
+        parse_config(_raw(**sections(value)))
+
+
 def test_yaml_inf_and_nan_spellings_rejected(tmp_path):
     for text in ("kernels: {t_max: .inf}", "kernels: {tol: .nan}"):
         path = tmp_path / "c.yaml"

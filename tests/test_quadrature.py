@@ -128,8 +128,8 @@ def test_tabulation_converges_and_q2_matches_scipy(p, cutoff, beta):
     tol = 1e-9
     spec = sb.BathSpec(beta=beta, eps=0.5, delta=0.2, q0=1.0,
                        h=sb.power_exp(p, cutoff))
+    # an unconverged tabulation raises AccuracyError
     table = sb.tabulate_kernels(spec, 6.0, 12, tol=tol)
-    assert table.converged
     scale = max(np.max(np.abs(k)) for k in (table.q1, table.q2, table.qz))
     for i in (3, 7, 11):
         t = float(table.t_grid[i])

@@ -38,6 +38,11 @@ def test_truncation_spec_validation():
         sb.TruncationSpec(m_pos=2, u_max=0.0, n_max=3, eta=0.1)
     with pytest.raises(sb.ConfigurationError):
         sb.TruncationSpec(m_pos=2, u_max=3.0, n_max=3, eta=-0.1)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(sb.ConfigurationError, match="positive and finite"):
+            sb.TruncationSpec(m_pos=2, u_max=bad, n_max=3, eta=0.1)
+        with pytest.raises(sb.ConfigurationError, match="positive and finite"):
+            sb.TruncationSpec(m_pos=2, u_max=3.0, n_max=3, eta=bad)
 
 
 def test_bath_dim_matches_layout():
