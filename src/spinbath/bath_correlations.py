@@ -1,8 +1,8 @@
 """Bath kernels Q1(t), Q2(t), Qz(t): evaluation, tabulation, caching.
 
 All kernels exclude the q0^2/pi prefactor; consumers apply it explicitly.
-Each entry point takes a BathSpec, which carries its beta, or an injected
-JSource with beta= (q1 needs none); beta= beside a BathSpec is a UsageError.
+Each entry point takes a BathSpec or an injected JSource, and either one
+carries the inverse temperature beta (Q1 does not depend on it).
 The Qz integrand uses the combined form
 
     J(w)/w^2 * [tanh(beta w/4) + 2 sin^2(w t/2) / sinh(beta w/2)]
@@ -34,10 +34,12 @@ k p = (k^2 + p^2 - (k - p)^2) / 2, and the main parts of Q2 and Qz are
 sum(b) - Re C(t_k): well conditioned, as t w >= pi/20 on those rows and
 panels.  The set is refined until every chunk meets the stop rule.
 
-A table is converged or not made: a chunk, or the shared set, that cannot
-meet the stop rule raises AccuracyError, and nothing is cached.  A cache
-entry is one .npy file holding one record: the table, its request
-(t_max, n, tol) and the Q2 plateau c2_inf.
+Every quadrature here is one integrate_refining call, which raises
+AccuracyError naming the kernel and time, or the table's t range, when it
+cannot meet the stop rule.  So a table is converged or not made, and an
+unconverged one is never cached.  A cache entry is one .npy file holding
+one record: the table, its request (t_max, n, tol) and the Q2 plateau
+c2_inf.
 """
 
 from __future__ import annotations
@@ -67,6 +69,8 @@ _GAUSS_ORDER = 6
 # support bound, or stored in another entry layout, are recomputed, never
 # served.
 _NUMERICS_VERSION = "quad-v4-record"
+# The label of a table quadrature in its AccuracyError, by its t range
+_TABLE = "kernel table on t in [%g, %g]"
 
 _log = logging.getLogger(__name__)
 
@@ -76,14 +80,17 @@ class JSource:
     """A spectral density J(omega) with the metadata the quadrature needs.
 
     Built from a BathSpec via j_source_from_spec, or injected directly in
-    tests with a closed-form J.  breaks lists frequencies where J is not
-    smooth (the knots of a tabulated form factor); panel edges are put on
-    them so that refinement converges at the rate of a smooth integrand.
+    tests with a closed-form J.  beta is the inverse temperature of the
+    thermal factors of Q2, Qz and the plateau C2.  breaks lists frequencies
+    where J is not smooth (the knots of a tabulated form factor); panel
+    edges are put on them so that refinement converges at the rate of a
+    smooth integrand.
     """
 
     j: Callable[[np.ndarray], np.ndarray]
     omega_max: float
     ir_exponent: float
+    beta: float
     breaks: Optional[np.ndarray] = field(default=None, compare=False)
 
 
@@ -142,6 +149,7 @@ def j_source_from_spec(spec: BathSpec) -> JSource:
     return JSource(j=lambda w: np.asarray(eval_J(h, w), dtype=float),
                    omega_max=_support_bound(h),
                    ir_exponent=infrared_exponent(h),
+                   beta=spec.beta,
                    breaks=h.grid if h.family == "tabulated" else None)
 
 
@@ -151,16 +159,6 @@ def _as_source(spec_or_source: Union[BathSpec, JSource]) -> JSource:
     if isinstance(spec_or_source, BathSpec):
         return j_source_from_spec(spec_or_source)
     raise UsageError("expected a BathSpec or a JSource, got %r" % (spec_or_source,))
-
-
-def _own_beta(spec_or_source, beta: Optional[float], what: str) -> Optional[float]:
-    """A BathSpec's beta, or the beta= given beside an injected JSource."""
-    if isinstance(spec_or_source, BathSpec):
-        if beta is not None:
-            raise UsageError("%s takes beta= only with an injected JSource; the "
-                             "BathSpec carries beta=%g" % (what, spec_or_source.beta))
-        return spec_or_source.beta
-    return beta
 
 
 def _require_ir(exponent: float, minimum: float, kernel: str) -> None:
@@ -278,7 +276,7 @@ def _direct_sums(ts: np.ndarray, omega: np.ndarray, b: np.ndarray, n_sin: int,
     return out
 
 
-def _kernel_rows(source: JSource, beta: Optional[float], ts: np.ndarray, which: str):
+def _kernel_rows(source: JSource, ts: np.ndarray, which: str):
     """The integrand of one direct kernel call: (nodes, weights) -> row integrals.
 
     Rows, in order: Q1 at every t ("all", "q1"); then the zero-temperature
@@ -294,7 +292,7 @@ def _kernel_rows(source: JSource, beta: Optional[float], ts: np.ndarray, which: 
             # Zero-temperature Q2: a nonnegative row that gives the call a
             # scale, so Q1 at a sign change can meet the stop rule.
             return _direct_sums(ts, omega, np.array([wg, wg]), 1, step).ravel()
-        coth, csch, tanh_half = _thermal_factors(0.5 * beta * omega)
+        coth, csch, tanh_half = _thermal_factors(0.5 * source.beta * omega)
         b = {"all": [wg, wg * coth, wg * csch], "q2": [wg * coth],
              "qz": [wg * csch]}[which]
         sums = _direct_sums(ts, omega, np.array(b), int(which == "all"), step)
@@ -349,8 +347,7 @@ def _chirp_sums(b: np.ndarray, omega: np.ndarray, ts: np.ndarray,
     return out * chirp[:k_rows]
 
 
-def _lattice_rows(source: JSource, beta: float, ts: np.ndarray, width: float,
-                  panels: int):
+def _lattice_rows(source: JSource, ts: np.ndarray, width: float, panels: int):
     """The integrand of the linear rows ts on their shared node set.
 
     The node set is a geometric head below width and the main panels
@@ -362,7 +359,7 @@ def _lattice_rows(source: JSource, beta: float, ts: np.ndarray, width: float,
     """
     def rows(omega: np.ndarray, w: np.ndarray) -> np.ndarray:
         wg = w * (np.asarray(source.j(omega), dtype=float) / omega ** 2)
-        coth, csch, tanh_half = _thermal_factors(0.5 * beta * omega)
+        coth, csch, tanh_half = _thermal_factors(0.5 * source.beta * omega)
         b = np.array([wg, wg * coth, wg * csch])
         head = int(np.searchsorted(omega, width))
         sums = _direct_sums(ts, omega[:head], b[:, :head], 1)
@@ -377,15 +374,17 @@ def _lattice_rows(source: JSource, beta: float, ts: np.ndarray, width: float,
     return rows
 
 
-def _evaluate(source: JSource, beta: Optional[float], ts: Sequence[float],
-              tol: float, which: str = "all"):
+def _evaluate(source: JSource, ts: Sequence[float], tol: float, which: str,
+              what: str):
     ts = np.asarray(ts, dtype=float)
+    # Q1 does not depend on beta, so its head has no thermal knee to resolve
+    beta = None if which == "q1" else source.beta
     edges = _initial_edges(source, float(np.max(ts)), beta, source.ir_exponent)
-    rows = _kernel_rows(source, beta, ts, which)
-    return integrate_refining(rows, edges, rtol=tol)
+    rows = _kernel_rows(source, ts, which)
+    return integrate_refining(rows, edges, rtol=tol, what=what)
 
 
-def _shared_edges(source: JSource, beta: float, t_max: float):
+def _shared_edges(source: JSource, t_max: float):
     """Initial edges of the linear rows' shared node set, with W and P.
 
     The P main panels have exact edges p W, 1 <= p <= P + 1,
@@ -394,67 +393,54 @@ def _shared_edges(source: JSource, beta: float, t_max: float):
     """
     width = np.pi / (2.0 * t_max)
     main = width * np.arange(1, max(8, int(np.ceil(source.omega_max / width))) + 1)
-    edges = np.concatenate([_head_edges(width, beta, source.ir_exponent), main])
+    edges = np.concatenate([_head_edges(width, source.beta, source.ir_exponent),
+                            main])
     return edges, width, len(main) - 1
 
 
-def _evaluate_shared(source: JSource, beta: float, ts: np.ndarray,
-                     t_max: float, tol: float):
+def _evaluate_shared(source: JSource, ts: np.ndarray, t_max: float, tol: float):
     """The linear rows ts (whole chunks of 8) on one shared node set.
 
     The stop rule holds per chunk, and the set is refined until every chunk
     meets it.
     """
-    edges, width, panels = _shared_edges(source, beta, t_max)
-    rows = _lattice_rows(source, beta, ts, width, panels)
-    return integrate_refining(rows, edges, order=_GAUSS_ORDER, rtol=tol)
+    edges, width, panels = _shared_edges(source, t_max)
+    rows = _lattice_rows(source, ts, width, panels)
+    return integrate_refining(rows, edges, order=_GAUSS_ORDER, rtol=tol,
+                              what=_TABLE % (ts[0], ts[-1]))
 
 
-def _single(spec_or_source, t, beta, tol, which, kernel, ir_min):
+def _single(spec_or_source, t, tol, which, ir_min):
     if t < 0.0:
         raise DomainError("t must be nonnegative")
-    own = _own_beta(spec_or_source, beta, kernel)
     source = _as_source(spec_or_source)
-    _require_ir(source.ir_exponent, ir_min, kernel)
-    if which != "q1":
-        beta = own
-        if beta is None:
-            raise UsageError("%s with an injected JSource needs beta" % kernel)
+    _require_ir(source.ir_exponent, ir_min, which)
     if t == 0.0 and which in ("q1", "q2"):
         return 0.0, 0.0
-    res = _evaluate(source, beta, [t], tol, which=which)
-    value = float(res.values[0])
-    err = float(res.errors[0])
-    if not res.converged:
-        raise AccuracyError("%s quadrature did not converge at t=%g" % (kernel, t),
-                            partial=value, err=err)
-    return value, err
+    res = _evaluate(source, [t], tol, which, "%s at t=%g" % (which, t))
+    return float(res.values[0]), float(res.errors[0])
 
 
-def q1(spec: Union[BathSpec, JSource], t: float, *,
-       beta: Optional[float] = None, tol: float = 1e-9):
+def q1(spec: Union[BathSpec, JSource], t: float, *, tol: float = 1e-9):
     """Q1(t) = int_0^inf J(w) w^-2 sin(w t) dw, with its error estimate.
 
     tol is relative to max(|Q1(t)|, int_0^inf J(w) w^-2 (1 - cos(w t)) dw),
     so a sign change of Q1 does not demand accuracy beyond roundoff.
     """
-    return _single(spec, t, beta, tol, "q1", "q1", _IR_Q1_MIN)
+    return _single(spec, t, tol, "q1", _IR_Q1_MIN)
 
 
-def q2(spec: Union[BathSpec, JSource], t: float, *,
-       beta: Optional[float] = None, tol: float = 1e-9):
+def q2(spec: Union[BathSpec, JSource], t: float, *, tol: float = 1e-9):
     """Q2(t) = int_0^inf J(w) w^-2 (1 - cos(w t)) coth(beta w/2) dw >= 0."""
-    return _single(spec, t, beta, tol, "q2", "q2", _IR_Q2_MIN)
+    return _single(spec, t, tol, "q2", _IR_Q2_MIN)
 
 
-def qz(spec: Union[BathSpec, JSource], t: float, *,
-       beta: Optional[float] = None, tol: float = 1e-9):
+def qz(spec: Union[BathSpec, JSource], t: float, *, tol: float = 1e-9):
     """Qz(t) = int_0^inf J(w) w^-2 [cosh(beta w/2) - cos(w t)]/sinh(beta w/2) dw."""
-    return _single(spec, t, beta, tol, "qz", "qz", _IR_Q2_MIN)
+    return _single(spec, t, tol, "qz", _IR_Q2_MIN)
 
 
-def c2_saturation(spec: Union[BathSpec, JSource], *,
-                  beta: Optional[float] = None, tol: float = 1e-9) -> float:
+def c2_saturation(spec: Union[BathSpec, JSource], *, tol: float = 1e-9) -> float:
     """int_0^inf J(w) w^-2 coth(beta w/2) dw, the Q2 plateau.
 
     Finite only when the infrared exponent exceeds 2; returns inf otherwise.
@@ -462,13 +448,10 @@ def c2_saturation(spec: Union[BathSpec, JSource], *,
     geometric head of the panels, which deepens as the exponent nears 2,
     reaches frequencies whose square underflows to 0.
     """
-    beta = _own_beta(spec, beta, "c2_saturation")
     source = _as_source(spec)
-    if beta is None:
-        raise UsageError("c2_saturation with an injected JSource needs beta")
     if not source.ir_exponent > 2.05:
         return np.inf
-    edges = _initial_edges(source, 0.0, beta, source.ir_exponent - 2.0)
+    edges = _initial_edges(source, 0.0, source.beta, source.ir_exponent - 2.0)
 
     def rows(omega, w):
         w2 = omega ** 2
@@ -478,12 +461,9 @@ def c2_saturation(spec: Union[BathSpec, JSource], *,
                 "panels reach frequencies whose square underflows"
                 % source.ir_exponent)
         g = np.asarray(source.j(omega), dtype=float) / w2
-        return np.sum(g * _thermal_factors(0.5 * beta * omega)[0] * w)
+        return np.sum(g * _thermal_factors(0.5 * source.beta * omega)[0] * w)
 
-    res = integrate_refining(rows, edges, rtol=tol)
-    if not res.converged:
-        raise AccuracyError("c2_saturation quadrature did not converge",
-                            partial=float(res.values[0]), err=float(res.errors[0]))
+    res = integrate_refining(rows, edges, rtol=tol, what="c2_saturation")
     return float(res.values[0])
 
 
@@ -578,16 +558,8 @@ def _load_table(path: str, t_max: float, n: int,
         return None
 
 
-def _raise_unconverged(res, ts: np.ndarray) -> None:
-    if not res.converged:
-        raise AccuracyError(
-            "kernel table did not converge on t in [%g, %g] after %d doublings"
-            % (ts[0], ts[-1], res.passes),
-            partial=res.values, err=float(np.max(res.errors)))
-
-
 def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
-                     beta: Optional[float] = None, tol: float = 1e-9,
+                     tol: float = 1e-9,
                      cache_dir: Optional[str] = None) -> KernelTable:
     """Tabulate all three kernels on a geometric-then-linear t grid.
 
@@ -603,7 +575,6 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
     builds no JSource, so it skips the support probe; hit or miss, the
     infrared exponent is fitted once.
     """
-    beta = _own_beta(spec, beta, "tabulate_kernels")
     path = None
     if cache_dir is not None and isinstance(spec, BathSpec):
         path = os.path.join(cache_dir, _cache_key(spec, t_max, n, tol) + ".npy")
@@ -614,8 +585,6 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
 
     source = _as_source(spec)
     require_tabulable(source.ir_exponent)
-    if beta is None:
-        raise UsageError("tabulate_kernels with an injected JSource needs beta")
 
     t = _time_grid(t_max, n)
     if n <= 1 or t_max <= 0.0:
@@ -628,13 +597,11 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
     for i in [*range(0, first, _CHUNK), *range(stop, n, _CHUNK)]:
         chunk = t[i:i + _CHUNK]
         m = len(chunk)
-        res = _evaluate(source, beta, chunk, tol, which="all")
-        _raise_unconverged(res, chunk)
+        res = _evaluate(source, chunk, tol, "all", _TABLE % (chunk[0], chunk[-1]))
         values[:, i:i + m] = res.values.reshape(3, m)
         err[i:i + m] = res.errors.reshape(3, m).T
     if stop > first:
-        res = _evaluate_shared(source, beta, t[first:stop], t_max, tol)
-        _raise_unconverged(res, t[first:stop])
+        res = _evaluate_shared(source, t[first:stop], t_max, tol)
         # (chunks, 3 kernels x 8 rows) -> kernel-major values, row-major errors
         chunks = res.values.reshape(-1, 3, _CHUNK)
         values[:, first:stop] = chunks.transpose(1, 0, 2).reshape(3, -1)
@@ -646,7 +613,7 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
     err[0, 0] = err[0, 1] = 0.0
 
     table = KernelTable(t_grid=t, q1=q1v, q2=q2v, qz=qzv, err_est=err,
-                        c2_inf=c2_saturation(source, beta=beta, tol=tol))
+                        c2_inf=c2_saturation(source, tol=tol))
     if path is not None:
         _save_table(path, t_max, n, tol, table)
     return table

@@ -11,13 +11,14 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 import yaml
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 from .spectral_density import BathSpec, FormFactor, power_exp, tabulated
 
 _SWEEP_PARAMS = ("beta", "eps", "delta", "q0")
@@ -154,7 +155,10 @@ def _form_factor(node, path: str) -> FormFactor:
             raise ConfigurationError("%s.file: expected a path, got %r"
                                      % (path, node["file"]))
         try:
-            data = np.loadtxt(node["file"], delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                # an empty file: loadtxt warns; the shape check below refuses it
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(node["file"], delimiter=",", ndmin=2)
         except (OSError, ValueError) as exc:
             # ValueError: a header row, a non-numeric cell or ragged rows
             raise ConfigurationError("%s.file: %s" % (path, exc)) from exc
@@ -162,7 +166,11 @@ def _form_factor(node, path: str) -> FormFactor:
             raise ConfigurationError(
                 "%s.file: expected two columns (omega, h) with at least "
                 "two rows" % path)
-        return tabulated(data[:, 0], data[:, 1])
+        try:
+            return tabulated(data[:, 0], data[:, 1])
+        except DomainError as exc:
+            # a nan or inf cell, or an omega column not ascending from 0
+            raise ConfigurationError("%s.file: %s" % (path, exc)) from exc
     _reject_unknown(node, {"family", "p", "cutoff", "scale"}, path)
     family = node.get("family")
     if family != "power_exp":

@@ -13,7 +13,8 @@ largest value of the call (never less than ``floor``).  This is the
 absolute-plus-relative convention of QUADPACK (Piessens et al. 1983) with
 the absolute part set by the call itself: a row that crosses zero needs
 only the absolute accuracy ``rtol * max_j |v_j|``, not a relative accuracy
-it can never reach.  The result says whether the rule was met.
+it can never reach.  A call that does not meet the rule within its
+doublings raises AccuracyError, so every result it returns has met it.
 
 An integrand is called as ``f(nodes, weights)`` with the composite rule's
 nodes and weights and returns its row integrals, one value per row: most
@@ -34,6 +35,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .errors import AccuracyError
 
 
 @functools.lru_cache(maxsize=None)
@@ -79,15 +82,14 @@ def integrate_on_edges(f: Callable, edges: np.ndarray, order: int = 6):
 class Quadrature:
     """Outcome of integrate_refining, one entry per integrand row.
 
-    errors is the change under the last doubling, which overestimates the
-    error of the returned (finer) values in the asymptotic regime.
-    converged says whether that change met the stop rule; nodes counts the
-    integrand nodes of all passes and passes the doublings made.
+    errors is the change under the last doubling, which met the stop rule
+    and overestimates the error of the returned (finer) values in the
+    asymptotic regime.  nodes counts the integrand nodes of all passes and
+    passes the doublings made.
     """
 
     values: np.ndarray
     errors: np.ndarray
-    converged: bool
     nodes: int
     passes: int
 
@@ -99,6 +101,7 @@ def integrate_refining(
     rtol: float = 1e-9,
     max_refine: int = 8,
     floor: float = 1e-300,
+    what: str = "quadrature",
 ) -> Quadrature:
     """Integrate with panel doubling until the change meets the stop rule.
 
@@ -106,7 +109,8 @@ def integrate_refining(
     rows, a scalar or a 1-d array, and is called once per pass with the
     same rows each time.  A pass stops refinement when every row's change
     is at most rtol times the call scale max(floor, max_j |v_j|); after
-    max_refine doublings without that the result reports converged=False.
+    max_refine doublings without that it raises AccuracyError naming what,
+    with the last values as partial and their largest change as err.
     A 2-d result (groups, rows) has one scale per group, over its own rows.
     """
     edges = np.asarray(edges, dtype=float)
@@ -124,5 +128,8 @@ def integrate_refining(
         vals = new
         scale = np.maximum(floor, np.max(np.abs(vals), axis=-1, keepdims=True))
         converged = bool(np.all(err <= rtol * scale))
-    return Quadrature(values=vals, errors=err, converged=converged,
-                      nodes=nodes, passes=passes)
+    if not converged:
+        raise AccuracyError("%s did not converge after %d doublings"
+                            % (what, passes), partial=vals,
+                            err=float(np.max(err)))
+    return Quadrature(values=vals, errors=err, nodes=nodes, passes=passes)

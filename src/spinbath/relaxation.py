@@ -21,7 +21,7 @@ from scipy.linalg import solve, solve_banded
 
 from .bath_correlations import (KernelTable, c2_saturation, j_source_from_spec,
                                 q2, require_tabulable)
-from .errors import AccuracyError, DivergentIntegralError, DomainError
+from .errors import DivergentIntegralError, DomainError
 from .quadrature import integrate_refining
 from .spectral_density import BathSpec
 
@@ -249,10 +249,7 @@ def _integrate_lso(spec: BathSpec, table: KernelTable, tol: float):
         rr = c * np.cos(a * q1v) * e2 - sub
         return np.array([np.sum(row * w) for row in (xp, xm, zz, rr)])
 
-    res = integrate_refining(rows, edges, rtol=tol)
-    if not res.converged:
-        raise AccuracyError("level-shift quadrature did not converge",
-                            partial=res.values, err=float(np.max(res.errors)))
+    res = integrate_refining(rows, edges, rtol=tol, what="level-shift quadrature")
     env_len = float(np.trapezoid(np.exp(-a * table.q2), t))
     err_table = a * float(np.max(table.err_est[:, :2])) * env_len
     if env.mismatch > 0.0:
@@ -361,11 +358,11 @@ def default_time_horizon(spec: BathSpec) -> float:
     a = spec.q0 ** 2 / np.pi
     source = j_source_from_spec(spec)
     require_tabulable(source.ir_exponent)
-    c2 = c2_saturation(source, beta=spec.beta, tol=1e-6)
+    c2 = c2_saturation(source, tol=1e-6)
     eps_scale = 1.0 / abs(spec.eps) if spec.eps != 0.0 else 1.0
     T = 8.0 * max(spec.beta, 1.0, eps_scale)
     for _ in range(_HORIZON_DOUBLINGS):
-        q2_end = q2(source, T, beta=spec.beta, tol=1e-6)[0]
+        q2_end = q2(source, T, tol=1e-6)[0]
         if a * q2_end >= _DECAY_THRESHOLD:
             return T
         if np.isfinite(c2) and abs(a * (q2_end - c2)) < 1e-3 * max(1.0, a * c2):

@@ -62,8 +62,10 @@ class FormFactor:
             values = np.asarray(self.values, dtype=float)
             if grid.ndim != 1 or grid.size < 2 or values.shape != grid.shape:
                 raise UsageError("tabulated form factor needs matching 1-d grid and values")
-            if grid[0] < 0 or np.any(np.diff(grid) <= 0):
-                raise DomainError("tabulated grid must be strictly ascending and nonnegative")
+            if not (np.all(np.isfinite(grid)) and grid[0] >= 0
+                    and np.all(np.diff(grid) > 0)):
+                raise DomainError("tabulated grid must be finite, strictly ascending "
+                                  "and nonnegative")
             if not np.all(np.isfinite(values)):
                 raise DomainError("tabulated values must be finite")
             object.__setattr__(self, "grid", grid)

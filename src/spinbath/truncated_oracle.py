@@ -33,8 +33,8 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import (AccuracyError, ConfigurationError, PreconditionError,
-                     ScalingError, TruncationError)
+from .errors import (ConfigurationError, PreconditionError, ScalingError,
+                     TruncationError)
 from .quadrature import integrate_refining
 from .spectral_density import BathSpec, GluedFunction, coupling_function, power_exp
 
@@ -522,13 +522,9 @@ def _rung_pairings(model: FiniteModel, eta: float) -> list:
 
     edges = np.linspace(0.0, tau_max, n_pan + 1)
     res = integrate_refining(f, edges, order=_TAU_ORDER, rtol=1e-9,
-                             max_refine=max_refine, floor=1e-3)
-    values = [complex(re, im) for re, im in res.values]
-    if not res.converged:
-        raise AccuracyError("resolvent pairings at s=+-%g did not converge "
-                            "after %d doublings" % (eps, res.passes),
-                            partial=values, err=float(np.max(res.errors)))
-    return values
+                             max_refine=max_refine, floor=1e-3,
+                             what="resolvent pairings at s=+-%g" % eps)
+    return [complex(re, im) for re, im in res.values]
 
 
 def _lso_virtual(model: FiniteModel, eta: float) -> np.ndarray:

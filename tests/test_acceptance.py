@@ -54,14 +54,14 @@ def _matrix_results():
 
 def test_criterion_01_closed_form_kernels():
     source = sb.JSource(j=lambda w: w * np.exp(-w), omega_max=45.0,
-                        ir_exponent=1.0)
+                        ir_exponent=1.0, beta=1e6)
     start = time.perf_counter()
     worst_q1 = worst_q2 = 0.0
     for t in (0.1, 1.0, 10.0):
         value, _ = sb.q1(source, t)
         exact = np.arctan(t)
         worst_q1 = max(worst_q1, abs(value - exact) / abs(exact))
-        value, _ = sb.q2(source, t, beta=1e6)
+        value, _ = sb.q2(source, t)
         exact = 0.5 * np.log1p(t * t)
         worst_q2 = max(worst_q2, abs(value - exact) / abs(exact))
     elapsed = time.perf_counter() - start
@@ -155,9 +155,11 @@ def test_criterion_06_finite_model_structure():
         model = sb.build_model(bath, spec, tr)
         eye = np.eye(model.cal_V.shape[0])
         v_sq[n_max] = float(np.abs(model.cal_V @ model.cal_V - eye).max())
-        comm = model.V @ model.JVJ - model.JVJ @ model.V
-        comm_ratio[n_max] = float(np.linalg.norm(comm, 2)
-                                  / np.linalg.norm(model.V, 2) ** 2)
+        if n_max == 3:
+            # the one ratio asserted and printed; its 2-norms are SVDs
+            comm = model.V @ model.JVJ - model.JVJ @ model.V
+            comm_ratio[n_max] = float(np.linalg.norm(comm, 2)
+                                      / np.linalg.norm(model.V, 2) ** 2)
         ulu[n_max] = sb.check_unitary_equivalence(model)
     assert comm_ratio[3] <= 1e-8
     assert v_sq[3] <= 1e-6

@@ -4,7 +4,6 @@ import dataclasses
 import json
 import multiprocessing
 import os
-import re
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -21,7 +20,8 @@ from spinbath.bath_correlations import (_even_step, _half_angles,
                                         _thermal_factors, _time_grid)
 from spinbath.fileio import atomic_write
 
-OHMIC = sb.JSource(j=lambda w: w * np.exp(-w), omega_max=45.0, ir_exponent=1.0)
+OHMIC = sb.JSource(j=lambda w: w * np.exp(-w), omega_max=45.0, ir_exponent=1.0,
+                   beta=2.0)
 
 
 def _spec(p=1.0, cutoff="exponential", beta=2.0, q0=1.0):
@@ -82,11 +82,12 @@ def test_q1_arctan_closed_form(t):
 
 
 def test_q1_linearity_in_j():
-    j_a = sb.JSource(j=lambda w: w * np.exp(-w), omega_max=45.0, ir_exponent=1.0)
+    j_a = sb.JSource(j=lambda w: w * np.exp(-w), omega_max=45.0, ir_exponent=1.0,
+                     beta=2.0)
     j_b = sb.JSource(j=lambda w: w ** 3 * np.exp(-2 * w), omega_max=45.0,
-                     ir_exponent=3.0)
+                     ir_exponent=3.0, beta=2.0)
     j_sum = sb.JSource(j=lambda w: w * np.exp(-w) + w ** 3 * np.exp(-2 * w),
-                       omega_max=45.0, ir_exponent=1.0)
+                       omega_max=45.0, ir_exponent=1.0, beta=2.0)
     t = 0.7
     total = sb.q1(j_sum, t)[0]
     assert total == pytest.approx(sb.q1(j_a, t)[0] + sb.q1(j_b, t)[0], abs=1e-9)
@@ -117,13 +118,30 @@ def test_q2_zero_time():
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
 def test_q2_zero_temperature_log_form(t):
     # at beta = 1e6 the coth is 1 over the support: Q2 -> (1/2) ln(1 + t^2)
-    value, err = sb.q2(OHMIC, t, beta=1e6)
+    value, err = sb.q2(dataclasses.replace(OHMIC, beta=1e6), t)
     assert value == pytest.approx(0.5 * np.log1p(t * t), abs=1e-6)
 
 
 def test_q2_requires_beta_for_injected_source():
-    with pytest.raises(sb.UsageError):
-        sb.q2(OHMIC, 1.0)
+    # the source carries the temperature: a JSource without beta is not made
+    with pytest.raises(TypeError, match="beta"):
+        sb.JSource(j=OHMIC.j, omega_max=45.0, ir_exponent=1.0)
+
+
+def test_q1_is_temperature_independent():
+    # bitwise: Q1's node set and rows read no beta
+    cold = _spec(p=0.5, cutoff="gaussian", beta=4.0)
+    hot = dataclasses.replace(cold, beta=0.5)
+    for t in (0.3, 2.0, 9.0):
+        assert sb.q1(cold, t) == sb.q1(hot, t)
+
+
+def test_q2_reads_the_beta_of_its_source():
+    for t in (0.5, 3.0):
+        same = sb.q2(dataclasses.replace(OHMIC, beta=2.0), t)
+        assert same == sb.q2(OHMIC, t)
+        for beta in (0.5, 4.0):
+            assert sb.q2(dataclasses.replace(OHMIC, beta=beta), t) != same
 
 
 def test_q2_monotone_before_first_extremum():
@@ -182,7 +200,7 @@ def test_c2_saturation_matches_quadrature():
 
 
 def test_c2_saturation_infinite_for_ohmic():
-    assert sb.c2_saturation(OHMIC, beta=2.0) == np.inf
+    assert sb.c2_saturation(OHMIC) == np.inf
 
 
 def test_c2_saturation_declines_an_underflowing_head():
@@ -241,31 +259,6 @@ def test_kernel_table_is_one_converged_record():
     assert not hasattr(sb, "TailFit")
 
 
-def _unconverged(original):
-    """original, with every result reporting converged=False."""
-    def call(*args, **kwargs):
-        return dataclasses.replace(original(*args, **kwargs), converged=False)
-    return call
-
-
-@pytest.mark.parametrize("patched, rows", [
-    ("integrate_refining", "[0, 1.4]"), ("_evaluate_shared", "[1.85, 5]"),
-], ids=["first-direct-chunk", "shared-set"])
-def test_unconverged_tabulation_raises_and_caches_nothing(tmp_path, monkeypatch,
-                                                          patched, rows):
-    # rows [0, 8) of the 16-point grid are a direct chunk, [8, 16) the
-    # shared set
-    monkeypatch.setattr(bath_correlations, patched,
-                        _unconverged(getattr(bath_correlations, patched)))
-    with pytest.raises(sb.AccuracyError) as info:
-        sb.tabulate_kernels(_spec(p=1.0, beta=2.0), 5.0, 16,
-                            cache_dir=str(tmp_path))
-    assert re.fullmatch(r"kernel table did not converge on t in %s after "
-                        r"\d doublings" % re.escape(rows), str(info.value))
-    assert info.value.partial is not None and np.isfinite(info.value.err)
-    assert not any(tmp_path.iterdir())
-
-
 def test_tabulate_matches_pointwise_ops():
     spec = _spec(p=0.5, cutoff="gaussian", beta=1.5)
     table = sb.tabulate_kernels(spec, 8.0, 24)
@@ -315,17 +308,11 @@ def test_tabulate_cache_miss_returns_its_table_unread(tmp_path, monkeypatch):
     lambda spec: sb.tabulate_kernels(spec, 5.0, 16, beta=3.0),
 ], ids=["q1", "q2", "qz", "c2_saturation", "tabulate_kernels"])
 def test_beta_beside_a_bath_spec_is_refused(call, monkeypatch):
-    # a BathSpec carries its own beta; refused before any quadrature runs
+    # beta is no parameter of a kernel call: the BathSpec or JSource
+    # carries it; refused before any quadrature runs
     monkeypatch.setattr(bath_correlations, "integrate_refining", _no_quadrature)
-    with pytest.raises(sb.UsageError, match="beta= only with an injected JSource"):
+    with pytest.raises(TypeError, match="beta"):
         call(_spec(p=3.0, beta=1.0))
-
-
-def test_beta_beside_a_bath_spec_is_refused_on_a_cache_hit(tmp_path):
-    spec = _spec(p=1.0, beta=2.0)
-    sb.tabulate_kernels(spec, 5.0, 16, cache_dir=str(tmp_path))
-    with pytest.raises(sb.UsageError, match="beta="):
-        sb.tabulate_kernels(spec, 5.0, 16, beta=2.0, cache_dir=str(tmp_path))
 
 
 def test_tabulate_cache_distinguishes_specs(tmp_path):
@@ -692,14 +679,13 @@ def test_chunk_rows_match_long_double_direct_evaluation(spec, chunk):
     # the direct integrand of a chunk (geometric rows, pointwise kernels)
     source = bath_correlations.j_source_from_spec(spec)
     ts = _time_grid(32.0, 400)[chunk]
-    res = bath_correlations._evaluate(source, spec.beta, ts, 1e-9)
-    assert res.converged
+    res = bath_correlations._evaluate(source, ts, 1e-9, "all", "chunk")
     edges = bath_correlations._initial_edges(source, float(ts[-1]), spec.beta,
                                              source.ir_exponent)
     for _ in range(res.passes):
         edges = quadrature.refine_edges(edges)
     omega, w = quadrature.panel_nodes(edges)
-    got = _kernel_rows(source, spec.beta, ts, "all")(omega, w)
+    got = _kernel_rows(source, ts, "all")(omega, w)
     # these are the nodes of the call's last pass
     assert np.array_equal(got, res.values)
     ref = _direct_rows(source, spec.beta, ts, omega, w)
@@ -784,8 +770,8 @@ def _shared_pass(spec, t_max, n):
     source = bath_correlations.j_source_from_spec(spec)
     first, stop = _shared_rows(n)
     ts = _time_grid(t_max, n)[first:stop]
-    res = bath_correlations._evaluate_shared(source, spec.beta, ts, t_max, 1e-9)
-    edges, width, panels = _shared_edges(source, spec.beta, t_max)
+    res = bath_correlations._evaluate_shared(source, ts, t_max, 1e-9)
+    edges, width, panels = _shared_edges(source, t_max)
     for _ in range(res.passes):
         edges = quadrature.refine_edges(edges)
     return source, ts, res, quadrature.panel_nodes(edges), width, panels
@@ -795,8 +781,8 @@ def _shared_pass(spec, t_max, n):
 def test_linear_rows_by_chirp_z_match_long_double_reference(name):
     spec = FOUR_BATHS[name]
     source, ts, res, (omega, w), width, panels = _shared_pass(spec, 32.0, 400)
-    assert res.converged and res.values.shape == (len(ts) // 8, 24)
-    got = _lattice_rows(source, spec.beta, ts, width, panels)(omega, w)
+    assert res.values.shape == (len(ts) // 8, 24)
+    got = _lattice_rows(source, ts, width, panels)(omega, w)
     # these are the nodes of the call's last pass
     assert np.array_equal(got, res.values)
     # the first, a middle and the last chunk, each against its own largest
@@ -836,7 +822,7 @@ def test_linear_rows_take_trig_only_on_the_head(monkeypatch):
             counts[_name] += np.size(x)
             return _f(x, *args, **kwargs)
         monkeypatch.setattr(np, name, counted)
-    _lattice_rows(source, spec.beta, ts, width, panels)(omega, w)
+    _lattice_rows(source, ts, width, panels)(omega, w)
     head = int(np.searchsorted(omega, width))
     main = len(omega) - head
     p = main // 6

@@ -96,6 +96,14 @@ def test_lso_report_residuals(tmp_path):
     assert report["matrix"][0][:2] == [0, 0]
 
 
+def test_lso_writes_its_json_report_under_any_formats(tmp_path):
+    # output.formats selects files for rate and sweep only; lso has one report
+    cfg = _config(tmp_path, {"output": {"formats": ["csv"]}})
+    out = tmp_path / "out"
+    assert main(["lso", "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["cache", "lso.json"]
+
+
 def test_lso_eps_flip_swaps_entries(tmp_path):
     out_p, out_m = tmp_path / "p", tmp_path / "m"
     cfg_p = _config(tmp_path, name="p.yaml")
@@ -434,11 +442,15 @@ def _not_utf8(tmp_path):
     (_csv("omega,h\n0,0\n1,0.5\n2,0.1\n"), "bath.h.file"),
     (_csv("0,0\n1,x\n2,0.1\n"), "bath.h.file"),
     (_csv("0,0\n1,0.5,7\n2,0.1\n"), "bath.h.file"),
+    (_csv(""), "bath.h.file"),
+    (_csv("0,0\n1,nan\n2,0.1\n"), "bath.h.file"),
+    (_csv("0,0\nnan,0.5\n2,0.1\n"), "bath.h.file"),
     (lambda tmp_path: {"bath": {"h": {"file": 3}}}, "bath.h.file"),
     (lambda tmp_path: {"output": {"formats": [[1]]}}, "output.formats[0]"),
     (_not_utf8, "run.yaml"),
-], ids=["csv-header", "csv-non-numeric", "csv-ragged", "file-not-a-string",
-        "formats-entry-not-a-string", "config-not-utf8"])
+], ids=["csv-header", "csv-non-numeric", "csv-ragged", "csv-empty", "csv-nan",
+        "csv-nan-omega", "file-not-a-string", "formats-entry-not-a-string",
+        "config-not-utf8"])
 def test_malformed_inputs_exit_one_with_one_error_line(tmp_path, capsys, make,
                                                        where):
     updates = make(tmp_path)

@@ -1,14 +1,12 @@
 """Tests for the refining quadrature engine, its stop rule and its callers."""
 
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import spinbath as sb
-from spinbath import bath_correlations, quadrature
+from spinbath import bath_correlations, relaxation, truncated_oracle
 from spinbath.bath_correlations import _SUPPORT_DROP, _support_bound
 from spinbath.quadrature import integrate_refining
 
@@ -29,7 +27,6 @@ def test_zero_crossing_row_converges_beside_a_large_row():
     res = integrate_refining(
         _summed(lambda w: np.vstack([_crossing_row(w), 100.0 * np.exp(-w)])),
         EDGES)
-    assert res.converged
     assert res.passes < 8
     assert abs(res.values[0]) <= 1e-9 * 100.0
     assert res.values[1] == pytest.approx(100.0, rel=1e-12)
@@ -38,10 +35,11 @@ def test_zero_crossing_row_converges_beside_a_large_row():
 
 def test_lone_zero_crossing_row_has_no_relative_accuracy():
     # alone, the row sets its own scale (~1e-17 of roundoff) and cannot meet it
-    res = integrate_refining(_summed(_crossing_row), EDGES, max_refine=4)
-    assert not res.converged
-    assert res.passes == 4
-    assert abs(res.values[0]) < 1e-12
+    with pytest.raises(sb.AccuracyError,
+                       match="^quadrature did not converge after 4 doublings$") as info:
+        integrate_refining(_summed(_crossing_row), EDGES, max_refine=4)
+    assert abs(info.value.partial[0]) < 1e-12
+    assert 0.0 < info.value.err < 1e-12
 
 
 def test_grouped_rows_meet_the_stop_rule_per_group():
@@ -51,12 +49,12 @@ def test_grouped_rows_meet_the_stop_rule_per_group():
     def rows(w):
         return np.vstack([_crossing_row(w), 100.0 * np.exp(-w)])
 
-    flat = integrate_refining(_summed(rows), EDGES, max_refine=4)
-    grouped = integrate_refining(
-        lambda x, w: np.sum(rows(x) * w, axis=-1)[:, None], EDGES, max_refine=4)
-    assert flat.converged and not grouped.converged
-    assert grouped.values.shape == grouped.errors.shape == (2, 1)
-    assert grouped.passes == 4
+    integrate_refining(_summed(rows), EDGES, max_refine=4)
+    with pytest.raises(sb.AccuracyError, match="after 4 doublings") as info:
+        integrate_refining(lambda x, w: np.sum(rows(x) * w, axis=-1)[:, None],
+                           EDGES, max_refine=4, what="grouped rows")
+    assert info.value.partial.shape == (2, 1)
+    assert str(info.value).startswith("grouped rows did not converge")
 
     # two well-scaled groups: each converges as it would alone, and the
     # shared set is refined until the slower one does
@@ -68,7 +66,6 @@ def test_grouped_rows_meet_the_stop_rule_per_group():
     both = integrate_refining(pair, EDGES)
     alone = [integrate_refining(lambda x, w, g=g: pair(x, w)[g], EDGES)
              for g in (0, 1)]
-    assert both.converged and all(a.converged for a in alone)
     assert both.passes == max(a.passes for a in alone)
     slow = int(np.argmax([a.passes for a in alone]))
     assert np.array_equal(both.values[slow], alone[slow].values)
@@ -77,28 +74,77 @@ def test_grouped_rows_meet_the_stop_rule_per_group():
 def test_node_and_pass_counts():
     res = integrate_refining(_summed(lambda w: np.exp(-w)), EDGES, order=6,
                              max_refine=3)
-    assert res.converged
     panels = 16 * 2 ** np.arange(res.passes + 1)
     assert res.nodes == 6 * int(np.sum(panels))
 
 
 def test_capped_refinement_reports_no_convergence():
-    res = integrate_refining(_summed(lambda w: np.cos(50.0 * w)),
-                             np.linspace(0.0, 10.0, 3), max_refine=1)
-    assert not res.converged
-    assert res.passes == 1
-    assert res.nodes == 6 * (2 + 4)
+    nodes = []
+
+    def f(x, w):
+        nodes.append(len(x))
+        return np.sum(np.cos(50.0 * x) * w)
+
+    with pytest.raises(sb.AccuracyError, match="after 1 doublings") as info:
+        integrate_refining(f, np.linspace(0.0, 10.0, 3), max_refine=1)
+    assert nodes == [6 * 2, 6 * 4]
+    assert info.value.partial.shape == (1,) and info.value.err > 0.0
 
 
-def test_q1_raises_on_capped_refinement(monkeypatch):
-    wiggly = sb.JSource(j=lambda w: w * np.exp(-w) * (1.0 + 0.5 * np.cos(40.0 * w)),
-                        omega_max=45.0, ir_exponent=1.0)
-    monkeypatch.setattr(bath_correlations, "integrate_refining",
-                        functools.partial(quadrature.integrate_refining, max_refine=1))
+def _bath():
+    # superohmic, so its plateau C2 is finite and has a quadrature
+    return sb.BathSpec(beta=2.0, eps=0.5, delta=0.2, q0=1.0,
+                       h=sb.power_exp(1.0, "exponential"))
+
+
+def _virtual_lso():
+    spec, trunc = sb.standard_test_bath()
+    bath = sb.discretize(sb.coupling_function(spec), trunc)
+    return sb.lso_finite(sb.build_model(bath, spec, trunc), force_virtual=True)
+
+
+# call site: (its module, the label of the capped call, the call given an
+# empty cache directory); rows [0, 8) of the 16-point table are a direct
+# chunk, [8, 16) the shared chirp-z set
+ENGINE_SITES = {
+    "q1": (bath_correlations, "q1 at t=0.5", lambda cache: sb.q1(_bath(), 0.5)),
+    "q2": (bath_correlations, "q2 at t=0.5", lambda cache: sb.q2(_bath(), 0.5)),
+    "qz": (bath_correlations, "qz at t=0.5", lambda cache: sb.qz(_bath(), 0.5)),
+    "c2_saturation": (bath_correlations, "c2_saturation",
+                      lambda cache: sb.c2_saturation(_bath())),
+    "table-direct-chunk": (
+        bath_correlations, "kernel table on t in [0, 1.4]",
+        lambda cache: sb.tabulate_kernels(_bath(), 5.0, 16, cache_dir=cache)),
+    "table-shared-set": (
+        bath_correlations, "kernel table on t in [1.85, 5]",
+        lambda cache: sb.tabulate_kernels(_bath(), 5.0, 16, cache_dir=cache)),
+    "rate_and_lso": (
+        relaxation, "level-shift quadrature",
+        lambda cache: sb.rate_and_lso(_bath(), sb.tabulate_kernels(_bath(), 16.0, 64))),
+    "lso_finite-virtual": (
+        truncated_oracle,
+        "resolvent pairings at s=+-%g" % sb.standard_test_bath()[0].eps,
+        lambda cache: _virtual_lso()),
+}
+
+
+@pytest.mark.parametrize("site", list(ENGINE_SITES))
+def test_engine_contract_at_every_call_site(site, tmp_path, monkeypatch):
+    # the engine, capped for the one call of this label, raises for it:
+    # no call site turns an unmet stop rule into a value or a cache entry
+    module, label, call = ENGINE_SITES[site]
+
+    def capped(*args, **kwargs):
+        if kwargs.get("what") == label:
+            kwargs.update(rtol=1e-30, max_refine=1)
+        return integrate_refining(*args, **kwargs)
+
+    monkeypatch.setattr(module, "integrate_refining", capped)
     with pytest.raises(sb.AccuracyError) as info:
-        sb.q1(wiggly, 0.5)
-    assert info.value.err > 0.0
-    assert np.isfinite(info.value.partial)
+        call(str(tmp_path))
+    assert str(info.value) == label + " did not converge after 1 doublings"
+    assert info.value.partial is not None and np.isfinite(info.value.err)
+    assert not any(tmp_path.iterdir())
 
 
 def test_q1_converges_at_its_sign_change():
