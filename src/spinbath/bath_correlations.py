@@ -185,7 +185,6 @@ def _head_edges(w0: float, beta: Optional[float], head_exp: float) -> np.ndarray
     octaves = int(np.ceil(60.0 / min(max(head_exp, 0.05), 60.0)))
     if beta is not None and 4.0 * beta * w0 > 1.0:
         octaves = max(octaves, int(np.ceil(np.log2(4.0 * beta * w0))))
-    octaves = min(octaves, 4000)
     return w0 * 2.0 ** -np.arange(octaves, 0, -1, dtype=float)
 
 
@@ -468,16 +467,13 @@ def c2_saturation(spec: Union[BathSpec, JSource], *, tol: float = 1e-9) -> float
 
 
 def _n_geo(n: int) -> int:
-    """The number of geometric times of an n-point grid (n >= 3)."""
-    return min(max(2, n // 3), n - 2)
+    """The number of geometric times of an n-point grid (n >= 4)."""
+    return max(2, n // 3)
 
 
 def _time_grid(t_max: float, n: int) -> np.ndarray:
-    """0, n_geo geometric times up to t_max / 10, then linear ones to t_max."""
-    if n <= 1 or t_max <= 0.0:
-        return np.zeros(max(n, 1))
-    if n == 2:
-        return np.array([0.0, t_max])
+    """0, n_geo geometric times up to t_max / 10, then linear ones to t_max
+    (n >= 4, 0 < t_max < inf)."""
     t_switch = t_max / 10.0
     n_geo = _n_geo(n)
     geo = np.geomspace(t_switch / 1000.0, t_switch, n_geo)
@@ -490,8 +486,6 @@ def _shared_rows(n: int):
 
     (0, 0) when there are none.
     """
-    if n < 3:
-        return 0, 0
     first = -(-(1 + _n_geo(n)) // _CHUNK) * _CHUNK
     stop = n // _CHUNK * _CHUNK
     return (first, stop) if stop > first else (0, 0)
@@ -563,18 +557,21 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
                      cache_dir: Optional[str] = None) -> KernelTable:
     """Tabulate all three kernels on a geometric-then-linear t grid.
 
-    The degenerate call (n <= 1 or t_max = 0) returns a single zeroed row
-    without running any quadrature.  A chunk, or the shared node set, that
-    does not meet the stop rule within the refinement limit raises
-    AccuracyError naming its t range, and nothing is cached.  With cache_dir
-    set, a table is stored as one .npy record (see _record_dtype), keyed by
-    a content hash of the numerics version, the bath and grid parameters,
-    and written atomically; an entry that fails its load check is
-    recomputed and rewritten.  A miss returns the table it computed and
-    stored (.npy round-trips exactly), without reading it back.  A hit
-    builds no JSource, so it skips the support probe; hit or miss, the
-    infrared exponent is fitted once.
+    The grid needs n >= 4 rows and 0 < t_max < inf; any other request
+    raises DomainError before the cache is read or a quadrature runs.  A
+    chunk, or the shared node set, that does not meet the stop rule within
+    the refinement limit raises AccuracyError naming its t range, and
+    nothing is cached.  With cache_dir set, a table is stored as one .npy
+    record (see _record_dtype), keyed by a content hash of the numerics
+    version, the bath and grid parameters, and written atomically; an entry
+    that fails its load check is recomputed and rewritten.  A miss returns
+    the table it computed and stored (.npy round-trips exactly), without
+    reading it back.  A hit builds no JSource, so it skips the support
+    probe; hit or miss, the infrared exponent is fitted once.
     """
+    if not (n >= 4 and 0.0 < t_max < np.inf):
+        raise DomainError("a kernel table needs n >= 4 and 0 < t_max < inf, "
+                          "got n=%r, t_max=%r" % (n, t_max))
     path = None
     if cache_dir is not None and isinstance(spec, BathSpec):
         path = os.path.join(cache_dir, _cache_key(spec, t_max, n, tol) + ".npy")
@@ -587,11 +584,6 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
     require_tabulable(source.ir_exponent)
 
     t = _time_grid(t_max, n)
-    if n <= 1 or t_max <= 0.0:
-        z = np.zeros(len(t))
-        return KernelTable(t_grid=t, q1=z.copy(), q2=z.copy(), qz=z.copy(),
-                           err_est=np.zeros((len(t), 3)), c2_inf=np.inf)
-
     values, err = np.empty((3, n)), np.empty((n, 3))
     first, stop = _shared_rows(n) if source.breaks is None else (0, 0)
     for i in [*range(0, first, _CHUNK), *range(stop, n, _CHUNK)]:

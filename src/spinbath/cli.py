@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -84,7 +85,7 @@ def cmd_rate(config: RunConfig, out_dir: str) -> int:
         else:
             horizon = config.kernels.t_max or 10.0 * max(spec.beta, 1.0)
         ts = np.linspace(0.0, horizon, 201)
-        rows = [(t, p_of_t(spec, rate, float(t))) for t in ts]
+        rows = [(t, p_of_t(rate, float(t))) for t in ts]
         _write_csv(os.path.join(out_dir, "p_of_t.csv"), "t,P", rows, config)
     return 0
 
@@ -131,18 +132,8 @@ def cmd_threshold(config: RunConfig, out_dir: str,
                               xi=c.xi, c_kms=c.c_kms, c3=c.c3, c5=c.c5,
                               tau0=c.tau0, allow_heuristics=allow_heuristics,
                               rate=rate)
-    payload = {
-        "c1": report.c1,
-        "c2": report.c2,
-        "eps_hat": report.eps_hat,
-        "n_bound": report.n_bound,
-        "pbar_bound": report.pbar_bound,
-        "dist_bound": report.dist_bound,
-        "q_bound": report.q_bound,
-        "delta0": report.delta0,
-        "inputs_used": report.inputs_used,
-    }
-    _write_json(os.path.join(out_dir, "threshold.json"), payload, config)
+    _write_json(os.path.join(out_dir, "threshold.json"),
+                dataclasses.asdict(report), config)
     return 0
 
 
@@ -214,6 +205,28 @@ def cmd_sweep(config: RunConfig, out_dir: str, jobs: int = 1) -> int:
     return 0
 
 
+# --- diagnostics ----------------------------------------------------------------
+
+class _StderrHandler(logging.Handler):
+    """Writes each record as one line to the sys.stderr of the moment it is
+    emitted, so a stream swapped in after start-up still receives it."""
+
+    def emit(self, record):
+        try:
+            sys.stderr.write(self.format(record) + "\n")
+        except Exception:
+            self.handleError(record)
+
+
+@functools.lru_cache(maxsize=None)
+def _log_to_stderr() -> None:
+    """Give the package logger its one stderr handler, once per process:
+    each warning, such as an unusable cache entry, is one "warning:" line."""
+    handler = _StderrHandler(logging.WARNING)
+    handler.setFormatter(logging.Formatter("warning: %(message)s"))
+    logging.getLogger("spinbath").addHandler(handler)
+
+
 # --- argument parsing -----------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
@@ -256,6 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    _log_to_stderr()
     args = _build_parser().parse_args(argv)
     if args.command == "sweep" and args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)

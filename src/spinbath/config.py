@@ -203,7 +203,7 @@ def _parse_kernels(raw: dict) -> KernelsConfig:
     node = _section(raw, "kernels")
     _reject_unknown(node, {"t_max", "n", "tol"}, "kernels")
     return KernelsConfig(t_max=_positive(node, "t_max", "kernels"),
-                         n=_count(node, "n", "kernels", default=400, minimum=2),
+                         n=_count(node, "n", "kernels", default=400, minimum=4),
                          tol=_positive(node, "tol", "kernels", default=1e-9))
 
 

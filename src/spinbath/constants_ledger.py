@@ -101,8 +101,7 @@ def eigenvector_bounds(spec: BathSpec, consts: Tuple[float, float],
                              xi_star=float(xi_star))
 
 
-def delta0_threshold(spec: BathSpec, consts: Tuple[float, float],
-                     inputs: dict) -> float:
+def delta0_threshold(spec: BathSpec, inputs: dict) -> float:
     """delta0 = min{1, [c_kms^2 + c3^2 + 4/eps^2 + 2 tau0 (4 c3^2 + 4/eps^2 + c5/2)]^-2}."""
     if spec.eps == 0.0:
         raise DomainError("delta0 needs eps != 0")
@@ -176,8 +175,7 @@ def constants_report(spec: BathSpec, alpha: float, *,
         inputs_used["tau0"] = {"value": float(tau0), "provenance": "user"}
 
     delta0 = delta0_threshold(
-        spec, (c1, c2),
-        {"c_kms": c_kms, "c3": c3, "c5": c5, "tau0": tau0})
+        spec, {"c_kms": c_kms, "c3": c3, "c5": c5, "tau0": tau0})
     return ConstantsReport(c1=float(c1), c2=float(c2), eps_hat=float(eps_hat),
                            n_bound=bounds.n_bound, pbar_bound=bounds.pbar_bound,
                            dist_bound=bounds.dist_bound, q_bound=bounds.q_bound,

@@ -16,10 +16,6 @@ class UsageError(SpinBathError, TypeError):
 class EvaluationError(SpinBathError):
     """A sampled function returned a non-finite value."""
 
-    def __init__(self, message, points=None):
-        super().__init__(message)
-        self.points = points
-
 
 class InfraredError(SpinBathError):
     """Infrared behaviour too singular for the requested integral."""

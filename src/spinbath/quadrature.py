@@ -73,11 +73,6 @@ def capped_edges(a: float, b: float, max_width: float, min_panels: int = 8) -> n
     return np.linspace(a, b, n + 1)
 
 
-def integrate_on_edges(f: Callable, edges: np.ndarray, order: int = 6):
-    """Row integrals of f over the panels: f(nodes, weights) of the rule."""
-    return f(*panel_nodes(edges, order))
-
-
 @dataclass(frozen=True, eq=False)
 class Quadrature:
     """Outcome of integrate_refining, one entry per integrand row.
@@ -114,14 +109,14 @@ def integrate_refining(
     A 2-d result (groups, rows) has one scale per group, over its own rows.
     """
     edges = np.asarray(edges, dtype=float)
-    vals = np.atleast_1d(integrate_on_edges(f, edges, order))
+    vals = np.atleast_1d(f(*panel_nodes(edges, order)))
     nodes = order * (len(edges) - 1)
     err = np.full(vals.shape, np.inf)
     converged = False
     passes = 0
     while passes < max_refine and not converged:
         edges = refine_edges(edges)
-        new = np.atleast_1d(integrate_on_edges(f, edges, order))
+        new = np.atleast_1d(f(*panel_nodes(edges, order)))
         nodes += order * (len(edges) - 1)
         passes += 1
         err = np.abs(new - vals)

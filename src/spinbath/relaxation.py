@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.linalg import solve, solve_banded
+from scipy.linalg import solve_banded
 
 from .bath_correlations import (KernelTable, c2_saturation, j_source_from_spec,
                                 q2, require_tabulable)
@@ -97,66 +97,41 @@ def _not_a_knot(x, y) -> _Spline:
     """The not-a-knot cubic spline through (x, y) (de Boor, A Practical Guide
     to Splines, 2001), bitwise scipy's ``CubicSpline(x, y)``.
 
-    The slopes come from the same system, built by the same expressions in
-    the same order and solved by the same LAPACK call as scipy 1.17's
-    CubicSpline: the end slopes are both the chord slope at n = 2, the
-    parabola's at n = 3.  Inputs that CubicSpline rejects raise ValueError.
+    The slopes come from the same banded system, built by the same
+    expressions in the same order and solved by the same LAPACK call as
+    scipy 1.17's CubicSpline for n >= 4 knots.  Fewer knots, and inputs
+    that CubicSpline rejects, raise ValueError.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
         raise ValueError("x and y must be 1-dimensional of one length")
     n = len(x)
-    if n < 2:
-        raise ValueError("x must contain at least 2 elements")
+    if n < 4:
+        raise ValueError("x must contain at least 4 elements")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("x and y must contain only finite values")
     dx = np.diff(x)
     if np.any(dx <= 0):
         raise ValueError("x must be a strictly increasing sequence")
     slope = np.diff(y) / dx
-    if n == 3:
-        A = np.zeros((3, 3))
-        A[0, 0] = 1
-        A[0, 1] = 1
-        A[1, 0] = dx[1]
-        A[1, 1] = 2 * (dx[0] + dx[1])
-        A[1, 2] = dx[0]
-        A[2, 1] = 1
-        A[2, 2] = 1
-        b = np.empty(3)
-        b[0] = 2 * slope[0]
-        b[1] = 3 * (dx[0] * slope[1] + dx[1] * slope[0])
-        b[2] = 2 * slope[1]
-        s = solve(A, b.reshape(3, 1), overwrite_a=True, overwrite_b=True,
-                  check_finite=False).reshape(3)
-    else:
-        A = np.zeros((3, n))
-        b = np.empty(n)
-        A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-        A[0, 2:] = dx[:-1]
-        A[-1, :-2] = dx[1:]
-        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        if n == 2:
-            A[1, 0] = 1
-            A[0, 1] = 0
-            b[0] = slope[0]
-            A[1, -1] = 1
-            A[-1, -2] = 0
-            b[-1] = slope[0]
-        else:
-            A[1, 0] = dx[1]
-            A[0, 1] = x[2] - x[0]
-            d = x[2] - x[0]
-            b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0]
-                    + dx[0] ** 2 * slope[1]) / d
-            A[1, -1] = dx[-2]
-            A[-1, -2] = x[-1] - x[-3]
-            d = x[-1] - x[-3]
-            b[-1] = (dx[-1] ** 2 * slope[-2]
-                     + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-        s = solve_banded((1, 1), A, b.reshape(n, 1), overwrite_ab=True,
-                         overwrite_b=True, check_finite=False).reshape(n)
+    A = np.zeros((3, n))
+    b = np.empty(n)
+    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[-1, :-2] = dx[1:]
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    A[1, 0] = dx[1]
+    A[0, 1] = x[2] - x[0]
+    d = x[2] - x[0]
+    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    A[1, -1] = dx[-2]
+    A[-1, -2] = x[-1] - x[-3]
+    d = x[-1] - x[-3]
+    b[-1] = (dx[-1] ** 2 * slope[-2]
+             + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    s = solve_banded((1, 1), A, b.reshape(n, 1), overwrite_ab=True,
+                     overwrite_b=True, check_finite=False).reshape(n)
     # CubicHermiteSpline's coefficients from the knot slopes s
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
@@ -284,7 +259,7 @@ def gamma_rate(spec: BathSpec, table: KernelTable, tol: float = 1e-8) -> RateRep
     return _rate_report(spec, *_integrate_lso(spec, table, tol))
 
 
-def p_of_t(spec: BathSpec, rate: RateReport, t: float) -> float:
+def p_of_t(rate: RateReport, t: float) -> float:
     """P(t) = P(inf) + [1 - P(inf)] exp(-t/tau); constant 1 when delta = 0."""
     if t < 0.0:
         raise DomainError("t must be nonnegative")

@@ -247,7 +247,7 @@ def glue(f, beta: float, grid: Optional[GridSpec] = None) -> GluedFunction:
     if not np.all(np.isfinite(values.real)) or not np.all(np.isfinite(values.imag)):
         bad = u[~(np.isfinite(values.real) & np.isfinite(values.imag))]
         raise EvaluationError("glued function not finite at %d sample(s), first u = %g"
-                              % (bad.size, bad[0]), points=bad)
+                              % (bad.size, bad[0]))
     weights = np.full(u.shape, step)
     return GluedFunction(u, values, weights, ANGULAR_FACTOR, beta, source=f)
 

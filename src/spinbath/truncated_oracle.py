@@ -409,7 +409,12 @@ class _RungPhases:
     The phases come from the mode grid of discretize, midpoints
     +-(k + 1/2) step with freqs[2m-1-j] == -freqs[j]; the constructor
     checks that structure.  tau is split into equal blocks of at most
-    _PHASE_BLOCK nodes, which keep a block's work in cache.  On a block,
+    _PHASE_BLOCK nodes, which keep a block's work in cache.  The values do
+    not depend on that blocking when the coefficients are real, as for
+    every discretize bath, whose amplitudes are purely imaginary and whose
+    vacuum columns are therefore real, and no block has one column.  With
+    complex coefficients the products of blocks of different widths round
+    differently, by about 1e-17 of max |F|.  On a block,
     w = exp(-i step tau) is the one exponential per step: the next positive
     mode is z w, with a direct exponential of the stored frequency every
     _PHASE_ANCHOR modes, and its mirror is conj(z), which is bitwise the
@@ -451,7 +456,9 @@ class _RungPhases:
         m, _, d = self._coef.shape
         F = np.ones((n_sets, tau.size), dtype=complex)
         # equal blocks, so that no block but a one-node tau has a single
-        # column (numpy takes a matrix-vector product for those)
+        # column (numpy takes a matrix-vector product for those, which
+        # rounds differently); then real coefficients give the same bits
+        # under any blocking, complex ones not
         n_blocks = max(1, -(-tau.size // _PHASE_BLOCK))
         bounds = np.arange(n_blocks + 1) * tau.size // n_blocks
         width = -(-tau.size // n_blocks)
@@ -536,19 +543,16 @@ def _lso_virtual(model: FiniteModel, eta: float) -> np.ndarray:
     return np.array([[l00, l01], [l10, l11]])
 
 
-def lso_finite(model: FiniteModel, eta: Optional[float] = None, *,
-               force_virtual: bool = False) -> np.ndarray:
-    """Level-shift matrix Pi0 I (L0 - i eta)^{-1} I Pi0 of the finite model.
+def lso_finite(model: FiniteModel, *, force_virtual: bool = False) -> np.ndarray:
+    """Level-shift matrix Pi0 I (L0 - i eta)^{-1} I Pi0 of the finite model,
+    at the eta of its truncation.
 
     Returns the 2x2 matrix in the (phi_++ Omega, phi_-- Omega) basis.
     Materialized models invert the diagonal free generator exactly on the
     two columns I Pi0; larger ones (or force_virtual) use the factorized
     time integral over the vacuum columns of the model's Weyl factors.
     """
-    if eta is None:
-        eta = model.trunc.eta
-    if not eta > 0.0:
-        raise ConfigurationError("eta must be positive, got %r" % (eta,))
+    eta = model.trunc.eta
     if model.materialized and not force_virtual:
         return _lso_dense(model, eta)
     return _lso_virtual(model, eta)
@@ -676,7 +680,7 @@ def run_oracle_schedule(spec: Optional[BathSpec] = None,
     for m, eta in sched:
         trunc = TruncationSpec(m, span, n_max, eta)
         bath = discretize(f_beta, trunc)
-        rungs.append(lso_finite(build_model(bath, spec, trunc), eta))
+        rungs.append(lso_finite(build_model(bath, spec, trunc)))
     entries = [_matrix_entries(lam) for lam in rungs]
     extrapolated, orders, monotone = {}, {}, {}
     for key in _ENTRY_KEYS:

@@ -244,7 +244,7 @@ def test_criterion_10_constants_contract():
     assert c2 == c1 * (1.0 + f_beta.norm()) / np.sqrt(2.0)
 
     inputs = {"c_kms": 1.0, "c3": 0.5, "c5": 3.0, "tau0": 0.25}
-    assert delta0_threshold(spec, (c1, c2), inputs) == 1.0 / 16.0
+    assert delta0_threshold(spec, inputs) == 1.0 / 16.0
 
     report = sb.constants_report(spec, 2.2, c_kms=1.0, c5=3.0, tau0=0.25,
                                  allow_heuristics=True)

@@ -214,11 +214,17 @@ def test_c2_saturation_declines_an_underflowing_head():
 
 # --- tabulation ---------------------------------------------------------------
 
-def test_tabulate_degenerate_single_row():
-    table = sb.tabulate_kernels(_spec(), 0.0, 1)
-    assert table.t_grid.shape == (1,)
-    assert table.q1[0] == table.q2[0] == table.qz[0] == 0.0
-    assert np.all(table.err_est == 0.0)
+@pytest.mark.parametrize("t_max,n", [(5.0, 1), (5.0, 2), (5.0, 3), (0.0, 16),
+                                     (-1.0, 16), (np.inf, 16)])
+def test_tabulate_refuses_a_grid_below_four_rows_or_a_bad_t_max(
+        t_max, n, tmp_path, monkeypatch):
+    # refused before the cache is read or a quadrature runs
+    monkeypatch.setattr(bath_correlations, "integrate_refining", _no_quadrature)
+    monkeypatch.setattr(bath_correlations, "_load_table", _no_quadrature)
+    for cache_dir in (None, str(tmp_path)):
+        with pytest.raises(sb.DomainError, match="n >= 4 and 0 < t_max < inf"):
+            sb.tabulate_kernels(_spec(), t_max, n, cache_dir=cache_dir)
+    assert list(tmp_path.iterdir()) == []
 
 
 def _q2_slope(table):

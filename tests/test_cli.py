@@ -1,7 +1,9 @@
 """End-to-end tests of the CLI subcommands and their report files."""
 
 import copy
+import io
 import json
+import logging
 import pathlib
 import subprocess
 import sys
@@ -408,6 +410,30 @@ def test_threshold_reads_tau0_from_the_rate_table(tmp_path):
                     "provenance": "computed"}
 
 
+def test_an_unusable_cache_entry_is_one_warning_line(tmp_path, monkeypatch):
+    # a truncated entry is recomputed and rewritten, and reported as one
+    # "warning:" line on the stderr of the moment, not of start-up
+    cfg = _config(tmp_path)
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    assert main(["rate", "--config", cfg, "--out", str(cold)]) == 0
+    (entry,) = (cold / "cache").iterdir()
+    (warm / "cache").mkdir(parents=True)
+    (warm / "cache" / entry.name).write_bytes(entry.read_bytes()[:200])
+    stderr = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(["rate", "--config", cfg, "--out", str(warm)]) == 0
+    (line,) = stderr.getvalue().splitlines()
+    assert stderr.getvalue() == line + "\n"
+    assert line.startswith("warning: kernel cache entry %s is unusable ("
+                           % (warm / "cache" / entry.name))
+    for name in ("rate.json", "p_of_t.csv", "cache/" + entry.name):
+        assert (warm / name).read_bytes() == (cold / name).read_bytes()
+    # one handler, however many commands run in the process
+    handlers = [h for h in logging.getLogger("spinbath").handlers
+                if isinstance(h, cli._StderrHandler)]
+    assert len(handlers) == 1
+
+
 # --- argument handling ----------------------------------------------------------
 
 def test_usage_errors_exit_one():
@@ -448,9 +474,10 @@ def _not_utf8(tmp_path):
     (lambda tmp_path: {"bath": {"h": {"file": 3}}}, "bath.h.file"),
     (lambda tmp_path: {"output": {"formats": [[1]]}}, "output.formats[0]"),
     (_not_utf8, "run.yaml"),
+    (lambda tmp_path: {"kernels": {"n": 3}}, "kernels.n: must be at least 4, got 3"),
 ], ids=["csv-header", "csv-non-numeric", "csv-ragged", "csv-empty", "csv-nan",
         "csv-nan-omega", "file-not-a-string", "formats-entry-not-a-string",
-        "config-not-utf8"])
+        "config-not-utf8", "kernels-n-3"])
 def test_malformed_inputs_exit_one_with_one_error_line(tmp_path, capsys, make,
                                                        where):
     updates = make(tmp_path)

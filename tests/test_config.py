@@ -62,6 +62,11 @@ def test_field_validation_messages_carry_paths():
         parse_config(_raw(kernels={"tol": 0.0}))
     with pytest.raises(sb.ConfigurationError, match="kernels.n"):
         parse_config(_raw(kernels={"n": 1}))
+    # a kernel table has at least 4 rows
+    with pytest.raises(sb.ConfigurationError,
+                       match="kernels.n: must be at least 4, got 3"):
+        parse_config(_raw(kernels={"n": 3}))
+    assert parse_config(_raw(kernels={"n": 4})).kernels.n == 4
     with pytest.raises(sb.ConfigurationError, match="constants.alpha"):
         parse_config(_raw(constants={"alpha": 1.2}))
     with pytest.raises(sb.ConfigurationError, match="oracle: unknown keys: eta"):

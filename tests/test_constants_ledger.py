@@ -153,21 +153,21 @@ DELTA0_INPUTS = {"c_kms": 1.0, "c3": 0.5, "c5": 3.0, "tau0": 0.25}
 
 def test_delta0_bracket_four_gives_sixteenth():
     # bracket = 1 + 0.25 + 1 + 2*(1/4)*(1 + 1 + 1.5) = 4, all dyadic
-    assert delta0_threshold(DELTA0_SPEC, (1.0, 1.0), DELTA0_INPUTS) == 1.0 / 16.0
+    assert delta0_threshold(DELTA0_SPEC, DELTA0_INPUTS) == 1.0 / 16.0
 
 
 def test_delta0_capped_at_one():
     spec = BathSpec(beta=1.0, eps=100.0, delta=0.1, q0=1.0, h=SPEC.h)
     inputs = {"c_kms": 0.1, "c3": 0.01, "c5": 0.01, "tau0": 0.01}
-    assert delta0_threshold(spec, (1.0, 1.0), inputs) == 1.0
+    assert delta0_threshold(spec, inputs) == 1.0
 
 
 @pytest.mark.parametrize("key", ["c_kms", "c3", "c5", "tau0"])
 def test_delta0_decreasing_in_each_input(key):
-    base = delta0_threshold(DELTA0_SPEC, (1.0, 1.0), DELTA0_INPUTS)
+    base = delta0_threshold(DELTA0_SPEC, DELTA0_INPUTS)
     bumped = dict(DELTA0_INPUTS)
     bumped[key] = 1.5 * bumped[key]
-    assert delta0_threshold(DELTA0_SPEC, (1.0, 1.0), bumped) < base
+    assert delta0_threshold(DELTA0_SPEC, bumped) < base
 
 
 @pytest.mark.parametrize("key", ["c_kms", "c3", "c5", "tau0"])
@@ -175,16 +175,16 @@ def test_delta0_missing_input_rejected(key):
     inputs = dict(DELTA0_INPUTS)
     inputs[key] = None
     with pytest.raises(ConfigurationError):
-        delta0_threshold(DELTA0_SPEC, (1.0, 1.0), inputs)
+        delta0_threshold(DELTA0_SPEC, inputs)
 
 
 def test_delta0_rejects_nonpositive_input_and_zero_eps():
     bad = dict(DELTA0_INPUTS, c5=-1.0)
     with pytest.raises(DomainError):
-        delta0_threshold(DELTA0_SPEC, (1.0, 1.0), bad)
+        delta0_threshold(DELTA0_SPEC, bad)
     spec = BathSpec(beta=1.0, eps=0.0, delta=0.1, q0=1.0, h=SPEC.h)
     with pytest.raises(DomainError):
-        delta0_threshold(spec, (1.0, 1.0), DELTA0_INPUTS)
+        delta0_threshold(spec, DELTA0_INPUTS)
 
 
 def test_report_flags_heuristic_c3():

@@ -47,13 +47,13 @@ def test_p_infinity_closed_form():
 def test_p_of_t_law(ohmic_setup):
     spec, table = ohmic_setup
     rate = sb.gamma_rate(spec, table)
-    assert sb.p_of_t(spec, rate, 0.0) == 1.0
-    assert sb.p_of_t(spec, rate, 1e9) == pytest.approx(rate.p_inf)
+    assert sb.p_of_t(rate, 0.0) == 1.0
+    assert sb.p_of_t(rate, 1e9) == pytest.approx(rate.p_inf)
     tau = 1.0 / rate.tau_inv
     expected = rate.p_inf + (1.0 - rate.p_inf) / np.e
-    assert sb.p_of_t(spec, rate, tau) == pytest.approx(expected, rel=1e-12)
+    assert sb.p_of_t(rate, tau) == pytest.approx(expected, rel=1e-12)
     ts = np.linspace(0.0, 5.0 * tau, 40)
-    ps = np.array([sb.p_of_t(spec, rate, float(t)) for t in ts])
+    ps = np.array([sb.p_of_t(rate, float(t)) for t in ts])
     assert np.all(np.diff(ps) <= 0.0)
     assert np.all(ps >= min(1.0, rate.p_inf) - 1e-12)
     assert np.all(ps <= max(1.0, rate.p_inf) + 1e-12)
@@ -65,14 +65,14 @@ def test_p_of_t_delta_zero_is_constant(ohmic_setup):
     rate = sb.gamma_rate(spec, table)
     assert rate.tau_inv == 0.0
     assert rate.tau0_inv > 0.0
-    assert sb.p_of_t(spec, rate, 57.0) == 1.0
+    assert sb.p_of_t(rate, 57.0) == 1.0
 
 
 def test_p_of_t_rejects_negative_time(ohmic_setup):
     spec, table = ohmic_setup
     rate = sb.gamma_rate(spec, table)
     with pytest.raises(sb.DomainError):
-        sb.p_of_t(spec, rate, -1.0)
+        sb.p_of_t(rate, -1.0)
 
 
 # --- gamma_rate -----------------------------------------------------------------
@@ -318,7 +318,8 @@ def _assert_spline_is_scipys(x, y):
 
 @st.composite
 def _spline_data(draw):
-    n = draw(st.integers(2, 400))
+    # a kernel table has at least 4 rows, and the spline refuses fewer
+    n = draw(st.integers(4, 400))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if draw(st.booleans()):
         x = bath_correlations._time_grid(draw(st.floats(1e-2, 1e4)), n)
@@ -337,11 +338,18 @@ def test_not_a_knot_spline_is_scipys_bitwise(data):
     _assert_spline_is_scipys(*data)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [4])
 def test_not_a_knot_spline_is_scipys_on_short_grids(n):
     x = np.array([0.0, 0.3, 1.1, 2.0])[:n]
     _assert_spline_is_scipys(x, np.array([1.0, -0.5, 2.0, 0.25])[:n])
     _assert_spline_is_scipys(x * 7.0, np.exp(-x))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_not_a_knot_spline_refuses_fewer_than_four_knots(n):
+    x = np.array([0.0, 0.3, 1.1])[:n]
+    with pytest.raises(ValueError, match="at least 4"):
+        relaxation._not_a_knot(x, np.exp(-x))
 
 
 def _raised(build, x, y):
@@ -357,8 +365,12 @@ def _raised(build, x, y):
     ([0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 2.0, 3.0]), ([0.0, 1.0], [0.0]),
     ([0.0, np.nan, 2.0], [0.0, 1.0, 2.0]), ([0.0, 1.0, 2.0], [0.0, np.inf, 2.0]),
     ([[0.0, 1.0], [2.0, 3.0]], [0.0, 1.0]),
+    ([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0]),
+    ([0.0, np.nan, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0]),
+    ([0.0, 1.0, 2.0, 3.0], [0.0, np.inf, 2.0, 3.0]),
 ], ids=["empty", "one_point", "repeated_knot", "decreasing", "short_y",
-        "nan_x", "inf_y", "two_dim_x"])
+        "nan_x", "inf_y", "two_dim_x", "repeated_knot_4", "nan_x_4",
+        "inf_y_4"])
 def test_not_a_knot_spline_rejects_what_scipy_rejects(x, y):
     x, y = np.asarray(x), np.asarray(y)
     expected = _raised(CubicSpline, x, y)

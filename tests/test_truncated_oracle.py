@@ -38,6 +38,8 @@ def test_truncation_spec_validation():
         sb.TruncationSpec(m_pos=2, u_max=0.0, n_max=3, eta=0.1)
     with pytest.raises(sb.ConfigurationError):
         sb.TruncationSpec(m_pos=2, u_max=3.0, n_max=3, eta=-0.1)
+    with pytest.raises(sb.ConfigurationError):
+        sb.TruncationSpec(m_pos=2, u_max=3.0, n_max=3, eta=0.0)
     for bad in (np.inf, np.nan):
         with pytest.raises(sb.ConfigurationError, match="positive and finite"):
             sb.TruncationSpec(m_pos=2, u_max=bad, n_max=3, eta=0.1)
@@ -446,19 +448,37 @@ def first_rung_phases():
     return _rung_phases(_rung_model(0))
 
 
+@pytest.fixture(scope="module")
+def phased_first_rung_phases():
+    # the first rung with its amplitudes turned by exp(0.3 i): complex vacuum
+    # columns, so complex phase-sum coefficients
+    model = _rung_model(0)
+    bath = dataclasses.replace(model.bath, amps=model.bath.amps * np.exp(0.3j))
+    return _rung_phases(sb.build_model(bath, model.spec, model.trunc))
+
+
 @settings(max_examples=30, deadline=None)
 @given(length=st.integers(truncated_oracle._PHASE_BLOCK - 3,
                           2 * truncated_oracle._PHASE_BLOCK + 3),
        data=st.data())
-def test_rung_phase_sums_do_not_depend_on_blocking(first_rung_phases, length, data):
+def test_rung_phase_sums_do_not_depend_on_blocking(first_rung_phases,
+                                                   phased_first_rung_phases,
+                                                   length, data):
     # pieces of at least two nodes: numpy takes a matrix-vector product for a
-    # one-column block, which rounds differently
+    # one-column block, which rounds differently.  A discretize bath has
+    # real vacuum columns, and its sums are bitwise blocking-free; complex
+    # coefficients round by block width, within 1e-15 of max |F|
     cut = data.draw(st.integers(2, length - 2))
     tau = np.linspace(0.0, 225.0, length)
-    whole = first_rung_phases._evaluate(tau)
-    pieces = np.concatenate([first_rung_phases._evaluate(tau[:cut]),
-                             first_rung_phases._evaluate(tau[cut:])], axis=1)
+
+    def whole_and_pieces(phases):
+        return phases._evaluate(tau), np.concatenate(
+            [phases._evaluate(tau[:cut]), phases._evaluate(tau[cut:])], axis=1)
+
+    whole, pieces = whole_and_pieces(first_rung_phases)
     assert np.array_equal(whole, pieces)
+    whole, pieces = whole_and_pieces(phased_first_rung_phases)
+    assert np.abs(whole - pieces).max() <= 1e-15 * np.abs(whole).max()
 
 
 def test_rung_phases_need_the_discretize_grid(first_rung_phases):
@@ -509,14 +529,6 @@ def test_lso_free_spin_closed_form():
     expected = val * np.array([[1.0, -1.0], [-1.0, 1.0]])
     lam = sb.lso_finite(model)
     assert np.allclose(lam, expected, rtol=1e-12, atol=1e-15)
-
-
-def test_lso_rejects_bad_eta(small_model):
-    _, _, model = small_model
-    with pytest.raises(sb.ConfigurationError):
-        sb.lso_finite(model, eta=0.0)
-    with pytest.raises(sb.ConfigurationError):
-        sb.lso_finite(model, eta=-0.5)
 
 
 def test_virtual_model_supports_only_lso():
