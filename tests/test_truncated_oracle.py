@@ -531,6 +531,17 @@ def test_lso_free_spin_closed_form():
     assert np.allclose(lam, expected, rtol=1e-12, atol=1e-15)
 
 
+def test_lso_rejects_bad_eta(small_model):
+    # lso_finite reads model.trunc.eta; a non-positive eta cannot reach it,
+    # since no truncation carrying one can be built
+    _, _, model = small_model
+    for bad in (0.0, -0.5):
+        with pytest.raises(sb.ConfigurationError):
+            dataclasses.replace(model.trunc, eta=bad)
+    with pytest.raises(TypeError):
+        sb.lso_finite(model, eta=0.5)
+
+
 def test_virtual_model_supports_only_lso():
     trunc = sb.TruncationSpec(m_pos=6, u_max=3.0, n_max=2, eta=0.1)
     model = _build(trunc=trunc)
