@@ -69,6 +69,8 @@ _GAUSS_ORDER = 6
 # support bound, or stored in another entry layout, are recomputed, never
 # served.
 _NUMERICS_VERSION = "quad-v4-record"
+# The least omega^2 of a thermal head: a subnormal with half of its bits
+_OMEGA_SQ_MIN = np.finfo(float).tiny * np.sqrt(np.finfo(float).eps)
 # The label of a table quadrature in its AccuracyError, by its t range
 _TABLE = "kernel table on t in [%g, %g]"
 
@@ -144,7 +146,27 @@ def _support_bound(h) -> float:
     return float(omega)
 
 
+def _require_thermal_head(beta: float) -> None:
+    """Raise DomainError for a beta whose thermal head reaches too low.
+
+    The thermal head of the Q2, Qz and C2 quadratures stops above 1/(8 beta)
+    (_head_edges).  There the integrand J/omega^2 must still be a positive
+    float of at least half precision, so omega^2 must be at least
+    tiny sqrt(eps), a subnormal with 26 of its 53 bits.
+    """
+    floor = 0.125 / beta
+    if not floor * floor >= _OMEGA_SQ_MIN:
+        raise DomainError(
+            "beta = %g puts the thermal head of the kernel integrals at omega "
+            "= %.3g, where omega^2 underflows and J/omega^2 is no finite "
+            "positive float of half precision; beta must be at most %.3g"
+            % (beta, floor, 0.125 / np.sqrt(_OMEGA_SQ_MIN)))
+
+
 def j_source_from_spec(spec: BathSpec) -> JSource:
+    """The JSource of a bath, the one place where kernel sources are built;
+    a beta too large for its thermal head raises DomainError."""
+    _require_thermal_head(spec.beta)
     h = spec.h
     return JSource(j=lambda w: np.asarray(eval_J(h, w), dtype=float),
                    omega_max=_support_bound(h),
@@ -574,6 +596,8 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
                           "got n=%r, t_max=%r" % (n, t_max))
     path = None
     if cache_dir is not None and isinstance(spec, BathSpec):
+        # a hit builds no JSource, so the beta refusal is made here too
+        _require_thermal_head(spec.beta)
         path = os.path.join(cache_dir, _cache_key(spec, t_max, n, tol) + ".npy")
         cached = _load_table(path, t_max, n, tol)
         if cached is not None:

@@ -21,13 +21,15 @@ from scipy.linalg import solve_banded
 
 from .bath_correlations import (KernelTable, c2_saturation, j_source_from_spec,
                                 q2, require_tabulable)
-from .errors import DivergentIntegralError, DomainError
+from .errors import DivergentIntegralError, DomainError, ScalingError
 from .quadrature import integrate_refining
 from .spectral_density import BathSpec
 
 _ENVELOPE_FLOOR = 1e-12
 _DECAY_THRESHOLD = -np.log(_ENVELOPE_FLOOR)
 _HORIZON_DOUBLINGS = 8
+# the largest x with a finite exp(x), about 709.78
+_EXP_LIMIT = float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -80,32 +82,31 @@ def _envelope(spec: BathSpec, table: KernelTable) -> _Envelope:
                      mismatch=mismatch)
 
 
-@dataclass(frozen=True, eq=False)
-class _Spline:
-    """A cubic spline in scipy's PPoly layout: on [x[i], x[i+1]] it is
-    sum_k c[k, i] (t - x[i])^(3 - k)."""
-
-    x: np.ndarray
-    c: np.ndarray
-
-
 # PPoly.derivative's factors for the c[:-1] of a cubic
 _DERIVATIVE = np.array([[3.0], [2.0], [1.0]])
 
 
-def _not_a_knot(x, y) -> _Spline:
-    """The not-a-knot cubic spline through (x, y) (de Boor, A Practical Guide
-    to Splines, 2001), bitwise scipy's ``CubicSpline(x, y)``.
+def _not_a_knot(x, y) -> np.ndarray:
+    """The not-a-knot cubic splines through the rows of y on knots x (de Boor,
+    A Practical Guide to Splines, 2001), bitwise scipy's
+    ``CubicSpline(x, y, axis=1)``.
 
-    The slopes come from the same banded system, built by the same
-    expressions in the same order and solved by the same LAPACK call as
-    scipy 1.17's CubicSpline for n >= 4 knots.  Fewer knots, and inputs
-    that CubicSpline rejects, raise ValueError.
+    Returns the coefficients c[k, j, i] of row k in scipy's PPoly layout: on
+    [x[i], x[i+1]] spline k is sum_j c[k, j, i] (t - x[i])^(3 - j).  The
+    knot slopes of all rows come from one banded system with one
+    right-hand side per row, built by the same expressions in the same
+    order and solved by the same LAPACK call as scipy 1.17's CubicSpline
+    for n >= 4 knots.  The tridiagonal solver runs a separate loop for a
+    single right-hand side, so a row can differ from the one-row
+    ``CubicSpline(x, y[k])`` in its last bits: about 1 in 10^4 random rows
+    do, no kernel table tested does.  Fewer knots, and inputs that
+    CubicSpline rejects, raise ValueError.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape:
-        raise ValueError("x and y must be 1-dimensional of one length")
+    if x.ndim != 1 or y.ndim != 2 or y.shape[1] != x.size:
+        raise ValueError("x must be 1-dimensional and y 2-dimensional, with "
+                         "rows of the length of x")
     n = len(x)
     if n < 4:
         raise ValueError("x must contain at least 4 elements")
@@ -114,28 +115,31 @@ def _not_a_knot(x, y) -> _Spline:
     dx = np.diff(x)
     if np.any(dx <= 0):
         raise ValueError("x must be a strictly increasing sequence")
-    slope = np.diff(y) / dx
+    # scipy's layout: knots along axis 0, one column per row of y
+    y = y.T
+    dxr = dx[:, None]
+    slope = np.diff(y, axis=0) / dxr
     A = np.zeros((3, n))
-    b = np.empty(n)
+    b = np.empty(y.shape)
     A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
     A[0, 2:] = dx[:-1]
     A[-1, :-2] = dx[1:]
-    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
     A[1, 0] = dx[1]
     A[0, 1] = x[2] - x[0]
     d = x[2] - x[0]
-    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
     A[1, -1] = dx[-2]
     A[-1, -2] = x[-1] - x[-3]
     d = x[-1] - x[-3]
-    b[-1] = (dx[-1] ** 2 * slope[-2]
-             + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    s = solve_banded((1, 1), A, b.reshape(n, 1), overwrite_ab=True,
-                     overwrite_b=True, check_finite=False).reshape(n)
+    b[-1] = (dxr[-1] ** 2 * slope[-2]
+             + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+    s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True,
+                     check_finite=False)
     # CubicHermiteSpline's coefficients from the knot slopes s
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
-    return _Spline(x=x, c=c)
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    c = np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+    return np.moveaxis(c, -1, 0)
 
 
 def _spline_values(x: np.ndarray, c: np.ndarray, t) -> np.ndarray:
@@ -162,19 +166,19 @@ def _spline_values(x: np.ndarray, c: np.ndarray, t) -> np.ndarray:
 
 
 def _oscillation_edges(spec: BathSpec, table: KernelTable, a: float,
-                       s1: _Spline, s2: _Spline) -> np.ndarray:
+                       c: np.ndarray) -> np.ndarray:
     """Panel edges whose widths follow the local phase rate of the integrand.
 
-    s1 and s2 are the Q1 and Q2 splines in PPoly layout (scipy's CubicSpline
-    has it too).  Their derivatives are evaluated from the coefficients
-    c[:-1] * (3, 2, 1), which PPoly.derivative computes, by PPoly's interval
-    rule and summation order, so the edges are bitwise those of ``d(t)``
-    calls, without the per-call overhead.
+    c[0] and c[1] are the coefficients of the Q1 and Q2 splines on the
+    table's grid, in PPoly layout (scipy's CubicSpline has it too).  Their
+    derivatives are evaluated from the coefficients c[:-1] * (3, 2, 1),
+    which PPoly.derivative computes, by PPoly's interval rule and summation
+    order, so the edges are bitwise those of ``d(t)`` calls, without the
+    per-call overhead.
     """
     T = float(table.t_grid[-1])
-    x = s1.x.tolist()
-    a1, b1, c1 = (s1.c[:-1] * _DERIVATIVE).tolist()
-    a2, b2, c2 = (s2.c[:-1] * _DERIVATIVE).tolist()
+    x = table.t_grid.tolist()
+    (a1, b1, c1), (a2, b2, c2) = (c[:2, :-1] * _DERIVATIVE).tolist()
     last = len(x) - 2
     lo, hi = T / 4000.0, T / 8.0
     edges = [0.0]
@@ -207,9 +211,8 @@ def _integrate_lso(spec: BathSpec, table: KernelTable, tol: float):
             "saturated envelope at eps = 0: the constant E_inf term has no "
             "Abel limit")
     t = table.t_grid
-    s1, s2, sz = (_not_a_knot(t, q) for q in (table.q1, table.q2, table.qz))
-    edges = _oscillation_edges(spec, table, a, s1, s2)
-    coef = np.stack([s1.c, s2.c, sz.c])
+    coef = _not_a_knot(t, np.stack([table.q1, table.q2, table.qz]))
+    edges = _oscillation_edges(spec, table, a, coef)
 
     def rows(tt, w):
         q1v, q2v, qzv = _spline_values(t, coef, tt)
@@ -279,22 +282,22 @@ def _gibbs_vector(spec: BathSpec) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _db_residual(spec: BathSpec, x_plus: complex, z: complex) -> float:
-    c = 0.5 * spec.beta * spec.eps
-    floor = 1e-300
-    if c <= 300.0:
-        return float(abs(x_plus + np.exp(c) * z) / max(abs(x_plus), floor))
-    return float(np.exp(c) * abs(np.exp(-c) * x_plus + z) / max(abs(x_plus), floor))
-
-
 def rate_and_lso(spec: BathSpec, table: KernelTable,
                  tol: float = 1e-8) -> Tuple[RateReport, LevelShiftMatrix]:
     """The rate report and Lambda_0 = [[x(eps), z], [z, x(-eps)]] with its
     diagnostics, from one quadrature of all four rows.
 
     The trace gap compares Im(x(eps) + x(-eps)) with tau0_inv, the rate row
-    of that same quadrature.
+    of that same quadrature.  The detailed-balance residual
+    |x(eps) + exp(beta eps / 2) z| / |x(eps)| needs exp(beta eps / 2) to be
+    finite: a larger beta eps / 2 raises ScalingError before the quadrature.
     """
+    c = 0.5 * spec.beta * spec.eps
+    if c > _EXP_LIMIT:
+        raise ScalingError(
+            "beta eps / 2 = %g exceeds the float exponent limit %.2f: "
+            "exp(beta eps / 2) of the detailed-balance residual overflows"
+            % (c, _EXP_LIMIT))
     values, err, env = _integrate_lso(spec, table, tol)
     rate = _rate_report(spec, values, err, env)
     x_plus, x_minus, z = _entries(values)
@@ -304,7 +307,8 @@ def rate_and_lso(spec: BathSpec, table: KernelTable,
     psi = _gibbs_vector(spec)
     kernel_residual = float(np.linalg.norm(matrix @ psi))
     lso = LevelShiftMatrix(x_plus=x_plus, x_minus=x_minus, z=z, matrix=matrix,
-                           db_residual=_db_residual(spec, x_plus, z),
+                           db_residual=float(abs(x_plus + np.exp(c) * z)
+                                             / max(abs(x_plus), 1e-300)),
                            trace_gap=trace_gap,
                            kernel_residual=kernel_residual)
     return rate, lso

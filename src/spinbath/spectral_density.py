@@ -14,7 +14,7 @@ negative branch is a fixed convention; no phase knob is exposed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -141,37 +141,39 @@ class GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class GluedFunction:
-    """Samples of a glued function with midpoint quadrature weights."""
+    """Samples of source glued at inverse temperature beta, with midpoint
+    quadrature weights; made by glue."""
 
     grid: np.ndarray
     values: np.ndarray
     weights: np.ndarray
-    angular_factor: float = ANGULAR_FACTOR
-    beta: Optional[float] = None
-    source: Optional[Callable] = field(default=None, repr=False)
+    beta: float
+    source: Callable = field(repr=False)
 
     def norm_sq(self) -> float:
-        return float(self.angular_factor * np.sum(self.weights * np.abs(self.values) ** 2))
+        return float(ANGULAR_FACTOR * np.sum(self.weights * np.abs(self.values) ** 2))
 
     def norm(self) -> float:
         return float(np.sqrt(self.norm_sq()))
 
     def inner(self, other: "GluedFunction") -> complex:
-        return complex(self.angular_factor
+        return complex(ANGULAR_FACTOR
                        * np.sum(self.weights * np.conj(self.values) * other.values))
 
     def sign_relation_residual(self) -> float:
         """max |conj(g(-u)) + exp(-beta u / 2) g(u)| / max |g| over u > 0."""
-        if self.beta is None:
-            raise UsageError("sign relation needs the glueing temperature")
-        mirrored = self.values[::-1]
-        pos = self.grid > 0
-        res = np.abs(np.conj(mirrored[pos])
-                     + np.exp(-self.beta * self.grid[pos] / 2.0) * self.values[pos])
         scale = float(np.max(np.abs(self.values)))
         if scale == 0.0:
             return 0.0
-        return float(np.max(res) / scale)
+        return float(np.max(_sign_residuals(self.grid, self.values, self.beta)) / scale)
+
+
+def _sign_residuals(u: np.ndarray, values: np.ndarray, beta: float) -> np.ndarray:
+    """|conj(g(-u)) + exp(-beta u / 2) g(u)| at the u > 0 of samples g on a
+    grid symmetric about 0, where g(-u) is the reversed array."""
+    pos = u > 0
+    return np.abs(np.conj(values[::-1][pos])
+                  + np.exp(-beta * u[pos] / 2.0) * values[pos])
 
 
 def thermal_factor(u, beta: float):
@@ -249,30 +251,29 @@ def glue(f, beta: float, grid: Optional[GridSpec] = None) -> GluedFunction:
         raise EvaluationError("glued function not finite at %d sample(s), first u = %g"
                               % (bad.size, bad[0]))
     weights = np.full(u.shape, step)
-    return GluedFunction(u, values, weights, ANGULAR_FACTOR, beta, source=f)
+    return GluedFunction(u, values, weights, beta, f)
 
 
 def coupling_function(spec: BathSpec, grid: Optional[GridSpec] = None) -> GluedFunction:
     """The coupling function f_beta = glue(-(i/2) q0 h(u)/u, beta).
 
-    The Weyl operator of the interaction is W(2 f_beta).  Requires the
-    glued values to stay bounded near u = 0, i.e. an infrared exponent of
-    J of at least 3 (h ~ u^(1/2) or better).
+    Glued on grid, by default the form factor's default_grid, for every
+    q0.  The Weyl operator of the interaction is W(2 f_beta).  A nonzero
+    coupling requires the glued values to stay bounded near u = 0, i.e. an
+    infrared exponent of J of at least 3 (h ~ u^(1/2) or better).
     """
     h = spec.h
-    if spec.q0 == 0.0:
-        return glue(lambda u: np.zeros_like(u, dtype=complex), spec.beta,
-                    grid or default_grid(h, spec.beta))
-    s = infrared_exponent(h)
-    if s < _COUPLING_IR_THRESHOLD:
-        raise InfraredError(
-            "h(u)/u diverges after the glueing weight: infrared exponent %.3f < 3" % s,
-            exponent=s)
+    if spec.q0 != 0.0:
+        s = infrared_exponent(h)
+        if s < _COUPLING_IR_THRESHOLD:
+            raise InfraredError(
+                "h(u)/u diverges after the glueing weight: infrared exponent %.3f < 3" % s,
+                exponent=s)
 
     def f(u):
         return -0.5j * spec.q0 * np.asarray(h(u), dtype=complex) / u
 
-    return glue(f, spec.beta, grid)
+    return glue(f, spec.beta, grid or default_grid(h, spec.beta))
 
 
 def _uniform_step(grid: np.ndarray) -> float:
@@ -283,8 +284,7 @@ def _uniform_step(grid: np.ndarray) -> float:
     return step
 
 
-def _fourier_weighted_value(grid: np.ndarray, values: np.ndarray,
-                            alpha: float, angular: float) -> float:
+def _fourier_weighted_value(grid: np.ndarray, values: np.ndarray, alpha: float) -> float:
     step = _uniform_step(grid)
     n = len(grid)
     xi = 2.0 * np.pi * np.fft.fftfreq(n, d=step)
@@ -293,7 +293,7 @@ def _fourier_weighted_value(grid: np.ndarray, values: np.ndarray,
     # monotone in alpha since the base is >= 1.
     weight = (1.0 + xi ** 2) ** (0.5 * alpha)
     dxi = 2.0 * np.pi / (n * step)
-    return float(np.sqrt(np.sum((weight * ghat_abs) ** 2) * dxi * angular))
+    return float(np.sqrt(np.sum((weight * ghat_abs) ** 2) * dxi * ANGULAR_FACTOR))
 
 
 def _refined_values(f, beta: float, base: GridSpec, alpha: float, ks) -> list:
@@ -304,7 +304,7 @@ def _refined_values(f, beta: float, base: GridSpec, alpha: float, ks) -> list:
     values = []
     for k in ks:
         g = glue(f, beta, GridSpec(u_max=base.u_max * 2 ** k, n=base.n * 4 ** k))
-        values.append(_fourier_weighted_value(g.grid, g.values, alpha, g.angular_factor))
+        values.append(_fourier_weighted_value(g.grid, g.values, alpha))
     return values
 
 
@@ -316,21 +316,15 @@ def _require_alpha(alpha: float) -> None:
 def regularity_norm(g: GluedFunction, alpha: float) -> Tuple[float, bool]:
     """Sobolev norm of order alpha, || (1 + xi^2)^{alpha/2} g_hat ||_L2.
 
-    converged is True when the value moves by at most 1% under a refinement
-    that doubles u_max and halves the grid step.  When g carries its source
-    function the refinement re-glues it; otherwise a decimated inner-half
-    evaluation stands in for the coarse value.
+    converged is True when the value moves by at most 1% when g's source is
+    glued again on the refinement of its grid that doubles u_max and halves
+    the step.
     """
     _require_alpha(alpha)
-    value = _fourier_weighted_value(g.grid, g.values, alpha, g.angular_factor)
-    if g.source is not None and g.beta is not None:
-        u_max = float(g.grid[-1] + 0.5 * _uniform_step(g.grid))
-        ref, = _refined_values(g.source, g.beta, GridSpec(u_max=u_max, n=len(g.grid)),
-                               alpha, [1])
-    else:
-        n = len(g.grid)
-        sl = slice(n // 4, 3 * n // 4, 2)
-        ref = _fourier_weighted_value(g.grid[sl], g.values[sl], alpha, g.angular_factor)
+    value = _fourier_weighted_value(g.grid, g.values, alpha)
+    u_max = float(g.grid[-1] + 0.5 * _uniform_step(g.grid))
+    ref, = _refined_values(g.source, g.beta, GridSpec(u_max=u_max, n=len(g.grid)),
+                           alpha, [1])
     scale = max(value, ref, 1e-300)
     converged = bool(abs(ref - value) <= 0.01 * scale)
     return value, converged

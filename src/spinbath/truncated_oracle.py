@@ -36,7 +36,8 @@ from scipy.linalg import expm
 from .errors import (ConfigurationError, PreconditionError, ScalingError,
                      TruncationError)
 from .quadrature import integrate_refining
-from .spectral_density import BathSpec, GluedFunction, coupling_function, power_exp
+from .spectral_density import (ANGULAR_FACTOR, BathSpec, GluedFunction, _sign_residuals,
+                               coupling_function, power_exp)
 
 _DENSE_BATH_CAP = 1024
 _TAU_DECADES = 45.0
@@ -107,11 +108,7 @@ class DiscretizedBath:
 
     def balance_residual(self, beta: float) -> float:
         """max |conj(c at -u) + exp(-beta u/2) c at u| over positive modes."""
-        mirrored = self.amps[::-1]
-        pos = self.freqs > 0
-        res = np.abs(np.conj(mirrored[pos])
-                     + np.exp(-0.5 * beta * self.freqs[pos]) * self.amps[pos])
-        return float(np.max(res)) if res.size else 0.0
+        return float(np.max(_sign_residuals(self.freqs, self.amps, beta)))
 
 
 def _interp_complex(x: np.ndarray, grid: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -138,7 +135,7 @@ def discretize(f_beta: GluedFunction, trunc: TruncationSpec) -> DiscretizedBath:
     mids_pos = 0.5 * (edges[:-1] + edges[1:])
     freqs = np.concatenate([-mids_pos[::-1], mids_pos])
     vals = _interp_complex(freqs, f_beta.grid, f_beta.values)
-    mass = 4.0 * f_beta.angular_factor * np.abs(vals) ** 2 * width
+    mass = 4.0 * ANGULAR_FACTOR * np.abs(vals) ** 2 * width
     r = np.sqrt(mass)
     phase = np.ones(freqs.size, dtype=complex)
     nonzero = np.abs(vals) > 0
@@ -385,11 +382,11 @@ def check_unitary_equivalence(model: FiniteModel) -> float:
     return float(np.linalg.norm(R) / den)
 
 
-def _lso_dense(model: FiniteModel, eta: float) -> np.ndarray:
+def _lso_dense(model: FiniteModel) -> np.ndarray:
     e = np.zeros((2, model.dim))
     e[[0, 1], [0, 3 * model.bath_dim]] = 1.0
     v = model._apply("I", e)
-    x = v / (model.L0 - 1j * eta)
+    x = v / (model.L0 - 1j * model.trunc.eta)
     return np.array([[np.vdot(v[a], x[b]) for b in range(2)] for a in range(2)])
 
 
@@ -484,8 +481,9 @@ class _RungPhases:
         return F
 
 
-def _rung_pairings(model: FiniteModel, eta: float) -> list:
-    """The 8 resolvent pairings of a rung, in the order l00, l11, l01, l10.
+def _rung_pairings(model: FiniteModel) -> list:
+    """The 8 resolvent pairings of a rung, in the order l00, l11, l01, l10,
+    at the eta of the model's truncation.
 
     Pairing k is <W(a)Omega, (dGamma - s - i eta)^{-1} W(b)Omega>, the time
     integral i int_0^inf exp(-(eta + i s) tau) F_k(tau) dtau over the phase
@@ -501,7 +499,7 @@ def _rung_pairings(model: FiniteModel, eta: float) -> list:
     own tolerance.
     """
     amps = _amplitude_sets(model.bath.amps)
-    eps = model.spec.eps
+    eps, eta = model.spec.eps, model.trunc.eta
     # (s, a, b) of the pairings over the sets c, -c, ct, -ct, two per entry
     # of the 2x2 matrix
     pairings = ((-eps, 1, 1), (eps, 3, 3), (eps, 0, 0), (-eps, 2, 2),
@@ -534,8 +532,8 @@ def _rung_pairings(model: FiniteModel, eta: float) -> list:
     return [complex(re, im) for re, im in res.values]
 
 
-def _lso_virtual(model: FiniteModel, eta: float) -> np.ndarray:
-    r = _rung_pairings(model, eta)
+def _lso_virtual(model: FiniteModel) -> np.ndarray:
+    r = _rung_pairings(model)
     l00 = 0.25 * (r[0] + r[1])
     l11 = 0.25 * (r[2] + r[3])
     l01 = -0.25 * (r[4] + r[5])
@@ -552,10 +550,9 @@ def lso_finite(model: FiniteModel, *, force_virtual: bool = False) -> np.ndarray
     two columns I Pi0; larger ones (or force_virtual) use the factorized
     time integral over the vacuum columns of the model's Weyl factors.
     """
-    eta = model.trunc.eta
     if model.materialized and not force_virtual:
-        return _lso_dense(model, eta)
-    return _lso_virtual(model, eta)
+        return _lso_dense(model)
+    return _lso_virtual(model)
 
 
 def kms_vector(model: FiniteModel) -> Tuple[np.ndarray, float]:

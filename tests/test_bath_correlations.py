@@ -4,6 +4,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import re
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -154,6 +155,31 @@ def test_q2_monotone_before_first_extremum():
 def test_q2_extreme_beta_finite():
     value, err = sb.q2(_spec(beta=1e8), 1.0)
     assert np.isfinite(value) and value >= 0.0
+
+
+def test_a_beta_whose_thermal_head_underflows_is_refused():
+    # the head reaches 1/(8 beta); omega^2 keeps half its bits down to
+    # beta = 2^521, about 6.86e156
+    bath_correlations.j_source_from_spec(_spec(beta=1e156))
+    for beta in (1e157, 1e160, 1e300):
+        spec = _spec(beta=beta)
+        for kernel in (bath_correlations.j_source_from_spec,
+                       lambda s: sb.q2(s, 1.0),
+                       lambda s: sb.tabulate_kernels(s, 10.0, 16),
+                       sb.default_time_horizon):
+            with pytest.raises(sb.DomainError, match=re.escape("beta = %g puts" % beta)):
+                kernel(spec)
+
+
+def test_a_cached_table_does_not_pass_the_beta_refusal(tmp_path, monkeypatch):
+    # an entry written where beta was still admitted is refused on its hit
+    spec = _spec(beta=1e157)
+    monkeypatch.setattr(bath_correlations, "_OMEGA_SQ_MIN", 0.0)
+    sb.tabulate_kernels(spec, 10.0, 16, tol=1e-8, cache_dir=str(tmp_path))
+    monkeypatch.undo()
+    assert len(list(tmp_path.iterdir())) == 1
+    with pytest.raises(sb.DomainError, match=re.escape("beta = 1e+157 puts")):
+        sb.tabulate_kernels(spec, 10.0, 16, tol=1e-8, cache_dir=str(tmp_path))
 
 
 # --- qz ----------------------------------------------------------------------

@@ -434,6 +434,29 @@ def test_an_unusable_cache_entry_is_one_warning_line(tmp_path, monkeypatch):
     assert len(handlers) == 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("updates, what", [
+    ({"bath": {"beta": 4.0e3}, "kernels": {"t_max": 10.0, "n": 16}},
+     "beta eps / 2 = 1000 exceeds the float exponent limit 709.78"),
+    ({"bath": {"beta": 1.0e100}, "kernels": {"t_max": 10.0, "n": 16}},
+     "beta eps / 2 = 2.5e+99 exceeds the float exponent limit 709.78"),
+    ({"bath": {"beta": 1.0e160}, "kernels": {"t_max": 10.0, "n": 16}},
+     "beta = 1e+160 puts the thermal head"),
+    ({"bath": {"beta": 1.0e160}, "kernels": {"n": 16}},
+     "beta = 1e+160 puts the thermal head"),
+], ids=["db-overflow", "db-overflow-huge", "head-underflow", "head-underflow-horizon"])
+def test_a_beta_beyond_float_range_is_one_error_line(tmp_path, capsys, updates,
+                                                    what):
+    out = tmp_path / "out"
+    assert main(["rate", "--config", _config(tmp_path, updates),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert what in err and "Traceback" not in err and "Warning" not in err
+    assert not (out / "rate.json").exists()
+    assert not (out / "p_of_t.csv").exists()
+
+
 # --- argument handling ----------------------------------------------------------
 
 def test_usage_errors_exit_one():

@@ -296,40 +296,63 @@ def test_default_time_horizon_refuses_what_tabulate_refuses():
         sb.default_time_horizon(_spec(q0=0.0))
 
 
+def test_rate_and_lso_refuses_an_overflowing_balance_factor(monkeypatch):
+    # beta eps / 2 = 1000: exp(1000) of the detailed-balance residual is inf
+    spec = _spec(beta=4.0e3)
+    table = sb.tabulate_kernels(spec, 10.0, 16, tol=1e-8)
+    x_plus, _, z, _ = sb.lso_entries(spec, table)
+    assert np.isfinite([x_plus, z]).all()
+    assert sb.gamma_rate(spec, table).tau0_inv > 0.0
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("the refused command ran its quadrature")
+
+    monkeypatch.setattr(relaxation, "integrate_refining", no_quadrature)
+    for call in (sb.rate_and_lso, sb.lso_matrix):
+        with pytest.raises(sb.ScalingError,
+                           match=r"beta eps / 2 = 1000 exceeds the float "
+                                 r"exponent limit 709\.78"):
+            call(spec, table)
+
+
 # --- the not-a-knot spline against scipy's CubicSpline ---------------------------
 
 def _assert_spline_is_scipys(x, y):
-    """Coefficients, values and derivative coefficients bitwise CubicSpline's."""
-    ref = CubicSpline(x, y)
-    spline = relaxation._not_a_knot(x, y)
-    assert np.array_equal(spline.x, ref.x)
-    assert np.array_equal(spline.c, ref.c)
+    """Coefficients, values and derivative coefficients of every row of y
+    bitwise CubicSpline(x, y, axis=1)'s."""
+    ref = CubicSpline(x, y, axis=1)
+    c = relaxation._not_a_knot(x, y)
+    assert c.shape == (len(y), 4, len(x) - 1)
+    for k in range(len(y)):
+        assert np.array_equal(c[k], ref.c[..., k])
     span = x[-1] - x[0]
     mid = 0.5 * (x[:-1] + x[1:])
     inner = x[0] + span * np.random.default_rng(len(x)).random(257)
     outside = [x[0] - 0.01 * span, np.nextafter(x[0], -np.inf),
                np.nextafter(x[-1], np.inf), x[-1] + 0.01 * span]
     t = np.concatenate([x, mid, inner, outside])
-    assert np.array_equal(relaxation._spline_values(spline.x, spline.c, t),
-                          ref(t))
-    assert np.array_equal(spline.c[:-1] * relaxation._DERIVATIVE,
-                          ref.derivative().c)
+    assert np.array_equal(relaxation._spline_values(x, c, t), ref(t))
+    assert np.array_equal(c[:, :-1] * relaxation._DERIVATIVE,
+                          np.moveaxis(ref.derivative().c, -1, 0))
 
 
 @st.composite
 def _spline_data(draw):
-    # a kernel table has at least 4 rows, and the spline refuses fewer
+    # a kernel table has at least 4 rows, and the spline refuses fewer;
+    # three splines, as for the three kernel columns
     n = draw(st.integers(4, 400))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if draw(st.booleans()):
         x = bath_correlations._time_grid(draw(st.floats(1e-2, 1e4)), n)
     else:
         x = np.cumsum(rng.uniform(1e-3, 1.0, n)) * draw(st.floats(1e-2, 1e2))
-    if draw(st.booleans()):
-        y = np.sin(x / x[-1] * draw(st.floats(0.1, 20.0))) + 0.1 * x
-    else:
-        y = rng.standard_normal(n) * draw(st.floats(1e-6, 1e6))
-    return x, y
+    rows = []
+    for _ in range(3):
+        if draw(st.booleans()):
+            rows.append(np.sin(x / x[-1] * draw(st.floats(0.1, 20.0))) + 0.1 * x)
+        else:
+            rows.append(rng.standard_normal(n) * draw(st.floats(1e-6, 1e6)))
+    return x, np.array(rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -341,15 +364,39 @@ def test_not_a_knot_spline_is_scipys_bitwise(data):
 @pytest.mark.parametrize("n", [4])
 def test_not_a_knot_spline_is_scipys_on_short_grids(n):
     x = np.array([0.0, 0.3, 1.1, 2.0])[:n]
-    _assert_spline_is_scipys(x, np.array([1.0, -0.5, 2.0, 0.25])[:n])
-    _assert_spline_is_scipys(x * 7.0, np.exp(-x))
+    _assert_spline_is_scipys(x, np.array([[1.0, -0.5, 2.0, 0.25]])[:, :n])
+    _assert_spline_is_scipys(x * 7.0, np.array([np.exp(-x), np.cos(x), x]))
+
+
+def test_stacked_kernel_splines_are_the_single_column_splines(ohmic_setup):
+    # on a 400-row ohmic table the one system gives each kernel column
+    # bitwise the spline of its own one-column system
+    _, table = ohmic_setup
+    t, columns = table.t_grid, (table.q1, table.q2, table.qz)
+    c = relaxation._not_a_knot(t, np.array(columns))
+    for k, q in enumerate(columns):
+        assert np.array_equal(c[k], CubicSpline(t, q).c)
+
+
+def test_one_banded_solve_per_level_shift_quadrature(ohmic_setup, monkeypatch):
+    spec, table = ohmic_setup
+    calls = []
+    original = relaxation.solve_banded
+
+    def counting(*args, **kwargs):
+        calls.append(args[2].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(relaxation, "solve_banded", counting)
+    sb.rate_and_lso(spec, table)
+    assert calls == [(len(table.t_grid), 3)]
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_not_a_knot_spline_refuses_fewer_than_four_knots(n):
     x = np.array([0.0, 0.3, 1.1])[:n]
     with pytest.raises(ValueError, match="at least 4"):
-        relaxation._not_a_knot(x, np.exp(-x))
+        relaxation._not_a_knot(x, np.exp(-x)[None])
 
 
 def _raised(build, x, y):
@@ -372,8 +419,9 @@ def _raised(build, x, y):
         "nan_x", "inf_y", "two_dim_x", "repeated_knot_4", "nan_x_4",
         "inf_y_4"])
 def test_not_a_knot_spline_rejects_what_scipy_rejects(x, y):
-    x, y = np.asarray(x), np.asarray(y)
-    expected = _raised(CubicSpline, x, y)
+    # y is one spline row, in the stacked form
+    x, y = np.asarray(x), np.asarray(y, dtype=float)[None]
+    expected = _raised(lambda x, y: CubicSpline(x, y, axis=1), x, y)
     assert expected is not None
     assert _raised(relaxation._not_a_knot, x, y) is expected
 
@@ -407,7 +455,7 @@ def test_oscillation_edges_match_scalar_walk(p, cutoff, beta, eps, q0, n):
     a = q0 ** 2 / np.pi
     s1 = CubicSpline(table.t_grid, table.q1)
     s2 = CubicSpline(table.t_grid, table.q2)
-    fast = relaxation._oscillation_edges(spec, table, a, s1, s2)
+    fast = relaxation._oscillation_edges(spec, table, a, np.stack([s1.c, s2.c]))
     assert np.array_equal(fast, _scalar_walk_edges(spec, table, a, s1, s2))
 
 
@@ -469,7 +517,7 @@ def _phased_integrate_lso(spec, table, tol):
     s1 = CubicSpline(t, table.q1)
     s2 = CubicSpline(t, table.q2)
     sz = CubicSpline(t, table.qz)
-    edges = relaxation._oscillation_edges(spec, table, a, s1, s2)
+    edges = relaxation._oscillation_edges(spec, table, a, np.stack([s1.c, s2.c]))
 
     def rows(tt, w):
         q1v, q2v, qzv = s1(tt), s2(tt), sz(tt)

@@ -147,6 +147,18 @@ def test_coupling_function_zero_q0():
     assert np.all(g.values == 0.0)
 
 
+@pytest.mark.parametrize("q0", [1.0, 0.0])
+def test_coupling_glues_on_the_form_factors_default_grid(q0):
+    # cutoff scale 4 at beta 2: u_max = 40 / beta * 4 = 80, whatever q0
+    h = sb.power_exp(0.5, "exponential", scale=4.0)
+    spec = sb.BathSpec(beta=2.0, eps=0.5, delta=0.1, q0=q0, h=h)
+    g = sb.coupling_function(spec)
+    u, step = default_grid(h, spec.beta).points()
+    assert np.array_equal(g.grid, u)
+    assert np.array_equal(g.weights, np.full(u.shape, step))
+    assert g.grid[-1] + 0.5 * step == 80.0
+
+
 def test_coupling_function_frozen_value():
     # grid chosen so u = 1 is an exact sample: step 0.4, u = (j + 1/2) 0.4
     spec = sb.BathSpec(beta=1.0, eps=0.0, delta=0.0, q0=1.0, h=sb.power_exp(3.5))
@@ -229,7 +241,8 @@ def test_regularity_norm_monotone_in_alpha():
 
 def test_regularity_norm_requires_uniform_grid():
     grid = np.array([-2.0, -1.0, 1.0, 2.5])
-    bad = sb.GluedFunction(grid, np.zeros(4, complex), np.ones(4), beta=1.0)
+    bad = sb.GluedFunction(grid, np.zeros(4, complex), np.ones(4), beta=1.0,
+                           source=lambda u: np.zeros_like(u))
     with pytest.raises(sb.UsageError):
         sb.regularity_norm(bad, 1.0)
 

@@ -346,7 +346,7 @@ def test_shared_phase_pairings_match_direct_phase_sum():
     eps = spec.eps
     pairings = [(-eps, -c, -c), (eps, -ct, -ct), (eps, c, c), (-eps, ct, ct),
                 (-eps, -c, ct), (eps, -ct, c), (eps, c, -ct), (-eps, ct, -c)]
-    got = truncated_oracle._rung_pairings(model, eta)
+    got = truncated_oracle._rung_pairings(model)
     want = [_direct_pairing(s, a, b, bath, n_max, eta) for s, a, b in pairings]
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-13 * abs(w)
