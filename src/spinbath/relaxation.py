@@ -290,14 +290,15 @@ def rate_and_lso(spec: BathSpec, table: KernelTable,
     The trace gap compares Im(x(eps) + x(-eps)) with tau0_inv, the rate row
     of that same quadrature.  The detailed-balance residual
     |x(eps) + exp(beta eps / 2) z| / |x(eps)| needs exp(beta eps / 2) to be
-    finite: a larger beta eps / 2 raises ScalingError before the quadrature.
+    finite and nonzero: a |beta eps / 2| beyond the float exponent limit
+    raises ScalingError before the quadrature.
     """
     c = 0.5 * spec.beta * spec.eps
-    if c > _EXP_LIMIT:
+    if abs(c) > _EXP_LIMIT:
         raise ScalingError(
-            "beta eps / 2 = %g exceeds the float exponent limit %.2f: "
-            "exp(beta eps / 2) of the detailed-balance residual overflows"
-            % (c, _EXP_LIMIT))
+            "beta eps / 2 = %g exceeds the float exponent limit %.2f in "
+            "magnitude: exp(beta eps / 2) of the detailed-balance residual %s"
+            % (c, _EXP_LIMIT, "overflows" if c > 0 else "underflows"))
     values, err, env = _integrate_lso(spec, table, tol)
     rate = _rate_report(spec, values, err, env)
     x_plus, x_minus, z = _entries(values)

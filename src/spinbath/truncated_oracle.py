@@ -20,9 +20,9 @@ also holds the free generator L0 as a vector-sized diagonal, so the KMS
 vector (scipy's expm_multiply on the apply), the unitary-equivalence and
 Weyl checks and the exact level-shift resolvent run on it, and dense
 matrices of the operators are built on first access, for tests.  Past the
-cap the level-shift matrix is a per-mode factorized time integral, one
-quadrature over its eight resolvent pairings, that agrees with the
-resolvent up to quadrature tolerance.
+cap the level-shift matrix comes from its eight resolvent pairings, each
+an exact sum over the Laurent coefficients of a per-mode phase product,
+with no quadrature: it agrees with the dense resolvent to rounding.
 """
 
 from __future__ import annotations
@@ -35,18 +35,14 @@ from scipy.linalg import expm
 
 from .errors import (ConfigurationError, PreconditionError, ScalingError,
                      TruncationError)
-from .quadrature import integrate_refining
+# not called (the pairings are exact sums); bound so that tracers count its 0 nodes
+from .quadrature import integrate_refining  # noqa: F401
 from .spectral_density import (ANGULAR_FACTOR, BathSpec, GluedFunction, _sign_residuals,
                                coupling_function, power_exp)
 
 _DENSE_BATH_CAP = 1024
-_TAU_DECADES = 45.0
-_TAU_NODE_CAP = 400000
-_TAU_ORDER = 16
 _WEYL_UNITARITY_TOL = 1e-6
 _EXP_BUDGET = 709.0
-_PHASE_BLOCK = 4096
-_PHASE_ANCHOR = 4
 
 _SP = np.array([[0.0, 1.0], [0.0, 0.0]])
 _SM = _SP.T.copy()
@@ -391,7 +387,7 @@ def _lso_dense(model: FiniteModel) -> np.ndarray:
 
 
 class _RungPhases:
-    """Mode phase sums of the resolvent pairings of one rung.
+    """Laurent coefficients of the mode phase sums of one rung's pairings.
 
     Pairing k needs F_k(tau) = prod_j sum_n p_kjn z_j^n, z_j = exp(-i f_j
     tau), where p_kj = conj(W_j(a_kj) Omega) * W_j(b_kj) Omega.  vacua[i, j]
@@ -399,28 +395,18 @@ class _RungPhases:
     model's Weyl factors, and set_pairs[k] = (a, b) names the sets of
     pairing k.  Pairings with equal coefficients share one sum: the
     truncated field is off-diagonal in the occupation basis, so W_j(-z)
-    Omega = (-1)^N W_j(z) Omega, and the 8 pairings of a rung have 4
-    distinct coefficient sets, the rows of _evaluate; row[k] is the row of
+    Omega = (-1)^N W_j(z) Omega, and the 8 pairings of a rung have at most
+    4 distinct coefficient sets, the rows of coef; row[k] is the row of
     pairing k.
 
     The phases come from the mode grid of discretize, midpoints
     +-(k + 1/2) step with freqs[2m-1-j] == -freqs[j]; the constructor
-    checks that structure.  tau is split into equal blocks of at most
-    _PHASE_BLOCK nodes, which keep a block's work in cache.  The values do
-    not depend on that blocking when the coefficients are real, as for
-    every discretize bath, whose amplitudes are purely imaginary and whose
-    vacuum columns are therefore real, and no block has one column.  With
-    complex coefficients the products of blocks of different widths round
-    differently, by about 1e-17 of max |F|.  On a block,
-    w = exp(-i step tau) is the one exponential per step: the next positive
-    mode is z w, with a direct exponential of the stored frequency every
-    _PHASE_ANCHOR modes, and its mirror is conj(z), which is bitwise the
-    exponential of the mirrored frequency.  Each mode's polynomial is one
-    small matrix product of its coefficients with the powers 1, z, ...,
-    z^n_max, so no all-modes array is formed.  Against an
-    extended-precision phase sum on the last default rung the error is
-    about 5e-14 of max |F| (4e-14 with a direct exponential per mode,
-    1.2e-13 without re-anchoring); the tests bound it by 1e-12.
+    checks that structure.  On it z_{m+k} = zeta^(2k+1) and z_{m-1-k} =
+    zeta^-(2k+1) with zeta = exp(-i step tau / 2), so each F is a Laurent
+    polynomial in zeta of degree at most n_max m^2.  coef[r, top + N] is
+    its coefficient of zeta^N, top = n_max m^2: starting from 1, each mode
+    multiplies it by its (n_max+1)-term polynomial, one shifted axpy per
+    occupation over the support reached so far.
     """
 
     def __init__(self, freqs: np.ndarray, vacua: np.ndarray, set_pairs):
@@ -439,46 +425,26 @@ class _RungPhases:
                                return_inverse=True)
         self.pairs = pairs
         self.row = row.reshape(-1)
-        self.freqs = freqs
-        self._step = step
-        # per positive mode k, the coefficients of mode m + k stacked on the
-        # conjugated coefficients of its mirror m - 1 - k, so that one
-        # product with the powers of z gives both
-        self._coef = np.ascontiguousarray(np.concatenate(
-            [pairs[:, m:], np.conj(pairs[:, m - 1::-1])], axis=0
-        ).transpose(1, 0, 2))
-
-    def _evaluate(self, tau: np.ndarray) -> np.ndarray:
-        n_sets = len(self.pairs)
-        m, _, d = self._coef.shape
-        F = np.ones((n_sets, tau.size), dtype=complex)
-        # equal blocks, so that no block but a one-node tau has a single
-        # column (numpy takes a matrix-vector product for those, which
-        # rounds differently); then real coefficients give the same bits
-        # under any blocking, complex ones not
-        n_blocks = max(1, -(-tau.size // _PHASE_BLOCK))
-        bounds = np.arange(n_blocks + 1) * tau.size // n_blocks
-        width = -(-tau.size // n_blocks)
-        powers = np.empty((d, width), dtype=complex)
-        powers[0] = 1.0
-        terms = np.empty((2 * n_sets, width), dtype=complex)
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            t = tau[lo:hi]
-            zs = powers[:, :hi - lo]
-            both = terms[:, :hi - lo]
-            w = np.exp((-1j * self._step) * t)
-            Fb = F[:, lo:hi]
-            for k in range(m):
-                if k % _PHASE_ANCHOR:
-                    zs[1] *= w
-                else:
-                    zs[1] = np.exp((-1j * self.freqs[m + k]) * t)
-                for p in range(2, d):
-                    np.multiply(zs[p - 1], zs[1], out=zs[p])
-                np.matmul(self._coef[k], zs, out=both)
-                Fb *= both[:n_sets]
-                Fb *= np.conj(both[n_sets:], out=both[n_sets:])
-        return F
+        self.step = step
+        n_max = pairs.shape[-1] - 1
+        self.top = top = n_max * m * m
+        coef = np.zeros((len(pairs), 2 * top + 1), dtype=complex)
+        out = np.empty_like(coef)
+        coef[:, top] = 1.0
+        lo = hi = top
+        # from the centre out, each positive mode and then its mirror, whose
+        # zeta exponents are the multiples of 2k+1 and of -(2k+1)
+        for k in range(m):
+            for j, stride in ((m + k, 2 * k + 1), (m - 1 - k, -2 * k - 1)):
+                reach = n_max * stride
+                new_lo, new_hi = lo + min(0, reach), hi + max(0, reach)
+                out[:, new_lo:new_hi + 1] = 0.0
+                for n in range(n_max + 1):
+                    out[:, lo + n * stride:hi + 1 + n * stride] += (
+                        pairs[:, j, n, None] * coef[:, lo:hi + 1])
+                coef, out = out, coef
+                lo, hi = new_lo, new_hi
+        self.coef = coef
 
 
 def _rung_pairings(model: FiniteModel) -> list:
@@ -487,18 +453,11 @@ def _rung_pairings(model: FiniteModel) -> list:
 
     Pairing k is <W(a)Omega, (dGamma - s - i eta)^{-1} W(b)Omega>, the time
     integral i int_0^inf exp(-(eta + i s) tau) F_k(tau) dtau over the phase
-    sums F_k of _RungPhases.  One integrate_refining call takes all 8: its
-    integrand evaluates the phase sums once per node set and the damping
-    exp(-(eta + i s) tau) once per distinct rate, and returns one (re, im)
-    group per pairing, so the stop rule holds for each pairing against its
-    own size.  The panels come from the largest characteristic frequency
-    of the pairings, which agree to rounding (every pairing has the same
-    |s| and the same mirrored mode weights).  The node set is refined until
-    every pairing meets the rule, so a pairing that alone would have
-    stopped a pass earlier takes its value from a finer pass, within its
-    own tolerance.
+    sums F_k of _RungPhases.  With F_k = sum_N c_N zeta^N, zeta = exp(-i
+    step tau / 2), the integral is exact: sum_N c_N i / (eta + i (s + N
+    step / 2)), one dot product per pairing over the Laurent coefficients
+    of its row.
     """
-    amps = _amplitude_sets(model.bath.amps)
     eps, eta = model.spec.eps, model.trunc.eta
     # (s, a, b) of the pairings over the sets c, -c, ct, -ct, two per entry
     # of the 2x2 matrix
@@ -506,30 +465,9 @@ def _rung_pairings(model: FiniteModel) -> list:
                 (-eps, 1, 2), (eps, 3, 0), (eps, 0, 3), (-eps, 2, 1))
     phases = _RungPhases(model.bath.freqs, model.weyl[:4, :, :, 0],
                          [(a, b) for _, a, b in pairings])
-    freqs = np.abs(model.bath.freqs)
-    tau_max = _TAU_DECADES / eta
-    w_char = max(abs(s) + eta + 0.5 * float(
-        np.sum(freqs * (np.abs(amps[a]) ** 2 + np.abs(amps[b]) ** 2)))
-        for s, a, b in pairings)
-    n_pan = int(min(max(8, np.ceil(tau_max * w_char / 1.5)),
-                    _TAU_NODE_CAP // (2 * _TAU_ORDER)))
-    max_refine = max(1, int(np.log2(max(2.0, _TAU_NODE_CAP / (n_pan * _TAU_ORDER)))))
-    rates = [eta + 1j * s for s, _, _ in pairings]
-
-    def f(tau, w):
-        F = phases._evaluate(tau)
-        damping = {rate: np.exp(-rate * tau) for rate in dict.fromkeys(rates)}
-        out = np.empty((len(pairings), 2))
-        for k, rate in enumerate(rates):
-            g = 1j * damping[rate] * F[phases.row[k]]
-            out[k] = np.sum(g.real * w), np.sum(g.imag * w)
-        return out
-
-    edges = np.linspace(0.0, tau_max, n_pan + 1)
-    res = integrate_refining(f, edges, order=_TAU_ORDER, rtol=1e-9,
-                             max_refine=max_refine, floor=1e-3,
-                             what="resolvent pairings at s=+-%g" % eps)
-    return [complex(re, im) for re, im in res.values]
+    levels = np.arange(-phases.top, phases.top + 1) * (0.5 * phases.step)
+    return [complex(phases.coef[phases.row[k]] @ (1j / (eta + 1j * (s + levels))))
+            for k, (s, _, _) in enumerate(pairings)]
 
 
 def _lso_virtual(model: FiniteModel) -> np.ndarray:
@@ -547,8 +485,9 @@ def lso_finite(model: FiniteModel, *, force_virtual: bool = False) -> np.ndarray
 
     Returns the 2x2 matrix in the (phi_++ Omega, phi_-- Omega) basis.
     Materialized models invert the diagonal free generator exactly on the
-    two columns I Pi0; larger ones (or force_virtual) use the factorized
-    time integral over the vacuum columns of the model's Weyl factors.
+    two columns I Pi0; larger ones (or force_virtual) sum the resolvent
+    exactly over the Laurent coefficients of the per-mode phase products of
+    the vacuum columns of the model's Weyl factors (_rung_pairings).
     """
     if model.materialized and not force_virtual:
         return _lso_dense(model)

@@ -440,11 +440,16 @@ def test_an_unusable_cache_entry_is_one_warning_line(tmp_path, monkeypatch):
      "beta eps / 2 = 1000 exceeds the float exponent limit 709.78"),
     ({"bath": {"beta": 1.0e100}, "kernels": {"t_max": 10.0, "n": 16}},
      "beta eps / 2 = 2.5e+99 exceeds the float exponent limit 709.78"),
+    ({"bath": {"beta": 3.0e3, "eps": -0.5}, "kernels": {"t_max": 10.0, "n": 16}},
+     "beta eps / 2 = -750 exceeds the float exponent limit 709.78"),
+    ({"bath": {"beta": 1.0e156, "eps": -0.5}, "kernels": {"t_max": 10.0, "n": 16}},
+     "beta eps / 2 = -2.5e+155 exceeds the float exponent limit 709.78"),
     ({"bath": {"beta": 1.0e160}, "kernels": {"t_max": 10.0, "n": 16}},
      "beta = 1e+160 puts the thermal head"),
     ({"bath": {"beta": 1.0e160}, "kernels": {"n": 16}},
      "beta = 1e+160 puts the thermal head"),
-], ids=["db-overflow", "db-overflow-huge", "head-underflow", "head-underflow-horizon"])
+], ids=["db-overflow", "db-overflow-huge", "db-underflow", "db-underflow-huge",
+        "head-underflow", "head-underflow-horizon"])
 def test_a_beta_beyond_float_range_is_one_error_line(tmp_path, capsys, updates,
                                                     what):
     out = tmp_path / "out"

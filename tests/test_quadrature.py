@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import spinbath as sb
-from spinbath import bath_correlations, relaxation, truncated_oracle
+from spinbath import bath_correlations, relaxation
 from spinbath.bath_correlations import _SUPPORT_DROP, _support_bound
 from spinbath.quadrature import integrate_refining
 
@@ -97,12 +97,6 @@ def _bath():
                        h=sb.power_exp(1.0, "exponential"))
 
 
-def _virtual_lso():
-    spec, trunc = sb.standard_test_bath()
-    bath = sb.discretize(sb.coupling_function(spec), trunc)
-    return sb.lso_finite(sb.build_model(bath, spec, trunc), force_virtual=True)
-
-
 # call site: (its module, the label of the capped call, the call given an
 # empty cache directory); rows [0, 8) of the 16-point table are a direct
 # chunk, [8, 16) the shared chirp-z set
@@ -121,10 +115,6 @@ ENGINE_SITES = {
     "rate_and_lso": (
         relaxation, "level-shift quadrature",
         lambda cache: sb.rate_and_lso(_bath(), sb.tabulate_kernels(_bath(), 16.0, 64))),
-    "lso_finite-virtual": (
-        truncated_oracle,
-        "resolvent pairings at s=+-%g" % sb.standard_test_bath()[0].eps,
-        lambda cache: _virtual_lso()),
 }
 
 

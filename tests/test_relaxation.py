@@ -297,22 +297,27 @@ def test_default_time_horizon_refuses_what_tabulate_refuses():
 
 
 def test_rate_and_lso_refuses_an_overflowing_balance_factor(monkeypatch):
-    # beta eps / 2 = 1000: exp(1000) of the detailed-balance residual is inf
-    spec = _spec(beta=4.0e3)
-    table = sb.tabulate_kernels(spec, 10.0, 16, tol=1e-8)
-    x_plus, _, z, _ = sb.lso_entries(spec, table)
-    assert np.isfinite([x_plus, z]).all()
-    assert sb.gamma_rate(spec, table).tau0_inv > 0.0
+    # beta eps / 2 = 1000: exp(1000) of the detailed-balance residual is inf;
+    # at -1000 it is 0, and the residual would read 1 whatever the entries
+    cases = [(_spec(beta=4.0e3, eps=eps), "%g" % (2.0e3 * eps), word)
+             for eps, word in ((0.5, "overflows"), (-0.5, "underflows"))]
+    table = sb.tabulate_kernels(cases[0][0], 10.0, 16, tol=1e-8)
+    for spec, _, _ in cases:
+        x_plus, _, z, _ = sb.lso_entries(spec, table)
+        assert np.isfinite([x_plus, z]).all()
+        assert sb.gamma_rate(spec, table).tau0_inv > 0.0
 
     def no_quadrature(*args, **kwargs):
         raise AssertionError("the refused command ran its quadrature")
 
     monkeypatch.setattr(relaxation, "integrate_refining", no_quadrature)
-    for call in (sb.rate_and_lso, sb.lso_matrix):
-        with pytest.raises(sb.ScalingError,
-                           match=r"beta eps / 2 = 1000 exceeds the float "
-                                 r"exponent limit 709\.78"):
-            call(spec, table)
+    for spec, c, word in cases:
+        for call in (sb.rate_and_lso, sb.lso_matrix):
+            with pytest.raises(sb.ScalingError,
+                               match=r"beta eps / 2 = %s exceeds the float "
+                                     r"exponent limit 709\.78 in magnitude: .* %s"
+                                     % (c, word)):
+                call(spec, table)
 
 
 # --- the not-a-knot spline against scipy's CubicSpline ---------------------------

@@ -307,17 +307,33 @@ def test_lso_dense_matches_virtual(small_model, factored_models):
         assert np.abs(dense - virtual).max() <= 1e-7
 
 
+def test_exact_pairings_match_the_dense_resolvent(small_model, factored_models):
+    # the exact resolvent sum agrees with the dense resolvent to rounding,
+    # on real and on complex (phased) vacuum columns
+    _, _, model = small_model
+    for m in (model, factored_models(2, 3)):
+        dense = sb.lso_finite(m)
+        virtual = sb.lso_finite(m, force_virtual=True)
+        assert np.abs(virtual - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+# the time quadrature of the reference pairings: tau up to 45 / eta, order-16
+# panels, at most 400000 nodes
+_TAU_DECADES, _TAU_ORDER, _TAU_NODE_CAP = 45.0, 16, 400000
+
+
 def _direct_pairing(s, avec, bvec, bath, n_max, eta):
-    """The pairing with each mode's phase sum taken term by term."""
+    """The pairing as a time quadrature, each mode's phase sum taken term
+    by term."""
     a_op = truncated_oracle._annihilator(n_max + 1)
     occ = np.arange(n_max + 1)
     pair = [np.conj(truncated_oracle._wmode(avec[j], a_op)[:, 0])
             * truncated_oracle._wmode(bvec[j], a_op)[:, 0]
             for j in range(bath.n_modes)]
-    tau_max = truncated_oracle._TAU_DECADES / eta
+    tau_max = _TAU_DECADES / eta
     w_char = abs(s) + eta + 0.5 * float(
         np.sum(np.abs(bath.freqs) * (np.abs(avec) ** 2 + np.abs(bvec) ** 2)))
-    order, cap = truncated_oracle._TAU_ORDER, truncated_oracle._TAU_NODE_CAP
+    order, cap = _TAU_ORDER, _TAU_NODE_CAP
     n_pan = int(min(max(8, np.ceil(tau_max * w_char / 1.5)), cap // (2 * order)))
     max_refine = max(1, int(np.log2(max(2.0, cap / (n_pan * order)))))
 
@@ -373,116 +389,50 @@ def _rung_phases(model):
                                         RUNG_SET_PAIRS)
 
 
-class _PairingEdges(Exception):
-    pass
+def _extended_laurent(pairs, freqs):
+    """Coefficients of prod_j sum_n p_jn zeta^(n N_j), N_j = 2 f_j / step, by
+    direct convolution over the modes in ascending order, in extended
+    precision."""
+    step = freqs[-1] - freqs[-2]
+    strides = np.rint(2.0 * freqs / step).astype(int)
+    n_max = pairs.shape[-1] - 1
+    top = n_max * int(np.sum(np.abs(strides))) // 2
+    c = np.zeros((len(pairs), 2 * top + 1), dtype=np.clongdouble)
+    c[:, top] = 1.0
+    for j, stride in enumerate(strides):
+        acc = np.zeros_like(c)
+        for n in range(n_max + 1):
+            acc += pairs[:, j, n, None].astype(np.clongdouble) * np.roll(c, n * stride, axis=1)
+        c = acc
+    return c
 
 
-@pytest.fixture(scope="module")
-def last_rung():
-    """Phase sums of the last default rung and the nodes of its pairings'
-    first doubling, the largest node set the rung evaluates."""
+def test_laurent_coefficients_match_extended_precision():
     model = _rung_model(-1)
-
-    def stop(f, edges, order, **kwargs):
-        raise _PairingEdges(edges, order)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(truncated_oracle, "integrate_refining", stop)
-        with pytest.raises(_PairingEdges) as info:
-            sb.lso_finite(model)
-    edges, order = info.value.args
-    tau, _ = quadrature.panel_nodes(quadrature.refine_edges(edges), order)
-    return _rung_phases(model), tau
+    phases = _rung_phases(model)
+    assert phases.pairs.shape[1:] == (64, 4)
+    assert phases.top == 3 * 32 ** 2
+    want = _extended_laurent(phases.pairs, model.bath.freqs)
+    assert phases.coef.shape == want.shape
+    assert np.abs(phases.coef - want).max() <= 1e-15 * np.abs(want).max()
 
 
-def _extended_phase_sum(phases, tau):
-    """prod_j sum_n p_jn exp(-i f_j n tau) in extended precision."""
-    pairs = phases.pairs.astype(np.clongdouble)
-    t = tau.astype(np.longdouble)
-    F = np.ones((len(pairs), tau.size), dtype=np.clongdouble)
-    for j, f in enumerate(phases.freqs.astype(np.longdouble)):
-        z = np.exp(np.clongdouble(-1j) * (f * t))
-        zn = np.ones_like(z)
-        acc = np.zeros_like(F)
-        for n in range(pairs.shape[-1]):
-            acc += pairs[:, j, n, None] * zn
-            zn *= z
-        F *= acc
-    return F
-
-
-def test_rung_phase_sums_match_extended_precision(last_rung):
-    phases, tau = last_rung
-    assert phases.freqs.size == 64 and phases.pairs.shape[-1] == 4
-    assert tau.size == 79584
-    sub = tau[::9]
-    assert sub.size > 2 * truncated_oracle._PHASE_BLOCK
-    want = _extended_phase_sum(phases, sub)
-    got = phases._evaluate(sub)
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-
-@pytest.mark.parametrize("rung", range(len(truncated_oracle._ORACLE_SCHEDULE)))
-def test_mirrored_mode_phases_are_conjugates(rung):
-    m_pos, eta = truncated_oracle._ORACLE_SCHEDULE[rung]
-    freqs = _rung_model(rung).bath.freqs
-    tau = np.linspace(0.0, truncated_oracle._TAU_DECADES / eta, 4001)
-    for k in range(m_pos):
-        z = np.exp((-1j * freqs[m_pos + k]) * tau)
-        assert np.array_equal(np.exp((-1j * freqs[m_pos - 1 - k]) * tau), np.conj(z))
-
-
-def test_rung_phase_sums_stay_within_block_memory(last_rung):
-    phases, tau = last_rung
+def test_laurent_coefficients_stay_within_their_buffers():
+    model = _rung_model(-1)
     tracemalloc.start()
     try:
-        F = phases._evaluate(tau)
+        phases = _rung_phases(model)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= F.nbytes + 2 * 2 ** 20
+    # the coefficients, their second buffer and one axpy term (the slack is
+    # numpy's and the grid check's scratch), nothing that grows with a time grid
+    assert phases.coef.nbytes == len(phases.pairs) * (2 * 3 * 32 ** 2 + 1) * 16
+    assert peak <= 4 * phases.coef.nbytes
 
 
-@pytest.fixture(scope="module")
-def first_rung_phases():
-    return _rung_phases(_rung_model(0))
-
-
-@pytest.fixture(scope="module")
-def phased_first_rung_phases():
-    # the first rung with its amplitudes turned by exp(0.3 i): complex vacuum
-    # columns, so complex phase-sum coefficients
-    model = _rung_model(0)
-    bath = dataclasses.replace(model.bath, amps=model.bath.amps * np.exp(0.3j))
-    return _rung_phases(sb.build_model(bath, model.spec, model.trunc))
-
-
-@settings(max_examples=30, deadline=None)
-@given(length=st.integers(truncated_oracle._PHASE_BLOCK - 3,
-                          2 * truncated_oracle._PHASE_BLOCK + 3),
-       data=st.data())
-def test_rung_phase_sums_do_not_depend_on_blocking(first_rung_phases,
-                                                   phased_first_rung_phases,
-                                                   length, data):
-    # pieces of at least two nodes: numpy takes a matrix-vector product for a
-    # one-column block, which rounds differently.  A discretize bath has
-    # real vacuum columns, and its sums are bitwise blocking-free; complex
-    # coefficients round by block width, within 1e-15 of max |F|
-    cut = data.draw(st.integers(2, length - 2))
-    tau = np.linspace(0.0, 225.0, length)
-
-    def whole_and_pieces(phases):
-        return phases._evaluate(tau), np.concatenate(
-            [phases._evaluate(tau[:cut]), phases._evaluate(tau[cut:])], axis=1)
-
-    whole, pieces = whole_and_pieces(first_rung_phases)
-    assert np.array_equal(whole, pieces)
-    whole, pieces = whole_and_pieces(phased_first_rung_phases)
-    assert np.abs(whole - pieces).max() <= 1e-15 * np.abs(whole).max()
-
-
-def test_rung_phases_need_the_discretize_grid(first_rung_phases):
-    freqs = first_rung_phases.freqs
+def test_rung_phases_need_the_discretize_grid():
+    freqs = _rung_model(0).bath.freqs
     vacua = np.ones((4, freqs.size, 2), dtype=complex)
     skewed = freqs.copy()
     skewed[-1] *= 1.0 + 1e-9
@@ -491,26 +441,14 @@ def test_rung_phases_need_the_discretize_grid(first_rung_phases):
             truncated_oracle._RungPhases(bad, vacua, RUNG_SET_PAIRS)
 
 
-def test_default_ladder_takes_one_quadrature_per_rung(monkeypatch):
-    calls, node_sets, phase_sums = [], [], []
-    integrate = truncated_oracle.integrate_refining
-    panel_nodes = quadrature.panel_nodes
-    evaluate = truncated_oracle._RungPhases._evaluate
-    monkeypatch.setattr(truncated_oracle._RungPhases, "_evaluate",
-                        lambda self, tau: phase_sums.append(tau.size)
-                        or evaluate(self, tau))
-    monkeypatch.setattr(truncated_oracle, "integrate_refining",
-                        lambda *args, **kwargs: calls.append(1)
-                        or integrate(*args, **kwargs))
-    monkeypatch.setattr(quadrature, "panel_nodes",
-                        lambda *args, **kwargs: node_sets.append(1)
-                        or panel_nodes(*args, **kwargs))
-    sb.run_oracle_schedule()
-    # three rungs, each an initial pass and one doubling
-    assert len(calls) == len(truncated_oracle._ORACLE_SCHEDULE) == 3
-    assert len(node_sets) == 6
-    # the phase sums once per node set, for all 8 pairings
-    assert len(phase_sums) == len(set(phase_sums)) == 6
+def test_default_ladder_takes_no_quadrature(monkeypatch):
+    calls = []
+    for module in (quadrature, truncated_oracle):
+        monkeypatch.setattr(module, "integrate_refining",
+                            lambda *args, **kwargs: calls.append(1))
+    report = sb.run_oracle_schedule()
+    assert calls == []
+    assert len(report.rungs) == len(truncated_oracle._ORACLE_SCHEDULE) == 3
 
 
 def test_lso_entries_structure(small_model):
