@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .bath_correlations import (KernelTable, c2_saturation, j_source_from_spec,
                                 q2, require_tabulable)
@@ -86,6 +85,48 @@ def _envelope(spec: BathSpec, table: KernelTable) -> _Envelope:
 _DERIVATIVE = np.array([[3.0], [2.0], [1.0]])
 
 
+def _solve_tridiagonal(dl: list, d: list, du: list, cols: list) -> list:
+    """Solve the tridiagonal system with sub-, main and super-diagonals dl,
+    d, du (lengths n-1, n, n-1) for each right-hand side in cols.
+
+    A port of reference LAPACK's dgtsv on its path for more than one
+    right-hand side: Gaussian elimination that interchanges rows i and i+1
+    wherever |d[i]| < |dl[i]|, then one back substitution per column, every
+    operation in dgtsv's order on Python floats, so the solution is bitwise
+    that of scipy's ``solve_banded((1, 1), ...)`` with two or more columns.
+    The lists are overwritten, and cols returned holding the solutions.
+    """
+    n = len(d)
+    # dgtsv's fill-in above the superdiagonal reuses dl; the last row's
+    # interchange reads one superdiagonal entry past the end
+    du = du + [0.0]
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            for b in cols:
+                b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            dl[i] = du[i + 1]
+            du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            for b in cols:
+                temp = b[i]
+                b[i] = b[i + 1]
+                b[i + 1] = temp - fact * b[i + 1]
+    for b in cols:
+        b[n - 1] = b[n - 1] / d[n - 1]
+        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+        for i in range(n - 3, -1, -1):
+            b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return cols
+
+
 def _not_a_knot(x, y) -> np.ndarray:
     """The not-a-knot cubic splines through the rows of y on knots x (de Boor,
     A Practical Guide to Splines, 2001), bitwise scipy's
@@ -93,14 +134,16 @@ def _not_a_knot(x, y) -> np.ndarray:
 
     Returns the coefficients c[k, j, i] of row k in scipy's PPoly layout: on
     [x[i], x[i+1]] spline k is sum_j c[k, j, i] (t - x[i])^(3 - j).  The
-    knot slopes of all rows come from one banded system with one
+    knot slopes of all rows come from one tridiagonal system with one
     right-hand side per row, built by the same expressions in the same
-    order and solved by the same LAPACK call as scipy 1.17's CubicSpline
-    for n >= 4 knots.  The tridiagonal solver runs a separate loop for a
-    single right-hand side, so a row can differ from the one-row
-    ``CubicSpline(x, y[k])`` in its last bits: about 1 in 10^4 random rows
-    do, no kernel table tested does.  Fewer knots, and inputs that
-    CubicSpline rejects, raise ValueError.
+    order as scipy 1.17's CubicSpline for n >= 4 knots, and solved by
+    _solve_tridiagonal, the port of the LAPACK dgtsv path that CubicSpline
+    reaches through solve_banded.  Compiled dgtsv runs a separate loop for
+    a single right-hand side, which can round differently, so a y of one
+    row, or a row against the one-row ``CubicSpline(x, y[k])``, can differ
+    in its last bits: about 1 in 10^3 random systems do, no kernel table
+    tested does.  Fewer knots, and inputs that CubicSpline rejects, raise
+    ValueError.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -119,23 +162,17 @@ def _not_a_knot(x, y) -> np.ndarray:
     y = y.T
     dxr = dx[:, None]
     slope = np.diff(y, axis=0) / dxr
-    A = np.zeros((3, n))
     b = np.empty(y.shape)
-    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-    A[0, 2:] = dx[:-1]
-    A[-1, :-2] = dx[1:]
     b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-    A[1, 0] = dx[1]
-    A[0, 1] = x[2] - x[0]
     d = x[2] - x[0]
     b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
-    A[1, -1] = dx[-2]
-    A[-1, -2] = x[-1] - x[-3]
     d = x[-1] - x[-3]
     b[-1] = (dxr[-1] ** 2 * slope[-2]
              + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
-    s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True,
-                     check_finite=False)
+    diag = [float(dx[1])] + (2 * (dx[:-1] + dx[1:])).tolist() + [float(dx[-2])]
+    upper = [float(x[2] - x[0])] + dx[:-1].tolist()
+    lower = dx[1:].tolist() + [float(x[-1] - x[-3])]
+    s = np.array(_solve_tridiagonal(lower, diag, upper, b.T.tolist())).T
     # CubicHermiteSpline's coefficients from the knot slopes s
     t = (s[:-1] + s[1:] - 2 * slope) / dxr
     c = np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))

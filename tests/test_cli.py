@@ -573,29 +573,46 @@ def test_benchmark_argv_forms_parse(argv):
 _IMPORT_GUARD = """
 import sys
 sys.path.insert(0, {src!r})
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
+import spinbath
+print(scipy_modules())
 from spinbath.cli import main
-for command, cfg in {runs!r}:
-    assert main([command, "--config", cfg, "--out", {out!r}]) == 0
-print(sorted(m for m in sys.modules
-             if m.split(".")[:2] in (["scipy", "interpolate"],
-                                     ["scipy", "optimize"],
-                                     ["scipy", "sparse"])))
+print(scipy_modules())
+for argv in {runs!r}:
+    assert main(argv + ["--out", {out!r}]) == 0, argv
+print(scipy_modules())
 """
 
 
 def test_rate_and_lso_load_no_unused_scipy(tmp_path):
-    # loaded at import, scipy.interpolate, scipy.optimize and scipy.sparse
-    # cost every command about 0.3 s; only kms_vector calls into them
+    # scipy costs every command about 0.15 s at import; no module of it may
+    # load, at import or in any subcommand (only kms_vector, which no
+    # subcommand calls, imports scipy.sparse)
     kernels = {"kernels": {"t_max": 20.0, "n": 64}}
     cfg = _config(tmp_path, kernels)
     smooth = copy.deepcopy(SMOOTH_BATH)
-    smooth.update(kernels, constants={"c_kms": 2.0, "c3": 5.0, "c5": 1.0})
+    smooth.update(kernels, constants={"c_kms": 2.0, "c3": 5.0, "c5": 1.0},
+                  sweep={"param_name": "q0", "values": [0.5, 1.0]},
+                  oracle={"n_max": 1, "u_max": 3.0,
+                          "schedule": [[1, 0.4], [2, 0.2], [3, 0.1]]})
     smooth_cfg = _config(tmp_path, smooth, name="smooth.yaml")
-    runs = [("rate", cfg), ("lso", cfg), ("threshold", smooth_cfg)]
+    regular = _config(tmp_path, {"bath": {"h": {"family": "power_exp", "p": 3.5,
+                                                "cutoff": "exponential"}}},
+                      name="regular.yaml")
+    runs = [["rate", "--config", cfg], ["lso", "--config", cfg],
+            ["threshold", "--config", smooth_cfg],
+            ["regularity", "--config", regular],
+            ["sweep", "--config", smooth_cfg, "--jobs", "1"],
+            ["oracle", "--config", smooth_cfg]]
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     code = _IMPORT_GUARD.format(src=str(src), runs=runs,
                                 out=str(tmp_path / "out"))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip().splitlines()[-1] == "[]"
+    assert done.stdout.strip().splitlines()[-3:] == ["[]"] * 3

@@ -7,6 +7,7 @@ import pytest
 import yaml
 from hypothesis import given, reject, settings, strategies as st
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 import spinbath as sb
 from spinbath import bath_correlations, relaxation
@@ -383,16 +384,62 @@ def test_stacked_kernel_splines_are_the_single_column_splines(ohmic_setup):
         assert np.array_equal(c[k], CubicSpline(t, q).c)
 
 
+def _interchanges(x):
+    """Rows where the not-a-knot system on knots x takes dgtsv's row
+    interchange: its entries are positive, so such a row leaves a nonzero
+    second superdiagonal in dl."""
+    dx = np.diff(x)
+    dl = dx[1:].tolist() + [float(x[-1] - x[-3])]
+    d = [float(dx[1])] + (2 * (dx[:-1] + dx[1:])).tolist() + [float(dx[-2])]
+    du = [float(x[2] - x[0])] + dx[:-1].tolist()
+    relaxation._solve_tridiagonal(dl, d, du, [[0.0] * len(x), [0.0] * len(x)])
+    return int(np.count_nonzero(dl[:-1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 40), ratio=st.floats(3.0, 8.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_not_a_knot_spline_is_scipys_through_row_interchanges(n, ratio, seed):
+    # knot gaps that grow threefold or more make all rows but two interchange
+    x = np.concatenate([[0.0], np.cumsum(ratio ** np.arange(n - 1))])
+    assert _interchanges(x) >= n - 3
+    y = np.random.default_rng(seed).standard_normal((3, n))
+    _assert_spline_is_scipys(x, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 60), cols=st.integers(2, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_tridiagonal_solve_is_lapacks_bitwise(n, cols, seed):
+    # general tridiagonal systems of either sign, against solve_banded's
+    # dgtsv with as many right-hand sides
+    rng = np.random.default_rng(seed)
+    ab = rng.standard_normal((3, n)) * 10.0 ** rng.uniform(-3, 3, (3, n))
+    ab[0, 0] = ab[2, -1] = 0.0
+    b = rng.standard_normal((n, cols))
+    want = solve_banded((1, 1), ab, b)
+    got = relaxation._solve_tridiagonal(ab[2, :-1].tolist(), ab[1].tolist(),
+                                        ab[0, 1:].tolist(), b.T.tolist())
+    assert np.array_equal(np.array(got).T, want)
+
+
+@pytest.mark.parametrize("setup", ["ohmic_setup", "saturated_setup"])
+def test_kernel_table_splines_are_scipys(setup, request):
+    _, table = request.getfixturevalue(setup)
+    _assert_spline_is_scipys(table.t_grid,
+                             np.stack([table.q1, table.q2, table.qz]))
+
+
 def test_one_banded_solve_per_level_shift_quadrature(ohmic_setup, monkeypatch):
     spec, table = ohmic_setup
     calls = []
-    original = relaxation.solve_banded
+    original = relaxation._solve_tridiagonal
 
-    def counting(*args, **kwargs):
-        calls.append(args[2].shape)
-        return original(*args, **kwargs)
+    def counting(dl, d, du, cols):
+        calls.append((len(d), len(cols)))
+        return original(dl, d, du, cols)
 
-    monkeypatch.setattr(relaxation, "solve_banded", counting)
+    monkeypatch.setattr(relaxation, "_solve_tridiagonal", counting)
     sb.rate_and_lso(spec, table)
     assert calls == [(len(table.t_grid), 3)]
 

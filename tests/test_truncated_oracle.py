@@ -236,30 +236,56 @@ def test_model_past_the_cap_stores_only_its_factors():
 
 
 @settings(max_examples=40, deadline=None)
-@given(d=st.integers(min_value=2, max_value=6),
-       polar=st.lists(st.tuples(st.floats(min_value=0.0, max_value=30.0),
+@given(d=st.integers(min_value=2, max_value=8),
+       polar=st.lists(st.tuples(st.floats(min_value=0.0, max_value=4.0),
                                 st.floats(min_value=0.0, max_value=2 * np.pi)),
                       min_size=1, max_size=6))
-def test_batched_weyl_factors_equal_single_expm(d, polar):
+def test_batched_weyl_factors_match_expm(d, polar):
+    # the eigh factors against scipy's expm, at amplitudes up to 4 (the
+    # oracle's reach about 1.6) with any phase; a batch is its singles
     a = truncated_oracle._annihilator(d)
     row = np.array([r * np.exp(1j * t) for r, t in polar])
     z = np.array([row, -np.conj(row)])
     got = truncated_oracle._wmode(z, a)
     want = np.array([[expm(1j * truncated_oracle._phi(x, a)) for x in row]
                      for row in z])
-    assert np.array_equal(got, want)
+    assert np.abs(got - want).max() <= 1e-14
     single = truncated_oracle._wmode(z[0, 0], a)
     assert single.shape == (d, d)
-    assert np.array_equal(single, want[0, 0])
+    assert np.array_equal(single, got[0, 0])
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_weyl_factors_keep_the_identity_and_real_factors_exact(d):
+    a = truncated_oracle._annihilator(d)
+    amps = np.array([0.0, -0.0, 0.0j, 0.7j, -1.3j, 2.9j, -4.0j, 1e-300j])
+    w = truncated_oracle._wmode(amps, a)
+    assert np.array_equal(w[:3], np.broadcast_to(np.eye(d), (3, d, d)))
+    assert not np.any(w.imag)
+    # and the factors of every discretize bath, whose amplitudes are imaginary
+    bath = sb.discretize(sb.coupling_function(SPEC), TRUNC)
+    assert not np.any(bath.amps.real)
+    model = sb.build_model(bath, SPEC, dataclasses.replace(TRUNC, n_max=d - 1))
+    assert not np.any(model.weyl.imag)
+
+
+def test_weyl_phase_monitor_trips_where_the_phases_lose_accuracy():
+    # the factor's error is about eps |z| max lambda; the largest eigenvalue
+    # at n_max 1 is 1/sqrt(2), so the bound 1e-6 sits at |z| = 6.4e9
+    a = truncated_oracle._annihilator(2)
+    limit = 1e-6 / (np.finfo(float).eps / np.sqrt(2.0))
+    truncated_oracle._wmode(np.array([0.5, 0.99 * limit * 1j]), a)
+    with pytest.raises(sb.TruncationError, match="n_max 1"):
+        truncated_oracle._wmode(np.array([0.5, 1.01 * limit * 1j]), a)
 
 
 def test_virtual_level_shift_reuses_the_model_factors(small_model, monkeypatch):
     _, _, model = small_model
 
-    def no_expm(*args, **kwargs):
-        raise AssertionError("expm ran after build_model")
+    def no_factors(*args, **kwargs):
+        raise AssertionError("a Weyl factor was computed after build_model")
 
-    monkeypatch.setattr(truncated_oracle, "expm", no_expm)
+    monkeypatch.setattr(truncated_oracle, "_wmode", no_factors)
     virtual = sb.lso_finite(model, force_virtual=True)
     assert np.abs(virtual - sb.lso_finite(model)).max() <= 1e-7
 
