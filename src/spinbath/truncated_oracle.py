@@ -22,11 +22,11 @@ A model whose bath dimension is within the dense cap is materialized: it
 also holds the free generator L0 as a vector-sized diagonal, so the KMS
 vector (scipy's expm_multiply on the apply; scipy loads there, on the
 first call, and nowhere else in the package), the unitary-equivalence and
-Weyl checks and the exact level-shift resolvent run on it, and dense
-matrices of the operators are built on first access, for tests.  Past the
-cap the level-shift matrix comes from its eight resolvent pairings, each
-an exact sum over the Laurent coefficients of a per-mode phase product,
-with no quadrature: it agrees with the dense resolvent to rounding.
+Weyl checks and the exact level-shift resolvent run on it; no path builds
+a dim x dim matrix.  Past the cap the level-shift matrix comes from its
+eight resolvent pairings, each an exact sum over the Laurent coefficients
+of a per-mode phase product, with no quadrature: it agrees with the dense
+resolvent to rounding.
 """
 
 from __future__ import annotations
@@ -99,7 +99,6 @@ class DiscretizedBath:
 
     freqs: np.ndarray
     amps: np.ndarray
-    bin_edges: np.ndarray
 
     @property
     def n_modes(self) -> int:
@@ -139,7 +138,7 @@ def discretize(f_beta: GluedFunction, trunc: TruncationSpec) -> DiscretizedBath:
     phase = np.ones(freqs.size, dtype=complex)
     nonzero = np.abs(vals) > 0
     phase[nonzero] = vals[nonzero] / np.abs(vals[nonzero])
-    return DiscretizedBath(freqs=freqs, amps=phase * r, bin_edges=edges)
+    return DiscretizedBath(freqs=freqs, amps=phase * r)
 
 
 def _annihilator(d: int) -> np.ndarray:
@@ -240,20 +239,6 @@ def _bath_apply(factors: Optional[np.ndarray], summed: bool,
     return x
 
 
-def _bath_dense(factors: Optional[np.ndarray], summed: bool,
-                bath_dim: int) -> np.ndarray:
-    if factors is None:
-        return np.eye(bath_dim)
-    n, d = len(factors), factors.shape[-1]
-    if summed:
-        return sum(np.kron(np.eye(d ** (n - 1 - j)), np.kron(w, np.eye(d ** j)))
-                   for j, w in enumerate(factors))
-    acc = factors[0]
-    for w in factors[1:]:
-        acc = np.kron(w, acc)
-    return acc
-
-
 def _scaled(terms: list, k: float) -> list:
     return [(k * spin, factors, summed) for spin, factors, summed in terms]
 
@@ -263,18 +248,6 @@ def _bath_diag(freqs: np.ndarray, d: int) -> np.ndarray:
     for f in freqs:
         diag = ((f * np.arange(d))[:, None] + diag[None, :]).ravel()
     return diag
-
-
-class _DenseView:
-    """Dense matrix of a factored operator, built on first access and kept."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, model, owner=None):
-        if model is None:
-            return self
-        return model._dense(self.name)
 
 
 class FiniteModel:
@@ -296,21 +269,10 @@ class FiniteModel:
     ConfigurationError on the others, whose L0 is None.  The sector vacua
     are the basis vectors s * bath_dim, s = 0..3; the level-shift columns
     and the KMS vector index the two of Pi0, 0 and 3 * bath_dim, directly.
-    The dense matrices cal_V, cal_JVJ, V, JVJ, U, I, L (untransformed
-    generator L0 + spin flip + (q0/2)(V - JVJ)) and cal_L (transformed
-    generator L0 + delta I) of a materialized model are built from the
-    same factors on first access and kept, read-only.  They exist for
-    tests; no library path reads them.
+    The operators cal_V, cal_JVJ, V, JVJ, U, I, L (untransformed generator
+    L0 + spin flip + (q0/2)(V - JVJ)) and cal_L (transformed generator
+    L0 + delta I) are read only through _apply, on vectors.
     """
-
-    cal_V = _DenseView()
-    cal_JVJ = _DenseView()
-    V = _DenseView()
-    JVJ = _DenseView()
-    U = _DenseView()
-    I = _DenseView()
-    L = _DenseView()
-    cal_L = _DenseView()
 
     def __init__(self, spec: BathSpec, trunc: TruncationSpec, bath: DiscretizedBath):
         self.spec = spec
@@ -328,7 +290,6 @@ class FiniteModel:
         self.field = _phi(np.array([hvec, hvec[::-1]]), a)
         self.L0 = None
         self._ops = {}
-        self._views = {}
         if not self.materialized:
             return
         spin_diag = np.array([0.0, spec.eps, -spec.eps, 0.0])
@@ -386,19 +347,6 @@ class FiniteModel:
         if diag is not None:
             out += diag * x
         return out
-
-    def _dense(self, name: str) -> np.ndarray:
-        self._need(name)
-        if name not in self._views:
-            diag, terms = self._ops[name]
-            out = np.zeros((self.dim, self.dim), dtype=complex)
-            for spin, factors, summed in terms:
-                out += np.kron(spin, _bath_dense(factors, summed, self.bath_dim))
-            if diag is not None:
-                out[np.diag_indices(self.dim)] += diag
-            out.flags.writeable = False
-            self._views[name] = out
-        return self._views[name]
 
 
 def build_model(bath: DiscretizedBath, spec: BathSpec,

@@ -142,7 +142,7 @@ def test_criterion_05_glueing_identities():
           % (worst_sign, worst_norm, sym))
 
 
-def test_criterion_06_finite_model_structure():
+def test_criterion_06_finite_model_structure(operator_matrix):
     start = time.perf_counter()
     spec, trunc = sb.standard_test_bath()
     f_beta = sb.coupling_function(spec)
@@ -153,13 +153,15 @@ def test_criterion_06_finite_model_structure():
         tr = replace(trunc, n_max=n_max)
         bath = sb.discretize(f_beta, tr)
         model = sb.build_model(bath, spec, tr)
-        eye = np.eye(model.cal_V.shape[0])
-        v_sq[n_max] = float(np.abs(model.cal_V @ model.cal_V - eye).max())
+        cal_V = operator_matrix(model, "cal_V")
+        eye = np.eye(cal_V.shape[0])
+        v_sq[n_max] = float(np.abs(cal_V @ cal_V - eye).max())
         if n_max == 3:
             # the one ratio asserted and printed; its 2-norms are SVDs
-            comm = model.V @ model.JVJ - model.JVJ @ model.V
+            V, JVJ = operator_matrix(model, "V"), operator_matrix(model, "JVJ")
+            comm = V @ JVJ - JVJ @ V
             comm_ratio[n_max] = float(np.linalg.norm(comm, 2)
-                                      / np.linalg.norm(model.V, 2) ** 2)
+                                      / np.linalg.norm(V, 2) ** 2)
         ulu[n_max] = sb.check_unitary_equivalence(model)
     assert comm_ratio[3] <= 1e-8
     assert v_sq[3] <= 1e-6

@@ -6,9 +6,6 @@ import pathlib
 import spinbath as sb
 
 PACKAGE = pathlib.Path(sb.__file__).resolve().parent
-# the descriptor protocol fixes these signatures, whether or not the body
-# needs the owner class
-PROTOCOL_PARAMETERS = {("__set_name__", "owner"), ("__get__", "owner")}
 
 
 def _unread_parameters(tree):
@@ -24,7 +21,7 @@ def _unread_parameters(tree):
                 if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
         fn = getattr(node, "name", "<lambda>")
         for param in params:
-            if param not in read and (fn, param) not in PROTOCOL_PARAMETERS:
+            if param not in read:
                 yield "%s:%d %s(%s)" % (node.lineno, node.col_offset, fn, param)
 
 

@@ -58,8 +58,8 @@ def test_discretize_mirror_layout(small_model):
     assert bath.n_modes == 2 * TRUNC.m_pos
     assert np.all(np.diff(bath.freqs) > 0)
     assert np.array_equal(bath.freqs, -bath.freqs[::-1])
-    assert np.array_equal(bath.bin_edges,
-                          np.linspace(0.0, TRUNC.u_max, TRUNC.m_pos + 1))
+    edges = np.linspace(0.0, TRUNC.u_max, TRUNC.m_pos + 1)
+    assert np.array_equal(bath.freqs[TRUNC.m_pos:], 0.5 * (edges[:-1] + edges[1:]))
 
 
 def test_discretize_inherits_sign_relation(small_model):
@@ -119,36 +119,40 @@ def test_discretize_layout_properties(wide_glue, m_pos, u_max):
 
 # --- finite operator algebra --------------------------------------------------
 
-def test_transformed_interaction_squares_to_one(small_model):
+def test_transformed_interaction_squares_to_one(small_model, operator_matrix):
     _, _, model = small_model
     eye = np.eye(model.dim)
-    assert np.abs(model.cal_V @ model.cal_V - eye).max() <= 1e-12
-    assert np.abs(model.cal_JVJ @ model.cal_JVJ - eye).max() <= 1e-12
+    for name in ("cal_V", "cal_JVJ"):
+        op = operator_matrix(model, name)
+        assert np.abs(op @ op - eye).max() <= 1e-12
 
 
-def test_left_right_interactions_commute(small_model):
+def test_left_right_interactions_commute(small_model, operator_matrix):
     _, _, model = small_model
-    comm = model.V @ model.JVJ - model.JVJ @ model.V
-    vnorm = np.linalg.norm(model.V, 2)
+    V, JVJ = operator_matrix(model, "V"), operator_matrix(model, "JVJ")
+    comm = V @ JVJ - JVJ @ V
+    vnorm = np.linalg.norm(V, 2)
     assert np.abs(comm).max() <= 1e-8 * vnorm ** 2
 
 
-def test_interaction_is_a_contraction(small_model):
+def test_interaction_is_a_contraction(small_model, operator_matrix):
     _, _, model = small_model
-    assert np.linalg.norm(model.I, 2) <= 1.0 + 1e-3
+    assert np.linalg.norm(operator_matrix(model, "I"), 2) <= 1.0 + 1e-3
 
 
-def test_generators_self_adjoint(small_model):
+def test_generators_self_adjoint(small_model, operator_matrix):
     _, _, model = small_model
     assert np.isrealobj(model.L0)
-    for op in (model.I, model.L, model.cal_L):
+    for name in ("I", "L", "cal_L"):
+        op = operator_matrix(model, name)
         assert np.abs(op - op.conj().T).max() <= 1e-10
 
 
-def test_polaron_dressing_is_unitary(small_model):
+def test_polaron_dressing_is_unitary(small_model, operator_matrix):
     _, _, model = small_model
     eye = np.eye(model.dim)
-    assert np.abs(model.U.conj().T @ model.U - eye).max() <= 1e-12
+    U = operator_matrix(model, "U")
+    assert np.abs(U.conj().T @ U - eye).max() <= 1e-12
 
 
 def test_vacuum_projections_sit_on_sector_vacua(small_model, monkeypatch):
@@ -172,8 +176,7 @@ def test_vacuum_projections_sit_on_sector_vacua(small_model, monkeypatch):
 
 def test_weyl_unitarity_monitor_trips():
     bath = sb.DiscretizedBath(freqs=np.array([-1.0, 1.0]),
-                              amps=np.array([1e12 + 0j, 1e12 + 0j]),
-                              bin_edges=np.linspace(0.0, 1.0, 2))
+                              amps=np.array([1e12 + 0j, 1e12 + 0j]))
     trunc = sb.TruncationSpec(m_pos=1, u_max=1.0, n_max=1, eta=0.1)
     with pytest.raises(sb.TruncationError, match="n_max"):
         sb.build_model(bath, SPEC, trunc)
@@ -182,6 +185,31 @@ def test_weyl_unitarity_monitor_trips():
 # --- factored operators -------------------------------------------------------
 
 FACTORED_OPS = ("cal_V", "cal_JVJ", "V", "JVJ", "U", "I", "L", "cal_L")
+
+
+def _bath_dense(factors, summed, bath_dim):
+    if factors is None:
+        return np.eye(bath_dim)
+    n, d = len(factors), factors.shape[-1]
+    if summed:
+        return sum(np.kron(np.eye(d ** (n - 1 - j)), np.kron(w, np.eye(d ** j)))
+                   for j, w in enumerate(factors))
+    acc = factors[0]
+    for w in factors[1:]:
+        acc = np.kron(w, acc)
+    return acc
+
+
+def _kron_matrix(model, name):
+    """The dense matrix of operator `name` from Kronecker products of the
+    terms of the model's operator table, without _apply."""
+    diag, terms = model._ops[name]
+    out = np.zeros((model.dim, model.dim), dtype=complex)
+    for spin, factors, summed in terms:
+        out += np.kron(spin, _bath_dense(factors, summed, model.bath_dim))
+    if diag is not None:
+        out[np.diag_indices(model.dim)] += diag
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -208,7 +236,7 @@ def test_factored_apply_matches_dense_view(factored_models, m_pos, n_max, seed, 
     model = factored_models(m_pos, n_max)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((2, model.dim)) + 1j * rng.standard_normal((2, model.dim))
-    dense = getattr(model, name)
+    dense = _kron_matrix(model, name)
     for got, want in ((model._apply(name, x), x @ dense.T),
                       (model._apply(name, x, adjoint=True), x @ dense.conj())):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -233,6 +261,27 @@ def test_model_past_the_cap_stores_only_its_factors():
     assert max(v.size for v in stored) == model.weyl.size
     with pytest.raises(AttributeError):
         model.materialized = True
+
+
+def test_materialized_model_runs_below_one_dense_matrix(small_model):
+    # one dense complex dim x dim matrix takes dim^2 * 16 bytes; every path
+    # of a materialized model stays below an eighth of that
+    trunc = dataclasses.replace(TRUNC, n_max=4)
+    bath = sb.discretize(sb.coupling_function(SPEC), trunc)
+    sb.kms_vector(small_model[2])  # loads scipy.sparse before tracing
+    tracemalloc.start()
+    try:
+        model = sb.build_model(bath, SPEC, trunc)
+        sb.check_unitary_equivalence(model)
+        sb.kms_vector(model)
+        sb.lso_finite(model)
+        sb.lso_finite(model, force_virtual=True)
+        sb.weyl_sequence_check(model, s=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.dim == 2500
+    assert peak < model.dim ** 2 * 16 / 8
 
 
 @settings(max_examples=40, deadline=None)
@@ -290,13 +339,6 @@ def test_virtual_level_shift_reuses_the_model_factors(small_model, monkeypatch):
     assert np.abs(virtual - sb.lso_finite(model)).max() <= 1e-7
 
 
-def test_dense_views_are_cached_and_read_only(small_model):
-    _, _, model = small_model
-    assert model.cal_V is model.cal_V
-    with pytest.raises(ValueError):
-        model.cal_V[0, 0] = 1.0
-
-
 # --- unitary equivalence ------------------------------------------------------
 
 def test_equivalence_residual_refines_with_n_max():
@@ -308,11 +350,11 @@ def test_equivalence_residual_refines_with_n_max():
     assert res[2] < 0.03
 
 
-def test_equivalence_exact_without_coupling():
+def test_equivalence_exact_without_coupling(operator_matrix):
     spec = dataclasses.replace(SPEC, q0=0.0)
     model = _build(spec=spec)
     assert sb.check_unitary_equivalence(model) <= 1e-12
-    assert np.array_equal(model.U, np.eye(model.dim))
+    assert np.array_equal(operator_matrix(model, "U"), np.eye(model.dim))
 
 
 def test_equivalence_residual_ignores_delta():
@@ -323,19 +365,10 @@ def test_equivalence_residual_ignores_delta():
 
 # --- level-shift matrix -------------------------------------------------------
 
-def test_lso_dense_matches_virtual(small_model, factored_models):
-    _, _, model = small_model
-    # the phased model has complex vacuum columns, so pairings built from a
-    # transposed or unconjugated factor differ from the dense resolvent
-    for m in (model, factored_models(2, 3)):
-        dense = sb.lso_finite(m)
-        virtual = sb.lso_finite(m, force_virtual=True)
-        assert np.abs(dense - virtual).max() <= 1e-7
-
-
 def test_exact_pairings_match_the_dense_resolvent(small_model, factored_models):
     # the exact resolvent sum agrees with the dense resolvent to rounding,
-    # on real and on complex (phased) vacuum columns
+    # on real and on complex (phased) vacuum columns: pairings built from a
+    # transposed or unconjugated factor would differ on the phased model
     _, _, model = small_model
     for m in (model, factored_models(2, 3)):
         dense = sb.lso_finite(m)
@@ -511,9 +544,11 @@ def test_virtual_model_supports_only_lso():
     model = _build(trunc=trunc)
     assert not model.materialized
     with pytest.raises(sb.ConfigurationError):
-        model.L
+        sb.check_unitary_equivalence(model)
     with pytest.raises(sb.ConfigurationError):
         sb.kms_vector(model)
+    with pytest.raises(sb.ConfigurationError):
+        sb.weyl_sequence_check(model, s=1.0)
     lam = sb.lso_finite(model)
     assert lam.shape == (2, 2)
     assert np.all(np.isfinite(lam))
@@ -557,7 +592,7 @@ def test_kms_normalized(small_model):
 
 
 @pytest.mark.parametrize("n_max", [2, 3])
-def test_kms_matches_dense_eigh_reference(n_max):
+def test_kms_matches_dense_eigh_reference(n_max, operator_matrix):
     trunc = dataclasses.replace(TRUNC, n_max=n_max)
     model = _build(trunc=trunc)
     psi, res = sb.kms_vector(model)
@@ -567,10 +602,11 @@ def test_kms_matches_dense_eigh_reference(n_max):
     psi0[0] = np.exp(-g - abs(g))
     psi0[3 * model.bath_dim] = np.exp(g - abs(g))
     psi0 /= np.linalg.norm(psi0)
-    w, Q = eigh(np.diag(model.L0).astype(complex) - 0.5 * SPEC.delta * model.cal_V)
+    cal_V = operator_matrix(model, "cal_V")
+    w, Q = eigh(np.diag(model.L0).astype(complex) - 0.5 * SPEC.delta * cal_V)
     ref = Q @ (np.exp(-0.5 * SPEC.beta * (w - w.min())) * (Q.conj().T @ psi0))
     ref /= np.linalg.norm(ref)
-    ref_res = np.linalg.norm(model.cal_L @ ref)
+    ref_res = np.linalg.norm(operator_matrix(model, "cal_L") @ ref)
 
     assert abs(np.vdot(ref, psi)) >= 1.0 - 1e-12
     assert res == pytest.approx(ref_res, rel=1e-9)
