@@ -20,12 +20,12 @@ level-shift pairings read the vacuum columns of the same Weyl factors.
 
 A model whose bath dimension is within the dense cap is materialized: it
 also holds the free generator L0 as a vector-sized diagonal, so the KMS
-vector (scipy's expm_multiply on the apply; scipy loads there, on the
-first call, and nowhere else in the package), the unitary-equivalence and
-Weyl checks and the exact level-shift resolvent run on it; no path builds
-a dim x dim matrix.  Past the cap the level-shift matrix comes from its
-eight resolvent pairings, each an exact sum over the Laurent coefficients
-of a per-mode phase product, with no quadrature: it agrees with the dense
+vector (a Chebyshev series on the apply, over the spectral interval that
+L0 and ||cal_V|| = 1 bound), the unitary-equivalence and Weyl checks and
+the exact level-shift resolvent run on it; no path builds a dim x dim
+matrix.  Past the cap the level-shift matrix comes from its eight
+resolvent pairings, each an exact sum over the Laurent coefficients of a
+per-mode phase product, with no quadrature: it agrees with the dense
 resolvent to rounding.
 """
 
@@ -40,6 +40,7 @@ from .errors import (ConfigurationError, PreconditionError, ScalingError,
                      TruncationError)
 # not called (the pairings are exact sums); bound so that tracers count its 0 nodes
 from .quadrature import integrate_refining  # noqa: F401
+from .relaxation import _gibbs_vector
 from .spectral_density import (ANGULAR_FACTOR, BathSpec, GluedFunction, _sign_residuals,
                                coupling_function, power_exp)
 
@@ -491,52 +492,61 @@ def lso_finite(model: FiniteModel, *, force_virtual: bool = False) -> np.ndarray
     return _lso_virtual(model)
 
 
+def _exp_chebyshev(z: float) -> np.ndarray:
+    """Chebyshev coefficients of exp(-z (x + 1)) on [-1, 1], for 0 < z <= 8.
+
+    A DCT of the function at the 65 Chebyshev extreme points cos(pi j / 64)
+    (Trefethen, Approximation Theory and Approximation Practice, 2013); the
+    exact coefficients are 2 (-1)^k exp(-z) I_k(z), which past index 64 are
+    far below rounding for z <= 8, so none alias.  The series is cut at the
+    first coefficient past index z below 2^-53, where they fall
+    monotonically to zero.
+    """
+    f = np.exp(-z * (np.cos(np.pi * np.arange(65) / 64) + 1.0))
+    c = np.fft.rfft(np.concatenate([f, f[-2:0:-1]])).real / 64
+    c[[0, -1]] *= 0.5
+    k = np.arange(c.size)
+    return c[:np.flatnonzero((k > z) & (np.abs(c) < 2.0 ** -53))[0]]
+
+
 def kms_vector(model: FiniteModel) -> Tuple[np.ndarray, float]:
     """KMS vector of the dressed model and its kernel residual.
 
     Applies exp(-beta A / 2), A = L0 - (delta/2) cal_V, to the decoupled KMS
-    vector (spin Gibbs tensor vacuum) with scipy's expm_multiply (Al-Mohy
-    and Higham 2011) on the factored, Hermitian A; returns the normalized
-    vector and || cal_L psi ||.
+    vector (spin Gibbs tensor vacuum); returns the normalized vector and
+    || cal_L psi ||.  A is Hermitian and ||cal_V|| = 1, so its spectrum lies
+    in [lo - |delta|/2, hi + |delta|/2], lo, hi = min L0, max L0: with
+    x = (A - (hi + lo)/2) / r, r = (hi - lo + |delta|)/2, the exponential
+    is exp(-z (x + 1)) up to a constant, z = beta r / 2, taken in steps of
+    z at most 8, each a Chebyshev series in x by the three-term recurrence
+    (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967, 1984) and a
+    normalization.
     """
-    # scipy.sparse loads here, not at import: no other command needs it
-    from scipy.sparse.linalg import LinearOperator, expm_multiply
-
     model._need("kms_vector")
     spec = model.spec
-    g = 0.25 * spec.beta * spec.eps
-    psi0 = np.zeros(model.dim, dtype=complex)
-    psi0[0] = np.exp(-g - abs(g))
-    psi0[3 * model.bath_dim] = np.exp(g - abs(g))
-    psi0 /= np.linalg.norm(psi0)
-    if spec.delta == 0.0:
-        psi = psi0
-    else:
+    psi = np.zeros(model.dim, dtype=complex)
+    psi[[0, 3 * model.bath_dim]] = _gibbs_vector(spec)
+    if spec.delta != 0.0:
         reach = spec.beta * (float(np.abs(model.L0).max()) + abs(spec.delta))
         if reach > _EXP_BUDGET:
             raise ScalingError(
                 "beta (||L0|| + |delta|) = %g exceeds the exponential budget "
                 "%g; use a smaller beta" % (reach, _EXP_BUDGET))
-        half_beta = 0.5 * spec.beta
-
-        def matvec(x):
-            x = np.ravel(x)
-            return -half_beta * (model.L0 * x
-                                 - 0.5 * spec.delta * model._apply("cal_V", x))
-
-        op = LinearOperator((model.dim, model.dim), matvec=matvec,
-                            rmatvec=matvec, dtype=complex)
-        # expm_multiply estimates norms of op with numpy's global random
-        # stream; a fixed seed keeps psi reproducible, and the caller's
-        # stream is restored untouched
-        state = np.random.get_state()
-        try:
-            np.random.seed(0)
-            psi = expm_multiply(op, psi0,
-                                traceA=-half_beta * float(np.sum(model.L0)))
-        finally:
-            np.random.set_state(state)
-        psi /= np.linalg.norm(psi)
+        lo, hi = float(model.L0.min()), float(model.L0.max())
+        mid, r = 0.5 * (hi + lo), 0.5 * (hi - lo + abs(spec.delta))
+        steps = int(np.ceil(spec.beta * r / 16.0))
+        coef = _exp_chebyshev(spec.beta * r / (2 * steps))
+        shifted = model.L0 - mid
+        for _ in range(steps):
+            out = coef[0] * psi
+            prev, cur = 0.0, psi
+            for k, c in enumerate(coef[1:]):
+                x_cur = (shifted * cur
+                         - 0.5 * spec.delta * model._apply("cal_V", cur)) / r
+                # T_1 = x T_0, T_{k+1} = 2 x T_k - T_{k-1}
+                prev, cur = cur, (2.0 if k else 1.0) * x_cur - prev
+                out += c * cur
+            psi = out / np.linalg.norm(out)
     residual = float(np.linalg.norm(model._apply("cal_L", psi)))
     return psi, residual
 

@@ -586,13 +586,23 @@ print(scipy_modules())
 for argv in {runs!r}:
     assert main(argv + ["--out", {out!r}]) == 0, argv
 print(scipy_modules())
+# what the bench oracle workload runs, on a small model
+spec, _ = spinbath.standard_test_bath()
+trunc = spinbath.TruncationSpec(m_pos=2, u_max=3.0, n_max=1, eta=0.1)
+model = spinbath.build_model(
+    spinbath.discretize(spinbath.coupling_function(spec), trunc), spec, trunc)
+spinbath.check_unitary_equivalence(model)
+spinbath.kms_vector(model)
+spinbath.lso_finite(model)
+spinbath.lso_finite(model, force_virtual=True)
+spinbath.weyl_sequence_check(model, s=0.75)
+print(scipy_modules())
 """
 
 
 def test_rate_and_lso_load_no_unused_scipy(tmp_path):
     # scipy costs every command about 0.15 s at import; no module of it may
-    # load, at import or in any subcommand (only kms_vector, which no
-    # subcommand calls, imports scipy.sparse)
+    # load, at import, in any subcommand or on the finite-model oracle path
     kernels = {"kernels": {"t_max": 20.0, "n": 64}}
     cfg = _config(tmp_path, kernels)
     smooth = copy.deepcopy(SMOOTH_BATH)
@@ -615,4 +625,4 @@ def test_rate_and_lso_load_no_unused_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip().splitlines()[-3:] == ["[]"] * 3
+    assert done.stdout.strip().splitlines()[-4:] == ["[]"] * 4
