@@ -196,22 +196,30 @@ def require_tabulable(exponent: float) -> None:
     _require_ir(exponent, _IR_Q1_MIN, "tabulate_kernels")
 
 
-def _head_edges(w0: float, beta: Optional[float], head_exp: float) -> np.ndarray:
+def _head_edges(w0: float, beta: Optional[float], exponent: float, pole: float,
+                what: str) -> np.ndarray:
     """Per-octave geometric edges below w0 (w0 itself excluded).
 
-    The integrands behave like omega^(head_exp - 1) near 0, so the head runs
-    deep enough that the omitted mass below the first edge is ~1e-18 of the
-    head contribution.  Octave spacing also resolves the 1/beta thermal knee
-    at whatever scale it sits.
+    The integrands behave like omega^(exponent - pole - 1) near 0, so the
+    head runs deep enough that the omitted mass below the first edge is
+    ~1e-18 of the head contribution.  Octave spacing also resolves the
+    1/beta thermal knee at whatever scale it sits.  An exponent so close to
+    pole that the first edge's square underflows to 0, where J / omega^2
+    would be 0/0, raises AccuracyError naming what, before any quadrature.
     """
-    octaves = int(np.ceil(60.0 / min(max(head_exp, 0.05), 60.0)))
+    octaves = int(np.ceil(60.0 / min(max(exponent - pole, 0.05), 60.0)))
     if beta is not None and 4.0 * beta * w0 > 1.0:
         octaves = max(octaves, int(np.ceil(np.log2(4.0 * beta * w0))))
-    return w0 * 2.0 ** -np.arange(octaves, 0, -1, dtype=float)
+    edges = w0 * 2.0 ** -np.arange(octaves, 0, -1, dtype=float)
+    if not edges[0] * edges[0] > 0.0:
+        raise AccuracyError(
+            "%s: infrared exponent %.4g is too close to %g; the panels reach "
+            "frequencies whose square underflows" % (what, exponent, pole))
+    return edges
 
 
 def _initial_edges(source: JSource, t_cap: float, beta: Optional[float],
-                   head_exp: float) -> np.ndarray:
+                   pole: float, what: str) -> np.ndarray:
     """Panel edges: geometric head, period-capped linear main part.
 
     The main part has panels of width at most a quarter period at t_cap
@@ -222,7 +230,8 @@ def _initial_edges(source: JSource, t_cap: float, beta: Optional[float],
     if t_cap > 0.0:
         width = min(width, np.pi / (2.0 * t_cap))
     main = capped_edges(0.0, omega_max, width)
-    edges = np.concatenate([_head_edges(main[1], beta, head_exp), main[1:]])
+    edges = np.concatenate([_head_edges(main[1], beta, source.ir_exponent, pole,
+                                        what), main[1:]])
     if source.breaks is not None:
         breaks = np.asarray(source.breaks, dtype=float)
         edges = np.union1d(edges, breaks[(breaks > edges[0]) & (breaks < omega_max)])
@@ -400,12 +409,12 @@ def _evaluate(source: JSource, ts: Sequence[float], tol: float, which: str,
     ts = np.asarray(ts, dtype=float)
     # Q1 does not depend on beta, so its head has no thermal knee to resolve
     beta = None if which == "q1" else source.beta
-    edges = _initial_edges(source, float(np.max(ts)), beta, source.ir_exponent)
+    edges = _initial_edges(source, float(np.max(ts)), beta, 0.0, what)
     rows = _kernel_rows(source, ts, which)
     return integrate_refining(rows, edges, rtol=tol, what=what)
 
 
-def _shared_edges(source: JSource, t_max: float):
+def _shared_edges(source: JSource, t_max: float, what: str):
     """Initial edges of the linear rows' shared node set, with W and P.
 
     The P main panels have exact edges p W, 1 <= p <= P + 1,
@@ -414,8 +423,8 @@ def _shared_edges(source: JSource, t_max: float):
     """
     width = np.pi / (2.0 * t_max)
     main = width * np.arange(1, max(8, int(np.ceil(source.omega_max / width))) + 1)
-    edges = np.concatenate([_head_edges(width, source.beta, source.ir_exponent),
-                            main])
+    edges = np.concatenate([_head_edges(width, source.beta, source.ir_exponent,
+                                        0.0, what), main])
     return edges, width, len(main) - 1
 
 
@@ -425,10 +434,11 @@ def _evaluate_shared(source: JSource, ts: np.ndarray, t_max: float, tol: float):
     The stop rule holds per chunk, and the set is refined until every chunk
     meets it.
     """
-    edges, width, panels = _shared_edges(source, t_max)
+    what = _TABLE % (ts[0], ts[-1])
+    edges, width, panels = _shared_edges(source, t_max, what)
     rows = _lattice_rows(source, ts, width, panels)
     return integrate_refining(rows, edges, order=_GAUSS_ORDER, rtol=tol,
-                              what=_TABLE % (ts[0], ts[-1]))
+                              what=what)
 
 
 def _single(spec_or_source, t, tol, which, ir_min):
@@ -467,21 +477,15 @@ def c2_saturation(spec: Union[BathSpec, JSource], *, tol: float = 1e-9) -> float
     Finite only when the infrared exponent exceeds 2; returns inf otherwise.
     Raises AccuracyError if the quadrature does not converge, or if the
     geometric head of the panels, which deepens as the exponent nears 2,
-    reaches frequencies whose square underflows to 0.
+    reaches frequencies whose square underflows to 0 (_head_edges).
     """
     source = _as_source(spec)
     if not source.ir_exponent > 2.05:
         return np.inf
-    edges = _initial_edges(source, 0.0, source.beta, source.ir_exponent - 2.0)
+    edges = _initial_edges(source, 0.0, source.beta, 2.0, "c2_saturation")
 
     def rows(omega, w):
-        w2 = omega ** 2
-        if not w2.all():
-            raise AccuracyError(
-                "c2_saturation: infrared exponent %.4g is too close to 2; the "
-                "panels reach frequencies whose square underflows"
-                % source.ir_exponent)
-        g = np.asarray(source.j(omega), dtype=float) / w2
+        g = np.asarray(source.j(omega), dtype=float) / omega ** 2
         return np.sum(g * _thermal_factors(0.5 * source.beta * omega)[0] * w)
 
     res = integrate_refining(rows, edges, rtol=tol, what="c2_saturation")
@@ -606,6 +610,9 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
 
     source = _as_source(spec)
     require_tabulable(source.ir_exponent)
+    # first, so that a plateau whose head underflows refuses the table
+    # before any of its quadratures
+    c2_inf = c2_saturation(source, tol=tol)
 
     t = _time_grid(t_max, n)
     values, err = np.empty((3, n)), np.empty((n, 3))
@@ -629,7 +636,7 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
     err[0, 0] = err[0, 1] = 0.0
 
     table = KernelTable(t_grid=t, q1=q1v, q2=q2v, qz=qzv, err_est=err,
-                        c2_inf=c2_saturation(source, tol=tol))
+                        c2_inf=c2_inf)
     if path is not None:
         _save_table(path, t_max, n, tol, table)
     return table

@@ -121,7 +121,7 @@ def cmd_regularity(config: RunConfig, alpha: Optional[float],
 
 
 def cmd_threshold(config: RunConfig, out_dir: str,
-                  allow_heuristics: bool = False) -> int:
+                  allow_heuristics: bool) -> int:
     c = config.constants
     check_user_inputs(c.c_kms, c.c5, c.c3, allow_heuristics)
     rate = None
@@ -176,7 +176,7 @@ def _sweep_point(args):
     return rate.tau_inv, rate.tau0_inv, rate.p_inf, rate.err
 
 
-def cmd_sweep(config: RunConfig, out_dir: str, jobs: int = 1) -> int:
+def cmd_sweep(config: RunConfig, out_dir: str, jobs: int) -> int:
     if config.sweep is None:
         raise ConfigurationError("sweep: section is required for the sweep "
                                  "subcommand")

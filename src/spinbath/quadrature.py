@@ -65,11 +65,12 @@ def refine_edges(edges: np.ndarray) -> np.ndarray:
     return out
 
 
-def capped_edges(a: float, b: float, max_width: float, min_panels: int = 8) -> np.ndarray:
-    """Uniform panel edges on [a, b] with width at most max_width."""
+def capped_edges(a: float, b: float, max_width: float) -> np.ndarray:
+    """Uniform panel edges on [a, b]: at least 8 panels, of width at most
+    max_width."""
     if b <= a:
         raise ValueError("empty interval [%g, %g]" % (a, b))
-    n = max(min_panels, int(np.ceil((b - a) / max_width)))
+    n = max(8, int(np.ceil((b - a) / max_width)))
     return np.linspace(a, b, n + 1)
 
 

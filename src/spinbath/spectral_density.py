@@ -13,6 +13,7 @@ negative branch is a fixed convention; no phase knob is exposed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
@@ -133,32 +134,40 @@ class GridSpec:
         if self.n < 4 or self.n % 2:
             raise DomainError("n must be an even count >= 4")
 
-    def points(self) -> Tuple[np.ndarray, float]:
-        step = 2.0 * self.u_max / self.n
-        u = (np.arange(self.n) - self.n / 2 + 0.5) * step
-        return u, step
+    @property
+    def step(self) -> float:
+        """The sample spacing 2 u_max / n, the weight of the midpoint rule."""
+        return 2.0 * self.u_max / self.n
+
+    def points(self) -> np.ndarray:
+        """The n sample points (j - n/2 + 1/2) step, symmetric about 0."""
+        return (np.arange(self.n) - self.n / 2 + 0.5) * self.step
 
 
 @dataclass(frozen=True, eq=False)
 class GluedFunction:
-    """Samples of source glued at inverse temperature beta, with midpoint
-    quadrature weights; made by glue."""
+    """Samples of source glued at inverse temperature beta on the points of
+    grid_spec, made by glue.  grid is those points; every sample weighs
+    grid_spec.step in the midpoint rule."""
 
-    grid: np.ndarray
+    grid_spec: GridSpec
     values: np.ndarray
-    weights: np.ndarray
     beta: float
     source: Callable = field(repr=False)
 
+    @functools.cached_property
+    def grid(self) -> np.ndarray:
+        return self.grid_spec.points()
+
     def norm_sq(self) -> float:
-        return float(ANGULAR_FACTOR * np.sum(self.weights * np.abs(self.values) ** 2))
+        return float(ANGULAR_FACTOR * np.sum(self.grid_spec.step * np.abs(self.values) ** 2))
 
     def norm(self) -> float:
         return float(np.sqrt(self.norm_sq()))
 
     def inner(self, other: "GluedFunction") -> complex:
         return complex(ANGULAR_FACTOR
-                       * np.sum(self.weights * np.conj(self.values) * other.values))
+                       * np.sum(self.grid_spec.step * np.conj(self.values) * other.values))
 
     def sign_relation_residual(self) -> float:
         """max |conj(g(-u)) + exp(-beta u / 2) g(u)| / max |g| over u > 0."""
@@ -217,24 +226,25 @@ def eval_J(h: FormFactor, omega):
     return out
 
 
-def default_grid(f, beta: float) -> GridSpec:
-    """Default glueing grid: u_max = 40 / beta * max(1, cutoff scale)."""
-    scale = 1.0
-    if isinstance(f, FormFactor):
-        scale = f.scale if f.family == "power_exp" else float(f.grid[-1])
+def default_grid(h: FormFactor, beta: float) -> GridSpec:
+    """The glueing grid of functions built from the form factor h:
+    u_max = 40 / beta * max(1, cutoff scale), where a tabulated form
+    factor's scale is its last grid point."""
+    scale = h.scale if h.family == "power_exp" else float(h.grid[-1])
     return GridSpec(u_max=40.0 / beta * max(1.0, scale))
 
 
-def glue(f, beta: float, grid: Optional[GridSpec] = None) -> GluedFunction:
-    """Embed a radial function into the glued space at temperature 1/beta.
+def glue(f, beta: float, grid: GridSpec) -> GluedFunction:
+    """Embed a radial function into the glued space at temperature 1/beta,
+    sampled on the points of grid.
 
     f may be a FormFactor or any callable of u > 0 (complex values allowed).
+    A callable carries no cutoff scale, so the caller states the grid; for a
+    function of a form factor h that is default_grid(h, beta).
     """
     if not (np.isfinite(beta) and beta > 0):
         raise DomainError("beta must be positive, got %r" % (beta,))
-    if grid is None:
-        grid = default_grid(f, beta)
-    u, step = grid.points()
+    u = grid.points()
     pos = u > 0
     up = u[pos]
     base_pos = np.asarray(f(up), dtype=complex)
@@ -250,8 +260,7 @@ def glue(f, beta: float, grid: Optional[GridSpec] = None) -> GluedFunction:
         bad = u[~(np.isfinite(values.real) & np.isfinite(values.imag))]
         raise EvaluationError("glued function not finite at %d sample(s), first u = %g"
                               % (bad.size, bad[0]))
-    weights = np.full(u.shape, step)
-    return GluedFunction(u, values, weights, beta, f)
+    return GluedFunction(grid, values, beta, f)
 
 
 def coupling_function(spec: BathSpec, grid: Optional[GridSpec] = None) -> GluedFunction:
@@ -276,19 +285,10 @@ def coupling_function(spec: BathSpec, grid: Optional[GridSpec] = None) -> GluedF
     return glue(f, spec.beta, grid or default_grid(h, spec.beta))
 
 
-def _uniform_step(grid: np.ndarray) -> float:
-    d = np.diff(grid)
-    step = float(d[0])
-    if not np.allclose(d, step, rtol=1e-9, atol=0.0):
-        raise UsageError("regularity norm requires a uniform grid")
-    return step
-
-
-def _fourier_weighted_value(grid: np.ndarray, values: np.ndarray, alpha: float) -> float:
-    step = _uniform_step(grid)
-    n = len(grid)
+def _fourier_weighted_value(g: GluedFunction, alpha: float) -> float:
+    n, step = g.grid_spec.n, g.grid_spec.step
     xi = 2.0 * np.pi * np.fft.fftfreq(n, d=step)
-    ghat_abs = (step / np.sqrt(2.0 * np.pi)) * np.abs(np.fft.fft(values))
+    ghat_abs = (step / np.sqrt(2.0 * np.pi)) * np.abs(np.fft.fft(g.values))
     # Bessel form of the order-alpha weight: equivalent to 1 + |xi|^alpha and
     # monotone in alpha since the base is >= 1.
     weight = (1.0 + xi ** 2) ** (0.5 * alpha)
@@ -304,7 +304,7 @@ def _refined_values(f, beta: float, base: GridSpec, alpha: float, ks) -> list:
     values = []
     for k in ks:
         g = glue(f, beta, GridSpec(u_max=base.u_max * 2 ** k, n=base.n * 4 ** k))
-        values.append(_fourier_weighted_value(g.grid, g.values, alpha))
+        values.append(_fourier_weighted_value(g, alpha))
     return values
 
 
@@ -321,10 +321,8 @@ def regularity_norm(g: GluedFunction, alpha: float) -> Tuple[float, bool]:
     the step.
     """
     _require_alpha(alpha)
-    value = _fourier_weighted_value(g.grid, g.values, alpha)
-    u_max = float(g.grid[-1] + 0.5 * _uniform_step(g.grid))
-    ref, = _refined_values(g.source, g.beta, GridSpec(u_max=u_max, n=len(g.grid)),
-                           alpha, [1])
+    value = _fourier_weighted_value(g, alpha)
+    ref, = _refined_values(g.source, g.beta, g.grid_spec, alpha, [1])
     scale = max(value, ref, 1e-300)
     converged = bool(abs(ref - value) <= 0.01 * scale)
     return value, converged

@@ -14,6 +14,7 @@ from scipy.integrate import quad
 
 import spinbath as sb
 from spinbath.constants_ledger import constants_c1_c2, delta0_threshold
+from spinbath.spectral_density import default_grid
 
 BETAS = (0.5, 1.0, 2.0)
 EPSES = (0.25, 0.5, 1.0)
@@ -114,7 +115,7 @@ def test_criterion_05_glueing_identities():
     worst_sign = worst_norm = 0.0
     for h in smooth:
         for beta in BETAS:
-            g = sb.glue(h, beta)
+            g = sb.glue(h, beta, default_grid(h, beta))
             worst_sign = max(worst_sign, g.sign_relation_residual())
             oracle = quad(lambda u: 4.0 * np.pi * u ** 2 * h(u) ** 2
                           / np.tanh(beta * u / 2.0), 0.0, np.inf,
@@ -130,9 +131,8 @@ def test_criterion_05_glueing_identities():
     def f1(u):
         return 1j * h1(u)
 
-    g1 = sb.glue(f1, beta)
-    g2 = sb.glue(h2, beta, sb.GridSpec(u_max=g1.grid[-1] + g1.weights[0] / 2,
-                                       n=len(g1.grid)))
+    g1 = sb.glue(f1, beta, default_grid(h1, beta))
+    g2 = sb.glue(h2, beta, g1.grid_spec)
     oracle = quad(lambda u: 4.0 * np.pi * u ** 2
                   * np.imag(np.conj(f1(u)) * h2(u)), 0.0, np.inf,
                   limit=500)[0]

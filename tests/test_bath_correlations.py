@@ -238,6 +238,27 @@ def test_c2_saturation_declines_an_underflowing_head():
             sb.c2_saturation(_spec(p=0.03125, beta=1.0))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [0.06, 0.07, 0.08, 0.09, 0.1, 0.11, 0.12, 0.13, 0.2])
+def test_pointwise_kernels_refuse_an_underflowing_head(s, monkeypatch):
+    # J = omega^s e^-omega, admitted by q2 and qz (s > 0.05): up to s = 0.11
+    # the head's ceil(60 / s) octaves reach frequencies whose square
+    # underflows, which is refused by name before any quadrature
+    source = sb.JSource(j=lambda w: w ** s * np.exp(-w), omega_max=60.0,
+                        ir_exponent=s, beta=1.0)
+    for kernel in (sb.q2, sb.qz):
+        if s <= 0.11:
+            with monkeypatch.context() as mp:
+                mp.setattr(bath_correlations, "integrate_refining", _no_quadrature)
+                with pytest.raises(sb.AccuracyError,
+                                   match="%s at t=1: infrared exponent %g is too "
+                                         "close to 0" % (kernel.__name__, s)):
+                    kernel(source, 1.0)
+        else:
+            value, err = kernel(source, 1.0)
+            assert value > 0.0 and err <= 1e-9 * value
+
+
 # --- tabulation ---------------------------------------------------------------
 
 @pytest.mark.parametrize("t_max,n", [(5.0, 1), (5.0, 2), (5.0, 3), (0.0, 16),
@@ -713,7 +734,7 @@ def test_chunk_rows_match_long_double_direct_evaluation(spec, chunk):
     ts = _time_grid(32.0, 400)[chunk]
     res = bath_correlations._evaluate(source, ts, 1e-9, "all", "chunk")
     edges = bath_correlations._initial_edges(source, float(ts[-1]), spec.beta,
-                                             source.ir_exponent)
+                                             0.0, "chunk")
     for _ in range(res.passes):
         edges = quadrature.refine_edges(edges)
     omega, w = quadrature.panel_nodes(edges)
@@ -803,7 +824,7 @@ def _shared_pass(spec, t_max, n):
     first, stop = _shared_rows(n)
     ts = _time_grid(t_max, n)[first:stop]
     res = bath_correlations._evaluate_shared(source, ts, t_max, 1e-9)
-    edges, width, panels = _shared_edges(source, t_max)
+    edges, width, panels = _shared_edges(source, t_max, "table")
     for _ in range(res.passes):
         edges = quadrature.refine_edges(edges)
     return source, ts, res, quadrature.panel_nodes(edges), width, panels

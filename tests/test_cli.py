@@ -351,6 +351,35 @@ def test_cold_rate_caches_only_its_table(tmp_path):
     assert np.load(out / "cache" / name)["table"].shape == (200, 7)
 
 
+def test_rate_on_a_tabulated_form_factor_file(tmp_path):
+    # a valid bath.h.file end to end: rate.json is rate_and_lso on the
+    # tabulated form factor of the same rows; a second run reads its table
+    # from the cache, adds no entry and writes the same bytes
+    omega = np.linspace(0.0, 12.0, 241)
+    path = tmp_path / "h.csv"
+    np.savetxt(path, np.column_stack([omega, np.sqrt(omega) * np.exp(-omega)]),
+               delimiter=",", fmt="%.17g")
+    cfg = _config(tmp_path, {"bath": {"h": {"file": str(path)}}})
+    out = tmp_path / "out"
+    assert main(["rate", "--config", cfg, "--out", str(out)]) == 0
+    cached = _cache_listing(out)
+    first = {name: (out / name).read_bytes() for name in ("rate.json", "p_of_t.csv")}
+
+    config = sb.load_config(cfg)
+    data = np.loadtxt(path, delimiter=",")
+    spec = sb.BathSpec(beta=1.0, eps=0.5, delta=0.2, q0=1.0,
+                       h=sb.tabulated(data[:, 0], data[:, 1]))
+    table = sb.tabulate_kernels(spec, sb.default_time_horizon(spec), 200, tol=1e-8)
+    expected = sb.report_dict(spec, *sb.rate_and_lso(spec, table, tol=config.lso.tol))
+    report = json.loads(first["rate.json"])
+    del report["config_sha256"], report["version"]
+    assert report == json.loads(json.dumps(expected))
+
+    assert main(["rate", "--config", cfg, "--out", str(out)]) == 0
+    assert _cache_listing(out) == cached
+    assert {name: (out / name).read_bytes() for name in first} == first
+
+
 def _no_tabulation(*args, **kwargs):
     raise AssertionError("a kernel table was computed on a warm cache")
 

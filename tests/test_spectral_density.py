@@ -71,7 +71,7 @@ FORM_FACTORS = [
 @pytest.mark.parametrize("h", FORM_FACTORS)
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
 def test_glue_sign_relation(h, beta):
-    g = sb.glue(h, beta)
+    g = sb.glue(h, beta, default_grid(h, beta))
     assert g.sign_relation_residual() < 1e-12
 
 
@@ -91,7 +91,7 @@ def test_glue_zero_function():
 @pytest.mark.parametrize("h", FORM_FACTORS)
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
 def test_glue_norm_identity(h, beta):
-    g = sb.glue(h, beta)
+    g = sb.glue(h, beta, default_grid(h, beta))
     oracle = quad(
         lambda u: 4.0 * np.pi * u ** 2 * h(u) ** 2 / np.tanh(beta * u / 2.0),
         0.0, np.inf, limit=500)[0]
@@ -106,8 +106,8 @@ def test_glue_symplectic_form_preserved():
     def f1(u):
         return 1j * h1(u)
 
-    g1 = sb.glue(f1, beta)
-    g2 = sb.glue(h2, beta, GridSpec(u_max=g1.grid[-1] + g1.weights[0] / 2, n=len(g1.grid)))
+    g1 = sb.glue(f1, beta, default_grid(h1, beta))
+    g2 = sb.glue(h2, beta, g1.grid_spec)
     oracle = quad(lambda u: 4.0 * np.pi * u ** 2
                   * np.imag(np.conj(f1(u)) * h2(u)), 0.0, np.inf, limit=500)[0]
     assert np.imag(g1.inner(g2)) == pytest.approx(oracle, rel=1e-6)
@@ -115,9 +115,9 @@ def test_glue_symplectic_form_preserved():
 
 def test_glue_rejects_bad_beta():
     with pytest.raises(sb.DomainError):
-        sb.glue(sb.power_exp(1.0), 0.0)
+        sb.glue(sb.power_exp(1.0), 0.0, GridSpec(u_max=1.0, n=16))
     with pytest.raises(sb.DomainError):
-        sb.glue(sb.power_exp(1.0), -1.0)
+        sb.glue(sb.power_exp(1.0), -1.0, GridSpec(u_max=1.0, n=16))
 
 
 def test_glue_reports_divergent_samples():
@@ -153,10 +153,8 @@ def test_coupling_glues_on_the_form_factors_default_grid(q0):
     h = sb.power_exp(0.5, "exponential", scale=4.0)
     spec = sb.BathSpec(beta=2.0, eps=0.5, delta=0.1, q0=q0, h=h)
     g = sb.coupling_function(spec)
-    u, step = default_grid(h, spec.beta).points()
-    assert np.array_equal(g.grid, u)
-    assert np.array_equal(g.weights, np.full(u.shape, step))
-    assert g.grid[-1] + 0.5 * step == 80.0
+    assert g.grid_spec == default_grid(h, spec.beta)
+    assert g.grid_spec.u_max == 80.0
 
 
 def test_coupling_function_frozen_value():
@@ -214,9 +212,9 @@ def test_regularity_norm_zero():
     assert converged
 
 
-def _glued_ih_over_u(p, beta=1.0, cutoff="exponential", grid=None):
+def _glued_ih_over_u(p, beta=1.0, cutoff="exponential"):
     h = sb.power_exp(p, cutoff)
-    return sb.glue(lambda u: 1j * h(u) / u, beta, grid)
+    return sb.glue(lambda u: 1j * h(u) / u, beta, default_grid(h, beta))
 
 
 def test_regularity_norm_admissible_converges():
@@ -237,14 +235,6 @@ def test_regularity_norm_monotone_in_alpha():
     values = [sb.regularity_norm(g, a)[0] for a in (0.0, 0.5, 1.0, 2.2, 3.0)]
     diffs = np.diff(values)
     assert np.all(diffs >= -1e-9 * np.abs(values[:-1]))
-
-
-def test_regularity_norm_requires_uniform_grid():
-    grid = np.array([-2.0, -1.0, 1.0, 2.5])
-    bad = sb.GluedFunction(grid, np.zeros(4, complex), np.ones(4), beta=1.0,
-                           source=lambda u: np.zeros_like(u))
-    with pytest.raises(sb.UsageError):
-        sb.regularity_norm(bad, 1.0)
 
 
 @pytest.mark.parametrize("alpha", [-1.0, np.nan, np.inf])
@@ -308,3 +298,15 @@ def test_default_grid_scales():
     assert g.u_max == pytest.approx(60.0)
     g = default_grid(sb.power_exp(1.0), 4.0)
     assert g.u_max == pytest.approx(10.0)
+
+
+def test_condition_a_rungs_agree_where_the_step_is_no_binary_fraction():
+    # at beta 1.5 the step 80 / (1.5 n) is no binary fraction; the rungs of
+    # this converged bath agree to rounding only if each reads its exact step
+    # (a step differenced from grid points puts up to 4.6e-12 between them)
+    spec = sb.BathSpec(beta=1.5, eps=0.5, delta=0.1, q0=1.0,
+                       h=sb.power_exp(0.5, "gaussian"))
+    verdict, report = sb.check_condition_A(spec, 2.2)
+    values = np.asarray(report["values"])
+    assert verdict == "pass"
+    assert np.max(np.abs(values - values[0])) <= 1e-15 * values[0]
