@@ -15,8 +15,11 @@ Every model, at every size, is its per-mode factors: the Weyl factors of
 the interaction amplitudes and of the polaron dressing, all from that one
 eigendecomposition, and the field factors of V and JVJ.  Every
 operator is a short sum of Kronecker products of a 4x4 spin matrix with
-per-mode factors, applied to vectors one mode axis at a time, and the
-level-shift pairings read the vacuum columns of the same Weyl factors.
+per-mode factors, and the level-shift pairings read the vacuum columns of
+the same Weyl factors.  A materialized model also holds each factor stack
+as two blocks, the Kronecker product (or sum) over the low half of the
+modes and over the high half, so that a term is applied to vectors as two
+matrix products, not one small product per mode.
 
 A model whose bath dimension is within the dense cap is materialized: it
 also holds the free generator L0 as a vector-sized diagonal, so the KMS
@@ -223,21 +226,55 @@ def _amplitude_sets(c: np.ndarray) -> np.ndarray:
                                         for s_left, s_right in _SECTOR_SIGNS])
 
 
-def _on_mode(op: np.ndarray, x: np.ndarray, j: int) -> np.ndarray:
-    """op applied to mode j of every vector in x (mode 0 fastest)."""
-    d = op.shape[-1]
-    return (op @ x.reshape(-1, d, d ** j)).reshape(x.shape)
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron over the last two axes of stacks of square matrices."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    n = out.shape[-1] * out.shape[-2]
+    return out.reshape(out.shape[:-4] + (n, n))
 
 
-def _bath_apply(factors: Optional[np.ndarray], summed: bool,
-                x: np.ndarray) -> np.ndarray:
-    if factors is None:
-        return x
-    if summed:
-        return sum(_on_mode(w, x, j) for j, w in enumerate(factors))
-    for j, w in enumerate(factors):
-        x = _on_mode(w, x, j)
-    return x
+def _block(factors: np.ndarray, summed: bool) -> np.ndarray:
+    """The Kronecker product (or Kronecker sum) of a run of mode factors
+    (..., modes, d, d), first mode fastest: F_k-1 x ... x F_0, or
+    sum_j I x F_j x I."""
+    d = factors.shape[-1]
+    acc = factors[..., 0, :, :]
+    for j in range(1, factors.shape[-3]):
+        w = factors[..., j, :, :]
+        if summed:
+            acc = _kron(np.eye(d), acc) + _kron(w, np.eye(d ** j))
+        else:
+            acc = _kron(w, acc)
+    return acc
+
+
+def _blocks(factors: np.ndarray, summed: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """(low, high) blocks of stacks of n mode factors (..., n, d, d): modes
+    0..k-1 and k..n-1, k = n // 2."""
+    k = factors.shape[-3] // 2
+    return (_block(factors[..., :k, :, :], summed),
+            _block(factors[..., k:, :, :], summed))
+
+
+def _blocked(blocks: Tuple[np.ndarray, np.ndarray], summed: bool,
+             y: np.ndarray) -> np.ndarray:
+    """The blocks applied to the last axis of y, viewed as (D_hi, D_lo):
+    one GEMM for the low block, one batch of GEMMs for the high block."""
+    lo, hi = blocks
+    v = y.reshape(-1, hi.shape[0], lo.shape[0])
+    z = (v.reshape(-1, lo.shape[0]) @ lo.T).reshape(v.shape)
+    return (z + hi @ v if summed else hi @ z).reshape(y.shape)
+
+
+def _term(spin: np.ndarray, blocks: Optional[Tuple[np.ndarray, np.ndarray]],
+          summed: bool) -> tuple:
+    """An operator term as _apply reads it: the (spin columns, column
+    indices) of the term and of its adjoint, its bath blocks and `summed`."""
+    sides = []
+    for s in (spin, spin.conj().T):
+        cols = s.any(axis=0).nonzero()[0]
+        sides.append((s[:, cols], cols))
+    return sides, blocks, summed
 
 
 def _scaled(terms: list, k: float) -> list:
@@ -261,13 +298,20 @@ class FiniteModel:
     spin-sector dressings of U (k = 4..7), and field[k, j] is the field
     factor of mode j in V (k = 0) and JVJ (k = 1).  Every operator is a
     short sum of 4x4 spin matrices tensored with a product or a sum of
-    per-mode factors, and _apply applies it to vectors one mode axis at a
-    time (the shuffle algorithm of Fernandes, Plateau and Stewart 1998),
-    so memory grows with dim, not dim^2.
+    per-mode factors.
 
     materialized (bath_dim within the dense cap) models also hold the
-    diagonal L0 and the operator table; the vector operations raise
-    ConfigurationError on the others, whose L0 is None.  The sector vacua
+    diagonal L0, the operator table and its blocks; the vector operations
+    raise ConfigurationError on the others, whose L0 is None.  With
+    k = n_modes / 2, each factor stack has a low block over modes 0..k-1
+    and a high block over modes k..n-1, each d^k x d^k (32 x 32 at the
+    cap, bath_dim 1024): the Kronecker product of the stack's factors within the block
+    for a product term, sum_j I x F_j x I for a summed one.  _apply views
+    the vectors of a spin sector as (D_hi, D_lo) matrices Y and applies a
+    product term as hi Y lo^T and a summed one as Y lo^T + hi Y, the
+    blocking of the shuffle algorithm (Fernandes, Plateau and Stewart,
+    J. ACM 45, 1998).  The blocks take 2 bath_dim entries per factor
+    stack, so memory grows with dim, not dim^2.  The sector vacua
     are the basis vectors s * bath_dim, s = 0..3; the level-shift columns
     and the KMS vector index the two of Pi0, 0 and 3 * bath_dim, directly.
     The operators cal_V, cal_JVJ, V, JVJ, U, I, L (untransformed generator
@@ -291,11 +335,20 @@ class FiniteModel:
         self.field = _phi(np.array([hvec, hvec[::-1]]), a)
         self.L0 = None
         self._ops = {}
+        self._blocks = {}
+        self._terms = {}
         if not self.materialized:
             return
         spin_diag = np.array([0.0, spec.eps, -spec.eps, 0.0])
         self.L0 = (spin_diag[:, None] + _bath_diag(bath.freqs, d)).ravel()
-        self._ops = self._operators()
+        self._ops = self._operators(self.weyl, self.field)
+        # the same table over the (low, high) blocks of each factor stack
+        self._blocks = {"weyl": _blocks(self.weyl, False),
+                        "field": _blocks(self.field, True)}
+        blocked = self._operators(list(zip(*self._blocks["weyl"])),
+                                  list(zip(*self._blocks["field"])))
+        self._terms = {name: (diag, [_term(*t) for t in terms])
+                       for name, (diag, terms) in blocked.items()}
 
     @property
     def materialized(self) -> bool:
@@ -308,9 +361,9 @@ class FiniteModel:
                 "%s needs a materialized model; bath dimension %d exceeds the "
                 "dense cap %d" % (what, self.bath_dim, _DENSE_BATH_CAP))
 
-    def _operators(self) -> dict:
-        """name -> (diagonal or None, [(spin 4x4, factors or None, summed)])."""
-        W, F = self.weyl, self.field
+    def _operators(self, W: Sequence, F: Sequence) -> dict:
+        """name -> (diagonal or None, [(spin 4x4, factors or None, summed)]),
+        over the Weyl and field factor stacks W and F."""
         spec = self.spec
         cal_V = [(_SP_L, W[0], False), (_SM_L, W[1], False)]
         cal_JVJ = [(_SP_R, W[2], False), (_SM_R, W[3], False)]
@@ -334,16 +387,17 @@ class FiniteModel:
     def _apply(self, name: str, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """Operator `name` (or its adjoint) applied to every vector x[..., :]."""
         self._need(name)
-        diag, terms = self._ops[name]
+        diag, terms = self._terms[name]
         xs = x.reshape(-1, 4, self.bath_dim)
         out = np.zeros(xs.shape, dtype=complex)
-        for spin, factors, summed in terms:
-            if adjoint:
-                spin = spin.conj().T
-                if factors is not None:
-                    factors = np.conj(np.swapaxes(factors, -1, -2))
-            cols = np.flatnonzero(np.any(spin != 0, axis=0))
-            out += spin[:, cols] @ _bath_apply(factors, summed, xs[:, cols])
+        for sides, blocks, summed in terms:
+            spin, cols = sides[adjoint]
+            y = xs[:, cols]
+            if blocks is not None:
+                if adjoint:
+                    blocks = tuple(b.conj().T for b in blocks)
+                y = _blocked(blocks, summed, y)
+            out += spin @ y
         out = out.reshape(x.shape)
         if diag is not None:
             out += diag * x
@@ -567,7 +621,9 @@ def weyl_sequence_check(model: FiniteModel, s: float, n_seq: int = 4) -> np.ndar
             raise PreconditionError(
                 "window [%g, %g] contains no discretized mode"
                 % (s - 1.0 / n, s + 1.0 / n))
-        phi_n = sum(_on_mode(adag, psi, j) for j in np.nonzero(sel)[0])
+        # a*(f_n) is the summed stack of adag on the window's modes, 0 elsewhere
+        stack = np.where(sel[:, None, None], adag, 0.0)
+        phi_n = _blocked(_blocks(stack, True), True, psi)
         nrm = np.linalg.norm(phi_n)
         out.append(np.linalg.norm(model._apply("cal_L", phi_n) - s * phi_n) / nrm)
     return np.asarray(out)

@@ -200,15 +200,21 @@ def _bath_dense(factors, summed, bath_dim):
     return acc
 
 
-def _kron_matrix(model, name):
-    """The dense matrix of operator `name` from Kronecker products of the
-    terms of the model's operator table, without _apply."""
+def _kron_apply(model, name, x, adjoint=False):
+    """Operator `name` (or its adjoint) applied to the rows of x, each term
+    through the dense Kronecker matrix of its bath factors from the model's
+    operator table, without _apply and without a dim x dim matrix."""
     diag, terms = model._ops[name]
-    out = np.zeros((model.dim, model.dim), dtype=complex)
+    xs = x.reshape(len(x), 4, model.bath_dim)
+    out = np.zeros(xs.shape, dtype=complex)
     for spin, factors, summed in terms:
-        out += np.kron(spin, _bath_dense(factors, summed, model.bath_dim))
+        bath = _bath_dense(factors, summed, model.bath_dim)
+        if adjoint:
+            spin, bath = spin.conj().T, bath.conj().T
+        out += spin @ (xs @ bath.T)
+    out = out.reshape(x.shape)
     if diag is not None:
-        out[np.diag_indices(model.dim)] += diag
+        out += np.conj(diag) * x if adjoint else diag * x
     return out
 
 
@@ -227,19 +233,34 @@ def factored_models():
     return model
 
 
-@settings(max_examples=30, deadline=None)
-@given(m_pos=st.integers(min_value=1, max_value=2),
-       n_max=st.integers(min_value=1, max_value=3),
-       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
-       name=st.sampled_from(FACTORED_OPS))
-def test_factored_apply_matches_dense_view(factored_models, m_pos, n_max, seed, name):
-    model = factored_models(m_pos, n_max)
+def _check_factored_apply(model, seed, name):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((2, model.dim)) + 1j * rng.standard_normal((2, model.dim))
-    dense = _kron_matrix(model, name)
-    for got, want in ((model._apply(name, x), x @ dense.T),
-                      (model._apply(name, x, adjoint=True), x @ dense.conj())):
+    for adjoint in (False, True):
+        got = model._apply(name, x, adjoint=adjoint)
+        want = _kron_apply(model, name, x, adjoint=adjoint)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+# (m_pos, n_max) of every materialized model with up to three modes per block
+FACTORED_SHAPES = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)
+                   if (n + 1) ** (2 * m) <= truncated_oracle._DENSE_BATH_CAP]
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.sampled_from(FACTORED_SHAPES),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       name=st.sampled_from(FACTORED_OPS))
+def test_factored_apply_matches_dense_view(factored_models, shape, seed, name):
+    _check_factored_apply(factored_models(*shape), seed, name)
+
+
+@pytest.mark.parametrize("name", FACTORED_OPS)
+def test_factored_apply_with_four_modes_per_block(factored_models, name):
+    # the d = 2 shape of the Weyl workload model: two 16 x 16 blocks
+    model = factored_models(4, 1)
+    assert [b.shape for b in model._blocks["weyl"]] == [(8, 16, 16)] * 2
+    _check_factored_apply(model, 0, name)
 
 
 def test_model_stores_no_dense_matrix(small_model):
@@ -249,6 +270,10 @@ def test_model_stores_no_dense_matrix(small_model):
     assert max(v.size for v in stored) == fresh.dim
     assert fresh.weyl.shape == (8, fresh.bath.n_modes, 4, 4)
     assert fresh.field.shape == (2, fresh.bath.n_modes, 4, 4)
+    # the block table: a (low, high) pair of 16 x 16 blocks per factor stack
+    assert fresh.bath_dim == 16 * 16
+    assert [b.shape for pair in fresh._blocks.values() for b in pair] == (
+        [(8, 16, 16)] * 2 + [(2, 16, 16)] * 2)
 
 
 def test_model_past_the_cap_stores_only_its_factors():
@@ -259,8 +284,15 @@ def test_model_past_the_cap_stores_only_its_factors():
     assert model.field.shape == (2, 12, 3, 3)
     stored = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
     assert max(v.size for v in stored) == model.weyl.size
+    assert model._blocks == {} and model._terms == {}
     with pytest.raises(AttributeError):
         model.materialized = True
+
+
+def test_last_default_rung_builds_no_blocks():
+    model = _rung_model(-1)
+    assert model.trunc.m_pos == 32 and not model.materialized
+    assert model._blocks == {} and model._terms == {}
 
 
 def test_materialized_model_runs_below_one_dense_matrix(small_model):
@@ -282,6 +314,10 @@ def test_materialized_model_runs_below_one_dense_matrix(small_model):
         tracemalloc.stop()
     assert model.dim == 2500
     assert peak < model.dim ** 2 * 16 / 8
+    # one (low, high) block pair per factor stack, 25 x 25 each
+    stacks = len(model.weyl) + len(model.field)
+    held = sum(b.size for pair in model._blocks.values() for b in pair)
+    assert held <= 2 * model.bath_dim * stacks
 
 
 @settings(max_examples=40, deadline=None)
