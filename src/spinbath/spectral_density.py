@@ -19,7 +19,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, InfraredError, UsageError
+from .errors import DomainError, EvaluationError, InfraredError, ScalingError, UsageError
 
 ANGULAR_FACTOR = 4.0 * np.pi
 TWO_PI_SQ = 2.0 * np.pi ** 2
@@ -291,9 +291,16 @@ def _fourier_weighted_value(g: GluedFunction, alpha: float) -> float:
     ghat_abs = (step / np.sqrt(2.0 * np.pi)) * np.abs(np.fft.fft(g.values))
     # Bessel form of the order-alpha weight: equivalent to 1 + |xi|^alpha and
     # monotone in alpha since the base is >= 1.
-    weight = (1.0 + xi ** 2) ** (0.5 * alpha)
     dxi = 2.0 * np.pi / (n * step)
-    return float(np.sqrt(np.sum((weight * ghat_abs) ** 2) * dxi * ANGULAR_FACTOR))
+    # every step is finite unless one overflows, and then the value is inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = (1.0 + xi ** 2) ** (0.5 * alpha)
+        value = float(np.sqrt(np.sum((weight * ghat_abs) ** 2) * dxi * ANGULAR_FACTOR))
+    if not np.isfinite(value):
+        raise ScalingError(
+            "the order-%g Fourier weight overflows on a grid of step %g "
+            "(|xi| up to %g); use a smaller alpha" % (alpha, step, np.abs(xi).max()))
+    return value
 
 
 def _refined_values(f, beta: float, base: GridSpec, alpha: float, ks) -> list:
@@ -318,7 +325,7 @@ def regularity_norm(g: GluedFunction, alpha: float) -> Tuple[float, bool]:
 
     converged is True when the value moves by at most 1% when g's source is
     glued again on the refinement of its grid that doubles u_max and halves
-    the step.
+    the step.  An alpha whose weight overflows raises ScalingError.
     """
     _require_alpha(alpha)
     value = _fourier_weighted_value(g, alpha)
@@ -360,7 +367,8 @@ def check_condition_A(spec: BathSpec, alpha: float):
     "inconclusive"}.  The norm is recomputed on a ladder of refined grids
     (u_max doubled, step halved per rung); stability within 1% is a pass,
     persistent growth is a fail, anything else within the refinement budget
-    is inconclusive.  alpha must be finite and nonnegative.
+    is inconclusive.  alpha must be finite and nonnegative; an alpha whose
+    weight overflows on a rung's grid raises ScalingError.
     """
     _require_alpha(alpha)
     h = spec.h

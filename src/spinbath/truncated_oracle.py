@@ -19,7 +19,10 @@ per-mode factors, and the level-shift pairings read the vacuum columns of
 the same Weyl factors.  A materialized model also holds each factor stack
 as two blocks, the Kronecker product (or sum) over the low half of the
 modes and over the high half, so that a term is applied to vectors as two
-matrix products, not one small product per mode.
+matrix products, not one small product per mode.  Its one operator table
+is built over those blocks and has no adjoint mode: every operator but
+the dressing U is Hermitian, and U* is U with its sector dressings
+mirrored, W(-z) = W(z)*.
 
 A model whose bath dimension is within the dense cap is materialized: it
 also holds the free generator L0 as a vector-sized diagonal, so the KMS
@@ -39,8 +42,8 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (ConfigurationError, PreconditionError, ScalingError,
-                     TruncationError)
+from .errors import (ConfigurationError, DomainError, PreconditionError,
+                     ScalingError, TruncationError)
 # not called (the pairings are exact sums); bound so that tracers count its 0 nodes
 from .quadrature import integrate_refining  # noqa: F401
 from .relaxation import _gibbs_vector
@@ -268,13 +271,10 @@ def _blocked(blocks: Tuple[np.ndarray, np.ndarray], summed: bool,
 
 def _term(spin: np.ndarray, blocks: Optional[Tuple[np.ndarray, np.ndarray]],
           summed: bool) -> tuple:
-    """An operator term as _apply reads it: the (spin columns, column
-    indices) of the term and of its adjoint, its bath blocks and `summed`."""
-    sides = []
-    for s in (spin, spin.conj().T):
-        cols = s.any(axis=0).nonzero()[0]
-        sides.append((s[:, cols], cols))
-    return sides, blocks, summed
+    """An operator term as _apply reads it: its nonzero spin columns, their
+    indices, its bath blocks and `summed`."""
+    cols = spin.any(axis=0).nonzero()[0]
+    return spin[:, cols], cols, blocks, summed
 
 
 def _scaled(terms: list, k: float) -> list:
@@ -301,12 +301,13 @@ class FiniteModel:
     per-mode factors.
 
     materialized (bath_dim within the dense cap) models also hold the
-    diagonal L0, the operator table and its blocks; the vector operations
-    raise ConfigurationError on the others, whose L0 is None.  With
-    k = n_modes / 2, each factor stack has a low block over modes 0..k-1
-    and a high block over modes k..n-1, each d^k x d^k (32 x 32 at the
-    cap, bath_dim 1024): the Kronecker product of the stack's factors within the block
-    for a product term, sum_j I x F_j x I for a summed one.  _apply views
+    diagonal L0 and the operator table over the blocks of the factor
+    stacks; the vector operations raise ConfigurationError on the others,
+    whose L0 is None.  With k = n_modes / 2, each factor stack has a low
+    block over modes 0..k-1 and a high block over modes k..n-1, each
+    d^k x d^k (32 x 32 at the cap, bath_dim 1024): the Kronecker product
+    of the stack's factors within the block for a product term,
+    sum_j I x F_j x I for a summed one.  _apply views
     the vectors of a spin sector as (D_hi, D_lo) matrices Y and applies a
     product term as hi Y lo^T and a summed one as Y lo^T + hi Y, the
     blocking of the shuffle algorithm (Fernandes, Plateau and Stewart,
@@ -314,9 +315,11 @@ class FiniteModel:
     stack, so memory grows with dim, not dim^2.  The sector vacua
     are the basis vectors s * bath_dim, s = 0..3; the level-shift columns
     and the KMS vector index the two of Pi0, 0 and 3 * bath_dim, directly.
-    The operators cal_V, cal_JVJ, V, JVJ, U, I, L (untransformed generator
-    L0 + spin flip + (q0/2)(V - JVJ)) and cal_L (transformed generator
-    L0 + delta I) are read only through _apply, on vectors.
+    The operators cal_V, cal_JVJ, V, JVJ, U, U*, I, L (untransformed
+    generator L0 + spin flip + (q0/2)(V - JVJ)) and cal_L (transformed
+    generator L0 + delta I) are read only through _apply, on vectors.  All
+    but U and U* are Hermitian; U* takes sector s's factors from set
+    7 - s, whose dressing is -d_s, so it reuses U's blocks.
     """
 
     def __init__(self, spec: BathSpec, trunc: TruncationSpec, bath: DiscretizedBath):
@@ -334,21 +337,16 @@ class FiniteModel:
             hvec = np.zeros(bath.n_modes)
         self.field = _phi(np.array([hvec, hvec[::-1]]), a)
         self.L0 = None
-        self._ops = {}
-        self._blocks = {}
         self._terms = {}
         if not self.materialized:
             return
         spin_diag = np.array([0.0, spec.eps, -spec.eps, 0.0])
         self.L0 = (spin_diag[:, None] + _bath_diag(bath.freqs, d)).ravel()
-        self._ops = self._operators(self.weyl, self.field)
-        # the same table over the (low, high) blocks of each factor stack
-        self._blocks = {"weyl": _blocks(self.weyl, False),
-                        "field": _blocks(self.field, True)}
-        blocked = self._operators(list(zip(*self._blocks["weyl"])),
-                                  list(zip(*self._blocks["field"])))
+        # the operator table over the (low, high) blocks of each factor stack
+        table = self._operators(list(zip(*_blocks(self.weyl, False))),
+                                list(zip(*_blocks(self.field, True))))
         self._terms = {name: (diag, [_term(*t) for t in terms])
-                       for name, (diag, terms) in blocked.items()}
+                       for name, (diag, terms) in table.items()}
 
     @property
     def materialized(self) -> bool:
@@ -376,26 +374,26 @@ class FiniteModel:
             "cal_JVJ": (None, cal_JVJ),
             "V": (None, V),
             "JVJ": (None, JVJ),
-            "U": (None, [(np.diag(e), W[4 + s], False)
-                         for s, e in enumerate(np.eye(4))]),
+            "U": (None, [(np.diag(e), W[4 + s], False) for s, e in enumerate(np.eye(4))]),
+            # set 7 - s holds -d_s bitwise (_SECTOR_SIGNS[3 - s] = -_SECTOR_SIGNS[s])
+            # and W(-z) = W(z)*, bitwise for imaginary amplitudes: U* is U
+            # with its sector dressings mirrored
+            "U*": (None, [(np.diag(e), W[7 - s], False) for s, e in enumerate(np.eye(4))]),
             "I": (None, I),
             "L": (self.L0, flip + _scaled(V, 0.5 * spec.q0)
                   + _scaled(JVJ, -0.5 * spec.q0)),
             "cal_L": (self.L0, _scaled(I, spec.delta)),
         }
 
-    def _apply(self, name: str, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """Operator `name` (or its adjoint) applied to every vector x[..., :]."""
+    def _apply(self, name: str, x: np.ndarray) -> np.ndarray:
+        """Operator `name` applied to every vector x[..., :]."""
         self._need(name)
         diag, terms = self._terms[name]
         xs = x.reshape(-1, 4, self.bath_dim)
         out = np.zeros(xs.shape, dtype=complex)
-        for sides, blocks, summed in terms:
-            spin, cols = sides[adjoint]
+        for spin, cols, blocks, summed in terms:
             y = xs[:, cols]
             if blocks is not None:
-                if adjoint:
-                    blocks = tuple(b.conj().T for b in blocks)
                 y = _blocked(blocks, summed, y)
             out += spin @ y
         out = out.reshape(x.shape)
@@ -420,8 +418,8 @@ def check_unitary_equivalence(model: FiniteModel) -> float:
     cols = np.array([s * model.bath_dim + b for s in range(4) for b in probes])
     B = np.zeros((cols.size, model.dim), dtype=complex)
     B[np.arange(cols.size), cols] = 1.0
-    Uh_B = model._apply("U", B, adjoint=True)
-    R = model._apply("U", model._apply("L", Uh_B)) - model._apply("cal_L", B)
+    R = (model._apply("U", model._apply("L", model._apply("U*", B)))
+         - model._apply("cal_L", B))
     den = float(np.linalg.norm(model.L0[cols]))
     return float(np.linalg.norm(R) / den)
 
@@ -471,7 +469,6 @@ class _RungPhases:
         a, b = np.array(set_pairs).T
         pairs, row = np.unique(np.conj(vacua[a]) * vacua[b], axis=0,
                                return_inverse=True)
-        self.pairs = pairs
         self.row = row.reshape(-1)
         self.step = step
         n_max = pairs.shape[-1] - 1
@@ -608,9 +605,12 @@ def kms_vector(model: FiniteModel) -> Tuple[np.ndarray, float]:
 def weyl_sequence_check(model: FiniteModel, s: float, n_seq: int = 4) -> np.ndarray:
     """Residuals of the singular sequence a*(f_n) psi_KMS at spectral point s.
 
-    f_n is the indicator of [s - 1/n, s + 1/n] over the discrete modes; a
-    window containing no mode is a PreconditionError.
+    f_n is the indicator of [s - 1/n, s + 1/n] over the discrete modes,
+    n = 1..n_seq; n_seq < 1 is a DomainError and a window containing no
+    mode a PreconditionError.
     """
+    if n_seq < 1:
+        raise DomainError("n_seq must be at least 1, got %r" % (n_seq,))
     model._need("weyl_sequence_check")
     psi, _ = kms_vector(model)
     adag = _annihilator(model.trunc.n_max + 1).T

@@ -162,6 +162,41 @@ def test_regularity_positional_alpha(tmp_path):
     assert _read_json(out, "regularity.json")["alpha"] == 1.8
 
 
+def _strict_json(path):
+    def refuse(token):
+        raise ValueError("%s is not JSON" % token)
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.filterwarnings("error")
+def test_regularity_refuses_an_overflowing_alpha(tmp_path, capsys):
+    # on the smooth bath at beta 1 the weighted norm is finite up to alpha 45
+    # and overflows from alpha 50: refused by name, with no numpy warning
+    smooth = _config(tmp_path, SMOOTH_BATH)
+    out = tmp_path / "out"
+    assert main(["regularity", "300", "--config", smooth, "--out", str(out)]) == 1
+    assert "overflows" in capsys.readouterr().err
+    assert not (out / "regularity.json").exists()
+    assert main(["regularity", "45", "--config", smooth, "--out", str(out)]) == 2
+    report = _strict_json(out / "regularity.json")
+    assert report["verdict"] == "fail" and report["alpha"] == 45.0
+    assert all(np.isfinite(report["values"]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_threshold_refuses_an_overflowing_alpha(tmp_path, capsys):
+    updates = copy.deepcopy(SMOOTH_BATH)
+    updates["constants"] = {"alpha": 300.0, "c_kms": 2.0, "c3": 5.0, "c5": 1.0,
+                            "tau0": 2.0}
+    cfg = _config(tmp_path, updates)
+    out = tmp_path / "out"
+    assert main(["threshold", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "overflows" in err and "did not converge" not in err
+    assert not (out / "threshold.json").exists()
+
+
 # --- threshold ------------------------------------------------------------------
 
 SMOOTH_BATH = {"bath": {"h": {"family": "power_exp", "p": 0.5,

@@ -1,6 +1,7 @@
 """Checks on the package source itself, read with ast."""
 
 import ast
+import importlib
 import pathlib
 import re
 import sys
@@ -36,6 +37,39 @@ def test_every_parameter_is_read():
     unread = ["%s:%s" % (path.name, where)
               for path in sorted(PACKAGE.glob("*.py"))
               for where in _unread_parameters(ast.parse(path.read_text()))]
+    assert unread == []
+
+
+def _stored_on_self(tree):
+    """(class, attribute, line) of every attribute a method stores on self,
+    by assignment or by object.__setattr__(self, "name", ...)."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in ast.walk(cls):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                yield cls.name, node.attr, node.lineno
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "__setattr__" and len(node.args) > 1
+                  and isinstance(node.args[0], ast.Name) and node.args[0].id == "self"
+                  and isinstance(node.args[1], ast.Constant)):
+                yield cls.name, node.args[1].value, node.lineno
+
+
+def test_every_stored_attribute_is_read():
+    # an attribute that no package code reads is state kept for nothing;
+    # exception payloads are for callers and exempt
+    trees = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path, tree in trees.items():
+        module = importlib.import_module("spinbath." + path.stem)
+        for cls, attr, line in _stored_on_self(tree):
+            if issubclass(getattr(module, cls), BaseException) or attr in read:
+                continue
+            unread.append("%s:%d %s.%s" % (path.name, line, cls, attr))
     assert unread == []
 
 

@@ -143,7 +143,9 @@ def test_interaction_is_a_contraction(small_model, operator_matrix):
 def test_generators_self_adjoint(small_model, operator_matrix):
     _, _, model = small_model
     assert np.isrealobj(model.L0)
-    for name in ("I", "L", "cal_L"):
+    # every table operator but the dressing is Hermitian, so the table
+    # needs no adjoint mode
+    for name in ("cal_V", "cal_JVJ", "V", "JVJ", "I", "L", "cal_L"):
         op = operator_matrix(model, name)
         assert np.abs(op - op.conj().T).max() <= 1e-10
 
@@ -162,8 +164,8 @@ def test_vacuum_projections_sit_on_sector_vacua(small_model, monkeypatch):
     bd = model.bath_dim
     seen = []
     apply = model._apply
-    monkeypatch.setattr(model, "_apply", lambda name, x, adjoint=False:
-                        seen.append((name, x.copy())) or apply(name, x, adjoint))
+    monkeypatch.setattr(model, "_apply", lambda name, x:
+                        seen.append((name, x.copy())) or apply(name, x))
     sb.lso_finite(model)
     ((name, columns),) = seen
     assert name == "I"
@@ -184,7 +186,7 @@ def test_weyl_unitarity_monitor_trips():
 
 # --- factored operators -------------------------------------------------------
 
-FACTORED_OPS = ("cal_V", "cal_JVJ", "V", "JVJ", "U", "I", "L", "cal_L")
+FACTORED_OPS = ("cal_V", "cal_JVJ", "V", "JVJ", "U", "U*", "I", "L", "cal_L")
 
 
 def _bath_dense(factors, summed, bath_dim):
@@ -202,9 +204,10 @@ def _bath_dense(factors, summed, bath_dim):
 
 def _kron_apply(model, name, x, adjoint=False):
     """Operator `name` (or its adjoint) applied to the rows of x, each term
-    through the dense Kronecker matrix of its bath factors from the model's
-    operator table, without _apply and without a dim x dim matrix."""
-    diag, terms = model._ops[name]
+    through the dense Kronecker matrix of its per-mode bath factors, from
+    the operator table over the model's factor stacks, without _apply and
+    without a dim x dim matrix."""
+    diag, terms = model._operators(model.weyl, model.field)[name]
     xs = x.reshape(len(x), 4, model.bath_dim)
     out = np.zeros(xs.shape, dtype=complex)
     for spin, factors, summed in terms:
@@ -233,13 +236,23 @@ def factored_models():
     return model
 
 
-def _check_factored_apply(model, seed, name):
+def _random_vectors(model, seed):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((2, model.dim)) + 1j * rng.standard_normal((2, model.dim))
-    for adjoint in (False, True):
-        got = model._apply(name, x, adjoint=adjoint)
-        want = _kron_apply(model, name, x, adjoint=adjoint)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    return rng.standard_normal((2, model.dim)) + 1j * rng.standard_normal((2, model.dim))
+
+
+def _check_factored_apply(model, seed, name):
+    x = _random_vectors(model, seed)
+    got = model._apply(name, x)
+    want = _kron_apply(model, name, x)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _held_blocks(model):
+    """The distinct bath blocks of the model's operator table."""
+    return list({id(b): b for _, terms in model._terms.values()
+                 for _, _, blocks, _ in terms if blocks is not None
+                 for b in blocks}.values())
 
 
 # (m_pos, n_max) of every materialized model with up to three modes per block
@@ -259,8 +272,34 @@ def test_factored_apply_matches_dense_view(factored_models, shape, seed, name):
 def test_factored_apply_with_four_modes_per_block(factored_models, name):
     # the d = 2 shape of the Weyl workload model: two 16 x 16 blocks
     model = factored_models(4, 1)
-    assert [b.shape for b in model._blocks["weyl"]] == [(8, 16, 16)] * 2
+    assert [b.shape for b in _held_blocks(model)] == [(16, 16)] * 2 * (8 + 2)
     _check_factored_apply(model, 0, name)
+
+
+@pytest.mark.parametrize("m_pos", [1, 2, 3, 4])
+@pytest.mark.parametrize("phase", [1.0, np.exp(0.3j)])
+def test_mirrored_dressing_is_the_adjoint(m_pos, phase):
+    # U* from the dressings of the mirrored sectors equals the conjugate
+    # transpose of U's Kronecker terms, on physical (imaginary) amplitudes
+    # and on phased (complex) ones
+    trunc = sb.TruncationSpec(m_pos=m_pos, u_max=3.0, n_max=1, eta=0.1)
+    bath = sb.discretize(sb.coupling_function(SPEC), trunc)
+    bath = dataclasses.replace(bath, amps=bath.amps * phase)
+    model = sb.build_model(bath, SPEC, trunc)
+    x = _random_vectors(model, m_pos)
+    want = _kron_apply(model, "U", x, adjoint=True)
+    got = model._apply("U*", x)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_operator_table_is_built_once(small_model, monkeypatch):
+    _, _, model = small_model
+    calls = []
+    build = truncated_oracle.FiniteModel._operators
+    monkeypatch.setattr(truncated_oracle.FiniteModel, "_operators",
+                        lambda self, W, F: calls.append(1) or build(self, W, F))
+    fresh = sb.build_model(model.bath, model.spec, model.trunc)
+    assert fresh.materialized and calls == [1]
 
 
 def test_model_stores_no_dense_matrix(small_model):
@@ -270,10 +309,10 @@ def test_model_stores_no_dense_matrix(small_model):
     assert max(v.size for v in stored) == fresh.dim
     assert fresh.weyl.shape == (8, fresh.bath.n_modes, 4, 4)
     assert fresh.field.shape == (2, fresh.bath.n_modes, 4, 4)
-    # the block table: a (low, high) pair of 16 x 16 blocks per factor stack
+    # the block table: a (low, high) pair of 16 x 16 blocks per factor
+    # stack, eight Weyl and two field stacks, which U* shares with U
     assert fresh.bath_dim == 16 * 16
-    assert [b.shape for pair in fresh._blocks.values() for b in pair] == (
-        [(8, 16, 16)] * 2 + [(2, 16, 16)] * 2)
+    assert [b.shape for b in _held_blocks(fresh)] == [(16, 16)] * 2 * (8 + 2)
 
 
 def test_model_past_the_cap_stores_only_its_factors():
@@ -284,7 +323,7 @@ def test_model_past_the_cap_stores_only_its_factors():
     assert model.field.shape == (2, 12, 3, 3)
     stored = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
     assert max(v.size for v in stored) == model.weyl.size
-    assert model._blocks == {} and model._terms == {}
+    assert model._terms == {}
     with pytest.raises(AttributeError):
         model.materialized = True
 
@@ -292,7 +331,7 @@ def test_model_past_the_cap_stores_only_its_factors():
 def test_last_default_rung_builds_no_blocks():
     model = _rung_model(-1)
     assert model.trunc.m_pos == 32 and not model.materialized
-    assert model._blocks == {} and model._terms == {}
+    assert model._terms == {}
 
 
 def test_materialized_model_runs_below_one_dense_matrix(small_model):
@@ -316,7 +355,7 @@ def test_materialized_model_runs_below_one_dense_matrix(small_model):
     assert peak < model.dim ** 2 * 16 / 8
     # one (low, high) block pair per factor stack, 25 x 25 each
     stacks = len(model.weyl) + len(model.field)
-    held = sum(b.size for pair in model._blocks.values() for b in pair)
+    held = sum(b.size for b in _held_blocks(model))
     assert held <= 2 * model.bath_dim * stacks
 
 
@@ -484,6 +523,14 @@ def _rung_phases(model):
                                         RUNG_SET_PAIRS)
 
 
+def _rung_pairs(model):
+    """The distinct per-mode coefficient sets of a rung's pairings, in the
+    order of the rows of _RungPhases.coef."""
+    vacua = model.weyl[:4, :, :, 0]
+    a, b = np.array(RUNG_SET_PAIRS).T
+    return np.unique(np.conj(vacua[a]) * vacua[b], axis=0)
+
+
 def _extended_laurent(pairs, freqs):
     """Coefficients of prod_j sum_n p_jn zeta^(n N_j), N_j = 2 f_j / step, by
     direct convolution over the modes in ascending order, in extended
@@ -505,9 +552,10 @@ def _extended_laurent(pairs, freqs):
 def test_laurent_coefficients_match_extended_precision():
     model = _rung_model(-1)
     phases = _rung_phases(model)
-    assert phases.pairs.shape[1:] == (64, 4)
+    pairs = _rung_pairs(model)
+    assert pairs.shape[1:] == (64, 4)
     assert phases.top == 3 * 32 ** 2
-    want = _extended_laurent(phases.pairs, model.bath.freqs)
+    want = _extended_laurent(pairs, model.bath.freqs)
     assert phases.coef.shape == want.shape
     assert np.abs(phases.coef - want).max() <= 1e-15 * np.abs(want).max()
 
@@ -522,7 +570,7 @@ def test_laurent_coefficients_stay_within_their_buffers():
         tracemalloc.stop()
     # the coefficients, their second buffer and one axpy term (the slack is
     # numpy's and the grid check's scratch), nothing that grows with a time grid
-    assert phases.coef.nbytes == len(phases.pairs) * (2 * 3 * 32 ** 2 + 1) * 16
+    assert phases.coef.nbytes == len(_rung_pairs(model)) * (2 * 3 * 32 ** 2 + 1) * 16
     assert peak <= 4 * phases.coef.nbytes
 
 
@@ -692,6 +740,14 @@ def test_weyl_empty_window_is_a_precondition():
     model = _build(spec=spec, trunc=WEYL_TRUNC)
     with pytest.raises(sb.PreconditionError):
         sb.weyl_sequence_check(model, s=10.0)
+
+
+@pytest.mark.parametrize("n_seq", [0, -1, -5])
+def test_weyl_sequence_needs_at_least_one_window(small_model, n_seq):
+    _, _, model = small_model
+    with pytest.raises(sb.DomainError, match="n_seq"):
+        sb.weyl_sequence_check(model, s=1.0, n_seq=n_seq)
+    assert sb.weyl_sequence_check(model, s=1.0, n_seq=1).shape == (1,)
 
 
 def test_weyl_model_runs_in_small_memory():
