@@ -17,17 +17,23 @@ and exp(-x).  The quadrature weights, J/w^2 and those factors are folded
 into weight vectors b.
 
 A direct call (pointwise q1/q2/qz, and the chunks outside the shared node
-set below: geometric, straddling or partial chunks, and every chunk of a
-bath with breaks) writes sin(w t) = 2 s c and 1 - cos(w t) = 2 s^2 with
+set below) writes sin(w t) = 2 s c and 1 - cos(w t) = 2 s^2 with
 s, c = sin, cos(t_k w / 2), which keeps the small-angle accuracy that Q2 and
 Qz need; each row block is one matrix product of the (m, N) trig block.
 s and c take one sine/cosine pair per (t, w) pair, or two per node on an
-evenly spaced chunk, by angle addition along the chunk.
+evenly spaced chunk, by angle addition along the chunk.  The chunks below
+the shared set, geometric and straddling, are the groups of one such call
+on one node set, each group held to the stop rule against its own largest
+value; a last partial chunk, every chunk of a bath with breaks, and every
+chunk of a table without a shared set are calls of their own.
 
 For a bath without breaks, the whole chunks of the linear part of the
 grid, t_k = t_0 + k dt, share one node set: a geometric head below
-W = pi/(2 t_max), summed directly as above, and main panels with exact
-edges p W.  There, for each Gauss index, the sum over panels p of
+W = pi/(2 t_max) and main panels with exact edges p W.  On the head
+t w < pi/2, so sin(t w) and 1 - cos(t w) are their power series in
+(t W)(w / W), cut where the first omitted term is below 2^-53: the head
+takes the moments sum_j b_j (w_j / W)^k and no sine or cosine.  On the
+main panels, for each Gauss index, the sum over panels p of
 b_p exp(i t_k w_p) is a chirp-z transform in p (Rabiner, Schafer and Rader,
 1969), one FFT convolution by Bluestein's identity
 k p = (k^2 + p^2 - (k - p)^2) / 2, and the main parts of Q2 and Qz are
@@ -47,6 +53,7 @@ from __future__ import annotations
 import hashlib
 import io
 import logging
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
@@ -68,9 +75,16 @@ _GAUSS_ORDER = 6
 # Part of every cache key: tables computed under another stop rule or
 # support bound, or stored in another entry layout, are recomputed, never
 # served.
-_NUMERICS_VERSION = "quad-v4-record"
+_NUMERICS_VERSION = "quad-v5-moments"
 # The least omega^2 of a thermal head: a subnormal with half of its bits
 _OMEGA_SQ_MIN = np.finfo(float).tiny * np.sqrt(np.finfo(float).eps)
+# The last power of the head's series: (pi/2)^22 / 22! < 2^-53 at t W = pi/2
+_SERIES = 21
+# Per power k > 0, the Taylor coefficient (-1)^((k - 1) // 2) / k! of sin
+# (row 0, odd k) and of 1 - cos (row 1, even k); 0 elsewhere
+_TAYLOR = np.zeros((2, _SERIES + 1))
+for _k in range(1, _SERIES + 1):
+    _TAYLOR[1 - _k % 2, _k] = (-1) ** ((_k - 1) // 2) / math.factorial(_k)
 # The label of a table quadrature in its AccuracyError, by its t range
 _TABLE = "kernel table on t in [%g, %g]"
 
@@ -306,13 +320,46 @@ def _direct_sums(ts: np.ndarray, omega: np.ndarray, b: np.ndarray, n_sin: int,
     return out
 
 
+def _moment_sums(ts: np.ndarray, omega: np.ndarray, b: np.ndarray,
+                 width: float) -> np.ndarray:
+    """Sums over the nodes omega < width for t in ts, t width <= pi/2, shape
+    (len(b), m).
+
+    Row 0 of the weight vectors b is summed against sin(t omega), the others
+    against 1 - cos(t omega), by their power series up to _SERIES in
+    t omega = (t width)(omega / width): the sums need only the moments
+    M_k = sum_j b_j (omega_j / width)^k, one Vandermonde block in
+    omega / width, and one in t width.  Deep in the head the high powers
+    are subnormal or 0, far below the moments' rounding.
+    """
+    moments = b @ np.vander(omega / width, _SERIES + 1, increasing=True)
+    moments[0] *= _TAYLOR[0]
+    moments[1:] *= _TAYLOR[1]
+    return moments @ np.vander(ts * width, _SERIES + 1, increasing=True).T
+
+
+def _by_chunk(sums: np.ndarray) -> np.ndarray:
+    """Q1, Q2 and Qz rows (3, m) as (chunks, 3 size): per chunk of
+    size = min(m, 8) rows, its Q1, then Q2, then Qz rows.  m is a multiple
+    of 8 or below it."""
+    size = min(sums.shape[1], _CHUNK)
+    return sums.reshape(3, -1, size).transpose(1, 0, 2).reshape(-1, 3 * size)
+
+
+def _by_kernel(chunks: np.ndarray) -> np.ndarray:
+    """The inverse of _by_chunk: (chunks, 3 size) -> (3, m)."""
+    size = chunks.shape[1] // 3
+    return chunks.reshape(-1, 3, size).transpose(1, 0, 2).reshape(3, -1)
+
+
 def _kernel_rows(source: JSource, ts: np.ndarray, which: str):
     """The integrand of one direct kernel call: (nodes, weights) -> row integrals.
 
     Rows, in order: Q1 at every t ("all", "q1"); then the zero-temperature
     Q2 at every t ("q1"), or Q2 ("all", "q2") and Qz ("all", "qz").  The
     weights w J / omega^2 and the node factors coth, 1/sinh and tanh are
-    folded into weight vectors for _direct_sums.
+    folded into weight vectors for _direct_sums.  The table's rows ("all")
+    come as groups, one per chunk of 8 times (_by_chunk).
     """
     step = _even_step(ts)
 
@@ -328,7 +375,7 @@ def _kernel_rows(source: JSource, ts: np.ndarray, which: str):
         sums = _direct_sums(ts, omega, np.array(b), int(which == "all"), step)
         if which in ("all", "qz"):
             sums[-1] += np.dot(wg, tanh_half)
-        return sums.ravel()
+        return _by_chunk(sums) if which == "all" else sums.ravel()
 
     return rows
 
@@ -383,7 +430,7 @@ def _lattice_rows(source: JSource, ts: np.ndarray, width: float, panels: int):
     The node set is a geometric head below width and the main panels
     [p width, (p + 1) width], 1 <= p <= panels, each split in two per pass.
     Returns (len(ts) / 8, 24): per chunk of 8 rows, Q1, Q2 and Qz as in
-    _kernel_rows.  The head is summed by _direct_sums; the main panels by
+    _kernel_rows.  The head is summed by _moment_sums; the main panels by
     _chirp_sums, with Q2 and Qz as sum(b) - Re C, well conditioned as long
     as t omega >= pi/20 there.
     """
@@ -392,14 +439,14 @@ def _lattice_rows(source: JSource, ts: np.ndarray, width: float, panels: int):
         coth, csch, tanh_half = _thermal_factors(0.5 * source.beta * omega)
         b = np.array([wg, wg * coth, wg * csch])
         head = int(np.searchsorted(omega, width))
-        sums = _direct_sums(ts, omega[:head], b[:, :head], 1)
+        sums = _moment_sums(ts, omega[:head], b[:, :head], width)
         # the panels of this pass: each doubling halves the width exactly
         halved = width * (panels * _GAUSS_ORDER / (len(omega) - head))
         main = _chirp_sums(b[:, head:], omega[head:], ts, halved)
         sums[0] += main[0].imag
         sums[1:] += np.sum(b[1:, head:], axis=1)[:, None] - main[1:].real
         sums[2] += np.dot(wg, tanh_half)
-        return sums.reshape(3, -1, _CHUNK).transpose(1, 0, 2).reshape(-1, 3 * _CHUNK)
+        return _by_chunk(sums)
 
     return rows
 
@@ -585,21 +632,30 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
 
     The grid needs n >= 4 rows and 0 < t_max < inf; any other request
     raises DomainError before the cache is read or a quadrature runs.  A
-    chunk, or the shared node set, that does not meet the stop rule within
-    the refinement limit raises AccuracyError naming its t range, and
-    nothing is cached.  With cache_dir set, a table is stored as one .npy
-    record (see _record_dtype), keyed by a content hash of the numerics
-    version, the bath and grid parameters, and written atomically; an entry
-    that fails its load check is recomputed and rewritten.  A miss returns
-    the table it computed and stored (.npy round-trips exactly), without
-    reading it back.  A hit builds no JSource, so it skips the support
-    probe; hit or miss, the infrared exponent is fitted once.
+    cold table of a bath without breaks is three quadratures: the plateau
+    c2_inf, the chunks below the shared set as the groups of one call, and
+    the shared set; a last partial chunk adds one call.  A bath with breaks,
+    or a grid without a shared set, takes one call per chunk.  A call that
+    does not meet the stop rule within the refinement limit raises
+    AccuracyError naming its t range, and nothing is cached.
+
+    With cache_dir set, a table is stored as one .npy record (see
+    _record_dtype), keyed by a content hash of the numerics version, the
+    bath and grid parameters, and written atomically; an entry that fails
+    its load check is recomputed and rewritten.  A miss returns the table
+    it computed and stored (.npy round-trips exactly), without reading it
+    back.  A hit builds no JSource, so it skips the support probe; hit or
+    miss, the infrared exponent is fitted once.  A JSource has no content
+    key, so with cache_dir it raises UsageError before any quadrature.
     """
     if not (n >= 4 and 0.0 < t_max < np.inf):
         raise DomainError("a kernel table needs n >= 4 and 0 < t_max < inf, "
                           "got n=%r, t_max=%r" % (n, t_max))
     path = None
-    if cache_dir is not None and isinstance(spec, BathSpec):
+    if cache_dir is not None:
+        if not isinstance(spec, BathSpec):
+            raise UsageError("a kernel table is cached by its BathSpec; a %s "
+                             "has no cache key" % type(spec).__name__)
         # a hit builds no JSource, so the beta refusal is made here too
         _require_thermal_head(spec.beta)
         path = os.path.join(cache_dir, _cache_key(spec, t_max, n, tol) + ".npy")
@@ -615,21 +671,22 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
     c2_inf = c2_saturation(source, tol=tol)
 
     t = _time_grid(t_max, n)
-    values, err = np.empty((3, n)), np.empty((n, 3))
     first, stop = _shared_rows(n) if source.breaks is None else (0, 0)
-    for i in [*range(0, first, _CHUNK), *range(stop, n, _CHUNK)]:
-        chunk = t[i:i + _CHUNK]
-        m = len(chunk)
-        res = _evaluate(source, chunk, tol, "all", _TABLE % (chunk[0], chunk[-1]))
-        values[:, i:i + m] = res.values.reshape(3, m)
-        err[i:i + m] = res.errors.reshape(3, m).T
+    calls = []
     if stop > first:
-        res = _evaluate_shared(source, t[first:stop], t_max, tol)
-        # (chunks, 3 kernels x 8 rows) -> kernel-major values, row-major errors
-        chunks = res.values.reshape(-1, 3, _CHUNK)
-        values[:, first:stop] = chunks.transpose(1, 0, 2).reshape(3, -1)
-        chunks = res.errors.reshape(-1, 3, _CHUNK)
-        err[first:stop] = chunks.transpose(0, 2, 1).reshape(-1, 3)
+        calls.append((0, _evaluate(source, t[:first], tol, "all",
+                                   _TABLE % (t[0], t[first - 1]))))
+        calls.append((first, _evaluate_shared(source, t[first:stop], t_max, tol)))
+    for i in range(stop, n, _CHUNK):
+        chunk = t[i:i + _CHUNK]
+        calls.append((i, _evaluate(source, chunk, tol, "all",
+                                   _TABLE % (chunk[0], chunk[-1]))))
+    values, err = np.empty((3, n)), np.empty((n, 3))
+    for i, res in calls:
+        # (chunks, 3 kernels x rows) -> kernel-major values, row-major errors
+        m = res.values.size // 3
+        values[:, i:i + m] = _by_kernel(res.values)
+        err[i:i + m] = _by_kernel(res.errors).T
 
     q1v, q2v, qzv = values
     q1v[0] = q2v[0] = 0.0

@@ -124,10 +124,12 @@ def cmd_threshold(config: RunConfig, out_dir: str,
                   allow_heuristics: bool) -> int:
     c = config.constants
     check_user_inputs(c.c_kms, c.c5, c.c3, allow_heuristics)
-    rate = None
-    if c.tau0 is None:
-        rate = gamma_rate(config.bath, _kernel_table(config, out_dir),
+
+    def rate():
+        # the kernel table, only once the regularity norm has converged
+        return gamma_rate(config.bath, _kernel_table(config, out_dir),
                           tol=config.lso.tol)
+
     report = constants_report(config.bath, c.alpha, eps_hat=c.eps_hat,
                               xi=c.xi, c_kms=c.c_kms, c3=c.c3, c5=c.c5,
                               tau0=c.tau0, allow_heuristics=allow_heuristics,

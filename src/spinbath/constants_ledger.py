@@ -8,7 +8,7 @@ never enter silently; callers must opt in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -141,14 +141,16 @@ def constants_report(spec: BathSpec, alpha: float, *,
                      c5: Optional[float] = None,
                      tau0: Optional[float] = None,
                      allow_heuristics: bool = False,
-                     rate: Optional[RateReport] = None) -> ConstantsReport:
+                     rate: Optional[Callable[[], RateReport]] = None
+                     ) -> ConstantsReport:
     """Assemble the full constants ledger for one bath.
 
     c_kms and c5 have no computable definition here and must be supplied.
     c3 falls back to the flagged heuristic 10*c2 only with allow_heuristics.
-    tau0, when not supplied, is 1/tau0_inv of the caller's rate report; with
-    neither, ConfigurationError is raised.  Missing user inputs are refused
-    before anything is computed.
+    tau0, when not supplied, is 1/tau0_inv of the report that rate returns;
+    with neither, ConfigurationError is raised.  Missing user inputs are
+    refused before anything is computed, and rate is called only after the
+    regularity norm has converged, so a refused alpha computes no rate.
     """
     check_user_inputs(c_kms, c5, c3, allow_heuristics)
     f_beta = coupling_function(spec)
@@ -169,7 +171,7 @@ def constants_report(spec: BathSpec, alpha: float, *,
         if rate is None:
             raise ConfigurationError(
                 "tau0 needs either a supplied value or a rate report")
-        tau0 = 1.0 / rate.tau0_inv
+        tau0 = 1.0 / rate().tau0_inv
         inputs_used["tau0"] = {"value": float(tau0), "provenance": "computed"}
     else:
         inputs_used["tau0"] = {"value": float(tau0), "provenance": "user"}

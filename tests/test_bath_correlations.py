@@ -15,10 +15,11 @@ from scipy.integrate import quad
 
 import spinbath as sb
 from spinbath import bath_correlations, quadrature
-from spinbath.bath_correlations import (_even_step, _half_angles,
+from spinbath.bath_correlations import (_by_kernel, _even_step, _half_angles,
                                         _kernel_rows, _lattice_rows,
-                                        _shared_edges, _shared_rows,
-                                        _thermal_factors, _time_grid)
+                                        _moment_sums, _shared_edges,
+                                        _shared_rows, _thermal_factors,
+                                        _time_grid)
 from spinbath.fileio import atomic_write
 
 OHMIC = sb.JSource(j=lambda w: w * np.exp(-w), omega_max=45.0, ir_exponent=1.0,
@@ -271,6 +272,15 @@ def test_tabulate_refuses_a_grid_below_four_rows_or_a_bad_t_max(
     for cache_dir in (None, str(tmp_path)):
         with pytest.raises(sb.DomainError, match="n >= 4 and 0 < t_max < inf"):
             sb.tabulate_kernels(_spec(), t_max, n, cache_dir=cache_dir)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_tabulate_refuses_a_cache_dir_beside_a_jsource(tmp_path, monkeypatch):
+    # a JSource has no content key: refused before any quadrature, and
+    # nothing is written
+    monkeypatch.setattr(bath_correlations, "integrate_refining", _no_quadrature)
+    with pytest.raises(sb.UsageError, match="cached by its BathSpec"):
+        sb.tabulate_kernels(OHMIC, 5.0, 16, cache_dir=str(tmp_path))
     assert list(tmp_path.iterdir()) == []
 
 
@@ -775,8 +785,8 @@ def test_evenly_spaced_chunk_takes_two_sine_cosine_pairs_per_node(monkeypatch):
 
 
 def test_chunks_of_a_bath_with_breaks_take_the_recurrence(monkeypatch):
-    # a tabulated bath takes no shared node set: its linear chunks are
-    # direct, at two sine/cosine pairs per node
+    # a tabulated bath takes no shared node set: its chunks are calls of
+    # their own, and its linear chunks take two sine/cosine pairs per node
     u = np.linspace(0.01, 10.0, 50)
     spec = sb.BathSpec(beta=1.0, eps=0.5, delta=0.1, q0=1.0,
                        h=sb.tabulated(u, u * np.exp(-u)))
@@ -801,8 +811,12 @@ def test_chunks_of_a_bath_with_breaks_take_the_recurrence(monkeypatch):
 
     monkeypatch.setattr(np, "sin", counted_sin)
     monkeypatch.setattr(bath_correlations, "_half_angles", counting)
+    labels = _count_quadratures(monkeypatch)
     sb.tabulate_kernels(spec, 20.0, 64, tol=1e-9)
     assert not shared
+    t = _time_grid(20.0, 64)
+    assert [x for x in labels if x.startswith("kernel table")] == [
+        bath_correlations._TABLE % (t[i], t[i + 7]) for i in range(0, 64, 8)]
     linear = [(n, count) for ts, n, count in calls if ts[0] > 2.0]
     assert len(linear) >= 5 * 2
     assert all(count == 2 * n for n, count in linear)
@@ -863,10 +877,9 @@ def test_table_linear_rows_match_pointwise_kernels():
         assert np.all(np.abs(np.subtract(got, point)) <= tol * scale)
 
 
-def test_linear_rows_take_trig_only_on_the_head(monkeypatch):
-    # per (t, omega) pair, sin and cos run only on the geometric head; the
-    # main panels take one complex exp per node, and the chirp and the
-    # per-Gauss-index steps take O(P + K) more
+def test_shared_set_takes_no_sine_or_cosine(monkeypatch):
+    # the head is summed by its moments and the main panels by chirp-z
+    # transforms, so no (t, omega) pair takes a sine or a cosine
     spec = OHMIC_SPEC
     source, ts, res, (omega, w), width, panels = _shared_pass(spec, 32.0, 400)
     counts = {"sin": 0, "cos": 0, "exp": 0}
@@ -879,12 +892,33 @@ def test_linear_rows_take_trig_only_on_the_head(monkeypatch):
     head = int(np.searchsorted(omega, width))
     main = len(omega) - head
     p = main // 6
-    assert counts["sin"] == counts["cos"] == len(ts) * head
+    assert counts["sin"] == counts["cos"] == 0
     # per node the cutoff of J and exp(-x) of the thermal factors; per main
     # node exp(i t_0 omega); two chirp factors of length max(P, K), and one
     # step per Gauss index and row
     assert counts["exp"] == (2 * len(omega) + main + 2 * max(p, len(ts))
                              + 6 * len(ts))
+
+
+@pytest.mark.parametrize("name", list(FOUR_BATHS))
+def test_head_moments_match_long_double_on_the_last_row(name):
+    # at t = t_max, t W = pi/2, where the series converges slowest; each
+    # sum is of nonnegative terms, so it is held to its own value
+    spec = FOUR_BATHS[name]
+    source, ts, res, (omega, w), width, panels = _shared_pass(spec, 32.0, 400)
+    assert ts[-1] * width == pytest.approx(np.pi / 2, rel=1e-15)
+    head = int(np.searchsorted(omega, width))
+    om = omega[:head]
+    wg = w[:head] * np.asarray(source.j(om), dtype=float) / om ** 2
+    coth, csch, _ = _thermal_factors(0.5 * spec.beta * om)
+    b = np.array([wg, wg * coth, wg * csch])
+    got = _moment_sums(ts[-1:], om, b, width)[:, 0]
+    theta = np.longdouble(ts[-1]) * om.astype(np.longdouble)
+    one_minus_cos = 2 * np.sin(theta / 2) ** 2
+    ref = np.sum(b.astype(np.longdouble)
+                 * np.array([np.sin(theta), one_minus_cos, one_minus_cos]), axis=1)
+    assert np.all(ref > 0.0)
+    assert np.all(np.abs(got - ref) <= 1e-15 * ref)
 
 
 def test_shared_rows_are_whole_chunks_of_linear_times():
@@ -899,9 +933,75 @@ def test_shared_rows_are_whole_chunks_of_linear_times():
     assert _shared_rows(400) == (136, 400)
 
 
+def _direct_pass(spec, t_max, n):
+    """The converged call of an n-point table's rows below its shared set,
+    and its last nodes."""
+    source = bath_correlations.j_source_from_spec(spec)
+    first, _ = _shared_rows(n)
+    ts = _time_grid(t_max, n)[:first]
+    res = bath_correlations._evaluate(source, ts, 1e-9, "all", "table")
+    edges = bath_correlations._initial_edges(source, float(ts[-1]), spec.beta,
+                                             0.0, "table")
+    for _ in range(res.passes):
+        edges = quadrature.refine_edges(edges)
+    return source, ts, res, quadrature.panel_nodes(edges)
+
+
+@pytest.mark.parametrize("name", list(FOUR_BATHS))
+def test_grouped_direct_rows_match_long_double_reference(name):
+    spec = FOUR_BATHS[name]
+    source, ts, res, (omega, w) = _direct_pass(spec, 32.0, 400)
+    chunks = len(ts) // 8
+    assert res.values.shape == (chunks, 24)
+    # the table's rows below the shared set are this call's
+    table = sb.tabulate_kernels(spec, 32.0, 400)
+    q1v, q2v, qzv = _by_kernel(res.values)
+    assert np.array_equal(table.q1[1:len(ts)], q1v[1:])
+    assert np.array_equal(table.q2[1:len(ts)], q2v[1:])
+    assert np.array_equal(table.qz[:len(ts)], qzv)
+    got = _kernel_rows(source, ts, "all")(omega, w)
+    # these are the nodes of the call's last pass
+    assert np.array_equal(got, res.values)
+    # every chunk against its own largest value
+    for g in range(chunks):
+        ref = _direct_rows(source, spec.beta, ts[8 * g:8 * g + 8], omega, w)
+        assert np.max(np.abs(got[g] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _count_quadratures(monkeypatch):
+    """Patch the engine of the kernels to record every call's label."""
+    labels = []
+    original = bath_correlations.integrate_refining
+
+    def counting(*args, **kwargs):
+        labels.append(kwargs.get("what"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bath_correlations, "integrate_refining", counting)
+    return labels
+
+
+@pytest.mark.parametrize("n", [16, 64, 160, 400, 401])
+def test_cold_table_is_three_quadratures(n, monkeypatch):
+    # the plateau, the direct rows as the groups of one call, and the shared
+    # set; a last partial chunk adds one
+    labels = _count_quadratures(monkeypatch)
+    sb.tabulate_kernels(_spec(p=1.0, beta=2.0), 20.0, n)
+    t = _time_grid(20.0, n)
+    first, stop = _shared_rows(n)
+    table = bath_correlations._TABLE
+    expected = ["c2_saturation", table % (t[0], t[first - 1]),
+                table % (t[first], t[stop - 1])]
+    if stop < n:
+        expected.append(table % (t[stop], t[-1]))
+    assert labels == expected
+    assert len(labels) == (3 if n % 8 == 0 else 4)
+
+
 def test_oracle_bath_table_work_is_pinned(monkeypatch):
     # node and pass totals of the 160-point table the kernels benchmark
-    # tabulates at beta 4: 7 direct chunks and the shared set of the other 13
+    # tabulates at beta 4: the plateau, the 7 direct chunks as the groups of
+    # one call, and the shared set of the other 13
     totals = [0, 0]
     original = bath_correlations.integrate_refining
 
@@ -913,4 +1013,4 @@ def test_oracle_bath_table_work_is_pinned(monkeypatch):
 
     monkeypatch.setattr(bath_correlations, "integrate_refining", counting)
     sb.tabulate_kernels(sb.standard_oracle_bath(), 32.0, 160, tol=1e-9)
-    assert totals == [13926, 16]
+    assert totals == [6870, 4]

@@ -197,6 +197,20 @@ def test_threshold_refuses_an_overflowing_alpha(tmp_path, capsys):
     assert not (out / "threshold.json").exists()
 
 
+def test_threshold_refuses_an_overflowing_alpha_before_tabulating(tmp_path, capsys):
+    # without tau0 the rate needs a kernel table; the regularity norm is
+    # checked first, so the refusal leaves no cache entry
+    updates = copy.deepcopy(SMOOTH_BATH)
+    updates["constants"] = {"alpha": 300.0, "c_kms": 2.0, "c5": 1.0}
+    cfg = _config(tmp_path, updates)
+    out = tmp_path / "out"
+    assert main(["threshold", "--config", cfg, "--out", str(out),
+                 "--allow-heuristics"]) == 1
+    assert "overflows" in capsys.readouterr().err
+    assert not (out / "cache").exists()
+    assert not (out / "threshold.json").exists()
+
+
 # --- threshold ------------------------------------------------------------------
 
 SMOOTH_BATH = {"bath": {"h": {"family": "power_exp", "p": 0.5,

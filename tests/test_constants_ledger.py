@@ -7,6 +7,7 @@ from spinbath import (
     DomainError,
     PreconditionError,
     RateReport,
+    ScalingError,
     constants_c1_c2,
     constants_report,
     coupling_function,
@@ -210,12 +211,20 @@ def test_report_computes_tau0_when_absent():
     rate = RateReport(tau_inv=0.012, tau0_inv=0.3, p_inf=-0.24, err=1e-9,
                       damping_ok=True)
     report = constants_report(SPEC, ALPHA, c_kms=1.0, c3=0.5, c5=1.0,
-                              rate=rate)
+                              rate=lambda: rate)
     assert report.inputs_used["tau0"] == {"value": 1.0 / 0.3,
                                           "provenance": "computed"}
     given = constants_report(SPEC, ALPHA, c_kms=1.0, c3=0.5, c5=1.0,
                              tau0=1.0 / 0.3)
     assert report.delta0 == given.delta0
+
+
+def test_report_computes_no_rate_for_a_refused_alpha():
+    def rate():
+        raise AssertionError("the rate was computed before the norm")
+
+    with pytest.raises(ScalingError, match="overflows"):
+        constants_report(SPEC, 300.0, c_kms=1.0, c3=0.5, c5=1.0, rate=rate)
 
 
 def test_report_without_tau0_or_rate_rejected():

@@ -1,4 +1,13 @@
-"""Tests for the refining quadrature engine, its stop rule and its callers."""
+"""Tests for the refining quadrature engine, its stop rule and its callers.
+
+Run as a script after a deliberate change of the kernel numerics, and a
+bump of _NUMERICS_VERSION, to renew the table record:
+
+    PYTHONPATH=src python tests/test_quadrature.py
+"""
+
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -99,7 +108,8 @@ def _bath():
 
 # call site: (its module, the label of the capped call, the call given an
 # empty cache directory); rows [0, 8) of the 16-point table are a direct
-# chunk, [8, 16) the shared chirp-z set
+# chunk, [8, 16) the shared chirp-z set; rows [0, 24) of the 64-point table
+# are three direct chunks, the groups of one call
 ENGINE_SITES = {
     "q1": (bath_correlations, "q1 at t=0.5", lambda cache: sb.q1(_bath(), 0.5)),
     "q2": (bath_correlations, "q2 at t=0.5", lambda cache: sb.q2(_bath(), 0.5)),
@@ -112,6 +122,9 @@ ENGINE_SITES = {
     "table-shared-set": (
         bath_correlations, "kernel table on t in [1.85, 5]",
         lambda cache: sb.tabulate_kernels(_bath(), 5.0, 16, cache_dir=cache)),
+    "table-direct-groups": (
+        bath_correlations, "kernel table on t in [0, 2.28571]",
+        lambda cache: sb.tabulate_kernels(_bath(), 16.0, 64, cache_dir=cache)),
     "rate_and_lso": (
         relaxation, "level-shift quadrature",
         lambda cache: sb.rate_and_lso(_bath(), sb.tabulate_kernels(_bath(), 16.0, 64))),
@@ -174,3 +187,34 @@ def test_tabulation_converges_and_q2_matches_scipy(p, cutoff, beta):
             / np.tanh(0.5 * beta * w),
             0.0, np.inf, limit=400, epsabs=1e-14, epsrel=1e-13)[0]
         assert abs(table.q2[i] - oracle) <= tol * scale
+
+
+# --- the numerics version guard -------------------------------------------------
+
+RECORD = pathlib.Path(__file__).with_name("kernel_table_record.json")
+
+
+def _record_table():
+    """The recorded table: _bath() at t_max 16 and n 160, 20 chunks, under
+    the numerics version it is computed with."""
+    table = sb.tabulate_kernels(_bath(), 16.0, 160, tol=1e-9)
+    return {"numerics_version": bath_correlations._NUMERICS_VERSION,
+            "t_max": 16.0, "n": 160, "tol": 1e-9, "q1": table.q1.tolist(),
+            "q2": table.q2.tolist(), "qz": table.qz.tolist()}
+
+
+def test_kernel_tables_move_only_with_the_numerics_version():
+    # a cache entry is keyed by _NUMERICS_VERSION, so tables that move must
+    # bump it, and a bump must renew the record (see the module docstring)
+    record = json.loads(RECORD.read_text())
+    now = _record_table()
+    assert record["numerics_version"] == now["numerics_version"], (
+        "_NUMERICS_VERSION changed but %s was not renewed" % RECORD.name)
+    for column in ("q1", "q2", "qz"):
+        ref, got = np.array(record[column]), np.array(now[column])
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), (
+            "the %s column moved under an unchanged _NUMERICS_VERSION" % column)
+
+
+if __name__ == "__main__":
+    RECORD.write_text(json.dumps(_record_table(), indent=1) + "\n")
