@@ -11,24 +11,26 @@ whose two pieces are separately nonnegative and O(w) at the origin, unlike
 the literal difference of two infrared-divergent integrals.
 
 A table is integrated in chunks of 8 times, each held to the stop rule
-against its own largest value.  The thermal factors coth, 1/sinh and
-tanh(x/2) of x = beta w / 2 are computed once per node set, from expm1(-x)
-and exp(-x).  The quadrature weights, J/w^2 and those factors are folded
-into weight vectors b.
+against its own largest value; a ragged last chunk is padded with copies
+of its last row.  The thermal factors coth, 1/sinh and tanh(x/2) of
+x = beta w / 2 are computed once per node set, from expm1(-x) and exp(-x).
+The quadrature weights, J/w^2 and those factors are folded into weight
+vectors b.
 
-A direct call (pointwise q1/q2/qz, and the chunks outside the shared node
-set below) writes sin(w t) = 2 s c and 1 - cos(w t) = 2 s^2 with
-s, c = sin, cos(t_k w / 2), which keeps the small-angle accuracy that Q2 and
-Qz need; each row block is one matrix product of the (m, N) trig block.
-s and c take one sine/cosine pair per (t, w) pair, or two per node on an
-evenly spaced chunk, by angle addition along the chunk.  The chunks below
-the shared set, geometric and straddling, are the groups of one such call
-on one node set, each group held to the stop rule against its own largest
-value; a last partial chunk, every chunk of a bath with breaks, and every
-chunk of a table without a shared set are calls of their own.
+A cold table is at most three quadratures: the plateau c2_inf; the rows
+below the first whole chunk of linear times (geometric and straddling) as
+the groups of one direct call; and the rows from there to t_max as one
+call, on the shared node set described below for a bath without breaks,
+and as the groups of a second direct call for a bath with breaks.
 
-For a bath without breaks, the whole chunks of the linear part of the
-grid, t_k = t_0 + k dt, share one node set: a geometric head below
+A direct call (pointwise q1/q2/qz, and the table rows off the shared node
+set) writes sin(w t) = 2 s c and 1 - cos(w t) = 2 s^2 with
+s, c = sin, cos(t_k w / 2), one sine/cosine pair per (t, w) pair, which
+keeps the small-angle accuracy that Q2 and Qz need; each row block is one
+matrix product of the (m, N) trig block.
+
+For a bath without breaks, the rows on the linear part of the grid,
+t_k = t_0 + k dt, share one node set: a geometric head below
 W = pi/(2 t_max) and main panels with exact edges p W.  On the head
 t w < pi/2, so sin(t w) and 1 - cos(t w) are their power series in
 (t W)(w / W), cut where the first omitted term is below 2^-53: the head
@@ -252,66 +254,21 @@ def _initial_edges(source: JSource, t_cap: float, beta: Optional[float],
     return edges
 
 
-def _even_step(ts: np.ndarray) -> Optional[float]:
-    """The step of an evenly spaced chunk ts, or None.
-
-    A chunk is evenly spaced when it has 3 to 8 rows and every t_k is within
-    4 ulp of t_0 + k step.
-    """
-    m = len(ts)
-    if not 3 <= m <= _CHUNK:
-        return None
-    step = (ts[-1] - ts[0]) / (m - 1)
-    if np.any(np.abs(ts - (ts[0] + np.arange(m) * step)) > 4.0 * np.spacing(ts)):
-        return None
-    return step
-
-
-def _half_angles(ts: np.ndarray, omega: np.ndarray, step: Optional[float] = None):
-    """sin and cos of t_k omega / 2, as two (m, N) blocks.
-
-    Given the step of evenly spaced ts, only row 0 and the step angle
-    d = step omega / 2 are evaluated: in z_k = exp(i t_k omega / 2), rows
-    [span, 2 span) are rows [0, span) times exp(i span d), with span
-    doubling each stage, so the block costs two sine/cosine pairs per node.
-    Without a step the block is evaluated directly.
-    """
-    if step is None:
-        half = np.multiply.outer(0.5 * ts, omega)
-        return np.sin(half), np.cos(half)
-    m = len(ts)
-    z = np.empty((m, len(omega)), dtype=complex)
-    a0 = (0.5 * ts[0]) * omega
-    z[0].real = np.cos(a0)
-    z[0].imag = np.sin(a0)
-    d = (0.5 * step) * omega
-    sd, cd = np.sin(d), np.cos(d)
-    span = 1
-    while span < m:
-        n = min(span, m - span)
-        np.multiply(z[:n], cd + 1j * sd, out=z[span:span + n])
-        span *= 2
-        if span < m:
-            # the double angle; 1 - 2 sin^2 is the more accurate cosine here
-            sd, cd = 2.0 * sd * cd, 1.0 - 2.0 * sd * sd
-    return z.imag, z.real
-
-
-def _direct_sums(ts: np.ndarray, omega: np.ndarray, b: np.ndarray, n_sin: int,
-                 step: Optional[float] = None) -> np.ndarray:
+def _direct_sums(ts: np.ndarray, omega: np.ndarray, b: np.ndarray,
+                 n_sin: int) -> np.ndarray:
     """Direct sums over the nodes omega for every t in ts, shape (len(b), m).
 
     Rows [0, n_sin) of the weight vectors b are summed against sin(t omega),
-    the others against 1 - cos(t omega).  With s, c = sin, cos(t omega / 2)
-    from _half_angles (by angle addition when ts is a chunk of the given
-    step), these are 2 s c and 2 s^2, which keeps the small-angle accuracy
-    that Q2 and Qz need.  The rows of ts are taken in blocks of about 2^14
-    (t, omega) pairs, never splitting a chunk.
+    the others against 1 - cos(t omega).  With s, c = sin, cos(t omega / 2),
+    these are 2 s c and 2 s^2, which keeps the small-angle accuracy that Q2
+    and Qz need.  The rows of ts are taken in blocks of about 2^14
+    (t, omega) pairs, and of at least 8 rows.
     """
     out = np.empty((len(b), len(ts)))
     block = max(_CHUNK, 16384 // max(len(omega), 1))
     for i in range(0, len(ts), block):
-        s, c = _half_angles(ts[i:i + block], omega, step)
+        half = np.multiply.outer(0.5 * ts[i:i + block], omega)
+        s, c = np.sin(half), np.cos(half)
         # fresh contiguous blocks, so the products run in BLAS
         if n_sin:
             out[:n_sin, i:i + block] = b[:n_sin] @ (s * c).T
@@ -339,17 +296,17 @@ def _moment_sums(ts: np.ndarray, omega: np.ndarray, b: np.ndarray,
 
 
 def _by_chunk(sums: np.ndarray) -> np.ndarray:
-    """Q1, Q2 and Qz rows (3, m) as (chunks, 3 size): per chunk of
-    size = min(m, 8) rows, its Q1, then Q2, then Qz rows.  m is a multiple
-    of 8 or below it."""
-    size = min(sums.shape[1], _CHUNK)
-    return sums.reshape(3, -1, size).transpose(1, 0, 2).reshape(-1, 3 * size)
+    """Q1, Q2 and Qz rows (3, m) as (chunks, 24): per chunk of 8 rows, its
+    Q1, then Q2, then Qz rows.  A ragged last chunk is padded with copies of
+    its last row, which the caller drops."""
+    pad = -sums.shape[1] % _CHUNK
+    sums = np.concatenate([sums, sums[:, -1:].repeat(pad, axis=1)], axis=1)
+    return sums.reshape(3, -1, _CHUNK).transpose(1, 0, 2).reshape(-1, 3 * _CHUNK)
 
 
 def _by_kernel(chunks: np.ndarray) -> np.ndarray:
-    """The inverse of _by_chunk: (chunks, 3 size) -> (3, m)."""
-    size = chunks.shape[1] // 3
-    return chunks.reshape(-1, 3, size).transpose(1, 0, 2).reshape(3, -1)
+    """The inverse of _by_chunk, padding included: (chunks, 24) -> (3, m)."""
+    return chunks.reshape(-1, 3, _CHUNK).transpose(1, 0, 2).reshape(3, -1)
 
 
 def _kernel_rows(source: JSource, ts: np.ndarray, which: str):
@@ -361,18 +318,16 @@ def _kernel_rows(source: JSource, ts: np.ndarray, which: str):
     folded into weight vectors for _direct_sums.  The table's rows ("all")
     come as groups, one per chunk of 8 times (_by_chunk).
     """
-    step = _even_step(ts)
-
     def rows(omega: np.ndarray, w: np.ndarray) -> np.ndarray:
         wg = w * (np.asarray(source.j(omega), dtype=float) / omega ** 2)
         if which == "q1":
             # Zero-temperature Q2: a nonnegative row that gives the call a
             # scale, so Q1 at a sign change can meet the stop rule.
-            return _direct_sums(ts, omega, np.array([wg, wg]), 1, step).ravel()
+            return _direct_sums(ts, omega, np.array([wg, wg]), 1).ravel()
         coth, csch, tanh_half = _thermal_factors(0.5 * source.beta * omega)
         b = {"all": [wg, wg * coth, wg * csch], "q2": [wg * coth],
              "qz": [wg * csch]}[which]
-        sums = _direct_sums(ts, omega, np.array(b), int(which == "all"), step)
+        sums = _direct_sums(ts, omega, np.array(b), int(which == "all"))
         if which in ("all", "qz"):
             sums[-1] += np.dot(wg, tanh_half)
         return _by_chunk(sums) if which == "all" else sums.ravel()
@@ -404,11 +359,12 @@ def _chirp_sums(b: np.ndarray, omega: np.ndarray, ts: np.ndarray,
     + k p dt width, and for each Gauss index q the sum over p is a chirp-z
     transform with ratio z = exp(i dt width).  Bluestein's identity
     k p = (k^2 + p^2 - (k-p)^2)/2 makes it an FFT convolution of length
-    >= P + K with the chirp exp(-i dt width n^2 / 2).
+    >= P + K with the chirp exp(-i dt width n^2 / 2).  A single row takes
+    dt = 0.
     """
     order = _GAUSS_ORDER
     k_rows, panels = len(ts), len(omega) // order
-    dt = (ts[-1] - ts[0]) / (k_rows - 1)
+    dt = (ts[-1] - ts[0]) / max(k_rows - 1, 1)
     a = (b * np.exp(1j * ts[0] * omega)).reshape(len(b), panels, order)
     chirp = _chirp(0.5 * dt * width, max(panels, k_rows))
     size = 1 << (panels + k_rows - 1).bit_length()
@@ -429,7 +385,7 @@ def _lattice_rows(source: JSource, ts: np.ndarray, width: float, panels: int):
 
     The node set is a geometric head below width and the main panels
     [p width, (p + 1) width], 1 <= p <= panels, each split in two per pass.
-    Returns (len(ts) / 8, 24): per chunk of 8 rows, Q1, Q2 and Qz as in
+    Returns (chunks, 24): per chunk of 8 rows, Q1, Q2 and Qz as in
     _kernel_rows.  The head is summed by _moment_sums; the main panels by
     _chirp_sums, with Q2 and Qz as sum(b) - Re C, well conditioned as long
     as t omega >= pi/20 there.
@@ -476,7 +432,7 @@ def _shared_edges(source: JSource, t_max: float, what: str):
 
 
 def _evaluate_shared(source: JSource, ts: np.ndarray, t_max: float, tol: float):
-    """The linear rows ts (whole chunks of 8) on one shared node set.
+    """The linear rows ts on one shared node set.
 
     The stop rule holds per chunk, and the set is refined until every chunk
     meets it.
@@ -489,8 +445,8 @@ def _evaluate_shared(source: JSource, ts: np.ndarray, t_max: float, tol: float):
 
 
 def _single(spec_or_source, t, tol, which, ir_min):
-    if t < 0.0:
-        raise DomainError("t must be nonnegative")
+    if not 0.0 <= t < np.inf:
+        raise DomainError("t must be finite and nonnegative, got %r" % (t,))
     source = _as_source(spec_or_source)
     _require_ir(source.ir_exponent, ir_min, which)
     if t == 0.0 and which in ("q1", "q2"):
@@ -554,14 +510,10 @@ def _time_grid(t_max: float, n: int) -> np.ndarray:
     return np.concatenate([[0.0], geo, lin])
 
 
-def _shared_rows(n: int):
-    """Rows [first, stop) of an n-point grid: its whole chunks of linear times.
-
-    (0, 0) when there are none.
-    """
-    first = -(-(1 + _n_geo(n)) // _CHUNK) * _CHUNK
-    stop = n // _CHUNK * _CHUNK
-    return (first, stop) if stop > first else (0, 0)
+def _first_linear_chunk(n: int) -> int:
+    """The first row of an n-point grid's first whole chunk of linear times,
+    which may be past its last row."""
+    return -(-(1 + _n_geo(n)) // _CHUNK) * _CHUNK
 
 
 def _cache_key(spec: BathSpec, t_max: float, n: int, tol: float) -> str:
@@ -632,10 +584,11 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
 
     The grid needs n >= 4 rows and 0 < t_max < inf; any other request
     raises DomainError before the cache is read or a quadrature runs.  A
-    cold table of a bath without breaks is three quadratures: the plateau
-    c2_inf, the chunks below the shared set as the groups of one call, and
-    the shared set; a last partial chunk adds one call.  A bath with breaks,
-    or a grid without a shared set, takes one call per chunk.  A call that
+    cold table is at most three quadratures: the plateau c2_inf, the rows
+    below the first whole chunk of linear times as the groups of one call,
+    and the other rows as one call, on the shared node set for a bath
+    without breaks and as the groups of a second direct call for a bath
+    with breaks; a grid of at most 8 rows has no other rows.  A call that
     does not meet the stop rule within the refinement limit raises
     AccuracyError naming its t range, and nothing is cached.
 
@@ -671,22 +624,21 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
     c2_inf = c2_saturation(source, tol=tol)
 
     t = _time_grid(t_max, n)
-    first, stop = _shared_rows(n) if source.breaks is None else (0, 0)
-    calls = []
-    if stop > first:
-        calls.append((0, _evaluate(source, t[:first], tol, "all",
-                                   _TABLE % (t[0], t[first - 1]))))
-        calls.append((first, _evaluate_shared(source, t[first:stop], t_max, tol)))
-    for i in range(stop, n, _CHUNK):
-        chunk = t[i:i + _CHUNK]
-        calls.append((i, _evaluate(source, chunk, tol, "all",
-                                   _TABLE % (chunk[0], chunk[-1]))))
+    first = min(_first_linear_chunk(n), n)
     values, err = np.empty((3, n)), np.empty((n, 3))
-    for i, res in calls:
-        # (chunks, 3 kernels x rows) -> kernel-major values, row-major errors
-        m = res.values.size // 3
-        values[:, i:i + m] = _by_kernel(res.values)
-        err[i:i + m] = _by_kernel(res.errors).T
+    for i, stop in ((0, first), (first, n)):
+        if i == stop:
+            # a grid of at most 8 rows has no rows past its first chunk
+            break
+        ts = t[i:stop]
+        if i > 0 and source.breaks is None:
+            res = _evaluate_shared(source, ts, t_max, tol)
+        else:
+            res = _evaluate(source, ts, tol, "all", _TABLE % (ts[0], ts[-1]))
+        # (chunks, 3 kernels x 8 rows) -> kernel-major values, row-major
+        # errors, without the copies that pad a ragged last chunk
+        values[:, i:stop] = _by_kernel(res.values)[:, :stop - i]
+        err[i:stop] = _by_kernel(res.errors)[:, :stop - i].T
 
     q1v, q2v, qzv = values
     q1v[0] = q2v[0] = 0.0

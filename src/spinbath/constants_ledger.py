@@ -109,8 +109,8 @@ def delta0_threshold(spec: BathSpec, inputs: dict) -> float:
     if missing:
         raise ConfigurationError("delta0 inputs missing: %s" % ", ".join(missing))
     c_kms, c3, c5, tau0 = (float(inputs[k]) for k in ("c_kms", "c3", "c5", "tau0"))
-    if min(c_kms, c3, c5, tau0) <= 0.0:
-        raise DomainError("delta0 inputs must be positive")
+    if not all(0.0 < v < np.inf for v in (c_kms, c3, c5, tau0)):
+        raise DomainError("delta0 inputs must be finite and positive")
     four_eps = 4.0 / spec.eps ** 2
     bracket = (c_kms ** 2 + c3 ** 2 + four_eps
                + 2.0 * tau0 * (4.0 * c3 ** 2 + four_eps + 0.5 * c5))

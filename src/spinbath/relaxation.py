@@ -301,8 +301,8 @@ def gamma_rate(spec: BathSpec, table: KernelTable, tol: float = 1e-8) -> RateRep
 
 def p_of_t(rate: RateReport, t: float) -> float:
     """P(t) = P(inf) + [1 - P(inf)] exp(-t/tau); constant 1 when delta = 0."""
-    if t < 0.0:
-        raise DomainError("t must be nonnegative")
+    if not 0.0 <= t < np.inf:
+        raise DomainError("t must be finite and nonnegative, got %r" % (t,))
     p_inf = rate.p_inf
     return float(p_inf + (1.0 - p_inf) * np.exp(-t * rate.tau_inv))
 

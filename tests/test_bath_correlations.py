@@ -15,11 +15,10 @@ from scipy.integrate import quad
 
 import spinbath as sb
 from spinbath import bath_correlations, quadrature
-from spinbath.bath_correlations import (_by_kernel, _even_step, _half_angles,
+from spinbath.bath_correlations import (_by_kernel, _first_linear_chunk,
                                         _kernel_rows, _lattice_rows,
                                         _moment_sums, _shared_edges,
-                                        _shared_rows, _thermal_factors,
-                                        _time_grid)
+                                        _thermal_factors, _time_grid)
 from spinbath.fileio import atomic_write
 
 OHMIC = sb.JSource(j=lambda w: w * np.exp(-w), omega_max=45.0, ir_exponent=1.0,
@@ -109,6 +108,15 @@ def test_q1_infrared_precondition():
 def test_kernels_reject_negative_time():
     with pytest.raises(sb.DomainError):
         sb.q1(_spec(), -0.5)
+
+
+@pytest.mark.parametrize("t", [np.inf, np.nan])
+@pytest.mark.parametrize("kernel", [sb.q1, sb.q2, sb.qz])
+def test_kernels_reject_a_nonfinite_time_before_any_quadrature(kernel, t,
+                                                               monkeypatch):
+    monkeypatch.setattr(bath_correlations, "integrate_refining", _no_quadrature)
+    with pytest.raises(sb.DomainError, match="t must be finite and nonnegative"):
+        kernel(_spec(), t)
 
 
 # --- q2 ----------------------------------------------------------------------
@@ -753,74 +761,12 @@ def test_chunk_rows_match_long_double_direct_evaluation(spec, chunk):
     assert np.array_equal(got, res.values)
     ref = _direct_rows(source, spec.beta, ts, omega, w)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-    # node by node: sin and cos within a few ulp of the half angle, and sin
-    # relatively accurate below angle 1, where the Q2 and Qz rows need it
-    half = np.multiply.outer(ts.astype(np.longdouble), omega) / 2
-    s, c = _half_angles(ts, omega, _even_step(ts))
-    bound = 2e-15 * np.maximum(half, 1.0)
-    assert np.all(np.abs(s - np.sin(half)) <= bound)
-    assert np.all(np.abs(c - np.cos(half)) <= bound)
-    small = half < 1.0
-    assert np.all(np.abs(s - np.sin(half))[small]
-                  <= 2e-15 * np.abs(np.sin(half))[small])
 
 
-def test_evenly_spaced_chunk_takes_two_sine_cosine_pairs_per_node(monkeypatch):
-    counts = {"sin": 0, "cos": 0}
-    for name in counts:
-        def counted(x, *args, _name=name, _f=getattr(np, name), **kwargs):
-            counts[_name] += np.size(x)
-            return _f(x, *args, **kwargs)
-        monkeypatch.setattr(np, name, counted)
-    omega = np.linspace(1e-3, 8.0, 1000)
-    t = _time_grid(32.0, 400)
-    # an evenly spaced chunk; geometric and straddling chunks, a single
-    # time, and more evenly spaced rows than a chunk are direct
-    for ts, per_node in ((t[392:400], 2), (t[8:16], 8), (t[128:136], 8),
-                         (t[-1:], 1), (t[360:400], 40)):
-        counts.update(sin=0, cos=0)
-        s, c = _half_angles(ts, omega, _even_step(ts))
-        assert counts == {"sin": per_node * 1000, "cos": per_node * 1000}
-        assert s.shape == c.shape == (len(ts), 1000)
-
-
-def test_chunks_of_a_bath_with_breaks_take_the_recurrence(monkeypatch):
-    # a tabulated bath takes no shared node set: its chunks are calls of
-    # their own, and its linear chunks take two sine/cosine pairs per node
-    u = np.linspace(0.01, 10.0, 50)
-    spec = sb.BathSpec(beta=1.0, eps=0.5, delta=0.1, q0=1.0,
-                       h=sb.tabulated(u, u * np.exp(-u)))
-    shared = []
-    monkeypatch.setattr(bath_correlations, "_evaluate_shared",
-                        lambda *args: shared.append(args))
-    sines = [0]
-    sin = np.sin
-
-    def counted_sin(x, *args, **kwargs):
-        sines[0] += np.size(x)
-        return sin(x, *args, **kwargs)
-
-    calls = []
-    original = bath_correlations._half_angles
-
-    def counting(ts, omega, step=None):
-        before = sines[0]
-        s, c = original(ts, omega, step)
-        calls.append((ts, len(omega), sines[0] - before))
-        return s, c
-
-    monkeypatch.setattr(np, "sin", counted_sin)
-    monkeypatch.setattr(bath_correlations, "_half_angles", counting)
-    labels = _count_quadratures(monkeypatch)
-    sb.tabulate_kernels(spec, 20.0, 64, tol=1e-9)
-    assert not shared
-    t = _time_grid(20.0, 64)
-    assert [x for x in labels if x.startswith("kernel table")] == [
-        bath_correlations._TABLE % (t[i], t[i + 7]) for i in range(0, 64, 8)]
-    linear = [(n, count) for ts, n, count in calls if ts[0] > 2.0]
-    assert len(linear) >= 5 * 2
-    assert all(count == 2 * n for n, count in linear)
-    assert all(count == len(ts) * n for ts, n, count in calls if ts[0] < 2.0)
+# a tabulated form factor, whose 50 knots are breaks of J
+_KNOTS = np.linspace(0.01, 10.0, 50)
+BROKEN_SPEC = sb.BathSpec(beta=1.0, eps=0.5, delta=0.1, q0=1.0,
+                          h=sb.tabulated(_KNOTS, _KNOTS * np.exp(-_KNOTS)))
 
 
 FOUR_BATHS = {
@@ -835,8 +781,7 @@ FOUR_BATHS = {
 def _shared_pass(spec, t_max, n):
     """The converged shared-set call of an n-point table, and its last nodes."""
     source = bath_correlations.j_source_from_spec(spec)
-    first, stop = _shared_rows(n)
-    ts = _time_grid(t_max, n)[first:stop]
+    ts = _time_grid(t_max, n)[_first_linear_chunk(n):]
     res = bath_correlations._evaluate_shared(source, ts, t_max, 1e-9)
     edges, width, panels = _shared_edges(source, t_max, "table")
     for _ in range(res.passes):
@@ -844,19 +789,22 @@ def _shared_pass(spec, t_max, n):
     return source, ts, res, quadrature.panel_nodes(edges), width, panels
 
 
+@pytest.mark.parametrize("n", [400, 404])
 @pytest.mark.parametrize("name", list(FOUR_BATHS))
-def test_linear_rows_by_chirp_z_match_long_double_reference(name):
+def test_linear_rows_by_chirp_z_match_long_double_reference(name, n):
     spec = FOUR_BATHS[name]
-    source, ts, res, (omega, w), width, panels = _shared_pass(spec, 32.0, 400)
-    assert res.values.shape == (len(ts) // 8, 24)
+    source, ts, res, (omega, w), width, panels = _shared_pass(spec, 32.0, n)
+    assert res.values.shape == (-(-len(ts) // 8), 24)
     got = _lattice_rows(source, ts, width, panels)(omega, w)
     # these are the nodes of the call's last pass
     assert np.array_equal(got, res.values)
+    # a ragged last chunk is padded with copies of its last row
+    padded = np.concatenate([ts, np.repeat(ts[-1:], -len(ts) % 8)])
     # the first, a middle and the last chunk, each against its own largest
     # value and against the largest value of the three
     largest = 0.0
     for g in (0, len(got) // 2, len(got) - 1):
-        ref = _direct_rows(source, spec.beta, ts[8 * g:8 * g + 8], omega, w)
+        ref = _direct_rows(source, spec.beta, padded[8 * g:8 * g + 8], omega, w)
         diff = np.max(np.abs(got[g] - ref))
         assert diff <= 1e-13 * np.max(np.abs(ref))
         largest = max(largest, float(np.max(np.abs(ref))))
@@ -867,9 +815,9 @@ def test_table_linear_rows_match_pointwise_kernels():
     spec = _spec(p=0.5, cutoff="gaussian", beta=1.5)
     tol = 1e-9
     table = sb.tabulate_kernels(spec, 16.0, 64, tol=tol)
-    first, stop = _shared_rows(64)
-    assert (first, stop) == (24, 64)
-    for i in (first, 43, stop - 1):
+    first = _first_linear_chunk(64)
+    assert first == 24
+    for i in (first, 43, 63):
         t = float(table.t_grid[i])
         point = [sb.q1(spec, t)[0], sb.q2(spec, t)[0], sb.qz(spec, t)[0]]
         scale = max(abs(v) for v in point)
@@ -921,24 +869,24 @@ def test_head_moments_match_long_double_on_the_last_row(name):
     assert np.all(np.abs(got - ref) <= 1e-15 * ref)
 
 
-def test_shared_rows_are_whole_chunks_of_linear_times():
-    for n in (16, 24, 60, 64, 160, 400, 401):
-        first, stop = _shared_rows(n)
+def test_shared_rows_are_linear_times_from_a_whole_chunk():
+    for n in (9, 12, 16, 24, 60, 64, 160, 400, 401, 404):
+        first = _first_linear_chunk(n)
         t = _time_grid(10.0, n)
-        assert first % 8 == 0 and stop % 8 == 0 and stop <= n
+        assert first % 8 == 0 and first < n
         assert t[first] > 1.0 and first >= 1 + bath_correlations._n_geo(n)
-        steps = np.diff(t[first - 1:stop])
+        steps = np.diff(t[first - 1:])
         assert np.allclose(steps, steps[0], rtol=1e-12, atol=0.0)
-    assert _shared_rows(12) == (0, 0)
-    assert _shared_rows(400) == (136, 400)
+    # a grid of at most 8 rows has no linear rows past its first chunk
+    assert [_first_linear_chunk(n) for n in range(4, 9)] == [8] * 5
+    assert _first_linear_chunk(400) == 136
 
 
 def _direct_pass(spec, t_max, n):
     """The converged call of an n-point table's rows below its shared set,
     and its last nodes."""
     source = bath_correlations.j_source_from_spec(spec)
-    first, _ = _shared_rows(n)
-    ts = _time_grid(t_max, n)[:first]
+    ts = _time_grid(t_max, n)[:_first_linear_chunk(n)]
     res = bath_correlations._evaluate(source, ts, 1e-9, "all", "table")
     edges = bath_correlations._initial_edges(source, float(ts[-1]), spec.beta,
                                              0.0, "table")
@@ -981,21 +929,29 @@ def _count_quadratures(monkeypatch):
     return labels
 
 
-@pytest.mark.parametrize("n", [16, 64, 160, 400, 401])
-def test_cold_table_is_three_quadratures(n, monkeypatch):
-    # the plateau, the direct rows as the groups of one call, and the shared
-    # set; a last partial chunk adds one
+@pytest.mark.parametrize("bath, n", [
+    *(("smooth", n) for n in [*range(4, 41), 400, 401, 404]),
+    ("breaks", 64), ("breaks", 400)])
+def test_cold_table_is_three_quadratures(bath, n, monkeypatch):
+    # the plateau, the rows below the first whole chunk of linear times as
+    # the groups of one call, and the other rows as one call: the shared set,
+    # or for a bath with breaks the groups of a second direct call
     labels = _count_quadratures(monkeypatch)
-    sb.tabulate_kernels(_spec(p=1.0, beta=2.0), 20.0, n)
+    shared = []
+    original = bath_correlations._evaluate_shared
+    monkeypatch.setattr(bath_correlations, "_evaluate_shared",
+                        lambda *args: shared.append(args) or original(*args))
+    breaks = bath == "breaks"
+    sb.tabulate_kernels(BROKEN_SPEC if breaks else _spec(p=1.0, beta=2.0),
+                        20.0, n)
     t = _time_grid(20.0, n)
-    first, stop = _shared_rows(n)
+    first = min(_first_linear_chunk(n), n)
     table = bath_correlations._TABLE
-    expected = ["c2_saturation", table % (t[0], t[first - 1]),
-                table % (t[first], t[stop - 1])]
-    if stop < n:
-        expected.append(table % (t[stop], t[-1]))
+    expected = ["c2_saturation", table % (t[0], t[first - 1])]
+    if first < n:
+        expected.append(table % (t[first], t[-1]))
     assert labels == expected
-    assert len(labels) == (3 if n % 8 == 0 else 4)
+    assert len(shared) == int(first < n and not breaks)
 
 
 def test_oracle_bath_table_work_is_pinned(monkeypatch):

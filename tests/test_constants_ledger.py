@@ -179,9 +179,11 @@ def test_delta0_missing_input_rejected(key):
         delta0_threshold(DELTA0_SPEC, inputs)
 
 
-def test_delta0_rejects_nonpositive_input_and_zero_eps():
-    bad = dict(DELTA0_INPUTS, c5=-1.0)
-    with pytest.raises(DomainError):
+@pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("key", list(DELTA0_INPUTS))
+def test_delta0_rejects_nonpositive_input_and_zero_eps(key, value):
+    bad = dict(DELTA0_INPUTS, **{key: value})
+    with pytest.raises(DomainError, match="finite and positive"):
         delta0_threshold(DELTA0_SPEC, bad)
     spec = BathSpec(beta=1.0, eps=0.0, delta=0.1, q0=1.0, h=SPEC.h)
     with pytest.raises(DomainError):

@@ -73,6 +73,38 @@ def test_every_stored_attribute_is_read():
     assert unread == []
 
 
+def _private_definitions(tree):
+    """(name, line) of every function or class whose name has a leading
+    underscore and is no dunder."""
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_") and not node.name.endswith("__")):
+            yield node.name, node.lineno
+
+
+def _referenced_names(tree):
+    """Every name the code loads, as a name or an attribute, or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_private_definition_is_referenced():
+    # a private function or class that no package code references is code
+    # kept only for tests, or for nothing
+    trees = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    referenced = {name for tree in trees.values() for name in _referenced_names(tree)}
+    unused = ["%s:%d %s" % (path.name, line, name)
+              for path, tree in trees.items()
+              for name, line in _private_definitions(tree)
+              if name not in referenced]
+    assert unused == []
+
+
 def _absolute_imports(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

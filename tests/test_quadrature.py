@@ -194,27 +194,55 @@ def test_tabulation_converges_and_q2_matches_scipy(p, cutoff, beta):
 RECORD = pathlib.Path(__file__).with_name("kernel_table_record.json")
 
 
-def _record_table():
-    """The recorded table: _bath() at t_max 16 and n 160, 20 chunks, under
-    the numerics version it is computed with."""
-    table = sb.tabulate_kernels(_bath(), 16.0, 160, tol=1e-9)
+def _broken_bath():
+    # a tabulated form factor: its 50 knots are breaks of J
+    u = np.linspace(0.01, 10.0, 50)
+    return sb.BathSpec(beta=1.0, eps=0.5, delta=0.1, q0=1.0,
+                       h=sb.tabulated(u, u * np.exp(-u)))
+
+
+def _ohmic_bath():
+    return sb.BathSpec(beta=1.0, eps=0.25, delta=0.2, q0=1.0,
+                       h=sb.power_exp(-0.5, "exponential"))
+
+
+# name: (bath, t_max, n); the superohmic table has 20 whole chunks, the
+# 404-row ohmic one a ragged last chunk
+RECORDED = {
+    "superohmic-160": (_bath, 16.0, 160),
+    "breaks-400": (_broken_bath, 32.0, 400),
+    "ohmic-404": (_ohmic_bath, 40.0, 404),
+}
+
+
+def _record_tables():
+    """The recorded tables at tol 1e-9, under the numerics version they are
+    computed with."""
+    tables = {}
+    for name, (bath, t_max, n) in RECORDED.items():
+        table = sb.tabulate_kernels(bath(), t_max, n, tol=1e-9)
+        tables[name] = {"t_max": t_max, "n": n, "tol": 1e-9,
+                        "q1": table.q1.tolist(), "q2": table.q2.tolist(),
+                        "qz": table.qz.tolist()}
     return {"numerics_version": bath_correlations._NUMERICS_VERSION,
-            "t_max": 16.0, "n": 160, "tol": 1e-9, "q1": table.q1.tolist(),
-            "q2": table.q2.tolist(), "qz": table.qz.tolist()}
+            "tables": tables}
 
 
 def test_kernel_tables_move_only_with_the_numerics_version():
     # a cache entry is keyed by _NUMERICS_VERSION, so tables that move must
     # bump it, and a bump must renew the record (see the module docstring)
     record = json.loads(RECORD.read_text())
-    now = _record_table()
+    now = _record_tables()
     assert record["numerics_version"] == now["numerics_version"], (
         "_NUMERICS_VERSION changed but %s was not renewed" % RECORD.name)
-    for column in ("q1", "q2", "qz"):
-        ref, got = np.array(record[column]), np.array(now[column])
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), (
-            "the %s column moved under an unchanged _NUMERICS_VERSION" % column)
+    assert list(record["tables"]) == list(now["tables"])
+    for name, table in now["tables"].items():
+        for column in ("q1", "q2", "qz"):
+            ref, got = np.array(record["tables"][name][column]), np.array(table[column])
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), (
+                "the %s column of %s moved under an unchanged _NUMERICS_VERSION"
+                % (column, name))
 
 
 if __name__ == "__main__":
-    RECORD.write_text(json.dumps(_record_table(), indent=1) + "\n")
+    RECORD.write_text(json.dumps(_record_tables(), indent=1) + "\n")

@@ -76,6 +76,14 @@ def test_p_of_t_rejects_negative_time(ohmic_setup):
         sb.p_of_t(rate, -1.0)
 
 
+@pytest.mark.parametrize("t", [np.inf, np.nan])
+def test_p_of_t_rejects_a_nonfinite_time(ohmic_setup, t):
+    spec, table = ohmic_setup
+    rate = sb.gamma_rate(spec, table)
+    with pytest.raises(sb.DomainError, match="t must be finite and nonnegative"):
+        sb.p_of_t(rate, t)
+
+
 # --- gamma_rate -----------------------------------------------------------------
 
 def test_rate_delta_squared_exact(ohmic_setup):
