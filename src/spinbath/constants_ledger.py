@@ -119,7 +119,9 @@ def delta0_threshold(spec: BathSpec, inputs: dict) -> float:
 
 def check_user_inputs(c_kms: Optional[float], c5: Optional[float],
                       c3: Optional[float], allow_heuristics: bool) -> None:
-    """Raise ConfigurationError for a missing input only the user can give.
+    """Raise ConfigurationError for a missing input only the user can give,
+    and DomainError for one given that is not finite and positive, as
+    delta0_threshold requires.
 
     c_kms and c5 have no computable definition; c3 has one only as the
     flagged heuristic.  Callers run this before any computation.
@@ -131,6 +133,10 @@ def check_user_inputs(c_kms: Optional[float], c5: Optional[float],
         raise ConfigurationError(
             "c3 has no definition; supply it or enable heuristics "
             "to use the flagged default 10*c2")
+    for name, value in (("c_kms", c_kms), ("c3", c3), ("c5", c5)):
+        if value is not None and not 0.0 < value < np.inf:
+            raise DomainError("%s must be finite and positive, got %r"
+                              % (name, value))
 
 
 def constants_report(spec: BathSpec, alpha: float, *,

@@ -1,10 +1,12 @@
 """Composite Gauss-Legendre quadrature on capped-width panels.
 
 All kernel and rate integrals in this package are oscillatory with a known
-local frequency, so adaptivity is organized around panel widths capped by a
-quarter period rather than around error indicators: a capped composite rule
-is evaluated, every panel is split in two, and the change between the two
-passes is the error estimate.
+frequency bound, so adaptivity is organized around panel widths rather than
+around error indicators: the first panels are bounded by a quarter period of
+the fastest phase their integrand can reach (over the whole frequency range
+of a kernel integral, and on each knot interval of the kernel table for the
+level shift), the composite rule is evaluated, every panel is split in two,
+and the change between the two passes is the error estimate.
 
 One call integrates a stack of rows, and ``rtol`` is relative to the scale
 of the whole call: refinement stops once every row's error is at most

@@ -202,37 +202,47 @@ def _spline_values(x: np.ndarray, c: np.ndarray, t) -> np.ndarray:
     return value
 
 
+def _phase_rate_bound(eps: float, a: float, x: np.ndarray,
+                      c: np.ndarray) -> np.ndarray:
+    """An upper bound of the phase rate |eps| + a (|Q1'| + |Q2'|) on each
+    knot interval [x[i], x[i+1]].
+
+    c[0] and c[1] are the coefficients of the Q1 and Q2 splines on knots x,
+    in PPoly layout.  Each derivative is the quadratic with coefficients
+    c[:-1] * (3, 2, 1), so its largest magnitude on an interval is at one
+    of the two ends, or at the vertex if the vertex lies inside (clipped
+    into the interval, a vertex outside is one of the ends).
+    """
+    dx = np.diff(x)
+    p, q, r = np.moveaxis(c[:2, :-1] * _DERIVATIVE, 1, 0)
+    vertex = np.divide(-q, 2.0 * p, out=np.zeros_like(p), where=p != 0.0)
+    peak = np.max([np.abs((p * s + q) * s + r)
+                   for s in (0.0, dx, np.clip(vertex, 0.0, dx))], axis=0)
+    return abs(eps) + a * peak.sum(axis=0)
+
+
 def _oscillation_edges(spec: BathSpec, table: KernelTable, a: float,
                        c: np.ndarray) -> np.ndarray:
-    """Panel edges whose widths follow the local phase rate of the integrand.
+    """Panel edges whose widths follow the phase rate of the integrand.
 
     c[0] and c[1] are the coefficients of the Q1 and Q2 splines on the
-    table's grid, in PPoly layout (scipy's CubicSpline has it too).  Their
-    derivatives are evaluated from the coefficients c[:-1] * (3, 2, 1),
-    which PPoly.derivative computes, by PPoly's interval rule and summation
-    order, so the edges are bitwise those of ``d(t)`` calls, without the
-    per-call overhead.
+    table's grid, in PPoly layout (scipy's CubicSpline has it too).  Each
+    knot interval allows panels of width 0.25 pi / rate, clipped to
+    [T / 4000, T / 8], where rate, at least 1 / T, bounds the phase rate
+    there (_phase_rate_bound).  The budget Phi(t) integrates
+    1 / width from 0, and the ceil(Phi(T)) panels take equal steps of Phi:
+    no panel spends more than one unit of budget, whatever knots it
+    crosses, and there are 8 to 4000 panels.
     """
-    T = float(table.t_grid[-1])
-    x = table.t_grid.tolist()
-    (a1, b1, c1), (a2, b2, c2) = (c[:2, :-1] * _DERIVATIVE).tolist()
-    last = len(x) - 2
-    lo, hi = T / 4000.0, T / 8.0
-    edges = [0.0]
-    t = 0.0
-    i = 0
-    while t < T:
-        while i < last and x[i + 1] <= t:
-            i += 1
-        s = t - x[i]
-        ss = s * s
-        v1 = c1[i] + b1[i] * s + a1[i] * ss
-        v2 = c2[i] + b2[i] * s + a2[i] * ss
-        rate = abs(spec.eps) + a * (abs(v1) + abs(v2))
-        width = min(hi, max(lo, 0.25 * np.pi / max(rate, 1.0 / T)))
-        t = min(t + width, T)
-        edges.append(t)
-    return np.asarray(edges)
+    x = table.t_grid
+    T = float(x[-1])
+    rate = _phase_rate_bound(spec.eps, a, x, c)
+    width = np.clip(0.25 * np.pi / np.maximum(rate, 1.0 / T),
+                    T / 4000.0, T / 8.0)
+    phi = np.concatenate(([0.0], np.cumsum(np.diff(x) / width)))
+    # a budget that rounding lifts just past 4000 takes no 4001st panel
+    n = min(int(np.ceil(phi[-1])), 4000)
+    return np.interp(np.linspace(0.0, phi[-1], n + 1), phi, x)
 
 
 def _integrate_lso(spec: BathSpec, table: KernelTable, tol: float):

@@ -9,6 +9,7 @@ from spinbath import (
     RateReport,
     ScalingError,
     constants_c1_c2,
+    constants_ledger,
     constants_report,
     coupling_function,
     default_eps_hat,
@@ -227,6 +228,20 @@ def test_report_computes_no_rate_for_a_refused_alpha():
 
     with pytest.raises(ScalingError, match="overflows"):
         constants_report(SPEC, 300.0, c_kms=1.0, c3=0.5, c5=1.0, rate=rate)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("key", ["c_kms", "c3", "c5"])
+def test_report_refuses_an_invalid_user_input_before_any_work(key, value,
+                                                              monkeypatch):
+    calls = []
+    monkeypatch.setattr(constants_ledger, "coupling_function",
+                        lambda spec: calls.append("coupling"))
+    inputs = dict({"c_kms": 1.0, "c3": 0.5, "c5": 1.0}, **{key: value})
+    with pytest.raises(DomainError, match=key):
+        constants_report(SPEC, ALPHA, rate=lambda: calls.append("rate"),
+                         **inputs)
+    assert calls == []
 
 
 def test_report_without_tau0_or_rate_rejected():

@@ -12,7 +12,7 @@ from scipy.linalg import solve_banded
 import spinbath as sb
 from spinbath import bath_correlations, relaxation
 from spinbath.cli import main
-from spinbath.quadrature import integrate_refining
+from spinbath.quadrature import integrate_refining, refine_edges
 
 OHMIC = sb.power_exp(-0.5, "exponential")
 GAUSS_OHMIC = sb.power_exp(-0.5, "gaussian")
@@ -488,35 +488,78 @@ def test_not_a_knot_spline_rejects_what_scipy_rejects(x, y):
 
 # --- one quadrature per command -------------------------------------------------
 
-def _scalar_walk_edges(spec, table, a, s1, s2):
-    """Reference: the edge walk through scalar PPoly calls of the derivatives."""
-    T = float(table.t_grid[-1])
-    d1, d2 = s1.derivative(), s2.derivative()
-    lo, hi = T / 4000.0, T / 8.0
-    edges = [0.0]
-    t = 0.0
-    while t < T:
-        rate = abs(spec.eps) + a * (abs(float(d1(t))) + abs(float(d2(t))))
-        width = min(hi, max(lo, 0.25 * np.pi / max(rate, 1.0 / T)))
-        t = min(t + width, T)
-        edges.append(t)
-    return np.asarray(edges)
-
-
 @settings(max_examples=25, deadline=None)
 @given(p=st.sampled_from([-0.5, 0.5]),
        cutoff=st.sampled_from(["exponential", "gaussian"]),
        beta=st.floats(0.5, 4.0), eps=st.floats(0.25, 1.0),
        q0=st.floats(0.5, 2.0), n=st.sampled_from([16, 40, 64]))
-def test_oscillation_edges_match_scalar_walk(p, cutoff, beta, eps, q0, n):
+def test_oscillation_edges_spend_at_most_one_unit_of_phase_budget(
+        p, cutoff, beta, eps, q0, n):
     spec = _spec(beta=beta, eps=eps, q0=q0, h=sb.power_exp(p, cutoff))
     table = sb.tabulate_kernels(spec, 8.0 * max(beta, 1.0, 1.0 / eps), n,
                                 tol=1e-6)
     a = q0 ** 2 / np.pi
-    s1 = CubicSpline(table.t_grid, table.q1)
-    s2 = CubicSpline(table.t_grid, table.q2)
-    fast = relaxation._oscillation_edges(spec, table, a, np.stack([s1.c, s2.c]))
-    assert np.array_equal(fast, _scalar_walk_edges(spec, table, a, s1, s2))
+    x = table.t_grid
+    T = x[-1]
+    s1 = CubicSpline(x, table.q1)
+    s2 = CubicSpline(x, table.q2)
+    c = np.stack([s1.c, s2.c])
+    edges = relaxation._oscillation_edges(spec, table, a, c)
+    assert edges[0] == 0.0 and edges[-1] == T
+    assert np.all(np.diff(edges) > 0.0)
+    assert 8 <= len(edges) - 1 <= 4000
+    # the bound of each knot interval holds at 64 points of it
+    rate = relaxation._phase_rate_bound(spec.eps, a, x, c)
+    d1, d2 = s1.derivative(), s2.derivative()
+    tt = np.linspace(x[:-1], x[1:], 64)
+    sampled = abs(eps) + a * (np.abs(d1(tt)) + np.abs(d2(tt)))
+    assert np.all(sampled <= rate * (1.0 + 1e-12))
+    # the budget of a panel: its overlap with each interval over that
+    # interval's width
+    width = np.clip(0.25 * np.pi / np.maximum(rate, 1.0 / T),
+                    T / 4000.0, T / 8.0)
+    overlap = np.clip(np.minimum(edges[1:, None], x[None, 1:])
+                      - np.maximum(edges[:-1, None], x[None, :-1]), 0.0, None)
+    assert np.max(overlap @ (1.0 / width)) <= 1.0 + 1e-12
+
+
+# corners of the acceptance grid (ohmic p = -0.5) as (cutoff, beta, eps, q0)
+_GRID_CORNERS = [(cutoff, beta, eps, q0)
+                 for cutoff in ("exponential", "gaussian")
+                 for beta in (0.5, 2.0)
+                 for eps, q0 in ((0.25, 0.5), (1.0, 2.0))]
+
+
+@pytest.mark.parametrize("case", _GRID_CORNERS + ["oracle_bath"],
+                         ids=lambda case: "_".join(map(str, case))
+                         if isinstance(case, tuple) else case)
+def test_level_shift_rows_match_four_times_the_panels(case, monkeypatch):
+    """On the cli's tables (400 rows at tol 1e-9, the default horizon) the
+    level shift at tol 1e-8 stops after one doubling and is within 1e-9 of
+    its largest row of the same quadrature on edges refined twice."""
+    if case == "oracle_bath":
+        spec = sb.standard_oracle_bath()
+    else:
+        cutoff, beta, eps, q0 = case
+        spec = _spec(beta=beta, eps=eps, q0=q0, h=sb.power_exp(-0.5, cutoff))
+    table = sb.tabulate_kernels(spec, sb.default_time_horizon(spec), 400,
+                                tol=1e-9)
+    passes = []
+    original = relaxation.integrate_refining
+
+    def recording(*args, **kwargs):
+        res = original(*args, **kwargs)
+        passes.append(res.passes)
+        return res
+
+    monkeypatch.setattr(relaxation, "integrate_refining", recording)
+    values = relaxation._integrate_lso(spec, table, 1e-8)[0]
+    assert passes == [1]
+    edges = relaxation._oscillation_edges
+    monkeypatch.setattr(relaxation, "_oscillation_edges",
+                        lambda *args: refine_edges(refine_edges(edges(*args))))
+    reference = relaxation._integrate_lso(spec, table, 1e-8)[0]
+    assert np.max(np.abs(values - reference)) <= 1e-9 * np.max(np.abs(reference))
 
 
 @pytest.mark.parametrize("command", ["rate", "lso"])
