@@ -19,28 +19,30 @@ vectors b.
 
 A cold table is at most three quadratures: the plateau c2_inf; the rows
 below the first whole chunk of linear times (geometric and straddling) as
-the groups of one direct call; and the rows from there to t_max as one
-call, on the shared node set described below for a bath without breaks,
-and as the groups of a second direct call for a bath with breaks.
+the groups of one call; and the rows from there to t_max as the groups of
+a second call.
 
-A direct call (pointwise q1/q2/qz, and the table rows off the shared node
-set) writes sin(w t) = 2 s c and 1 - cos(w t) = 2 s^2 with
+Every kernel call has the same panels (_edges): a geometric head below
+W = min(w_max / 8, pi/(2 t_max)), t_max the call's largest time, and main
+panels with exact edges p W.  And one integrand (_kernel_rows): on the main
+panels it writes sin(w t) = 2 s c and 1 - cos(w t) = 2 s^2 with
 s, c = sin, cos(t_k w / 2), one sine/cosine pair per (t, w) pair, which
 keeps the small-angle accuracy that Q2 and Qz need; each row block is one
-matrix product of the (m, N) trig block.
+matrix product of the (m, N) trig block.  A table call sums its head by
+moments: there t w < pi/2, so sin(t w) and 1 - cos(t w) are their power
+series in (t W)(w / W), cut where the first omitted term is below 2^-53,
+and the head takes the moments sum_j b_j (w_j / W)^k and no sine or
+cosine.  A pointwise q1/q2/qz call has one row, on which the moments cost
+more than the pairs, so it takes a pair on its head nodes too.
 
 For a bath without breaks, the rows on the linear part of the grid,
-t_k = t_0 + k dt, share one node set: a geometric head below
-W = pi/(2 t_max) and main panels with exact edges p W.  On the head
-t w < pi/2, so sin(t w) and 1 - cos(t w) are their power series in
-(t W)(w / W), cut where the first omitted term is below 2^-53: the head
-takes the moments sum_j b_j (w_j / W)^k and no sine or cosine.  On the
-main panels, for each Gauss index, the sum over panels p of
-b_p exp(i t_k w_p) is a chirp-z transform in p (Rabiner, Schafer and Rader,
-1969), one FFT convolution by Bluestein's identity
-k p = (k^2 + p^2 - (k - p)^2) / 2, and the main parts of Q2 and Qz are
-sum(b) - Re C(t_k): well conditioned, as t w >= pi/20 on those rows and
-panels.  The set is refined until every chunk meets the stop rule.
+t_k = t_0 + k dt, take no pairs on the main panels either: for each Gauss
+index, the sum over panels p of b_p exp(i t_k w_p) is a chirp-z transform
+in p (Rabiner, Schafer and Rader, 1969), one FFT convolution by
+Bluestein's identity k p = (k^2 + p^2 - (k - p)^2) / 2, and the main parts
+of Q2 and Qz are sum(b) - Re C(t_k): well conditioned, as t w >= pi/20 on
+those rows and panels.  Every call is refined until each of its chunks
+meets the stop rule.
 
 Every quadrature here is one integrate_refining call, which raises
 AccuracyError naming the kernel and time, or the table's t range, when it
@@ -64,15 +66,15 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, InfraredError, UsageError
 from .fileio import atomic_write
-from .quadrature import capped_edges, integrate_refining
+from .quadrature import integrate_refining
 from .spectral_density import BathSpec, eval_J, infrared_exponent
 
 _IR_Q1_MIN = 0.95
 _IR_Q2_MIN = 0.05
 _SUPPORT_DROP = 1e-18
 _CHUNK = 8
-# Gauss-Legendre order of the linear rows' shared node set, whose panels
-# _chirp_sums reshapes by it
+# Gauss-Legendre order of the kernel calls, whose main panels _chirp_sums
+# reshapes by it
 _GAUSS_ORDER = 6
 # Part of every cache key: tables computed under another stop rule or
 # support bound, or stored in another entry layout, are recomputed, never
@@ -234,24 +236,27 @@ def _head_edges(w0: float, beta: Optional[float], exponent: float, pole: float,
     return edges
 
 
-def _initial_edges(source: JSource, t_cap: float, beta: Optional[float],
-                   pole: float, what: str) -> np.ndarray:
-    """Panel edges: geometric head, period-capped linear main part.
+def _edges(source: JSource, t_cap: float, beta: Optional[float], pole: float,
+           what: str):
+    """Panel edges of a kernel quadrature, with W and P.
 
-    The main part has panels of width at most a quarter period at t_cap
-    and at most omega_max / 8; the source's breaks are added as edges.
+    Below W = min(omega_max / 8, pi / (2 t_cap)) lies the geometric head;
+    above it P >= 7 main panels with exact edges p W, up to the first
+    multiple at or past omega_max.  The source's breaks up to omega_max are
+    added as edges, so the last knot of a tabulated J, where it drops to 0,
+    stays one.
     """
     omega_max = source.omega_max
     width = omega_max / 8.0
     if t_cap > 0.0:
         width = min(width, np.pi / (2.0 * t_cap))
-    main = capped_edges(0.0, omega_max, width)
-    edges = np.concatenate([_head_edges(main[1], beta, source.ir_exponent, pole,
-                                        what), main[1:]])
+    main = width * np.arange(1, max(8, int(np.ceil(omega_max / width))) + 1)
+    edges = np.concatenate([_head_edges(width, beta, source.ir_exponent, pole,
+                                        what), main])
     if source.breaks is not None:
         breaks = np.asarray(source.breaks, dtype=float)
-        edges = np.union1d(edges, breaks[(breaks > edges[0]) & (breaks < omega_max)])
-    return edges
+        edges = np.union1d(edges, breaks[(breaks > edges[0]) & (breaks <= omega_max)])
+    return edges, width, len(main) - 1
 
 
 def _direct_sums(ts: np.ndarray, omega: np.ndarray, b: np.ndarray,
@@ -278,20 +283,20 @@ def _direct_sums(ts: np.ndarray, omega: np.ndarray, b: np.ndarray,
 
 
 def _moment_sums(ts: np.ndarray, omega: np.ndarray, b: np.ndarray,
-                 width: float) -> np.ndarray:
+                 width: float, n_sin: int) -> np.ndarray:
     """Sums over the nodes omega < width for t in ts, t width <= pi/2, shape
     (len(b), m).
 
-    Row 0 of the weight vectors b is summed against sin(t omega), the others
-    against 1 - cos(t omega), by their power series up to _SERIES in
-    t omega = (t width)(omega / width): the sums need only the moments
-    M_k = sum_j b_j (omega_j / width)^k, one Vandermonde block in
-    omega / width, and one in t width.  Deep in the head the high powers
+    Rows [0, n_sin) of the weight vectors b are summed against
+    sin(t omega), the others against 1 - cos(t omega), by their power series
+    up to _SERIES in t omega = (t width)(omega / width): the sums need only
+    the moments M_k = sum_j b_j (omega_j / width)^k, one Vandermonde block
+    in omega / width, and one in t width.  Deep in the head the high powers
     are subnormal or 0, far below the moments' rounding.
     """
     moments = b @ np.vander(omega / width, _SERIES + 1, increasing=True)
-    moments[0] *= _TAYLOR[0]
-    moments[1:] *= _TAYLOR[1]
+    moments[:n_sin] *= _TAYLOR[0]
+    moments[n_sin:] *= _TAYLOR[1]
     return moments @ np.vander(ts * width, _SERIES + 1, increasing=True).T
 
 
@@ -307,32 +312,6 @@ def _by_chunk(sums: np.ndarray) -> np.ndarray:
 def _by_kernel(chunks: np.ndarray) -> np.ndarray:
     """The inverse of _by_chunk, padding included: (chunks, 24) -> (3, m)."""
     return chunks.reshape(-1, 3, _CHUNK).transpose(1, 0, 2).reshape(3, -1)
-
-
-def _kernel_rows(source: JSource, ts: np.ndarray, which: str):
-    """The integrand of one direct kernel call: (nodes, weights) -> row integrals.
-
-    Rows, in order: Q1 at every t ("all", "q1"); then the zero-temperature
-    Q2 at every t ("q1"), or Q2 ("all", "q2") and Qz ("all", "qz").  The
-    weights w J / omega^2 and the node factors coth, 1/sinh and tanh are
-    folded into weight vectors for _direct_sums.  The table's rows ("all")
-    come as groups, one per chunk of 8 times (_by_chunk).
-    """
-    def rows(omega: np.ndarray, w: np.ndarray) -> np.ndarray:
-        wg = w * (np.asarray(source.j(omega), dtype=float) / omega ** 2)
-        if which == "q1":
-            # Zero-temperature Q2: a nonnegative row that gives the call a
-            # scale, so Q1 at a sign change can meet the stop rule.
-            return _direct_sums(ts, omega, np.array([wg, wg]), 1).ravel()
-        coth, csch, tanh_half = _thermal_factors(0.5 * source.beta * omega)
-        b = {"all": [wg, wg * coth, wg * csch], "q2": [wg * coth],
-             "qz": [wg * csch]}[which]
-        sums = _direct_sums(ts, omega, np.array(b), int(which == "all"))
-        if which in ("all", "qz"):
-            sums[-1] += np.dot(wg, tanh_half)
-        return _by_chunk(sums) if which == "all" else sums.ravel()
-
-    return rows
 
 
 def _chirp(c: float, n: int) -> np.ndarray:
@@ -380,66 +359,66 @@ def _chirp_sums(b: np.ndarray, omega: np.ndarray, ts: np.ndarray,
     return out * chirp[:k_rows]
 
 
-def _lattice_rows(source: JSource, ts: np.ndarray, width: float, panels: int):
-    """The integrand of the linear rows ts on their shared node set.
+def _kernel_rows(source: JSource, ts: np.ndarray, which: str, width: float,
+                 panels: int):
+    """The integrand of one kernel call: (nodes, weights) -> row integrals.
 
-    The node set is a geometric head below width and the main panels
-    [p width, (p + 1) width], 1 <= p <= panels, each split in two per pass.
-    Returns (chunks, 24): per chunk of 8 rows, Q1, Q2 and Qz as in
-    _kernel_rows.  The head is summed by _moment_sums; the main panels by
-    _chirp_sums, with Q2 and Qz as sum(b) - Re C, well conditioned as long
-    as t omega >= pi/20 there.
+    Rows, in order: Q1 at every t ("all", "q1"); then the zero-temperature
+    Q2 at every t ("q1"), or Q2 ("all", "q2") and Qz ("all", "qz").  The
+    weights w J / omega^2 and the node factors coth, 1/sinh and tanh are
+    folded into weight vectors b.  The head, the nodes below width (none
+    for width 0), is summed by _moment_sums.  The main panels are summed by
+    _chirp_sums when panels > 0 (the P panels of _edges, each halved per
+    pass, and evenly spaced ts), with Q2 and Qz as sum(b) - Re C, well
+    conditioned as t omega >= pi/20 there; else by _direct_sums.  The
+    table's rows ("all") come as groups, one per chunk of 8 times
+    (_by_chunk).
     """
     def rows(omega: np.ndarray, w: np.ndarray) -> np.ndarray:
         wg = w * (np.asarray(source.j(omega), dtype=float) / omega ** 2)
-        coth, csch, tanh_half = _thermal_factors(0.5 * source.beta * omega)
-        b = np.array([wg, wg * coth, wg * csch])
+        if which == "q1":
+            # Zero-temperature Q2: a nonnegative row that gives the call a
+            # scale, so Q1 at a sign change can meet the stop rule.
+            b, n_sin = np.array([wg, wg]), 1
+        else:
+            coth, csch, tanh_half = _thermal_factors(0.5 * source.beta * omega)
+            b = np.array({"all": [wg, wg * coth, wg * csch], "q2": [wg * coth],
+                          "qz": [wg * csch]}[which])
+            n_sin = int(which == "all")
         head = int(np.searchsorted(omega, width))
-        sums = _moment_sums(ts, omega[:head], b[:, :head], width)
-        # the panels of this pass: each doubling halves the width exactly
-        halved = width * (panels * _GAUSS_ORDER / (len(omega) - head))
-        main = _chirp_sums(b[:, head:], omega[head:], ts, halved)
-        sums[0] += main[0].imag
-        sums[1:] += np.sum(b[1:, head:], axis=1)[:, None] - main[1:].real
-        sums[2] += np.dot(wg, tanh_half)
-        return _by_chunk(sums)
+        if panels:
+            # the panels of this pass: each doubling halves the width exactly
+            halved = width * (panels * _GAUSS_ORDER / (len(omega) - head))
+            chirp = _chirp_sums(b[:, head:], omega[head:], ts, halved)
+            total = np.sum(b[n_sin:, head:], axis=1)[:, None]
+            sums = np.concatenate([chirp[:n_sin].imag,
+                                   total - chirp[n_sin:].real])
+        else:
+            sums = _direct_sums(ts, omega[head:], b[:, head:], n_sin)
+        if head:
+            sums += _moment_sums(ts, omega[:head], b[:, :head], width, n_sin)
+        if which in ("all", "qz"):
+            sums[-1] += np.dot(wg, tanh_half)
+        return _by_chunk(sums) if which == "all" else sums.ravel()
 
     return rows
 
 
 def _evaluate(source: JSource, ts: Sequence[float], tol: float, which: str,
-              what: str):
+              what: str, shared: bool = False):
+    """One kernel quadrature of the rows at ts.
+
+    A table call ("all") sums its head by moments, and with shared (the
+    linear rows of a bath without breaks) its main panels by chirp-z
+    transforms; a pointwise call sums every node directly, since moments
+    cost more than one sine/cosine pair per node on a single row.
+    """
     ts = np.asarray(ts, dtype=float)
     # Q1 does not depend on beta, so its head has no thermal knee to resolve
     beta = None if which == "q1" else source.beta
-    edges = _initial_edges(source, float(np.max(ts)), beta, 0.0, what)
-    rows = _kernel_rows(source, ts, which)
-    return integrate_refining(rows, edges, rtol=tol, what=what)
-
-
-def _shared_edges(source: JSource, t_max: float, what: str):
-    """Initial edges of the linear rows' shared node set, with W and P.
-
-    The P main panels have exact edges p W, 1 <= p <= P + 1,
-    W = pi/(2 t_max), up to omega_max and at least 7 of them; below W the
-    geometric head.
-    """
-    width = np.pi / (2.0 * t_max)
-    main = width * np.arange(1, max(8, int(np.ceil(source.omega_max / width))) + 1)
-    edges = np.concatenate([_head_edges(width, source.beta, source.ir_exponent,
-                                        0.0, what), main])
-    return edges, width, len(main) - 1
-
-
-def _evaluate_shared(source: JSource, ts: np.ndarray, t_max: float, tol: float):
-    """The linear rows ts on one shared node set.
-
-    The stop rule holds per chunk, and the set is refined until every chunk
-    meets it.
-    """
-    what = _TABLE % (ts[0], ts[-1])
-    edges, width, panels = _shared_edges(source, t_max, what)
-    rows = _lattice_rows(source, ts, width, panels)
+    edges, width, panels = _edges(source, float(np.max(ts)), beta, 0.0, what)
+    rows = _kernel_rows(source, ts, which, width if which == "all" else 0.0,
+                        panels if shared else 0)
     return integrate_refining(rows, edges, order=_GAUSS_ORDER, rtol=tol,
                               what=what)
 
@@ -485,7 +464,7 @@ def c2_saturation(spec: Union[BathSpec, JSource], *, tol: float = 1e-9) -> float
     source = _as_source(spec)
     if not source.ir_exponent > 2.05:
         return np.inf
-    edges = _initial_edges(source, 0.0, source.beta, 2.0, "c2_saturation")
+    edges = _edges(source, 0.0, source.beta, 2.0, "c2_saturation")[0]
 
     def rows(omega, w):
         g = np.asarray(source.j(omega), dtype=float) / omega ** 2
@@ -586,11 +565,11 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
     raises DomainError before the cache is read or a quadrature runs.  A
     cold table is at most three quadratures: the plateau c2_inf, the rows
     below the first whole chunk of linear times as the groups of one call,
-    and the other rows as one call, on the shared node set for a bath
-    without breaks and as the groups of a second direct call for a bath
-    with breaks; a grid of at most 8 rows has no other rows.  A call that
-    does not meet the stop rule within the refinement limit raises
-    AccuracyError naming its t range, and nothing is cached.
+    and the other rows as the groups of a second call, by chirp-z
+    transforms for a bath without breaks; a grid of at most 8 rows has no
+    other rows.  A call that does not meet the stop rule within the
+    refinement limit raises AccuracyError naming its t range, and nothing
+    is cached.
 
     With cache_dir set, a table is stored as one .npy record (see
     _record_dtype), keyed by a content hash of the numerics version, the
@@ -631,10 +610,8 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
             # a grid of at most 8 rows has no rows past its first chunk
             break
         ts = t[i:stop]
-        if i > 0 and source.breaks is None:
-            res = _evaluate_shared(source, ts, t_max, tol)
-        else:
-            res = _evaluate(source, ts, tol, "all", _TABLE % (ts[0], ts[-1]))
+        res = _evaluate(source, ts, tol, "all", _TABLE % (ts[0], ts[-1]),
+                        shared=i > 0 and source.breaks is None)
         # (chunks, 3 kernels x 8 rows) -> kernel-major values, row-major
         # errors, without the copies that pad a ragged last chunk
         values[:, i:stop] = _by_kernel(res.values)[:, :stop - i]

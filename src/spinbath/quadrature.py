@@ -1,4 +1,4 @@
-"""Composite Gauss-Legendre quadrature on capped-width panels.
+"""Composite Gauss-Legendre quadrature on panels split in two per pass.
 
 All kernel and rate integrals in this package are oscillatory with a known
 frequency bound, so adaptivity is organized around panel widths rather than
@@ -65,15 +65,6 @@ def refine_edges(edges: np.ndarray) -> np.ndarray:
     out[0::2] = edges
     out[1::2] = 0.5 * (edges[:-1] + edges[1:])
     return out
-
-
-def capped_edges(a: float, b: float, max_width: float) -> np.ndarray:
-    """Uniform panel edges on [a, b]: at least 8 panels, of width at most
-    max_width."""
-    if b <= a:
-        raise ValueError("empty interval [%g, %g]" % (a, b))
-    n = max(8, int(np.ceil((b - a) / max_width)))
-    return np.linspace(a, b, n + 1)
 
 
 @dataclass(frozen=True, eq=False)

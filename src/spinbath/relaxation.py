@@ -276,7 +276,7 @@ def _integrate_lso(spec: BathSpec, table: KernelTable, tol: float):
 
     res = integrate_refining(rows, edges, rtol=tol, what="level-shift quadrature")
     env_len = float(np.trapezoid(np.exp(-a * table.q2), t))
-    err_table = a * float(np.max(table.err_est[:, :2])) * env_len
+    err_table = a * float(np.max(table.err_est)) * env_len
     if env.mismatch > 0.0:
         err_table += env.mismatch / abs(eps)
     elif not env.damping_ok:

@@ -15,10 +15,10 @@ from scipy.integrate import quad
 
 import spinbath as sb
 from spinbath import bath_correlations, quadrature
-from spinbath.bath_correlations import (_by_kernel, _first_linear_chunk,
-                                        _kernel_rows, _lattice_rows,
-                                        _moment_sums, _shared_edges,
-                                        _thermal_factors, _time_grid)
+from spinbath.bath_correlations import (_by_kernel, _edges, _evaluate,
+                                        _first_linear_chunk, _kernel_rows,
+                                        _moment_sums, _thermal_factors,
+                                        _time_grid)
 from spinbath.fileio import atomic_write
 
 OHMIC = sb.JSource(j=lambda w: w * np.exp(-w), omega_max=45.0, ir_exponent=1.0,
@@ -747,16 +747,15 @@ def _direct_rows(source, beta, ts, omega, w):
     (sb.standard_oracle_bath(), slice(8, 16)),      # geometric head
 ], ids=["oracle-last", "ohmic-last", "oracle-head"])
 def test_chunk_rows_match_long_double_direct_evaluation(spec, chunk):
-    # the direct integrand of a chunk (geometric rows, pointwise kernels)
+    # the direct integrand of a chunk, with its head summed by moments
     source = bath_correlations.j_source_from_spec(spec)
     ts = _time_grid(32.0, 400)[chunk]
-    res = bath_correlations._evaluate(source, ts, 1e-9, "all", "chunk")
-    edges = bath_correlations._initial_edges(source, float(ts[-1]), spec.beta,
-                                             0.0, "chunk")
+    res = _evaluate(source, ts, 1e-9, "all", "chunk")
+    edges, width, _ = _edges(source, float(ts[-1]), spec.beta, 0.0, "chunk")
     for _ in range(res.passes):
         edges = quadrature.refine_edges(edges)
     omega, w = quadrature.panel_nodes(edges)
-    got = _kernel_rows(source, ts, "all")(omega, w)
+    got = _kernel_rows(source, ts, "all", width, 0)(omega, w)
     # these are the nodes of the call's last pass
     assert np.array_equal(got, res.values)
     ref = _direct_rows(source, spec.beta, ts, omega, w)
@@ -782,8 +781,8 @@ def _shared_pass(spec, t_max, n):
     """The converged shared-set call of an n-point table, and its last nodes."""
     source = bath_correlations.j_source_from_spec(spec)
     ts = _time_grid(t_max, n)[_first_linear_chunk(n):]
-    res = bath_correlations._evaluate_shared(source, ts, t_max, 1e-9)
-    edges, width, panels = _shared_edges(source, t_max, "table")
+    res = _evaluate(source, ts, 1e-9, "all", "table", shared=True)
+    edges, width, panels = _edges(source, t_max, spec.beta, 0.0, "table")
     for _ in range(res.passes):
         edges = quadrature.refine_edges(edges)
     return source, ts, res, quadrature.panel_nodes(edges), width, panels
@@ -795,7 +794,7 @@ def test_linear_rows_by_chirp_z_match_long_double_reference(name, n):
     spec = FOUR_BATHS[name]
     source, ts, res, (omega, w), width, panels = _shared_pass(spec, 32.0, n)
     assert res.values.shape == (-(-len(ts) // 8), 24)
-    got = _lattice_rows(source, ts, width, panels)(omega, w)
+    got = _kernel_rows(source, ts, "all", width, panels)(omega, w)
     # these are the nodes of the call's last pass
     assert np.array_equal(got, res.values)
     # a ragged last chunk is padded with copies of its last row
@@ -836,7 +835,7 @@ def test_shared_set_takes_no_sine_or_cosine(monkeypatch):
             counts[_name] += np.size(x)
             return _f(x, *args, **kwargs)
         monkeypatch.setattr(np, name, counted)
-    _lattice_rows(source, ts, width, panels)(omega, w)
+    _kernel_rows(source, ts, "all", width, panels)(omega, w)
     head = int(np.searchsorted(omega, width))
     main = len(omega) - head
     p = main // 6
@@ -860,7 +859,7 @@ def test_head_moments_match_long_double_on_the_last_row(name):
     wg = w[:head] * np.asarray(source.j(om), dtype=float) / om ** 2
     coth, csch, _ = _thermal_factors(0.5 * spec.beta * om)
     b = np.array([wg, wg * coth, wg * csch])
-    got = _moment_sums(ts[-1:], om, b, width)[:, 0]
+    got = _moment_sums(ts[-1:], om, b, width, 1)[:, 0]
     theta = np.longdouble(ts[-1]) * om.astype(np.longdouble)
     one_minus_cos = 2 * np.sin(theta / 2) ** 2
     ref = np.sum(b.astype(np.longdouble)
@@ -887,18 +886,17 @@ def _direct_pass(spec, t_max, n):
     and its last nodes."""
     source = bath_correlations.j_source_from_spec(spec)
     ts = _time_grid(t_max, n)[:_first_linear_chunk(n)]
-    res = bath_correlations._evaluate(source, ts, 1e-9, "all", "table")
-    edges = bath_correlations._initial_edges(source, float(ts[-1]), spec.beta,
-                                             0.0, "table")
+    res = _evaluate(source, ts, 1e-9, "all", "table")
+    edges, width, _ = _edges(source, float(ts[-1]), spec.beta, 0.0, "table")
     for _ in range(res.passes):
         edges = quadrature.refine_edges(edges)
-    return source, ts, res, quadrature.panel_nodes(edges)
+    return source, ts, res, quadrature.panel_nodes(edges), width
 
 
 @pytest.mark.parametrize("name", list(FOUR_BATHS))
 def test_grouped_direct_rows_match_long_double_reference(name):
     spec = FOUR_BATHS[name]
-    source, ts, res, (omega, w) = _direct_pass(spec, 32.0, 400)
+    source, ts, res, (omega, w), width = _direct_pass(spec, 32.0, 400)
     chunks = len(ts) // 8
     assert res.values.shape == (chunks, 24)
     # the table's rows below the shared set are this call's
@@ -907,13 +905,37 @@ def test_grouped_direct_rows_match_long_double_reference(name):
     assert np.array_equal(table.q1[1:len(ts)], q1v[1:])
     assert np.array_equal(table.q2[1:len(ts)], q2v[1:])
     assert np.array_equal(table.qz[:len(ts)], qzv)
-    got = _kernel_rows(source, ts, "all")(omega, w)
+    got = _kernel_rows(source, ts, "all", width, 0)(omega, w)
     # these are the nodes of the call's last pass
     assert np.array_equal(got, res.values)
     # every chunk against its own largest value
     for g in range(chunks):
         ref = _direct_rows(source, spec.beta, ts[8 * g:8 * g + 8], omega, w)
         assert np.max(np.abs(got[g] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_only_a_pointwise_call_takes_sine_and_cosine_on_its_head(monkeypatch):
+    # a grouped table call sums its head by moments, so only its main-panel
+    # nodes take a sine/cosine pair per row; a pointwise call, whose single
+    # row makes moments dearer than the pairs, takes one on every node
+    source = bath_correlations.j_source_from_spec(OHMIC_SPEC)
+    ts = _time_grid(32.0, 400)[:_first_linear_chunk(400)]
+    edges, _, panels = _edges(source, float(ts[-1]), source.beta, 0.0, "table")
+    quadrature.leggauss(6)
+    counts = {"sin": 0, "cos": 0}
+    for name in counts:
+        def counted(x, *args, _name=name, _f=getattr(np, name), **kwargs):
+            counts[_name] += np.size(x)
+            return _f(x, *args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+    res = _evaluate(source, ts, 1e-9, "all", "table")
+    # every pass splits every panel, so the main panels keep their share
+    main = res.nodes * panels // (len(edges) - 1)
+    assert 0 < main < res.nodes
+    assert counts == {"sin": len(ts) * main, "cos": len(ts) * main}
+    counts.update(sin=0, cos=0)
+    res = _evaluate(source, [2.0], 1e-9, "q2", "q2 at t=2")
+    assert counts == {"sin": res.nodes, "cos": res.nodes}
 
 
 def _count_quadratures(monkeypatch):
@@ -938,9 +960,11 @@ def test_cold_table_is_three_quadratures(bath, n, monkeypatch):
     # or for a bath with breaks the groups of a second direct call
     labels = _count_quadratures(monkeypatch)
     shared = []
-    original = bath_correlations._evaluate_shared
-    monkeypatch.setattr(bath_correlations, "_evaluate_shared",
-                        lambda *args: shared.append(args) or original(*args))
+    original = bath_correlations._evaluate
+    monkeypatch.setattr(
+        bath_correlations, "_evaluate",
+        lambda *args, **kwargs: (shared.append(kwargs.get("shared", False))
+                                 or original(*args, **kwargs)))
     breaks = bath == "breaks"
     sb.tabulate_kernels(BROKEN_SPEC if breaks else _spec(p=1.0, beta=2.0),
                         20.0, n)
@@ -951,7 +975,7 @@ def test_cold_table_is_three_quadratures(bath, n, monkeypatch):
     if first < n:
         expected.append(table % (t[first], t[-1]))
     assert labels == expected
-    assert len(shared) == int(first < n and not breaks)
+    assert shared == [False] + [not breaks] * (first < n)
 
 
 def test_oracle_bath_table_work_is_pinned(monkeypatch):

@@ -105,6 +105,21 @@ def test_every_private_definition_is_referenced():
     assert unused == []
 
 
+def test_every_unexported_public_definition_is_referenced():
+    # a module-level public function or class that the package neither
+    # exports nor uses is an orphaned helper
+    trees = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    referenced = {name for tree in trees.values() for name in _referenced_names(tree)}
+    exported = set(sb.__all__)
+    orphans = ["%s:%d %s" % (path.name, node.lineno, node.name)
+               for path, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))
+               and not node.name.startswith("_")
+               and node.name not in exported | referenced]
+    assert orphans == []
+
+
 def _absolute_imports(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

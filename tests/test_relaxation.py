@@ -1,5 +1,6 @@
 """Tests for rates, P(t), and the level-shift matrix diagnostics."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -595,6 +596,18 @@ def test_rate_and_lso_share_one_quadrature(setup, request):
     assert sb.lso_matrix(spec, table).trace_gap == gap
 
 
+@pytest.mark.parametrize("setup", ["ohmic_setup", "saturated_setup"])
+def test_level_shift_err_counts_the_qz_column(setup, request):
+    # the z row reads exp(-a Qz), so a table whose Qz errors alone grow
+    # past the other columns' gives the level shift a larger err
+    spec, table = request.getfixturevalue(setup)
+    worse = dataclasses.replace(table, err_est=table.err_est * [1.0, 1.0, 1e3])
+    assert np.max(worse.err_est[:, 2]) > np.max(table.err_est)
+    _, err, _ = relaxation._integrate_lso(spec, table, 1e-8)
+    _, worse_err, _ = relaxation._integrate_lso(spec, worse, 1e-8)
+    assert worse_err > err
+
+
 # --- the level-shift rows against the Abel-tail phase -----------------------------
 
 def _phased_integrate_lso(spec, table, tol):
@@ -639,7 +652,7 @@ def _phased_integrate_lso(spec, table, tol):
         tail = e_inf * np.sin(phi) / eps
         values = values + np.array([tail, -tail, 0.0, 0.0])
     env_len = float(np.trapezoid(np.exp(-a * table.q2), t))
-    err_table = a * float(np.max(table.err_est[:, :2])) * env_len
+    err_table = a * float(np.max(table.err_est)) * env_len
     if env.mismatch > 0.0:
         err_table += env.mismatch / abs(eps)
     elif not env.damping_ok:
