@@ -47,16 +47,15 @@ meets the stop rule.
 Every quadrature here is one integrate_refining call, which raises
 AccuracyError naming the kernel and time, or the table's t range, when it
 cannot meet the stop rule.  So a table is converged or not made, and an
-unconverged one is never cached.  A cache entry is one .npy file holding
-one record: the table, its request (t_max, n, tol) and the Q2 plateau
-c2_inf.
+unconverged one is never cached.  A kernel cache entry is one .npy file
+holding one record (_record_dtype): the table, its request (t_max, n, tol)
+and the Q2 plateau c2_inf, stored and checked by the record store of
+fileio, which the level-shift records of relaxation share.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
-import logging
 import math
 import os
 from dataclasses import dataclass, field
@@ -65,7 +64,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import AccuracyError, DomainError, InfraredError, UsageError
-from .fileio import atomic_write
+from .fileio import load_record, read_record, save_record
 from .quadrature import integrate_refining
 from .spectral_density import BathSpec, eval_J, infrared_exponent
 
@@ -91,8 +90,6 @@ for _k in range(1, _SERIES + 1):
     _TAYLOR[1 - _k % 2, _k] = (-1) ** ((_k - 1) // 2) / math.factorial(_k)
 # The label of a table quadrature in its AccuracyError, by its t range
 _TABLE = "kernel table on t in [%g, %g]"
-
-_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -181,14 +178,21 @@ def _require_thermal_head(beta: float) -> None:
             % (beta, floor, 0.125 / np.sqrt(_OMEGA_SQ_MIN)))
 
 
-def j_source_from_spec(spec: BathSpec) -> JSource:
+def j_source_from_spec(spec: BathSpec,
+                       ir_exponent: Optional[float] = None) -> JSource:
     """The JSource of a bath, the one place where kernel sources are built;
-    a beta too large for its thermal head raises DomainError."""
+    a beta too large for its thermal head raises DomainError.
+
+    ir_exponent is infrared_exponent(spec.h) when the caller has fitted it
+    already, so that it is fitted once; None fits it here.
+    """
     _require_thermal_head(spec.beta)
     h = spec.h
+    if ir_exponent is None:
+        ir_exponent = infrared_exponent(h)
     return JSource(j=lambda w: np.asarray(eval_J(h, w), dtype=float),
                    omega_max=_support_bound(h),
-                   ir_exponent=infrared_exponent(h),
+                   ir_exponent=ir_exponent,
                    beta=spec.beta,
                    breaks=h.grid if h.family == "tabulated" else None)
 
@@ -514,25 +518,21 @@ def _save_table(path: str, t_max: float, n: int, tol: float,
                 table: KernelTable) -> None:
     columns = np.column_stack([table.t_grid, table.q1, table.q2, table.qz,
                                table.err_est])
-    buf = io.BytesIO()
-    np.save(buf, np.array((columns, (t_max, n, tol), table.c2_inf),
-                          dtype=_record_dtype(n)))
-    atomic_write(path, buf.getvalue())
+    save_record(path, np.array((columns, (t_max, n, tol), table.c2_inf),
+                               dtype=_record_dtype(n)))
 
 
 def _read_entry(path: str, t_max: float, n: int, tol: float) -> KernelTable:
-    with open(path, "rb") as fh:
-        # the .npy format alone: no zip archive, and never a pickle
-        record = np.lib.format.read_array(fh, allow_pickle=False)
-    if not (record.dtype == _record_dtype(n) and record.shape == ()):
-        raise ValueError("it is not one kernel table record of %d rows" % n)
-    request = record["request"].item()
-    if request != (t_max, n, tol):
-        raise ValueError("it was computed for t_max=%r, n=%r, tol=%r" % request)
+    record = read_record(path, _record_dtype(n), (t_max, n, tol))
     data, c2_inf = record["table"], float(record["c2_inf"])
     if not (np.isfinite(data).all() and c2_inf > 0.0):
         raise ValueError("its table is not finite, or its c2_inf %r not > 0"
                          % c2_inf)
+    # the grid is a pure function of (t_max, n): any other time column
+    # would place the kernels at the wrong times
+    if not np.array_equal(data[:, 0], _time_grid(t_max, n)):
+        raise ValueError("its time column is not the grid of t_max=%r, n=%r"
+                         % (t_max, n))
     return KernelTable(t_grid=data[:, 0], q1=data[:, 1], q2=data[:, 2],
                        qz=data[:, 3], err_est=data[:, 4:7], c2_inf=c2_inf)
 
@@ -542,23 +542,19 @@ def _load_table(path: str, t_max: float, n: int,
     """The cached table at path, or None when it is absent or does not hold up.
 
     An entry holds up when it is a record of exactly _record_dtype(n) (never
-    a pickle), of this request (t_max, n, tol), whose table is finite and
-    whose c2_inf is > 0 (inf allowed).  One that does not, or does not
-    parse, is logged as a warning; the caller then recomputes and rewrites it.
+    a pickle), of this request (t_max, n, tol), whose table is finite, whose
+    time column is the grid of (t_max, n) bitwise, and whose c2_inf is > 0
+    (inf allowed).  One that does not, or does not parse, is logged as a
+    warning (fileio.load_record); the caller then recomputes and rewrites it.
     """
-    if not os.path.exists(path):
-        return None
-    try:
-        return _read_entry(path, t_max, n, tol)
-    except (OSError, ValueError) as exc:
-        _log.warning("kernel cache entry %s is unusable (%s); recomputing it",
-                     path, exc)
-        return None
+    return load_record(path, "kernel",
+                       lambda entry: _read_entry(entry, t_max, n, tol))
 
 
 def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
                      tol: float = 1e-9,
-                     cache_dir: Optional[str] = None) -> KernelTable:
+                     cache_dir: Optional[str] = None,
+                     source: Optional[JSource] = None) -> KernelTable:
     """Tabulate all three kernels on a geometric-then-linear t grid.
 
     The grid needs n >= 4 rows and 0 < t_max < inf; any other request
@@ -579,6 +575,11 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
     back.  A hit builds no JSource, so it skips the support probe; hit or
     miss, the infrared exponent is fitted once.  A JSource has no content
     key, so with cache_dir it raises UsageError before any quadrature.
+
+    source, when given, is the JSource of the BathSpec spec that the caller
+    has built already (for its time horizon, say): a hit checks its
+    infrared exponent and a miss integrates over it, so neither fits the
+    exponent nor probes the support again.
     """
     if not (n >= 4 and 0.0 < t_max < np.inf):
         raise DomainError("a kernel table needs n >= 4 and 0 < t_max < inf, "
@@ -593,10 +594,12 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
         path = os.path.join(cache_dir, _cache_key(spec, t_max, n, tol) + ".npy")
         cached = _load_table(path, t_max, n, tol)
         if cached is not None:
-            require_tabulable(infrared_exponent(spec.h))
+            require_tabulable(infrared_exponent(spec.h) if source is None
+                              else source.ir_exponent)
             return cached
 
-    source = _as_source(spec)
+    if source is None:
+        source = _as_source(spec)
     require_tabulable(source.ir_exponent)
     # first, so that a plateau whose head underflows refuses the table
     # before any of its quadratures

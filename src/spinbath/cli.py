@@ -21,14 +21,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .bath_correlations import tabulate_kernels
 from .config import RunConfig, load_config
 from .constants_ledger import constants_report
 from .errors import ConfigurationError, SpinBathError
 from .fileio import atomic_write
-from .relaxation import (default_time_horizon, gamma_rate, lso_entries,
-                         lso_matrix, p_of_t, rate_and_lso, report_dict,
-                         report_params)
+from .relaxation import cached_level_shift, p_of_t, report_dict, report_params
 from .spectral_density import check_condition_A
 from .truncated_oracle import run_oracle_schedule
 
@@ -55,27 +52,30 @@ def _pair(w) -> list:
 
 # --- shared pipeline pieces ---------------------------------------------------
 
-def _kernel_table(config: RunConfig, out_dir: str):
-    """The command's kernel table, through out_dir/cache.
+def _level_shift(config: RunConfig, out_dir: str, balance: bool = False):
+    """The command's rate report and level-shift matrix, through
+    out_dir/cache (relaxation.cached_level_shift).
 
-    With kernels.t_max unset, t_max is default_time_horizon's, which
-    tabulates nothing and writes no cache entry.
+    The cache holds one record per level-shift request beside the kernel
+    tables, so a command whose request an earlier one has answered reads
+    that record alone: no time horizon, kernel table or quadrature.  A miss
+    takes t_max from default_time_horizon when kernels.t_max is unset (its
+    pointwise probes write no cache entry), reads or writes the kernel
+    table, and stores the record.  balance is set by the commands that
+    report the detailed-balance residual.
     """
-    spec = config.bath
-    t_max = config.kernels.t_max
-    if t_max is None:
-        t_max = default_time_horizon(spec)
-    return tabulate_kernels(spec, t_max, config.kernels.n,
-                            tol=config.kernels.tol,
-                            cache_dir=os.path.join(out_dir, "cache"))
+    k = config.kernels
+    return cached_level_shift(config.bath, k.t_max, k.n, tol=k.tol,
+                              lso_tol=config.lso.tol,
+                              cache_dir=os.path.join(out_dir, "cache"),
+                              balance=balance)
 
 
 # --- subcommands ----------------------------------------------------------------
 
 def cmd_rate(config: RunConfig, out_dir: str) -> int:
     spec = config.bath
-    table = _kernel_table(config, out_dir)
-    rate, lso = rate_and_lso(spec, table, tol=config.lso.tol)
+    rate, lso = _level_shift(config, out_dir, balance=True)
     if "json" in config.output.formats:
         _write_json(os.path.join(out_dir, "rate.json"),
                     report_dict(spec, rate, lso), config)
@@ -92,8 +92,7 @@ def cmd_rate(config: RunConfig, out_dir: str) -> int:
 
 def cmd_lso(config: RunConfig, out_dir: str) -> int:
     spec = config.bath
-    table = _kernel_table(config, out_dir)
-    m = lso_matrix(spec, table, tol=config.lso.tol)
+    m = _level_shift(config, out_dir, balance=True)[1]
     payload = {
         "params": report_params(spec),
         "x_plus": _pair(m.x_plus),
@@ -125,9 +124,8 @@ def cmd_threshold(config: RunConfig, out_dir: str,
     c = config.constants
 
     def rate():
-        # the kernel table, only once the regularity norm has converged
-        return gamma_rate(config.bath, _kernel_table(config, out_dir),
-                          tol=config.lso.tol)
+        # the level shift, only once the regularity norm has converged
+        return _level_shift(config, out_dir)[0]
 
     report = constants_report(config.bath, c.alpha, eps_hat=c.eps_hat,
                               xi=c.xi, c_kms=c.c_kms, c3=c.c3, c5=c.c5,
@@ -143,9 +141,8 @@ def cmd_oracle(config: RunConfig, out_dir: str) -> int:
     o = config.oracle
     report = run_oracle_schedule(spec, o.schedule, n_max=o.n_max,
                                  u_max=o.u_max)
-    table = _kernel_table(config, out_dir)
-    xp, xm, z, err = lso_entries(spec, table, tol=config.lso.tol)
-    continuum = {"x_plus": xp, "x_minus": xm, "z": z}
+    rate, m = _level_shift(config, out_dir)
+    continuum = {"x_plus": m.x_plus, "x_minus": m.x_minus, "z": m.z}
     rungs = []
     for i, ((m_pos, eta), lam) in enumerate(zip(report.schedule, report.rungs)):
         entries = {k: _pair(v) for k, v in report.entries(i).items()}
@@ -161,7 +158,7 @@ def cmd_oracle(config: RunConfig, out_dir: str) -> int:
                            report.observed_order.items()},
         "monotone": report.monotone,
         "continuum": {k: _pair(v) for k, v in continuum.items()},
-        "continuum_err": err,
+        "continuum_err": rate.err,
         "rel_delta": {k: float(abs(report.extrapolated[k] - continuum[k])
                               / abs(continuum[k]))
                       for k in continuum},
@@ -172,8 +169,7 @@ def cmd_oracle(config: RunConfig, out_dir: str) -> int:
 
 def _sweep_point(args):
     config, out_dir = args
-    table = _kernel_table(config, out_dir)
-    rate = gamma_rate(config.bath, table, tol=config.lso.tol)
+    rate = _level_shift(config, out_dir)[0]
     return rate.tau_inv, rate.tau0_inv, rate.p_inf, rate.err
 
 

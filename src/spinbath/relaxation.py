@@ -9,26 +9,51 @@ z and the rate) subtracts the same asymptotic integrand E_inf cos(eps t) on
 lim_{eta->0} int_0^inf E_inf cos(eps t) e^{-eta t} dt
 = lim E_inf eta / (eta^2 + eps^2), is 0 for eps != 0, so nothing is added
 back; at eps = 0 it diverges.
+
+Every report of the four rows is assembled by _assemble from the rows, err
+and damping_ok.  cached_level_shift answers one level-shift request through
+a cache of one record per request beside the kernel tables, so a request
+that an earlier command answered reads its record and integrates nothing.
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .bath_correlations import (KernelTable, c2_saturation, j_source_from_spec,
-                                q2, require_tabulable)
+from .bath_correlations import (_NUMERICS_VERSION, JSource, KernelTable,
+                                _require_thermal_head, c2_saturation,
+                                j_source_from_spec, q2, require_tabulable,
+                                tabulate_kernels)
 from .errors import DivergentIntegralError, DomainError, ScalingError
+from .fileio import load_record, read_record, save_record
 from .quadrature import integrate_refining
-from .spectral_density import BathSpec
+from .spectral_density import BathSpec, infrared_exponent
 
 _ENVELOPE_FLOOR = 1e-12
 _DECAY_THRESHOLD = -np.log(_ENVELOPE_FLOOR)
 _HORIZON_DOUBLINGS = 8
 # the largest x with a finite exp(x), about 709.78
 _EXP_LIMIT = float(np.log(np.finfo(float).max))
+# Part of every level-shift cache key, beside the kernel tables'
+# _NUMERICS_VERSION: bump it when the rows, err or damping_ok that one
+# table gives change, or when _LEVEL_SHIFT_RECORD does.
+_LEVEL_SHIFT_VERSION = "lso-v1"
+# The record of a level-shift cache entry: the rows (x(eps), x(-eps), z,
+# rate), err and damping_ok of one quadrature, and the request it answers;
+# a t_max of 0 stands for kernels.t_max unset, the default horizon.
+_LEVEL_SHIFT_RECORD = np.dtype([
+    ("values", "<f8", (4,)), ("err", "<f8"), ("damping_ok", "?"),
+    ("request", [("beta", "<f8"), ("q0", "<f8"), ("eps", "<f8"),
+                 ("t_max", "<f8"), ("n", "<i8"), ("tol", "<f8"),
+                 ("lso_tol", "<f8")])])
+# why q0 = 0 is refused, by the horizon and by the level-shift rows
+_NO_HORIZON = "no damping, no finite horizon"
+_UNDAMPED = "undamped integrand, the time integrals diverge"
 
 
 @dataclass(frozen=True)
@@ -64,10 +89,24 @@ class _Envelope:
     mismatch: float
 
 
-def _envelope(spec: BathSpec, table: KernelTable) -> _Envelope:
+def _require_damping(spec: BathSpec, why: str) -> None:
     if spec.q0 == 0.0:
-        raise DivergentIntegralError(
-            "q0 = 0: undamped integrand, the time integrals diverge")
+        raise DivergentIntegralError("q0 = 0: " + why)
+
+
+def _require_balance_factor(spec: BathSpec) -> None:
+    """Raise ScalingError unless exp(beta eps / 2), the factor of the
+    detailed-balance residual, is a finite nonzero float."""
+    c = 0.5 * spec.beta * spec.eps
+    if abs(c) > _EXP_LIMIT:
+        raise ScalingError(
+            "beta eps / 2 = %g exceeds the float exponent limit %.2f in "
+            "magnitude: exp(beta eps / 2) of the detailed-balance residual %s"
+            % (c, _EXP_LIMIT, "overflows" if c > 0 else "underflows"))
+
+
+def _envelope(spec: BathSpec, table: KernelTable) -> _Envelope:
+    _require_damping(spec, _UNDAMPED)
     a = spec.q0 ** 2 / np.pi
     end = a * table.q2[-1]
     damping_ok = bool(end >= _DECAY_THRESHOLD)
@@ -291,22 +330,54 @@ def _integrate_lso(spec: BathSpec, table: KernelTable, tol: float):
     return res.values, err, env
 
 
-def _rate_report(spec: BathSpec, values, err: float, env: _Envelope) -> RateReport:
+def _gibbs_vector(spec: BathSpec) -> np.ndarray:
+    c = 0.25 * spec.beta * spec.eps
+    v = np.array([np.exp(-c - abs(c)), np.exp(c - abs(c))])
+    return v / np.linalg.norm(v)
+
+
+def _assemble(spec: BathSpec, values, err: float,
+              damping_ok: bool) -> Tuple[RateReport, LevelShiftMatrix]:
+    """The rate report and Lambda_0 = [[x(eps), z], [z, x(-eps)]] with its
+    diagnostics, from one level-shift quadrature: its rows values
+    (x(eps), x(-eps), z, rate), its err and its envelope's damping_ok.
+
+    Every report of the four rows is assembled here, whether the rows were
+    just integrated or read from a cache record, so both give the same
+    bytes.  The trace gap compares Im(x(eps) + x(-eps)) with tau0_inv, the
+    rate row.  The detailed-balance residual
+    |x(eps) + exp(beta eps / 2) z| / |x(eps)| reads inf where
+    exp(beta eps / 2) is no finite nonzero float; rate_and_lso and every
+    command that reports it refuse such a bath first.
+    """
     tau0_inv = float(values[3])
-    return RateReport(tau_inv=float(spec.delta ** 2 * tau0_inv),
+    rate = RateReport(tau_inv=float(spec.delta ** 2 * tau0_inv),
                       tau0_inv=tau0_inv,
                       p_inf=p_infinity(spec),
                       err=err,
-                      damping_ok=env.damping_ok)
+                      damping_ok=damping_ok)
+    x_plus, x_minus, z = 0.5j * values[0], 0.5j * values[1], -0.5j * values[2]
+    matrix = np.array([[x_plus, z], [z, x_minus]])
+    trace_gap = float(abs((x_plus + x_minus).imag - tau0_inv) / abs(tau0_inv))
+    kernel_residual = float(np.linalg.norm(matrix @ _gibbs_vector(spec)))
+    c = 0.5 * spec.beta * spec.eps
+    db_residual = np.inf
+    if abs(c) <= _EXP_LIMIT:
+        db_residual = float(abs(x_plus + np.exp(c) * z) / max(abs(x_plus), 1e-300))
+    lso = LevelShiftMatrix(x_plus=x_plus, x_minus=x_minus, z=z, matrix=matrix,
+                           db_residual=db_residual, trace_gap=trace_gap,
+                           kernel_residual=kernel_residual)
+    return rate, lso
 
 
-def _entries(values):
-    return 0.5j * values[0], 0.5j * values[1], -0.5j * values[2]
+def _quadrature_reports(spec: BathSpec, table: KernelTable, tol: float):
+    values, err, env = _integrate_lso(spec, table, tol)
+    return _assemble(spec, values, err, env.damping_ok)
 
 
 def gamma_rate(spec: BathSpec, table: KernelTable, tol: float = 1e-8) -> RateReport:
     """Relaxation rate tau^-1 = delta^2 int_0^inf cos(eps t) cos(a Q1) e^{-a Q2} dt."""
-    return _rate_report(spec, *_integrate_lso(spec, table, tol))
+    return _quadrature_reports(spec, table, tol)[0]
 
 
 def p_of_t(rate: RateReport, t: float) -> float:
@@ -319,47 +390,21 @@ def p_of_t(rate: RateReport, t: float) -> float:
 
 def lso_entries(spec: BathSpec, table: KernelTable, tol: float = 1e-8):
     """(x_plus, x_minus, z, err): the level-shift matrix entries."""
-    values, err, _ = _integrate_lso(spec, table, tol)
-    return _entries(values) + (err,)
-
-
-def _gibbs_vector(spec: BathSpec) -> np.ndarray:
-    c = 0.25 * spec.beta * spec.eps
-    v = np.array([np.exp(-c - abs(c)), np.exp(c - abs(c))])
-    return v / np.linalg.norm(v)
+    rate, lso = _quadrature_reports(spec, table, tol)
+    return lso.x_plus, lso.x_minus, lso.z, rate.err
 
 
 def rate_and_lso(spec: BathSpec, table: KernelTable,
                  tol: float = 1e-8) -> Tuple[RateReport, LevelShiftMatrix]:
     """The rate report and Lambda_0 = [[x(eps), z], [z, x(-eps)]] with its
-    diagnostics, from one quadrature of all four rows.
+    diagnostics, from one quadrature of all four rows (_assemble).
 
-    The trace gap compares Im(x(eps) + x(-eps)) with tau0_inv, the rate row
-    of that same quadrature.  The detailed-balance residual
-    |x(eps) + exp(beta eps / 2) z| / |x(eps)| needs exp(beta eps / 2) to be
-    finite and nonzero: a |beta eps / 2| beyond the float exponent limit
-    raises ScalingError before the quadrature.
+    The detailed-balance residual needs exp(beta eps / 2) to be finite and
+    nonzero: a |beta eps / 2| beyond the float exponent limit raises
+    ScalingError before the quadrature.
     """
-    c = 0.5 * spec.beta * spec.eps
-    if abs(c) > _EXP_LIMIT:
-        raise ScalingError(
-            "beta eps / 2 = %g exceeds the float exponent limit %.2f in "
-            "magnitude: exp(beta eps / 2) of the detailed-balance residual %s"
-            % (c, _EXP_LIMIT, "overflows" if c > 0 else "underflows"))
-    values, err, env = _integrate_lso(spec, table, tol)
-    rate = _rate_report(spec, values, err, env)
-    x_plus, x_minus, z = _entries(values)
-    matrix = np.array([[x_plus, z], [z, x_minus]])
-    tau0_inv = rate.tau0_inv
-    trace_gap = float(abs((x_plus + x_minus).imag - tau0_inv) / abs(tau0_inv))
-    psi = _gibbs_vector(spec)
-    kernel_residual = float(np.linalg.norm(matrix @ psi))
-    lso = LevelShiftMatrix(x_plus=x_plus, x_minus=x_minus, z=z, matrix=matrix,
-                           db_residual=float(abs(x_plus + np.exp(c) * z)
-                                             / max(abs(x_plus), 1e-300)),
-                           trace_gap=trace_gap,
-                           kernel_residual=kernel_residual)
-    return rate, lso
+    _require_balance_factor(spec)
+    return _quadrature_reports(spec, table, tol)
 
 
 def lso_matrix(spec: BathSpec, table: KernelTable, tol: float = 1e-8) -> LevelShiftMatrix:
@@ -371,19 +416,20 @@ def lso_matrix(spec: BathSpec, table: KernelTable, tol: float = 1e-8) -> LevelSh
     return rate_and_lso(spec, table, tol)[1]
 
 
-def default_time_horizon(spec: BathSpec) -> float:
+def default_time_horizon(spec: BathSpec, source: Optional[JSource] = None) -> float:
     """A t_max at which the damping envelope has decayed or visibly saturated.
 
     The first probe is 8 max(beta, 1, 1/|eps|), doubled at most
     _HORIZON_DOUBLINGS times.  Each probe T reads the pointwise Q2(T) at
-    tol 1e-6; the bath's JSource and its plateau C2 are built once per call.
-    A bath whose kernels cannot be tabulated raises InfraredError, and an
-    unconverged Q2 raises AccuracyError.
+    tol 1e-6; the bath's plateau C2 is computed once per call, over source,
+    the bath's JSource when the caller has built it (else it is built
+    here).  A bath whose kernels cannot be tabulated raises InfraredError,
+    and an unconverged Q2 raises AccuracyError.
     """
-    if spec.q0 == 0.0:
-        raise DivergentIntegralError("q0 = 0: no damping, no finite horizon")
+    _require_damping(spec, _NO_HORIZON)
     a = spec.q0 ** 2 / np.pi
-    source = j_source_from_spec(spec)
+    if source is None:
+        source = j_source_from_spec(spec)
     require_tabulable(source.ir_exponent)
     c2 = c2_saturation(source, tol=1e-6)
     eps_scale = 1.0 / abs(spec.eps) if spec.eps != 0.0 else 1.0
@@ -396,6 +442,78 @@ def default_time_horizon(spec: BathSpec) -> float:
             return T
         T *= 2.0
     return T
+
+
+def _level_shift_key(spec: BathSpec, t_max: Optional[float], n: int,
+                     tol: float, lso_tol: float) -> str:
+    canonical = "|".join([
+        _NUMERICS_VERSION, _LEVEL_SHIFT_VERSION, "%.17g" % spec.beta,
+        spec.h.content_key(), "%.17g" % spec.q0, "%.17g" % spec.eps,
+        "auto" if t_max is None else "%.17g" % t_max, str(n), "%.17g" % tol,
+        "%.17g" % lso_tol])
+    return hashlib.sha256(canonical.encode()).hexdigest()[:32]
+
+
+def _read_level_shift(path: str, request: tuple):
+    record = read_record(path, _LEVEL_SHIFT_RECORD, request)
+    values, err = record["values"], float(record["err"])
+    if not (np.isfinite(values).all() and err >= 0.0 and np.isfinite(err)):
+        raise ValueError("its rows are not finite, or its err %r not finite "
+                         "and >= 0" % err)
+    return values, err, bool(record["damping_ok"])
+
+
+def cached_level_shift(spec: BathSpec, t_max: Optional[float], n: int, *,
+                       tol: float, lso_tol: float, cache_dir: str,
+                       balance: bool = False) -> Tuple[RateReport, LevelShiftMatrix]:
+    """The rate report and Lambda_0 of one level-shift request, through the
+    cache at cache_dir (_assemble).
+
+    The request is the bath without delta, the kernel table's t_max (None
+    for default_time_horizon's), n and tol, and the level-shift tol
+    lso_tol.  delta only scales tau_inv after the quadrature, so the
+    requests of two baths that differ in delta alone share one record.
+
+    Every refusal that the request alone decides comes before the cache is
+    read, in the order a cold request meets it: q0 = 0
+    (DivergentIntegralError), a beta beyond the thermal head (DomainError),
+    an infrared exponent without a kernel table (InfraredError) and, with
+    balance (for a caller that reports the detailed-balance residual), a
+    |beta eps / 2| past the float exponent limit (ScalingError).
+
+    A hit reads one record (_LEVEL_SHIFT_RECORD), keyed by a content hash of
+    both numerics salts and the request, and checked as a kernel table is:
+    an unusable one is one warning, then recomputed and rewritten.  A miss
+    builds the bath's JSource once, for the horizon and the table, reads or
+    writes the table in the same cache, runs the quadrature, and stores the
+    record with the one atomic writer.  An AccuracyError, or any other
+    refusal, stores nothing.
+    """
+    if t_max is None:
+        _require_damping(spec, _NO_HORIZON)
+    _require_thermal_head(spec.beta)
+    exponent = infrared_exponent(spec.h)
+    require_tabulable(exponent)
+    if balance:
+        _require_balance_factor(spec)
+    _require_damping(spec, _UNDAMPED)
+    request = (spec.beta, spec.q0, spec.eps, 0.0 if t_max is None else t_max,
+               n, tol, lso_tol)
+    path = os.path.join(cache_dir, _level_shift_key(spec, t_max, n, tol,
+                                                    lso_tol) + ".npy")
+    cached = load_record(path, "level-shift",
+                         lambda entry: _read_level_shift(entry, request))
+    if cached is not None:
+        return _assemble(spec, *cached)
+    source = j_source_from_spec(spec, ir_exponent=exponent)
+    if t_max is None:
+        t_max = default_time_horizon(spec, source)
+    table = tabulate_kernels(spec, t_max, n, tol=tol, cache_dir=cache_dir,
+                             source=source)
+    values, err, env = _integrate_lso(spec, table, lso_tol)
+    save_record(path, np.array((values, err, env.damping_ok, request),
+                               dtype=_LEVEL_SHIFT_RECORD))
+    return _assemble(spec, values, err, env.damping_ok)
 
 
 def report_params(spec: BathSpec) -> dict:

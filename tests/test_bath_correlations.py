@@ -501,6 +501,11 @@ def _nan_entry(table):
     return table
 
 
+def _stretched_times(table):
+    table[:, 0] *= 1.5
+    return table
+
+
 def _header_only(npy):
     # the .npy header of the record, and none of its data
     data = npy.read_bytes()
@@ -547,10 +552,12 @@ def _bare_table(npy):
     _rewrite(dtype=[("table", "<f8", (16, 7)),
                     ("request", [("t_max", "<f8"), ("n", "<f8"), ("tol", "<f8")]),
                     ("c2_inf", "<f8")]),
+    _retable(_stretched_times),
 ], ids=["truncated_npy", "not_npy", "other_t_max", "wrong_row_count",
         "nan_row", "other_n", "other_tol", "header_only", "six_columns",
         "nan_c2_inf", "zero_c2_inf", "transposed", "float32", "object_array",
-        "empty_npy", "zip_signature", "bare_table", "float_request_n"])
+        "empty_npy", "zip_signature", "bare_table", "float_request_n",
+        "stretched_time_column"])
 def test_tabulate_cache_recomputes_bad_entries(tmp_path, caplog, corrupt):
     spec = _spec(p=1.0, beta=2.0)
     cache = str(tmp_path)

@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 import spinbath as sb
-from spinbath import bath_correlations, cli, constants_ledger
+from spinbath import bath_correlations, cli, constants_ledger, relaxation
 from spinbath.cli import _build_parser, main
 
 BASE = {
@@ -260,8 +260,7 @@ def test_threshold_refuses_missing_user_inputs_before_computing(
     def computed(*args, **kwargs):
         raise AssertionError("threshold computed before checking its inputs")
 
-    monkeypatch.setattr(cli, "tabulate_kernels", computed)
-    monkeypatch.setattr(cli, "default_time_horizon", computed)
+    monkeypatch.setattr(cli, "cached_level_shift", computed)
     monkeypatch.setattr(constants_ledger, "coupling_function", computed)
     out = tmp_path / "out"
     assert main(["threshold", "--config", _config(tmp_path, updates),
@@ -388,16 +387,34 @@ def _cache_listing(out_dir):
     return {p.name: p.stat().st_mtime_ns for p in cache.iterdir()}
 
 
-def test_cold_rate_caches_only_its_table(tmp_path):
+def _cache_entries(out_dir):
+    """{"kernel": path, "level-shift": path} of a cache holding one kernel
+    table and one level-shift record."""
+    entries = {}
+    for path in (out_dir / "cache").iterdir():
+        kind = "kernel" if "table" in np.load(path).dtype.names else "level-shift"
+        assert kind not in entries
+        entries[kind] = path
+    return entries
+
+
+def test_cold_rate_caches_its_table_and_one_level_shift_record(tmp_path):
     # with kernels.t_max unset, the horizon reads pointwise Q2 and caches
-    # nothing: the cache holds the command's one table
+    # nothing: the cache holds the command's one table and the one record
+    # of its level-shift request
     cfg = _config(tmp_path)
     assert sb.load_config(cfg).kernels.t_max is None
     out = tmp_path / "out"
     assert main(["rate", "--config", cfg, "--out", str(out)]) == 0
-    (name,) = _cache_listing(out)
-    assert name.endswith(".npy")
-    assert np.load(out / "cache" / name)["table"].shape == (200, 7)
+    assert all(name.endswith(".npy") for name in _cache_listing(out))
+    entries = _cache_entries(out)
+    assert sorted(entries) == ["kernel", "level-shift"]
+    assert np.load(entries["kernel"])["table"].shape == (200, 7)
+    record = np.load(entries["level-shift"])
+    assert record.dtype == relaxation._LEVEL_SHIFT_RECORD
+    report = _read_json(out, "rate.json")
+    assert record["err"] == report["err"]
+    assert record["values"][3] == report["tau0_inv"]
 
 
 def test_rate_on_a_tabulated_form_factor_file(tmp_path):
@@ -434,8 +451,9 @@ def _no_tabulation(*args, **kwargs):
 
 
 def test_lso_after_rate_reads_only_the_cache(tmp_path, monkeypatch):
-    # the second command of a config reads the first one's table; only a
-    # table that missed the cache builds its time grid
+    # the second command of a config reads the first one's level-shift
+    # record, and so builds no time grid: a table miss builds one, and a
+    # table hit checks its time column against one
     cfg = _config(tmp_path)
     assert sb.load_config(cfg).kernels.t_max is None
     out = tmp_path / "out"
@@ -449,8 +467,9 @@ def test_lso_after_rate_reads_only_the_cache(tmp_path, monkeypatch):
 
 
 def test_threshold_after_oracle_reads_only_the_cache(tmp_path, monkeypatch):
-    # with the default kernels section, oracle tabulates the same 400-point
-    # table that threshold needs for tau0
+    # with the default kernels section, oracle integrates the same
+    # level-shift request (and 400-point table) that threshold needs for
+    # tau0, so threshold reads its record and builds no time grid
     raw = {"bath": dict(BASE["bath"], **SMOOTH_BATH["bath"]),
            "oracle": {"n_max": 1, "u_max": 3.0,
                       "schedule": [[1, 0.4], [2, 0.2], [3, 0.1]]},
@@ -472,8 +491,9 @@ def test_threshold_after_oracle_reads_only_the_cache(tmp_path, monkeypatch):
 
 
 def test_threshold_reads_tau0_from_the_rate_table(tmp_path):
-    # tau0 comes from the config's kernels and lso sections, the same table
-    # and quadrature as rate's tau0_inv, so after rate nothing is tabulated
+    # tau0 comes from the config's kernels and lso sections, the same
+    # level-shift request as rate's tau0_inv, so after rate threshold reads
+    # its record and nothing is cached anew
     updates = copy.deepcopy(SMOOTH_BATH)
     updates["kernels"] = {"n": 200}
     updates["constants"] = {"c_kms": 2.0, "c3": 5.0, "c5": 1.0}
@@ -488,28 +508,142 @@ def test_threshold_reads_tau0_from_the_rate_table(tmp_path):
                     "provenance": "computed"}
 
 
-def test_an_unusable_cache_entry_is_one_warning_line(tmp_path, monkeypatch):
-    # a truncated entry is recomputed and rewritten, and reported as one
-    # "warning:" line on the stderr of the moment, not of start-up
+def _truncated(path):
+    path.write_bytes(path.read_bytes()[:200])
+
+
+def _stretched_times(path):
+    # a table whose time column is not its grid: served, it would place
+    # every kernel value at another time
+    record = np.load(path)
+    record["table"][:, 0] *= 1.5
+    np.save(path, record)
+
+
+def _other_eps(path):
+    record = np.load(path)
+    record["request"]["eps"] = 0.25
+    np.save(path, record)
+
+
+@pytest.mark.parametrize("kind, corrupt, why", [
+    ("kernel", _truncated, ""), ("kernel", _stretched_times, "its time column"),
+    ("level-shift", _truncated, ""),
+    ("level-shift", _other_eps, "it was computed for beta=1.0, q0=1.0, eps=0.25"),
+], ids=["truncated-table", "stretched-times", "truncated-record",
+        "other-request"])
+def test_an_unusable_cache_entry_is_one_warning_line(tmp_path, monkeypatch,
+                                                    kind, corrupt, why):
+    # an unusable table or level-shift record is recomputed and rewritten,
+    # and reported as one "warning:" line on the stderr of the moment, not
+    # of start-up; the other entry is absent, a plain miss
     cfg = _config(tmp_path)
     cold, warm = tmp_path / "cold", tmp_path / "warm"
     assert main(["rate", "--config", cfg, "--out", str(cold)]) == 0
-    (entry,) = (cold / "cache").iterdir()
+    entry = _cache_entries(cold)[kind]
     (warm / "cache").mkdir(parents=True)
-    (warm / "cache" / entry.name).write_bytes(entry.read_bytes()[:200])
+    planted = warm / "cache" / entry.name
+    planted.write_bytes(entry.read_bytes())
+    corrupt(planted)
+    assert planted.read_bytes() != entry.read_bytes()
     stderr = io.StringIO()
     monkeypatch.setattr(sys, "stderr", stderr)
     assert main(["rate", "--config", cfg, "--out", str(warm)]) == 0
     (line,) = stderr.getvalue().splitlines()
     assert stderr.getvalue() == line + "\n"
-    assert line.startswith("warning: kernel cache entry %s is unusable ("
-                           % (warm / "cache" / entry.name))
-    for name in ("rate.json", "p_of_t.csv", "cache/" + entry.name):
+    assert line.startswith("warning: %s cache entry %s is unusable (%s"
+                           % (kind, planted, why))
+    assert line.endswith("); recomputing it")
+    assert sorted(_cache_listing(warm)) == sorted(_cache_listing(cold))
+    for name in ["rate.json", "p_of_t.csv"] + ["cache/" + name for name in
+                                               _cache_listing(cold)]:
         assert (warm / name).read_bytes() == (cold / name).read_bytes()
     # one handler, however many commands run in the process
     handlers = [h for h in logging.getLogger("spinbath").handlers
                 if isinstance(h, cli._StderrHandler)]
     assert len(handlers) == 1
+
+
+def _no_level_shift_work(*args, **kwargs):
+    raise AssertionError("a command recomputed a cached level-shift request")
+
+
+def test_commands_after_rate_read_one_record(tmp_path, monkeypatch):
+    # lso, threshold and oracle ask rate's level-shift request: each reads
+    # its record, and integrates, probes and tabulates nothing; its report
+    # is byte for byte that of a cold run in a fresh directory
+    raw = {"bath": dict(BASE["bath"], **SMOOTH_BATH["bath"]),
+           "kernels": {"n": 200, "tol": 1.0e-8},
+           "oracle": {"n_max": 1, "u_max": 3.0,
+                      "schedule": [[1, 0.4], [2, 0.2], [3, 0.1]]},
+           "constants": {"c_kms": 2.0, "c3": 5.0, "c5": 1.0}}
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    commands = {"lso": "lso.json", "threshold": "threshold.json",
+                "oracle": "oracle.json"}
+    for command in commands:
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / command)]) == 0
+    warm = tmp_path / "warm"
+    assert main(["rate", "--config", str(cfg), "--out", str(warm)]) == 0
+    before = _cache_listing(warm)
+    assert len(before) == 2
+
+    monkeypatch.setattr(relaxation, "_integrate_lso", _no_level_shift_work)
+    monkeypatch.setattr(relaxation, "default_time_horizon", _no_level_shift_work)
+    monkeypatch.setattr(bath_correlations, "_load_table", _no_level_shift_work)
+    for command, report in commands.items():
+        assert main([command, "--config", str(cfg), "--out", str(warm)]) == 0
+        assert ((warm / report).read_bytes()
+                == (tmp_path / command / report).read_bytes())
+    assert _cache_listing(warm) == before
+
+
+def test_a_sweep_over_delta_runs_one_level_shift_quadrature(tmp_path,
+                                                            monkeypatch):
+    # delta only scales tau_inv, so every point shares one request
+    updates = copy.deepcopy(SMOOTH_BATH)
+    updates["kernels"] = {"n": 200}
+    updates["sweep"] = {"param_name": "delta", "values": [0.1, 0.2, 0.4]}
+    cfg = _config(tmp_path, updates)
+    calls = []
+    original = relaxation.integrate_refining
+    monkeypatch.setattr(relaxation, "integrate_refining",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert len(_cache_listing(out)) == 2
+    rows = _read_json(out, "sweep.json")["rows"]
+    assert len({row["tau0_inv"] for row in rows}) == 1
+    assert [row["tau_inv"] for row in rows] == [
+        v ** 2 * rows[0]["tau0_inv"] for v in (0.1, 0.2, 0.4)]
+
+
+def test_a_set_t_max_is_another_request_than_the_default_horizon(tmp_path):
+    # kernels.t_max set to the default horizon gives the same table and
+    # rows, under another level-shift key
+    cfg = _config(tmp_path)
+    config = sb.load_config(cfg)
+    horizon = sb.default_time_horizon(config.bath)
+    pinned = _config(tmp_path, {"kernels": {"t_max": horizon}}, "pinned.yaml")
+    out = tmp_path / "out"
+    assert main(["rate", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["rate", "--config", pinned, "--out", str(out / "pinned")]) == 0
+    assert main(["rate", "--config", pinned, "--out", str(out)]) == 0
+    entries = _cache_listing(out)
+    assert len(entries) == 3
+    assert sum("table" in np.load(out / "cache" / name).dtype.names
+               for name in entries) == 1
+    keys = [relaxation._level_shift_key(config.bath, t_max, 200, 1e-8, 1e-8)
+            for t_max in (None, horizon)]
+    assert keys[0] != keys[1]
+    assert {key + ".npy" for key in keys} < set(entries)
+    report = _read_json(out, "rate.json")
+    del report["config_sha256"]
+    pinned_report = _read_json(out / "pinned", "rate.json")
+    del pinned_report["config_sha256"]
+    assert report == pinned_report
 
 
 @pytest.mark.filterwarnings("error")

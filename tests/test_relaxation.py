@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import multiprocessing
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from scipy.linalg import solve_banded
 import spinbath as sb
 from spinbath import bath_correlations, relaxation
 from spinbath.cli import main
+from spinbath.fileio import save_record
 from spinbath.quadrature import integrate_refining, refine_edges
 
 OHMIC = sb.power_exp(-0.5, "exponential")
@@ -701,3 +705,176 @@ def test_rows_match_phased_reference_on_both_branches(setup, eps, request):
         assert phi != 0.0 and e_inf == 0.0
     else:
         assert phi == 0.0 and e_inf > 0.0
+
+
+# --- the level-shift record -------------------------------------------------------
+
+def _plant(cache, spec, t_max, n=16, tol=1e-8, lso_tol=1e-8):
+    """A valid level-shift record of the request, whatever its numbers."""
+    request = (spec.beta, spec.q0, spec.eps, 0.0 if t_max is None else t_max,
+               n, tol, lso_tol)
+    key = relaxation._level_shift_key(spec, t_max, n, tol, lso_tol)
+    path = cache / (key + ".npy")
+    save_record(str(path), np.array(([0.5, 0.25, 0.5, 0.4], 1e-9, True, request),
+                                    dtype=relaxation._LEVEL_SHIFT_RECORD))
+    return path
+
+
+def _cached(spec, t_max, cache, balance=False):
+    return relaxation.cached_level_shift(spec, t_max, 16, tol=1e-8, lso_tol=1e-8,
+                                         cache_dir=str(cache), balance=balance)
+
+
+def test_a_planted_record_is_served_without_any_quadrature(tmp_path,
+                                                           monkeypatch):
+    # the control of the refusal tests below: a planted record of an
+    # admitted request is what a hit serves; without balance, a beta eps
+    # past the float exponent limit is admitted, and its db_residual is inf
+    monkeypatch.setattr(relaxation, "integrate_refining", _no_record_work)
+    monkeypatch.setattr(bath_correlations, "integrate_refining", _no_record_work)
+    for spec in (_spec(), _spec(beta=4.0e3)):
+        _plant(tmp_path, spec, 5.0)
+        rate, lso = _cached(spec, 5.0, tmp_path)
+        assert (rate.tau0_inv, rate.err, rate.damping_ok) == (0.4, 1e-9, True)
+        assert (lso.x_plus, lso.x_minus, lso.z) == (0.25j, 0.125j, -0.25j)
+    assert lso.db_residual == np.inf
+
+
+def _no_record_work(*args, **kwargs):
+    raise AssertionError("a refused or cached level-shift request did work")
+
+
+_IR_GRID = np.linspace(0.0, 3.0, 301)
+_IR_VALUES = np.concatenate([[0.0], _IR_GRID[1:] ** -0.75 * np.exp(-_IR_GRID[1:])])
+
+
+@pytest.mark.parametrize("spec, t_max, balance, error, message", [
+    (_spec(q0=0.0), None, False, sb.DivergentIntegralError,
+     "q0 = 0: no damping, no finite horizon"),
+    (_spec(q0=0.0), 5.0, False, sb.DivergentIntegralError,
+     "q0 = 0: undamped integrand"),
+    (_spec(beta=4.0e3), 5.0, True, sb.ScalingError,
+     "beta eps / 2 = 1000 exceeds the float exponent limit"),
+    (_spec(beta=1e157), 5.0, True, sb.DomainError, "beta = 1e+157 puts"),
+    (_spec(h=sb.tabulated(_IR_GRID, _IR_VALUES)), None, False,
+     sb.InfraredError, "tabulate_kernels needs infrared exponent > 0.95"),
+], ids=["q0-horizon", "q0-rows", "balance", "thermal-head", "infrared"])
+def test_a_planted_record_does_not_pass_a_refusal(tmp_path, monkeypatch, caplog,
+                                                  spec, t_max, balance, error,
+                                                  message):
+    # every refusal the request alone decides comes before the lookup, so
+    # a record of a refused request, however it got there, is never served
+    path = _plant(tmp_path, spec, t_max)
+    planted = path.read_bytes()
+    with caplog.at_level("DEBUG", logger="spinbath"):
+        with pytest.raises(error, match=re.escape(message)):
+            _cached(spec, t_max, tmp_path, balance)
+    assert not caplog.records
+    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == planted
+    monkeypatch.setattr(relaxation, "load_record", _no_record_work)
+    with pytest.raises(error, match=re.escape(message)):
+        _cached(spec, t_max, tmp_path, balance)
+
+
+def _level_shift_after(barrier, cache):
+    barrier.wait(timeout=60)
+    _cached(_spec(), 5.0, cache)
+
+
+def test_two_processes_writing_one_record_key_leave_one_valid_record(
+        tmp_path, monkeypatch, caplog):
+    shared, cold_dir = tmp_path / "shared", tmp_path / "cold"
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(2)
+    procs = [ctx.Process(target=_level_shift_after, args=(barrier, str(shared)))
+             for _ in range(2)]
+    try:
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=120)
+        assert [proc.exitcode for proc in procs] == [0, 0]
+    finally:
+        for proc in procs:
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+    cold = _cached(_spec(), 5.0, cold_dir)
+    names = sorted(p.name for p in cold_dir.iterdir())
+    assert len(names) == 2
+    assert sorted(p.name for p in shared.iterdir()) == names
+    assert [(shared / n).read_bytes() for n in names] == \
+        [(cold_dir / n).read_bytes() for n in names]
+    monkeypatch.setattr(relaxation, "integrate_refining", _no_record_work)
+    monkeypatch.setattr(relaxation, "default_time_horizon", _no_record_work)
+    monkeypatch.setattr(bath_correlations, "_load_table", _no_record_work)
+    with caplog.at_level("DEBUG", logger="spinbath"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warm = _cached(_spec(), 5.0, shared)
+    assert not caplog.records
+    assert warm[0] == cold[0]
+    assert (warm[1].x_plus, warm[1].z) == (cold[1].x_plus, cold[1].z)
+
+
+def test_a_level_shift_miss_builds_one_jsource(tmp_path, monkeypatch):
+    # the horizon's source serves the table: one infrared fit and one
+    # support probe per miss, whether the table misses too (the first
+    # request) or hits (the second, whose horizon is the first's)
+    fits, probes = [], []
+    fit, probe = relaxation.infrared_exponent, bath_correlations._support_bound
+    monkeypatch.setattr(relaxation, "infrared_exponent",
+                        lambda h: fits.append(h) or fit(h))
+    monkeypatch.setattr(bath_correlations, "infrared_exponent", _no_record_work)
+    monkeypatch.setattr(bath_correlations, "_support_bound",
+                        lambda h: probes.append(h) or probe(h))
+    _cached(_spec(), None, tmp_path)
+    assert (len(fits), len(probes)) == (1, 1)
+    _cached(_spec(q0=1.5), None, tmp_path)
+    assert (len(fits), len(probes)) == (2, 2)
+    assert len(list(tmp_path.iterdir())) == 3
+    # a hit fits the exponent for its refusal, and probes nothing
+    _cached(_spec(), None, tmp_path)
+    assert (len(fits), len(probes)) == (3, 2)
+
+
+# The level-shift numerics, pinned bitwise on a table of rational columns
+# (Q2 = t^2 / (1 + t)): a change to the rows, err or damping_ok that one
+# table gives, or to the record layout, fails here until
+# relaxation._LEVEL_SHIFT_VERSION is bumped (and this pin renewed), so that
+# no cached record of the old numerics is served.
+_LEVEL_SHIFT_PIN = (
+    "lso-v1",
+    ["0x1.2a69d8b7dc6bap-1", "0x1.10525972be3f2p-2", "0x1.e1f055c61853bp-2",
+     "0x1.b29305713b8b4p-2"],
+    "0x1.d65ab835be19ep-29", True,
+    [("values", "<f8", (4,)), ("err", "<f8"), ("damping_ok", "|b1"),
+     ("request", [("beta", "<f8"), ("q0", "<f8"), ("eps", "<f8"),
+                  ("t_max", "<f8"), ("n", "<i8"), ("tol", "<f8"),
+                  ("lso_tol", "<f8")])])
+_TABLE_PIN = (
+    "quad-v5-moments",
+    [("table", "<f8", (16, 7)),
+     ("request", [("t_max", "<f8"), ("n", "<i8"), ("tol", "<f8")]),
+     ("c2_inf", "<f8")])
+
+
+def test_the_level_shift_salt_pins_its_numerics():
+    t = bath_correlations._time_grid(16.0, 64)
+    q2 = t * t / (1.0 + t)
+    table = sb.KernelTable(t_grid=t, q1=t / (1.0 + t), q2=q2,
+                           qz=q2 + 0.5 * t / (1.0 + t),
+                           err_est=np.full((64, 3), 1e-12), c2_inf=np.inf)
+    values, err, env = relaxation._integrate_lso(_spec(q0=3.0), table, 1e-8)
+    pinned = (relaxation._LEVEL_SHIFT_VERSION, [v.hex() for v in values],
+              err.hex(), env.damping_ok, relaxation._LEVEL_SHIFT_RECORD.descr)
+    assert pinned == _LEVEL_SHIFT_PIN, (
+        "the level-shift rows, err or record layout changed: bump "
+        "relaxation._LEVEL_SHIFT_VERSION, then renew _LEVEL_SHIFT_PIN")
+
+
+def test_the_table_salt_pins_its_record_layout():
+    pinned = (bath_correlations._NUMERICS_VERSION,
+              bath_correlations._record_dtype(16).descr)
+    assert pinned == _TABLE_PIN, (
+        "the kernel table record layout changed: bump "
+        "bath_correlations._NUMERICS_VERSION, then renew _TABLE_PIN")
