@@ -40,37 +40,38 @@ t_k = t_0 + k dt, take no pairs on the main panels either: for each Gauss
 index, the sum over panels p of b_p exp(i t_k w_p) is a chirp-z transform
 in p (Rabiner, Schafer and Rader, 1969), one FFT convolution by
 Bluestein's identity k p = (k^2 + p^2 - (k - p)^2) / 2, and the main parts
-of Q2 and Qz are sum(b) - Re C(t_k): well conditioned, as t w >= pi/20 on
-those rows and panels.  Every call is refined until each of its chunks
-meets the stop rule.
+of Q2 and Qz are sum(b) - Re C(t_k).  Those rows have t >= t_max / 10 and
+those panels w >= W, so t w >= t_max W / 10: pi/20 when W = pi/(2 t_max),
+that is for t_max >= 4 pi / w_max, where the difference is well
+conditioned.  A shorter t_max has t w down to t_max w_max / 80, and Q2
+loses digits against its own value, though not against the chunk's
+largest.  Every call is refined until each of its chunks meets the stop
+rule.
 
 Every quadrature here is one integrate_refining call, which raises
 AccuracyError naming the kernel and time, or the table's t range, when it
 cannot meet the stop rule.  So a table is converged or not made, and an
 unconverged one is never cached.  A kernel cache entry is one .npy file
 holding one record (_record_dtype): the table, its request (t_max, n, tol)
-and the Q2 plateau c2_inf, stored and checked by the record store of
-fileio, which the level-shift records of relaxation share.
+and the Q2 plateau c2_inf, looked up, checked and stored by fileio's
+cached_record, which the level-shift records of relaxation share.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import AccuracyError, DomainError, InfraredError, UsageError
-from .fileio import load_record, read_record, save_record
+from .fileio import cached_record
 from .quadrature import integrate_refining
-from .spectral_density import BathSpec, eval_J, infrared_exponent
+from .spectral_density import BathSpec, eval_J
 
 _IR_Q1_MIN = 0.95
 _IR_Q2_MIN = 0.05
-_SUPPORT_DROP = 1e-18
 _CHUNK = 8
 # Gauss-Legendre order of the kernel calls, whose main panels _chirp_sums
 # reshapes by it
@@ -139,28 +140,6 @@ def _thermal_factors(x: np.ndarray):
     return (2.0 + e) / -e, -2.0 * np.exp(-x) / e, -e1 / (2.0 + e1)
 
 
-def _support_bound(h) -> float:
-    """Upper integration limit: J has fallen below _SUPPORT_DROP of its peak.
-
-    Searches the grid 32 scale 2^k: halves from 32 scale while J at the
-    half point is still below the drop, then doubles until J is below it.
-    """
-    if h.family == "tabulated":
-        return float(h.grid[-1])
-    probe = np.geomspace(1e-4, 32.0, 160) * h.scale
-    peak = float(np.max(eval_J(h, probe)))
-    omega = 32.0 * h.scale
-    for _ in range(60):
-        if not eval_J(h, 0.5 * omega) < _SUPPORT_DROP * peak:
-            break
-        omega *= 0.5
-    for _ in range(60):
-        if eval_J(h, omega) < _SUPPORT_DROP * peak:
-            return float(omega)
-        omega *= 2.0
-    return float(omega)
-
-
 def _require_thermal_head(beta: float) -> None:
     """Raise DomainError for a beta whose thermal head reaches too low.
 
@@ -178,21 +157,18 @@ def _require_thermal_head(beta: float) -> None:
             % (beta, floor, 0.125 / np.sqrt(_OMEGA_SQ_MIN)))
 
 
-def j_source_from_spec(spec: BathSpec,
-                       ir_exponent: Optional[float] = None) -> JSource:
+def j_source_from_spec(spec: BathSpec) -> JSource:
     """The JSource of a bath, the one place where kernel sources are built;
     a beta too large for its thermal head raises DomainError.
 
-    ir_exponent is infrared_exponent(spec.h) when the caller has fitted it
-    already, so that it is fitted once; None fits it here.
+    Its support bound and infrared exponent are those of the form factor,
+    derived once per FormFactor however many sources are built from it.
     """
     _require_thermal_head(spec.beta)
     h = spec.h
-    if ir_exponent is None:
-        ir_exponent = infrared_exponent(h)
     return JSource(j=lambda w: np.asarray(eval_J(h, w), dtype=float),
-                   omega_max=_support_bound(h),
-                   ir_exponent=ir_exponent,
+                   omega_max=h.omega_max,
+                   ir_exponent=h.ir_exponent,
                    beta=spec.beta,
                    breaks=h.grid if h.family == "tabulated" else None)
 
@@ -373,10 +349,10 @@ def _kernel_rows(source: JSource, ts: np.ndarray, which: str, width: float,
     folded into weight vectors b.  The head, the nodes below width (none
     for width 0), is summed by _moment_sums.  The main panels are summed by
     _chirp_sums when panels > 0 (the P panels of _edges, each halved per
-    pass, and evenly spaced ts), with Q2 and Qz as sum(b) - Re C, well
-    conditioned as t omega >= pi/20 there; else by _direct_sums.  The
-    table's rows ("all") come as groups, one per chunk of 8 times
-    (_by_chunk).
+    pass, and evenly spaced ts), with Q2 and Qz as sum(b) - Re C (the
+    module docstring says when that is well conditioned); else by
+    _direct_sums.  The table's rows ("all") come as groups, one per chunk
+    of 8 times (_by_chunk).
     """
     def rows(omega: np.ndarray, w: np.ndarray) -> np.ndarray:
         wg = w * (np.asarray(source.j(omega), dtype=float) / omega ** 2)
@@ -484,26 +460,33 @@ def _n_geo(n: int) -> int:
 
 
 def _time_grid(t_max: float, n: int) -> np.ndarray:
-    """0, n_geo geometric times up to t_max / 10, then linear ones to t_max
-    (n >= 4, 0 < t_max < inf)."""
+    """0, n_geo geometric times from t_max / 10^4 up to t_max / 10, then
+    linear ones to t_max.
+
+    DomainError unless n >= 4 and 0 < t_max < inf, and unless the times
+    rise strictly from a positive first one: a t_max near the least
+    subnormal makes that first time 0, or repeats times.
+    """
+    if not (n >= 4 and 0.0 < t_max < np.inf):
+        raise DomainError("a kernel table needs n >= 4 and 0 < t_max < inf, "
+                          "got n=%r, t_max=%r" % (n, t_max))
     t_switch = t_max / 10.0
     n_geo = _n_geo(n)
-    geo = np.geomspace(t_switch / 1000.0, t_switch, n_geo)
-    lin = np.linspace(t_switch, t_max, n - n_geo)[1:]
-    return np.concatenate([[0.0], geo, lin])
+    if t_switch / 1000.0 > 0.0:
+        geo = np.geomspace(t_switch / 1000.0, t_switch, n_geo)
+        lin = np.linspace(t_switch, t_max, n - n_geo)[1:]
+        t = np.concatenate([[0.0], geo, lin])
+        if np.all(np.diff(t) > 0.0):
+            return t
+    raise DomainError("t_max=%r is too small for a kernel table of n=%r: its "
+                      "times do not rise strictly from a positive first one"
+                      % (t_max, n))
 
 
 def _first_linear_chunk(n: int) -> int:
     """The first row of an n-point grid's first whole chunk of linear times,
     which may be past its last row."""
     return -(-(1 + _n_geo(n)) // _CHUNK) * _CHUNK
-
-
-def _cache_key(spec: BathSpec, t_max: float, n: int, tol: float) -> str:
-    canonical = "|".join([_NUMERICS_VERSION, "%.17g" % spec.beta,
-                          spec.h.content_key(), "%.17g" % t_max, str(n),
-                          "%.17g" % tol])
-    return hashlib.sha256(canonical.encode()).hexdigest()[:32]
 
 
 def _record_dtype(n: int) -> np.dtype:
@@ -514,98 +497,30 @@ def _record_dtype(n: int) -> np.dtype:
                      ("c2_inf", "<f8")])
 
 
-def _save_table(path: str, t_max: float, n: int, tol: float,
-                table: KernelTable) -> None:
-    columns = np.column_stack([table.t_grid, table.q1, table.q2, table.qz,
-                               table.err_est])
-    save_record(path, np.array((columns, (t_max, n, tol), table.c2_inf),
-                               dtype=_record_dtype(n)))
-
-
-def _read_entry(path: str, t_max: float, n: int, tol: float) -> KernelTable:
-    record = read_record(path, _record_dtype(n), (t_max, n, tol))
+def _read_entry(record: np.ndarray, t: np.ndarray) -> KernelTable:
+    """The table of a cache record of the request of grid t, or ValueError
+    unless its table is finite, its time column is t bitwise, and its
+    c2_inf is > 0 (inf allowed)."""
     data, c2_inf = record["table"], float(record["c2_inf"])
     if not (np.isfinite(data).all() and c2_inf > 0.0):
         raise ValueError("its table is not finite, or its c2_inf %r not > 0"
                          % c2_inf)
     # the grid is a pure function of (t_max, n): any other time column
     # would place the kernels at the wrong times
-    if not np.array_equal(data[:, 0], _time_grid(t_max, n)):
+    if not np.array_equal(data[:, 0], t):
         raise ValueError("its time column is not the grid of t_max=%r, n=%r"
-                         % (t_max, n))
+                         % (t[-1], len(t)))
     return KernelTable(t_grid=data[:, 0], q1=data[:, 1], q2=data[:, 2],
                        qz=data[:, 3], err_est=data[:, 4:7], c2_inf=c2_inf)
 
 
-def _load_table(path: str, t_max: float, n: int,
-                tol: float) -> Optional[KernelTable]:
-    """The cached table at path, or None when it is absent or does not hold up.
-
-    An entry holds up when it is a record of exactly _record_dtype(n) (never
-    a pickle), of this request (t_max, n, tol), whose table is finite, whose
-    time column is the grid of (t_max, n) bitwise, and whose c2_inf is > 0
-    (inf allowed).  One that does not, or does not parse, is logged as a
-    warning (fileio.load_record); the caller then recomputes and rewrites it.
-    """
-    return load_record(path, "kernel",
-                       lambda entry: _read_entry(entry, t_max, n, tol))
-
-
-def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
-                     tol: float = 1e-9,
-                     cache_dir: Optional[str] = None,
-                     source: Optional[JSource] = None) -> KernelTable:
-    """Tabulate all three kernels on a geometric-then-linear t grid.
-
-    The grid needs n >= 4 rows and 0 < t_max < inf; any other request
-    raises DomainError before the cache is read or a quadrature runs.  A
-    cold table is at most three quadratures: the plateau c2_inf, the rows
-    below the first whole chunk of linear times as the groups of one call,
-    and the other rows as the groups of a second call, by chirp-z
-    transforms for a bath without breaks; a grid of at most 8 rows has no
-    other rows.  A call that does not meet the stop rule within the
-    refinement limit raises AccuracyError naming its t range, and nothing
-    is cached.
-
-    With cache_dir set, a table is stored as one .npy record (see
-    _record_dtype), keyed by a content hash of the numerics version, the
-    bath and grid parameters, and written atomically; an entry that fails
-    its load check is recomputed and rewritten.  A miss returns the table
-    it computed and stored (.npy round-trips exactly), without reading it
-    back.  A hit builds no JSource, so it skips the support probe; hit or
-    miss, the infrared exponent is fitted once.  A JSource has no content
-    key, so with cache_dir it raises UsageError before any quadrature.
-
-    source, when given, is the JSource of the BathSpec spec that the caller
-    has built already (for its time horizon, say): a hit checks its
-    infrared exponent and a miss integrates over it, so neither fits the
-    exponent nor probes the support again.
-    """
-    if not (n >= 4 and 0.0 < t_max < np.inf):
-        raise DomainError("a kernel table needs n >= 4 and 0 < t_max < inf, "
-                          "got n=%r, t_max=%r" % (n, t_max))
-    path = None
-    if cache_dir is not None:
-        if not isinstance(spec, BathSpec):
-            raise UsageError("a kernel table is cached by its BathSpec; a %s "
-                             "has no cache key" % type(spec).__name__)
-        # a hit builds no JSource, so the beta refusal is made here too
-        _require_thermal_head(spec.beta)
-        path = os.path.join(cache_dir, _cache_key(spec, t_max, n, tol) + ".npy")
-        cached = _load_table(path, t_max, n, tol)
-        if cached is not None:
-            require_tabulable(infrared_exponent(spec.h) if source is None
-                              else source.ir_exponent)
-            return cached
-
-    if source is None:
-        source = _as_source(spec)
-    require_tabulable(source.ir_exponent)
+def _tabulate(source: JSource, t: np.ndarray, tol: float) -> KernelTable:
+    """The kernels of source on the grid t, computed: at most three
+    quadratures (tabulate_kernels)."""
     # first, so that a plateau whose head underflows refuses the table
     # before any of its quadratures
     c2_inf = c2_saturation(source, tol=tol)
-
-    t = _time_grid(t_max, n)
+    n = len(t)
     first = min(_first_linear_chunk(n), n)
     values, err = np.empty((3, n)), np.empty((n, 3))
     for i, stop in ((0, first), (first, n)):
@@ -623,9 +538,56 @@ def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
     q1v, q2v, qzv = values
     q1v[0] = q2v[0] = 0.0
     err[0, 0] = err[0, 1] = 0.0
+    return KernelTable(t_grid=t, q1=q1v, q2=q2v, qz=qzv, err_est=err,
+                       c2_inf=c2_inf)
 
-    table = KernelTable(t_grid=t, q1=q1v, q2=q2v, qz=qzv, err_est=err,
-                        c2_inf=c2_inf)
-    if path is not None:
-        _save_table(path, t_max, n, tol, table)
-    return table
+
+def tabulate_kernels(spec: Union[BathSpec, JSource], t_max: float, n: int, *,
+                     tol: float = 1e-9,
+                     cache_dir: Optional[str] = None) -> KernelTable:
+    """Tabulate all three kernels on a geometric-then-linear t grid.
+
+    The grid needs n >= 4 rows and 0 < t_max < inf, with times that rise
+    strictly from a positive first one (_time_grid); any other request
+    raises DomainError before the cache is read or a quadrature runs.  A
+    cold table is at most three quadratures: the plateau c2_inf, the rows
+    below the first whole chunk of linear times as the groups of one call,
+    and the other rows as the groups of a second call, by chirp-z
+    transforms for a bath without breaks; a grid of at most 8 rows has no
+    other rows.  A call that does not meet the stop rule within the
+    refinement limit raises AccuracyError naming its t range, and nothing
+    is cached.
+
+    The source is built, and its infrared exponent checked, before the
+    cache is read, so a hit and a miss refuse alike; a BathSpec's form
+    factor derives its exponent and support bound once.  A JSource has no
+    content key, so with cache_dir it raises UsageError first.
+
+    With cache_dir set, a table is one entry of the cache (fileio's
+    cached_record): one .npy record (_record_dtype), keyed by the numerics
+    version, the bath and grid parameters.  An entry that does not hold up
+    (a time column that is not the grid of (t_max, n) bitwise, say) is one
+    warning, then recomputed and rewritten; a miss returns the table it
+    computed and stored, without reading it back.
+    """
+    t = _time_grid(t_max, n)
+    if cache_dir is not None and not isinstance(spec, BathSpec):
+        raise UsageError("a kernel table is cached by its BathSpec; a %s "
+                         "has no cache key" % type(spec).__name__)
+    source = _as_source(spec)
+    require_tabulable(source.ir_exponent)
+    if cache_dir is None:
+        return _tabulate(source, t, tol)
+
+    def compute():
+        table = _tabulate(source, t, tol)
+        columns = np.column_stack([table.t_grid, table.q1, table.q2,
+                                   table.qz, table.err_est])
+        return table, np.array((columns, (t_max, n, tol), table.c2_inf),
+                               dtype=_record_dtype(n))
+
+    return cached_record(
+        cache_dir, [_NUMERICS_VERSION, spec.beta, spec.h.content_key(), t_max,
+                    n, tol],
+        "kernel", _record_dtype(n), (t_max, n, tol),
+        lambda record: _read_entry(record, t), compute)

@@ -1,19 +1,21 @@
 """Atomic file writes shared by the cache and the report writers, and the
-one record store of the cache.
+one lookup of the cache.
 
 A cache entry is one .npy file holding one structured record of a fixed
 dtype, with a "request" field that names what the entry was computed for.
-Kernel tables and level-shift records are both stored, read and checked
-here; each kind adds only its own checks of the fields it holds.
+Kernel tables and level-shift records both go through cached_record, which
+names the entry by its key, reads and checks it, or warns once, computes
+and stores it; each kind adds only its own checks of the fields it holds.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import logging
 import os
 import tempfile
-from typing import Callable, Optional, TypeVar, Union
+from typing import Callable, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -40,40 +42,43 @@ def atomic_write(path: str, text: Union[str, bytes]) -> None:
             os.unlink(tmp)
 
 
-def save_record(path: str, record: np.ndarray) -> None:
-    """Store one structured record at path as .npy, atomically."""
+def cached_record(cache_dir: str, key: Sequence[Union[str, float]], kind: str,
+                  dtype: np.dtype, request: tuple,
+                  read: Callable[[np.ndarray], T],
+                  compute: Callable[[], Tuple[T, np.ndarray]]) -> T:
+    """The value of one cache entry: read from cache_dir, or computed and
+    stored there.
+
+    The entry is the file named by the first 32 hex characters of the
+    sha256 of its key parts joined by "|", each a string or a number
+    written as %.17g, plus ".npy".  It holds up when it is one record of
+    exactly dtype (never a pickle), whose request field equals request, and
+    which read turns into the value.  One that does not, or cannot be read,
+    is logged as one warning naming kind and its file, then recomputed.
+    compute returns the value and its record; the record is written
+    atomically, and the value is returned without reading it back.
+    """
+    text = "|".join(part if isinstance(part, str) else "%.17g" % part
+                    for part in key)
+    path = os.path.join(cache_dir,
+                        hashlib.sha256(text.encode()).hexdigest()[:32] + ".npy")
+    if os.path.exists(path):
+        try:
+            with open(path, "rb") as fh:
+                # the .npy format alone: no zip archive, and never a pickle
+                record = np.lib.format.read_array(fh, allow_pickle=False)
+            if not (record.dtype == dtype and record.shape == ()):
+                raise ValueError("it is not one record of the expected layout")
+            stored = record["request"].item()
+            if stored != request:
+                raise ValueError("it was computed for " + ", ".join(
+                    "%s=%r" % item for item in zip(dtype["request"].names, stored)))
+            return read(record)
+        except (OSError, ValueError) as exc:
+            _log.warning("%s cache entry %s is unusable (%s); recomputing it",
+                         kind, path, exc)
+    value, record = compute()
     buf = io.BytesIO()
     np.save(buf, record)
     atomic_write(path, buf.getvalue())
-
-
-def read_record(path: str, dtype: np.dtype, request: tuple) -> np.ndarray:
-    """The record at path, checked to be one record of exactly dtype (never
-    a pickle) whose request field equals request; ValueError otherwise."""
-    with open(path, "rb") as fh:
-        # the .npy format alone: no zip archive, and never a pickle
-        record = np.lib.format.read_array(fh, allow_pickle=False)
-    if not (record.dtype == dtype and record.shape == ()):
-        raise ValueError("it is not one record of the expected layout")
-    stored = record["request"].item()
-    if stored != request:
-        raise ValueError("it was computed for " + ", ".join(
-            "%s=%r" % item for item in zip(dtype["request"].names, stored)))
-    return record
-
-
-def load_record(path: str, kind: str, read: Callable[[str], T]) -> Optional[T]:
-    """read(path), or None when the entry is absent or does not hold up.
-
-    An entry that read refuses with ValueError, or that cannot be read, is
-    logged as one warning naming the kind of entry and its file; the caller
-    then recomputes and rewrites it.
-    """
-    if not os.path.exists(path):
-        return None
-    try:
-        return read(path)
-    except (OSError, ValueError) as exc:
-        _log.warning("%s cache entry %s is unusable (%s); recomputing it",
-                     kind, path, exc)
-        return None
+    return value

@@ -18,21 +18,19 @@ that an earlier command answered reads its record and integrates nothing.
 
 from __future__ import annotations
 
-import hashlib
-import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .bath_correlations import (_NUMERICS_VERSION, JSource, KernelTable,
-                                _require_thermal_head, c2_saturation,
-                                j_source_from_spec, q2, require_tabulable,
-                                tabulate_kernels)
+from .bath_correlations import (_NUMERICS_VERSION, KernelTable,
+                                _require_thermal_head, _time_grid,
+                                c2_saturation, j_source_from_spec, q2,
+                                require_tabulable, tabulate_kernels)
 from .errors import DivergentIntegralError, DomainError, ScalingError
-from .fileio import load_record, read_record, save_record
+from .fileio import cached_record
 from .quadrature import integrate_refining
-from .spectral_density import BathSpec, infrared_exponent
+from .spectral_density import BathSpec
 
 _ENVELOPE_FLOOR = 1e-12
 _DECAY_THRESHOLD = -np.log(_ENVELOPE_FLOOR)
@@ -287,7 +285,9 @@ def _oscillation_edges(spec: BathSpec, table: KernelTable, a: float,
 def _integrate_lso(spec: BathSpec, table: KernelTable, tol: float):
     """Common quadrature: rows (x_plus, x_minus, z, rate) on [0, t_max].
 
-    Raises AccuracyError if the quadrature did not converge.
+    Raises ScalingError, before the quadrature, if the table's splines have
+    a coefficient that is not finite, and AccuracyError if the quadrature
+    did not converge.
     """
     env = _envelope(spec, table)
     a, e_inf = env.a, env.e_inf
@@ -297,7 +297,15 @@ def _integrate_lso(spec: BathSpec, table: KernelTable, tol: float):
             "saturated envelope at eps = 0: the constant E_inf term has no "
             "Abel limit")
     t = table.t_grid
-    coef = _not_a_knot(t, np.stack([table.q1, table.q2, table.qz]))
+    # knot steps near the least normal float divide the kernels' rounding
+    # noise past the float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = _not_a_knot(t, np.stack([table.q1, table.q2, table.qz]))
+    if not np.isfinite(coef).all():
+        raise ScalingError(
+            "the kernel splines on the grid of t_max = %g overflow: its knot "
+            "steps are too small for the kernels' rounding; use a larger "
+            "t_max" % t[-1])
     edges = _oscillation_edges(spec, table, a, coef)
 
     def rows(tt, w):
@@ -416,20 +424,18 @@ def lso_matrix(spec: BathSpec, table: KernelTable, tol: float = 1e-8) -> LevelSh
     return rate_and_lso(spec, table, tol)[1]
 
 
-def default_time_horizon(spec: BathSpec, source: Optional[JSource] = None) -> float:
+def default_time_horizon(spec: BathSpec) -> float:
     """A t_max at which the damping envelope has decayed or visibly saturated.
 
     The first probe is 8 max(beta, 1, 1/|eps|), doubled at most
     _HORIZON_DOUBLINGS times.  Each probe T reads the pointwise Q2(T) at
-    tol 1e-6; the bath's plateau C2 is computed once per call, over source,
-    the bath's JSource when the caller has built it (else it is built
-    here).  A bath whose kernels cannot be tabulated raises InfraredError,
-    and an unconverged Q2 raises AccuracyError.
+    tol 1e-6; the bath's plateau C2 is computed once per call.  A bath
+    whose kernels cannot be tabulated raises InfraredError, and an
+    unconverged Q2 raises AccuracyError.
     """
     _require_damping(spec, _NO_HORIZON)
     a = spec.q0 ** 2 / np.pi
-    if source is None:
-        source = j_source_from_spec(spec)
+    source = j_source_from_spec(spec)
     require_tabulable(source.ir_exponent)
     c2 = c2_saturation(source, tol=1e-6)
     eps_scale = 1.0 / abs(spec.eps) if spec.eps != 0.0 else 1.0
@@ -444,18 +450,7 @@ def default_time_horizon(spec: BathSpec, source: Optional[JSource] = None) -> fl
     return T
 
 
-def _level_shift_key(spec: BathSpec, t_max: Optional[float], n: int,
-                     tol: float, lso_tol: float) -> str:
-    canonical = "|".join([
-        _NUMERICS_VERSION, _LEVEL_SHIFT_VERSION, "%.17g" % spec.beta,
-        spec.h.content_key(), "%.17g" % spec.q0, "%.17g" % spec.eps,
-        "auto" if t_max is None else "%.17g" % t_max, str(n), "%.17g" % tol,
-        "%.17g" % lso_tol])
-    return hashlib.sha256(canonical.encode()).hexdigest()[:32]
-
-
-def _read_level_shift(path: str, request: tuple):
-    record = read_record(path, _LEVEL_SHIFT_RECORD, request)
+def _read_level_shift(record: np.ndarray):
     values, err = record["values"], float(record["err"])
     if not (np.isfinite(values).all() and err >= 0.0 and np.isfinite(err)):
         raise ValueError("its rows are not finite, or its err %r not finite "
@@ -477,43 +472,47 @@ def cached_level_shift(spec: BathSpec, t_max: Optional[float], n: int, *,
     Every refusal that the request alone decides comes before the cache is
     read, in the order a cold request meets it: q0 = 0
     (DivergentIntegralError), a beta beyond the thermal head (DomainError),
-    an infrared exponent without a kernel table (InfraredError) and, with
-    balance (for a caller that reports the detailed-balance residual), a
-    |beta eps / 2| past the float exponent limit (ScalingError).
+    an infrared exponent without a kernel table (InfraredError), with
+    balance (for a caller that reports the detailed-balance residual) a
+    |beta eps / 2| past the float exponent limit (ScalingError), and a
+    kernel grid of n < 4 rows or, for a set t_max, one whose times do not
+    rise strictly (DomainError).
 
-    A hit reads one record (_LEVEL_SHIFT_RECORD), keyed by a content hash of
-    both numerics salts and the request, and checked as a kernel table is:
-    an unusable one is one warning, then recomputed and rewritten.  A miss
-    builds the bath's JSource once, for the horizon and the table, reads or
-    writes the table in the same cache, runs the quadrature, and stores the
-    record with the one atomic writer.  An AccuracyError, or any other
-    refusal, stores nothing.
+    The request is one entry of the cache (fileio's cached_record): one
+    record (_LEVEL_SHIFT_RECORD), keyed by both numerics salts and the
+    request, so a hit reads that record alone; an unusable one is one
+    warning, then recomputed and rewritten.  A miss takes t_max from
+    default_time_horizon when it is None, reads or writes the kernel table
+    in the same cache, runs the quadrature and stores the record.  An
+    AccuracyError, or any other refusal, stores nothing.
     """
     if t_max is None:
         _require_damping(spec, _NO_HORIZON)
     _require_thermal_head(spec.beta)
-    exponent = infrared_exponent(spec.h)
-    require_tabulable(exponent)
+    require_tabulable(spec.h.ir_exponent)
     if balance:
         _require_balance_factor(spec)
     _require_damping(spec, _UNDAMPED)
+    # refuses n < 4, and a t_max too small for its kernel grid; the default
+    # horizon is at least 8, on whose grid the times rise for every n >= 4
+    _time_grid(8.0 if t_max is None else t_max, n)
     request = (spec.beta, spec.q0, spec.eps, 0.0 if t_max is None else t_max,
                n, tol, lso_tol)
-    path = os.path.join(cache_dir, _level_shift_key(spec, t_max, n, tol,
-                                                    lso_tol) + ".npy")
-    cached = load_record(path, "level-shift",
-                         lambda entry: _read_level_shift(entry, request))
-    if cached is not None:
-        return _assemble(spec, *cached)
-    source = j_source_from_spec(spec, ir_exponent=exponent)
-    if t_max is None:
-        t_max = default_time_horizon(spec, source)
-    table = tabulate_kernels(spec, t_max, n, tol=tol, cache_dir=cache_dir,
-                             source=source)
-    values, err, env = _integrate_lso(spec, table, lso_tol)
-    save_record(path, np.array((values, err, env.damping_ok, request),
-                               dtype=_LEVEL_SHIFT_RECORD))
-    return _assemble(spec, values, err, env.damping_ok)
+
+    def compute():
+        table = tabulate_kernels(
+            spec, default_time_horizon(spec) if t_max is None else t_max, n,
+            tol=tol, cache_dir=cache_dir)
+        values, err, env = _integrate_lso(spec, table, lso_tol)
+        return (values, err, env.damping_ok), np.array(
+            (values, err, env.damping_ok, request), dtype=_LEVEL_SHIFT_RECORD)
+
+    rows = cached_record(
+        cache_dir, [_NUMERICS_VERSION, _LEVEL_SHIFT_VERSION, spec.beta,
+                    spec.h.content_key(), spec.q0, spec.eps,
+                    "auto" if t_max is None else t_max, n, tol, lso_tol],
+        "level-shift", _LEVEL_SHIFT_RECORD, request, _read_level_shift, compute)
+    return _assemble(spec, *rows)
 
 
 def report_params(spec: BathSpec) -> dict:

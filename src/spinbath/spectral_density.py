@@ -25,6 +25,8 @@ ANGULAR_FACTOR = 4.0 * np.pi
 TWO_PI_SQ = 2.0 * np.pi ** 2
 _SERIES_CUT = 1e-4
 _IR_FIT_DECADE = (1e-4, 1e-3)
+# the fraction of its peak below which J counts as vanished (_support_bound)
+_SUPPORT_DROP = 1e-18
 _COUPLING_IR_THRESHOLD = 2.95
 _CONDITION_A_REFINEMENTS = 2
 
@@ -40,7 +42,11 @@ class FormFactor:
     and all grids used here avoid u = 0.
 
     family "tabulated": linear interpolation on an ascending grid, zero
-    outside it.
+    outside it.  The form factor keeps read-only copies of its grid and
+    values, so what it derives from them never goes stale.
+
+    The infrared exponent and the support bound are derived once per form
+    factor, on first use.
     """
 
     family: str
@@ -59,8 +65,8 @@ class FormFactor:
             if not (np.isfinite(self.scale) and self.scale > 0):
                 raise DomainError("cutoff scale must be positive, got %r" % (self.scale,))
         elif self.family == "tabulated":
-            grid = np.asarray(self.grid, dtype=float)
-            values = np.asarray(self.values, dtype=float)
+            grid = np.array(self.grid, dtype=float)
+            values = np.array(self.values, dtype=float)
             if grid.ndim != 1 or grid.size < 2 or values.shape != grid.shape:
                 raise UsageError("tabulated form factor needs matching 1-d grid and values")
             if not (np.all(np.isfinite(grid)) and grid[0] >= 0
@@ -69,6 +75,7 @@ class FormFactor:
                                   "and nonnegative")
             if not np.all(np.isfinite(values)):
                 raise DomainError("tabulated values must be finite")
+            grid.flags.writeable = values.flags.writeable = False
             object.__setattr__(self, "grid", grid)
             object.__setattr__(self, "values", values)
         else:
@@ -83,6 +90,17 @@ class FormFactor:
         with np.errstate(divide="ignore"):
             return omega ** self.p * cut
 
+    @functools.cached_property
+    def ir_exponent(self) -> float:
+        """The infrared exponent of J, fitted once (infrared_exponent)."""
+        return infrared_exponent(self)
+
+    @functools.cached_property
+    def omega_max(self) -> float:
+        """The upper limit of the kernel integrals, probed once
+        (_support_bound)."""
+        return _support_bound(self)
+
     def content_key(self) -> str:
         if self.family == "power_exp":
             return "power_exp(p=%.17g,cutoff=%s,scale=%.17g)" % (self.p, self.cutoff, self.scale)
@@ -95,8 +113,7 @@ def power_exp(p: float, cutoff: str = "exponential", scale: float = 1.0) -> Form
 
 
 def tabulated(grid, values) -> FormFactor:
-    return FormFactor("tabulated", grid=np.asarray(grid, dtype=float),
-                      values=np.asarray(values, dtype=float))
+    return FormFactor("tabulated", grid=grid, values=values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,7 +290,7 @@ def coupling_function(spec: BathSpec, grid: Optional[GridSpec] = None) -> GluedF
     """
     h = spec.h
     if spec.q0 != 0.0:
-        s = infrared_exponent(h)
+        s = h.ir_exponent
         if s < _COUPLING_IR_THRESHOLD:
             raise InfraredError(
                 "h(u)/u diverges after the glueing weight: infrared exponent %.3f < 3" % s,
@@ -358,6 +375,29 @@ def infrared_exponent(h: FormFactor) -> float:
         return np.inf
     slope = np.polyfit(np.log(omega[ok]), np.log(J[ok]), 1)[0]
     return float(slope)
+
+
+def _support_bound(h: FormFactor) -> float:
+    """Upper integration limit: J has fallen below _SUPPORT_DROP of its peak.
+
+    Searches the grid 32 scale 2^k: halves from 32 scale while J at the
+    half point is still below the drop, then doubles until J is below it.
+    A tabulated form factor vanishes past its last grid point.
+    """
+    if h.family == "tabulated":
+        return float(h.grid[-1])
+    probe = np.geomspace(1e-4, 32.0, 160) * h.scale
+    peak = float(np.max(eval_J(h, probe)))
+    omega = 32.0 * h.scale
+    for _ in range(60):
+        if not eval_J(h, 0.5 * omega) < _SUPPORT_DROP * peak:
+            break
+        omega *= 0.5
+    for _ in range(60):
+        if eval_J(h, omega) < _SUPPORT_DROP * peak:
+            return float(omega)
+        omega *= 2.0
+    return float(omega)
 
 
 def check_condition_A(spec: BathSpec, alpha: float):

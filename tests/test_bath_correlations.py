@@ -14,7 +14,7 @@ import pytest
 from scipy.integrate import quad
 
 import spinbath as sb
-from spinbath import bath_correlations, quadrature
+from spinbath import bath_correlations, quadrature, spectral_density
 from spinbath.bath_correlations import (_by_kernel, _edges, _evaluate,
                                         _first_linear_chunk, _kernel_rows,
                                         _moment_sums, _thermal_factors,
@@ -270,15 +270,23 @@ def test_pointwise_kernels_refuse_an_underflowing_head(s, monkeypatch):
 
 # --- tabulation ---------------------------------------------------------------
 
-@pytest.mark.parametrize("t_max,n", [(5.0, 1), (5.0, 2), (5.0, 3), (0.0, 16),
-                                     (-1.0, 16), (np.inf, 16)])
+_BAD_GRID = "n >= 4 and 0 < t_max < inf"
+
+
+@pytest.mark.parametrize("t_max,n,message", [
+    (5.0, 1, _BAD_GRID), (5.0, 2, _BAD_GRID), (5.0, 3, _BAD_GRID),
+    (0.0, 16, _BAD_GRID), (-1.0, 16, _BAD_GRID), (np.inf, 16, _BAD_GRID),
+    # the first time t_max / 10^4 underflows to 0, or times repeat
+    (1e-320, 16, "t_max=1e-320 is too small for a kernel table of n=16"),
+    (1e-319, 400, "t_max=1e-319 is too small for a kernel table of n=400"),
+])
 def test_tabulate_refuses_a_grid_below_four_rows_or_a_bad_t_max(
-        t_max, n, tmp_path, monkeypatch):
+        t_max, n, message, tmp_path, monkeypatch):
     # refused before the cache is read or a quadrature runs
     monkeypatch.setattr(bath_correlations, "integrate_refining", _no_quadrature)
-    monkeypatch.setattr(bath_correlations, "_load_table", _no_quadrature)
+    monkeypatch.setattr(bath_correlations, "cached_record", _no_quadrature)
     for cache_dir in (None, str(tmp_path)):
-        with pytest.raises(sb.DomainError, match="n >= 4 and 0 < t_max < inf"):
+        with pytest.raises(sb.DomainError, match=message):
             sb.tabulate_kernels(_spec(), t_max, n, cache_dir=cache_dir)
     assert list(tmp_path.iterdir()) == []
 
@@ -340,12 +348,12 @@ def test_tabulate_matches_pointwise_ops():
     assert table.qz[i] == pytest.approx(sb.qz(spec, t)[0], abs=1e-9)
 
 
-def test_tabulate_cache_round_trip(tmp_path):
+def test_tabulate_cache_round_trip(tmp_path, table_entry):
     spec = _spec(p=1.0, beta=2.0)
     cache = str(tmp_path)
     first = sb.tabulate_kernels(spec, 5.0, 16, cache_dir=cache)
-    key = bath_correlations._cache_key(spec, 5.0, 16, 1e-9)
-    assert [p.name for p in tmp_path.iterdir()] == [key + ".npy"]
+    assert [p.name for p in tmp_path.iterdir()] == [
+        table_entry(spec, 5.0, 16, 1e-9)]
     second = sb.tabulate_kernels(spec, 5.0, 16, cache_dir=cache)
     assert np.array_equal(first.t_grid, second.t_grid)
     assert np.array_equal(first.q1, second.q1)
@@ -420,14 +428,15 @@ def test_tabulate_cache_recomputes_quad_v2_entries(tmp_path, monkeypatch):
     assert len(list(tmp_path.iterdir())) == 2
 
 
-def test_tabulate_cache_recomputes_quad_v3_entries(tmp_path, monkeypatch):
+def test_tabulate_cache_recomputes_quad_v3_entries(tmp_path, monkeypatch,
+                                                   table_entry):
     # a quad-v3 entry, CSV plus sidecar as that version wrote it under its
     # own key, is never served: the table is recomputed and stored as .npy
     spec = _spec(p=1.0, beta=2.0)
     table = sb.tabulate_kernels(spec, 5.0, 8)
     with monkeypatch.context() as mp:
         mp.setattr(bath_correlations, "_NUMERICS_VERSION", "quad-v3")
-        key = bath_correlations._cache_key(spec, 5.0, 8, 1e-9)
+        key = table_entry(spec, 5.0, 8, 1e-9).removesuffix(".npy")
     rows = np.column_stack([table.t_grid, table.q1, table.q2, table.qz,
                             table.err_est])
     np.savetxt(tmp_path / (key + ".csv"), rows, delimiter=",", fmt="%.17g",
@@ -447,14 +456,15 @@ def test_tabulate_cache_recomputes_quad_v3_entries(tmp_path, monkeypatch):
     assert key + ".csv" in names
 
 
-def test_tabulate_cache_misses_two_file_entries(tmp_path, monkeypatch, caplog):
+def test_tabulate_cache_misses_two_file_entries(tmp_path, monkeypatch, caplog,
+                                               table_entry):
     # a quad-v4 entry, an (n, 7) .npy table beside a JSON sidecar, is a
     # miss under the record layout's key: recomputed without a warning
     spec = _spec(p=1.0, beta=2.0)
     table = sb.tabulate_kernels(spec, 5.0, 16)
     with monkeypatch.context() as mp:
         mp.setattr(bath_correlations, "_NUMERICS_VERSION", "quad-v4")
-        key = bath_correlations._cache_key(spec, 5.0, 16, 1e-9)
+        key = table_entry(spec, 5.0, 16, 1e-9).removesuffix(".npy")
     np.save(tmp_path / (key + ".npy"), np.column_stack(
         [table.t_grid, table.q1, table.q2, table.qz, table.err_est]))
     (tmp_path / (key + ".json")).write_text(json.dumps({
@@ -516,7 +526,10 @@ def _other_n(npy):
     # a whole record of the same request at n = 15
     spec = _spec(p=1.0, beta=2.0)
     table = sb.tabulate_kernels(spec, 5.0, 15)
-    bath_correlations._save_table(str(npy), 5.0, 15, 1e-9, table)
+    columns = np.column_stack([table.t_grid, table.q1, table.q2, table.qz,
+                               table.err_est])
+    np.save(npy, np.array((columns, (5.0, 15, 1e-9), table.c2_inf),
+                          dtype=bath_correlations._record_dtype(15)))
 
 
 def _object_array(npy):
@@ -605,39 +618,27 @@ def _assert_cache_hit(cache, cold, monkeypatch, caplog):
     assert np.array_equal(warm.q2, cold.q2) and warm.c2_inf == cold.c2_inf
 
 
-def test_tabulate_cache_hit_skips_the_support_probe(tmp_path, monkeypatch):
+def test_tables_fit_and_probe_once_per_form_factor(tmp_path, monkeypatch):
+    # a miss, a hit and an uncached table of one form factor object share
+    # its one infrared fit and one support probe; a new object of the same
+    # bath derives its own, and its hit serves the same table
+    fits, probes = [], []
+    fit, probe = sb.infrared_exponent, spectral_density._support_bound
+    monkeypatch.setattr(spectral_density, "infrared_exponent",
+                        lambda h: fits.append(h) or fit(h))
+    monkeypatch.setattr(spectral_density, "_support_bound",
+                        lambda h: probes.append(h) or probe(h))
     spec = _spec(p=1.0, beta=2.0)
     cold = sb.tabulate_kernels(spec, 5.0, 16, cache_dir=str(tmp_path))
-    calls = []
-    original = bath_correlations._support_bound
-
-    def counting(h):
-        calls.append(h)
-        return original(h)
-
-    monkeypatch.setattr(bath_correlations, "_support_bound", counting)
-    warm = sb.tabulate_kernels(spec, 5.0, 16, cache_dir=str(tmp_path))
-    assert calls == []
+    sb.tabulate_kernels(spec, 5.0, 16, cache_dir=str(tmp_path))
+    sb.tabulate_kernels(spec, 6.0, 16)
+    assert fits == probes == [spec.h]
+    fresh = _spec(p=1.0, beta=2.0)
+    warm = sb.tabulate_kernels(fresh, 5.0, 16, cache_dir=str(tmp_path))
+    assert fits == probes == [spec.h, fresh.h]
     for name in ("t_grid", "q1", "q2", "qz", "err_est"):
         assert np.array_equal(getattr(warm, name), getattr(cold, name))
     assert warm.c2_inf == cold.c2_inf
-
-
-def test_tabulate_cache_miss_fits_the_infrared_exponent_once(tmp_path,
-                                                             monkeypatch):
-    calls = []
-    original = bath_correlations.infrared_exponent
-
-    def counting(h):
-        calls.append(h)
-        return original(h)
-
-    monkeypatch.setattr(bath_correlations, "infrared_exponent", counting)
-    spec = _spec(p=1.0, beta=2.0)
-    sb.tabulate_kernels(spec, 5.0, 16, cache_dir=str(tmp_path))
-    assert len(calls) == 1
-    sb.tabulate_kernels(spec, 5.0, 16, cache_dir=str(tmp_path))
-    assert len(calls) == 2
 
 
 def test_tabulate_cache_checks_the_infrared_exponent_first(tmp_path):
@@ -817,10 +818,15 @@ def test_linear_rows_by_chirp_z_match_long_double_reference(name, n):
     assert largest > 0.0
 
 
-def test_table_linear_rows_match_pointwise_kernels():
-    spec = _spec(p=0.5, cutoff="gaussian", beta=1.5)
+@pytest.mark.parametrize("spec, t_max", [
+    (_spec(p=0.5, cutoff="gaussian", beta=1.5), 16.0),
+    # t_max < 4 pi / omega_max = 0.39: W = omega_max / 8, and t omega on the
+    # chirp-z rows falls to about 4e-4, far below pi / 20
+    (_spec(p=0.5, beta=1.0), 1e-3),
+], ids=["t_max-16", "t_max-1e-3"])
+def test_table_linear_rows_match_pointwise_kernels(spec, t_max):
     tol = 1e-9
-    table = sb.tabulate_kernels(spec, 16.0, 64, tol=tol)
+    table = sb.tabulate_kernels(spec, t_max, 64, tol=tol)
     first = _first_linear_chunk(64)
     assert first == 24
     for i in (first, 43, 63):

@@ -8,6 +8,7 @@ such a change fail here instead.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pathlib
@@ -106,21 +107,41 @@ def test_benchmark_library_calls_bind():
                         % (call.lineno, call.func.attr, exc))
 
 
-def test_a_cache_miss_adds_one_file_named_by_its_key(tmp_path):
+def test_a_cache_miss_adds_one_file_named_by_its_key(tmp_path, table_entry,
+                                                     level_shift_entry):
     # the cli workload counts a miss per new cache file stem (the name up to
-    # its first dot) and sums the new files' bytes: a miss must add one file
-    # whose stem is the key, and a hit none
-    from spinbath import bath_correlations
+    # its first dot) and sums the new files' bytes, over both entry kinds:
+    # a miss must add one file whose stem is the key, and a hit none
+    from spinbath import relaxation
 
     spec = sb.standard_oracle_bath()
-    key = bath_correlations._cache_key(spec, 5.0, 16, 1e-6)
+    tables, records = tmp_path / "tables", tmp_path / "records"
+    records.mkdir()
 
-    def listing():
-        return {p.name: p.stat().st_size for p in tmp_path.iterdir()}
+    def listing(cache):
+        return {p.name: p.stat().st_size for p in cache.iterdir()}
 
-    sb.tabulate_kernels(spec, 5.0, 16, tol=1e-6, cache_dir=str(tmp_path))
-    after_miss = listing()
-    assert len(after_miss) == 1
-    assert {name.split(".", 1)[0] for name in after_miss} == {key}
-    sb.tabulate_kernels(spec, 5.0, 16, tol=1e-6, cache_dir=str(tmp_path))
-    assert listing() == after_miss
+    def stems(names):
+        return {name.split(".", 1)[0] for name in names}
+
+    sb.tabulate_kernels(spec, 5.0, 16, tol=1e-6, cache_dir=str(tables))
+    after_miss = listing(tables)
+    assert stems(after_miss) == stems([table_entry(spec, 5.0, 16, 1e-6)])
+    sb.tabulate_kernels(spec, 5.0, 16, tol=1e-6, cache_dir=str(tables))
+    assert listing(tables) == after_miss
+
+    # a cold level-shift request adds its record and its table; a second
+    # request on the same table adds only its record
+    expected = {table_entry(spec, 5.0, 16, 1e-6)}
+    for eps in (spec.eps, 2.0 * spec.eps):
+        bath = dataclasses.replace(spec, eps=eps)
+        before = listing(records)
+        relaxation.cached_level_shift(bath, 5.0, 16, tol=1e-6, lso_tol=1e-8,
+                                      cache_dir=str(records))
+        expected.add(level_shift_entry(bath, 5.0, 16, 1e-6, 1e-8))
+        assert stems(set(listing(records)) - set(before)) == \
+            stems(expected - set(before))
+    after_records = listing(records)
+    relaxation.cached_level_shift(bath, 5.0, 16, tol=1e-6, lso_tol=1e-8,
+                                  cache_dir=str(records))
+    assert listing(records) == after_records

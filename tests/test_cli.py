@@ -591,7 +591,7 @@ def test_commands_after_rate_read_one_record(tmp_path, monkeypatch):
 
     monkeypatch.setattr(relaxation, "_integrate_lso", _no_level_shift_work)
     monkeypatch.setattr(relaxation, "default_time_horizon", _no_level_shift_work)
-    monkeypatch.setattr(bath_correlations, "_load_table", _no_level_shift_work)
+    monkeypatch.setattr(bath_correlations, "cached_record", _no_level_shift_work)
     for command, report in commands.items():
         assert main([command, "--config", str(cfg), "--out", str(warm)]) == 0
         assert ((warm / report).read_bytes()
@@ -620,7 +620,8 @@ def test_a_sweep_over_delta_runs_one_level_shift_quadrature(tmp_path,
         v ** 2 * rows[0]["tau0_inv"] for v in (0.1, 0.2, 0.4)]
 
 
-def test_a_set_t_max_is_another_request_than_the_default_horizon(tmp_path):
+def test_a_set_t_max_is_another_request_than_the_default_horizon(
+        tmp_path, level_shift_entry):
     # kernels.t_max set to the default horizon gives the same table and
     # rows, under another level-shift key
     cfg = _config(tmp_path)
@@ -635,10 +636,10 @@ def test_a_set_t_max_is_another_request_than_the_default_horizon(tmp_path):
     assert len(entries) == 3
     assert sum("table" in np.load(out / "cache" / name).dtype.names
                for name in entries) == 1
-    keys = [relaxation._level_shift_key(config.bath, t_max, 200, 1e-8, 1e-8)
+    keys = [level_shift_entry(config.bath, t_max, 200, 1e-8, 1e-8)
             for t_max in (None, horizon)]
     assert keys[0] != keys[1]
-    assert {key + ".npy" for key in keys} < set(entries)
+    assert set(keys) < set(entries)
     report = _read_json(out, "rate.json")
     del report["config_sha256"]
     pinned_report = _read_json(out / "pinned", "rate.json")
@@ -672,6 +673,34 @@ def test_a_beta_beyond_float_range_is_one_error_line(tmp_path, capsys, updates,
     assert what in err and "Traceback" not in err and "Warning" not in err
     assert not (out / "rate.json").exists()
     assert not (out / "p_of_t.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t_max, what", [
+    (1e-320, "t_max=1e-320 is too small for a kernel table of n=16"),
+    (1e-200, "the kernel splines on the grid of t_max = 1e-200 overflow"),
+    (1e-120, "the kernel splines on the grid of t_max = 1e-120 overflow"),
+    (1e-100, None),
+])
+def test_a_tiny_t_max_is_one_error_line(tmp_path, capsys, t_max, what):
+    # 1e-100 is the control: its rate report is written
+    updates = {"bath": {"h": {"family": "power_exp", "p": 0.5,
+                              "cutoff": "exponential"}},
+               "kernels": {"t_max": t_max, "n": 16}}
+    out = tmp_path / "out"
+    code = main(["rate", "--config", _config(tmp_path, updates),
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    records = [name for name in _cache_listing(out)
+               if "values" in np.load(out / "cache" / name).dtype.names]
+    if what is None:
+        assert (code, err, len(records)) == (0, "", 1)
+        assert (out / "rate.json").exists()
+        return
+    assert code == 1 and records == []
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert what in err and "Traceback" not in err and "Warning" not in err
+    assert not (out / "rate.json").exists()
 
 
 # --- argument handling ----------------------------------------------------------

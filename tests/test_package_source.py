@@ -2,9 +2,11 @@
 
 import ast
 import importlib
+import io
 import pathlib
 import re
 import sys
+import tokenize
 
 import pytest
 
@@ -13,6 +15,9 @@ import spinbath as sb
 PACKAGE = pathlib.Path(sb.__file__).resolve().parent
 PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
 RUNTIME_IMPORTS = {"numpy", "yaml"}
+# The package's code lines (code_lines) may not grow past this: a change
+# that adds code raises it in the same diff and says so in CHANGES.md.
+CODE_LINES_CEILING = 2079
 
 
 def _unread_parameters(tree):
@@ -142,3 +147,43 @@ def test_runtime_imports_match_declared_dependencies():
         project = tomllib.load(f)["project"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", req).group() for req in project["dependencies"]}
     assert declared == {"numpy", "PyYAML"}
+
+
+def code_lines(source):
+    """The number of lines of source that hold code: lines with a token
+    other than a comment, a newline or an indent, outside every module,
+    class and function docstring."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            first = node.body[0]
+            docstrings.update(range(first.lineno, first.end_lineno + 1))
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in skip:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def test_code_lines_count_neither_blanks_comments_nor_docstrings():
+    source = ('"""Module\n\ndocstring."""\n\n# a comment\nx = (1,\n     2)  # tail\n'
+              'def f():\n    """Doc."""\n\n    return """not\n    a doc"""\n')
+    assert code_lines(source) == 5
+
+
+def test_the_package_code_stays_under_its_ceiling():
+    count = sum(code_lines(path.read_text()) for path in PACKAGE.glob("*.py"))
+    assert count <= CODE_LINES_CEILING, (
+        "%d code lines in spinbath, past the ceiling %d: raise "
+        "CODE_LINES_CEILING and say so in CHANGES.md" % (count, CODE_LINES_CEILING))
+
+
+if __name__ == "__main__":
+    # python tests/test_package_source.py: the code lines of each module
+    for path in sorted(PACKAGE.glob("*.py")):
+        print("%6d  %s" % (code_lines(path.read_text()), path.name))
+    print("%6d  total" % sum(code_lines(p.read_text()) for p in PACKAGE.glob("*.py")))

@@ -16,7 +16,7 @@ from scipy.integrate import quad
 
 import spinbath as sb
 from spinbath import bath_correlations, relaxation
-from spinbath.bath_correlations import _SUPPORT_DROP, _support_bound
+from spinbath.spectral_density import _SUPPORT_DROP, _support_bound
 from spinbath.quadrature import integrate_refining
 
 EDGES = np.linspace(0.0, 40.0, 17)

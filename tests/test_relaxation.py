@@ -14,9 +14,8 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 import spinbath as sb
-from spinbath import bath_correlations, relaxation
+from spinbath import bath_correlations, relaxation, spectral_density
 from spinbath.cli import main
-from spinbath.fileio import save_record
 from spinbath.quadrature import integrate_refining, refine_edges
 
 OHMIC = sb.power_exp(-0.5, "exponential")
@@ -709,14 +708,14 @@ def test_rows_match_phased_reference_on_both_branches(setup, eps, request):
 
 # --- the level-shift record -------------------------------------------------------
 
-def _plant(cache, spec, t_max, n=16, tol=1e-8, lso_tol=1e-8):
-    """A valid level-shift record of the request, whatever its numbers."""
+def _plant(cache, name, spec, t_max, n=16, tol=1e-8, lso_tol=1e-8):
+    """A valid level-shift record of the request, whatever its numbers, at
+    the entry name(spec, t_max, n, tol, lso_tol)."""
     request = (spec.beta, spec.q0, spec.eps, 0.0 if t_max is None else t_max,
                n, tol, lso_tol)
-    key = relaxation._level_shift_key(spec, t_max, n, tol, lso_tol)
-    path = cache / (key + ".npy")
-    save_record(str(path), np.array(([0.5, 0.25, 0.5, 0.4], 1e-9, True, request),
-                                    dtype=relaxation._LEVEL_SHIFT_RECORD))
+    path = cache / name(spec, t_max, n, tol, lso_tol)
+    np.save(path, np.array(([0.5, 0.25, 0.5, 0.4], 1e-9, True, request),
+                           dtype=relaxation._LEVEL_SHIFT_RECORD))
     return path
 
 
@@ -725,15 +724,15 @@ def _cached(spec, t_max, cache, balance=False):
                                          cache_dir=str(cache), balance=balance)
 
 
-def test_a_planted_record_is_served_without_any_quadrature(tmp_path,
-                                                           monkeypatch):
+def test_a_planted_record_is_served_without_any_quadrature(
+        tmp_path, monkeypatch, level_shift_entry):
     # the control of the refusal tests below: a planted record of an
     # admitted request is what a hit serves; without balance, a beta eps
     # past the float exponent limit is admitted, and its db_residual is inf
     monkeypatch.setattr(relaxation, "integrate_refining", _no_record_work)
     monkeypatch.setattr(bath_correlations, "integrate_refining", _no_record_work)
     for spec in (_spec(), _spec(beta=4.0e3)):
-        _plant(tmp_path, spec, 5.0)
+        _plant(tmp_path, level_shift_entry, spec, 5.0)
         rate, lso = _cached(spec, 5.0, tmp_path)
         assert (rate.tau0_inv, rate.err, rate.damping_ok) == (0.4, 1e-9, True)
         assert (lso.x_plus, lso.x_minus, lso.z) == (0.25j, 0.125j, -0.25j)
@@ -758,22 +757,62 @@ _IR_VALUES = np.concatenate([[0.0], _IR_GRID[1:] ** -0.75 * np.exp(-_IR_GRID[1:]
     (_spec(beta=1e157), 5.0, True, sb.DomainError, "beta = 1e+157 puts"),
     (_spec(h=sb.tabulated(_IR_GRID, _IR_VALUES)), None, False,
      sb.InfraredError, "tabulate_kernels needs infrared exponent > 0.95"),
-], ids=["q0-horizon", "q0-rows", "balance", "thermal-head", "infrared"])
+    (_spec(), 1e-320, False, sb.DomainError,
+     "t_max=1e-320 is too small for a kernel table of n=16"),
+], ids=["q0-horizon", "q0-rows", "balance", "thermal-head", "infrared",
+        "tiny-t_max"])
 def test_a_planted_record_does_not_pass_a_refusal(tmp_path, monkeypatch, caplog,
-                                                  spec, t_max, balance, error,
-                                                  message):
+                                                  level_shift_entry, spec, t_max,
+                                                  balance, error, message):
     # every refusal the request alone decides comes before the lookup, so
     # a record of a refused request, however it got there, is never served
-    path = _plant(tmp_path, spec, t_max)
+    path = _plant(tmp_path, level_shift_entry, spec, t_max)
     planted = path.read_bytes()
     with caplog.at_level("DEBUG", logger="spinbath"):
         with pytest.raises(error, match=re.escape(message)):
             _cached(spec, t_max, tmp_path, balance)
     assert not caplog.records
     assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == planted
-    monkeypatch.setattr(relaxation, "load_record", _no_record_work)
+    monkeypatch.setattr(relaxation, "cached_record", _no_record_work)
     with pytest.raises(error, match=re.escape(message)):
         _cached(spec, t_max, tmp_path, balance)
+
+
+@pytest.mark.parametrize("t_max, error, message", [
+    (1e-320, sb.DomainError,
+     "t_max=1e-320 is too small for a kernel table of n=16"),
+    (1e-200, sb.ScalingError, "splines on the grid of t_max = 1e-200 overflow"),
+    (1e-120, sb.ScalingError, "splines on the grid of t_max = 1e-120 overflow"),
+])
+def test_a_tiny_t_max_is_refused_before_the_quadrature(tmp_path, monkeypatch,
+                                                       t_max, error, message):
+    # at 1e-320 the grid's first time underflows to 0; from 1e-120 to
+    # 1e-300 the table holds, but its splines divide the kernels' rounding
+    # by knot steps near 1e-124 and overflow
+    spec = _spec(h=sb.power_exp(0.5))
+    with monkeypatch.context() as mp:
+        mp.setattr(relaxation, "integrate_refining", _no_record_work)
+        with pytest.raises(error, match=re.escape(message)):
+            _cached(spec, t_max, tmp_path)
+    assert all("table" in np.load(p).dtype.names for p in tmp_path.iterdir())
+    # the control: a t_max of 1e-100 is answered, and stores its record
+    _cached(spec, 1e-100, tmp_path)
+    assert sum("values" in np.load(p).dtype.names
+               for p in tmp_path.iterdir()) == 1
+
+
+def test_a_default_horizon_request_below_four_rows_is_refused_first(
+        tmp_path, monkeypatch, level_shift_entry):
+    # n < 4 is decided by the request alone: refused before the horizon
+    # probe and the lookup, so a planted record of it is never served
+    spec = _spec()
+    path = _plant(tmp_path, level_shift_entry, spec, None, n=3)
+    monkeypatch.setattr(relaxation, "default_time_horizon", _no_record_work)
+    monkeypatch.setattr(relaxation, "cached_record", _no_record_work)
+    with pytest.raises(sb.DomainError, match="n >= 4 and 0 < t_max < inf"):
+        relaxation.cached_level_shift(spec, None, 3, tol=1e-8, lso_tol=1e-8,
+                                      cache_dir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def _level_shift_after(barrier, cache):
@@ -807,7 +846,7 @@ def test_two_processes_writing_one_record_key_leave_one_valid_record(
         [(cold_dir / n).read_bytes() for n in names]
     monkeypatch.setattr(relaxation, "integrate_refining", _no_record_work)
     monkeypatch.setattr(relaxation, "default_time_horizon", _no_record_work)
-    monkeypatch.setattr(bath_correlations, "_load_table", _no_record_work)
+    monkeypatch.setattr(bath_correlations, "cached_record", _no_record_work)
     with caplog.at_level("DEBUG", logger="spinbath"), warnings.catch_warnings():
         warnings.simplefilter("error")
         warm = _cached(_spec(), 5.0, shared)
@@ -816,25 +855,29 @@ def test_two_processes_writing_one_record_key_leave_one_valid_record(
     assert (warm[1].x_plus, warm[1].z) == (cold[1].x_plus, cold[1].z)
 
 
-def test_a_level_shift_miss_builds_one_jsource(tmp_path, monkeypatch):
-    # the horizon's source serves the table: one infrared fit and one
-    # support probe per miss, whether the table misses too (the first
-    # request) or hits (the second, whose horizon is the first's)
+def test_a_level_shift_request_fits_and_probes_once_per_form_factor(
+        tmp_path, monkeypatch):
+    # the horizon, the table and the refusals all read the form factor's
+    # one infrared fit and one support probe: per form factor object, not
+    # per call, and a hit on a fresh object fits for its refusal alone
     fits, probes = [], []
-    fit, probe = relaxation.infrared_exponent, bath_correlations._support_bound
-    monkeypatch.setattr(relaxation, "infrared_exponent",
+    fit, probe = sb.infrared_exponent, spectral_density._support_bound
+    monkeypatch.setattr(spectral_density, "infrared_exponent",
                         lambda h: fits.append(h) or fit(h))
-    monkeypatch.setattr(bath_correlations, "infrared_exponent", _no_record_work)
-    monkeypatch.setattr(bath_correlations, "_support_bound",
+    monkeypatch.setattr(spectral_density, "_support_bound",
                         lambda h: probes.append(h) or probe(h))
-    _cached(_spec(), None, tmp_path)
-    assert (len(fits), len(probes)) == (1, 1)
-    _cached(_spec(q0=1.5), None, tmp_path)
-    assert (len(fits), len(probes)) == (2, 2)
-    assert len(list(tmp_path.iterdir())) == 3
-    # a hit fits the exponent for its refusal, and probes nothing
-    _cached(_spec(), None, tmp_path)
-    assert (len(fits), len(probes)) == (3, 2)
+    h = sb.power_exp(-0.5, "exponential")
+    _cached(_spec(h=h), None, tmp_path)
+    assert fits == probes == [h]
+    _cached(_spec(q0=1.5, h=h), None, tmp_path)
+    _cached(_spec(q0=1.5, h=h), 5.0, tmp_path)
+    assert fits == probes == [h]
+    assert len(list(tmp_path.iterdir())) == 5
+    # a hit on a new object of the same bath fits for the refusal, and
+    # probes nothing
+    fresh = sb.power_exp(-0.5, "exponential")
+    _cached(_spec(h=fresh), None, tmp_path)
+    assert (fits, probes) == ([h, fresh], [h])
 
 
 # The level-shift numerics, pinned bitwise on a table of rational columns
@@ -878,3 +921,32 @@ def test_the_table_salt_pins_its_record_layout():
     assert pinned == _TABLE_PIN, (
         "the kernel table record layout changed: bump "
         "bath_correlations._NUMERICS_VERSION, then renew _TABLE_PIN")
+
+
+# The names of the cache entries of one table request and of two level-shift
+# requests (t_max set, and the default horizon, whose table is its own):
+# a change to the key parts or their hashing fails here until a salt is
+# bumped (and this pin renewed), so that no entry is served under a name
+# that another request wrote.
+_ENTRY_PIN = (
+    ("quad-v5-moments", "lso-v1"),
+    {"table": ["9ebd2f5d53bd980b21c20c8f6db587a5.npy"],
+     "set": ["9ebd2f5d53bd980b21c20c8f6db587a5.npy",
+             "f6e4df1aa4f3f42be589ee90e79cd755.npy"],
+     "auto": ["66db990b6442c9a18df1409f52d2f665.npy",
+              "81a1fed4a8333663dcf858a54f6f7a7b.npy"]})
+
+
+def test_the_salts_pin_the_entry_names(tmp_path):
+    spec = _spec()
+    sb.tabulate_kernels(spec, 5.0, 16, tol=1e-8, cache_dir=str(tmp_path / "table"))
+    _cached(spec, 5.0, tmp_path / "set")
+    _cached(spec, None, tmp_path / "auto")
+    pinned = ((bath_correlations._NUMERICS_VERSION,
+               relaxation._LEVEL_SHIFT_VERSION),
+              {kind: sorted(p.name for p in (tmp_path / kind).iterdir())
+               for kind in ("table", "set", "auto")})
+    assert pinned == _ENTRY_PIN, (
+        "the cache entry names changed: bump bath_correlations."
+        "_NUMERICS_VERSION or relaxation._LEVEL_SHIFT_VERSION, then renew "
+        "_ENTRY_PIN")

@@ -197,6 +197,22 @@ def test_infrared_exponents():
     assert sb.infrared_exponent(sb.tabulated(grid, np.ones_like(grid))) == pytest.approx(2.0, abs=1e-2)
 
 
+def test_a_tabulated_form_factor_keeps_its_own_read_only_arrays():
+    # the form factor derives its key, infrared exponent and support bound
+    # from copies: mutating the caller's arrays afterwards moves none of them
+    grid = np.linspace(0.0, 3.0, 31)
+    values = grid * np.exp(-grid)
+    h = sb.tabulated(grid, values)
+    key, exponent, bound = h.content_key(), h.ir_exponent, h.omega_max
+    grid *= 2.0
+    values[1:4] = 5.0
+    assert (h.content_key(), h.ir_exponent, h.omega_max) == (key, exponent, bound)
+    assert h.ir_exponent == sb.infrared_exponent(sb.tabulated(h.grid, h.values))
+    for array in (h.grid, h.values):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
 def test_infrared_exponent_vanishing_sentinel():
     grid = np.linspace(0.0, 2.0, 21)
     values = np.where(grid > 1.0, 1.0, 0.0)
