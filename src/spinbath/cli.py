@@ -15,7 +15,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence
 
 import numpy as np
@@ -184,6 +183,8 @@ def cmd_sweep(config: RunConfig, out_dir: str, jobs: int) -> int:
     # a fork pool starts all its workers up front: no more than there are points
     workers = min(jobs, len(tasks))
     if workers > 1:
+        # imported here alone: the import slows the start of every command
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, tasks))
     else:

@@ -2,11 +2,13 @@
 
 All kernel and rate integrals in this package are oscillatory with a known
 frequency bound, so adaptivity is organized around panel widths rather than
-around error indicators: the first panels are bounded by a quarter period of
-the fastest phase their integrand can reach (over the whole frequency range
-of a kernel integral, and on each knot interval of the kernel table for the
-level shift), the composite rule is evaluated, every panel is split in two,
-and the change between the two passes is the error estimate.
+around error indicators: the first panels are bounded by the fastest phase
+their integrand can reach (a quarter period over the whole frequency range
+of a kernel integral; for the level shift, one period on each knot interval
+of the kernel table, whose knots are panel edges), the composite rule is
+evaluated, every panel is split in two, and the change between the two
+passes is the error estimate.  A caller may bound the doublings, as the
+level shift does to keep its nodes within a fixed budget.
 
 One call integrates a stack of rows, and ``rtol`` is relative to the scale
 of the whole call: refinement stops once every row's error is at most

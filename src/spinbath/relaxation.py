@@ -27,7 +27,8 @@ from .bath_correlations import (_NUMERICS_VERSION, KernelTable,
                                 _require_thermal_head, _time_grid,
                                 c2_saturation, j_source_from_spec, q2,
                                 require_tabulable, tabulate_kernels)
-from .errors import DivergentIntegralError, DomainError, ScalingError
+from .errors import (AccuracyError, DivergentIntegralError, DomainError,
+                     ScalingError)
 from .fileio import cached_record
 from .quadrature import integrate_refining
 from .spectral_density import BathSpec
@@ -40,7 +41,7 @@ _EXP_LIMIT = float(np.log(np.finfo(float).max))
 # Part of every level-shift cache key, beside the kernel tables'
 # _NUMERICS_VERSION: bump it when the rows, err or damping_ok that one
 # table gives change, or when _LEVEL_SHIFT_RECORD does.
-_LEVEL_SHIFT_VERSION = "lso-v1"
+_LEVEL_SHIFT_VERSION = "lso-v2"
 # The record of a level-shift cache entry: the rows (x(eps), x(-eps), z,
 # rate), err and damping_ok of one quadrature, and the request it answers;
 # a t_max of 0 stands for kernels.t_max unset, the default horizon.
@@ -49,6 +50,12 @@ _LEVEL_SHIFT_RECORD = np.dtype([
     ("request", [("beta", "<f8"), ("q0", "<f8"), ("eps", "<f8"),
                  ("t_max", "<f8"), ("n", "<i8"), ("tol", "<f8"),
                  ("lso_tol", "<f8")])])
+# The level-shift quadrature: its Gauss order, the phase that one panel may
+# span, and the nodes that one call may take over all its passes, which
+# bounds its memory and time at any coupling (BENCH_knots.json)
+_LSO_ORDER = 4
+_PANEL_PHASE = 2.0 * np.pi
+_NODE_BUDGET = 1 << 20
 # why q0 = 0 is refused, by the horizon and by the level-shift rows
 _NO_HORIZON = "no damping, no finite horizon"
 _UNDAMPED = "undamped integrand, the time integrals diverge"
@@ -216,16 +223,16 @@ def _not_a_knot(x, y) -> np.ndarray:
     return np.moveaxis(c, -1, 0)
 
 
-def _spline_values(x: np.ndarray, c: np.ndarray, t) -> np.ndarray:
-    """Values at t of the splines with coefficients c[..., 4, n-1] on knots x.
+def _spline_values(x: np.ndarray, c: np.ndarray, t: np.ndarray,
+                   i: np.ndarray) -> np.ndarray:
+    """Values at t of the splines with coefficients c[..., 4, n-1] on knots
+    x, where i holds the knot interval of each t.
 
-    PPoly's rule: the interval is the last knot <= t, clipped to the end
-    intervals (which extrapolate), and the value is
-    c3 + c2 s + c1 (s s) + c0 ((s s) s), summed left to right.  One interval
-    search serves every spline of the stack; the sum is formed in place,
+    PPoly's rule: c3 + c2 s + c1 (s s) + c0 ((s s) s) with s = t - x[i],
+    summed left to right; PPoly finds i as the last knot <= t, clipped to
+    the end intervals (which extrapolate).  The sum is formed in place,
     which reorders no rounding (a + b and b + a are bitwise equal).
     """
-    i = np.clip(np.searchsorted(x, t, "right") - 1, 0, len(x) - 2)
     s = t - x[i]
     ss = s * s
     ci = np.take(c, i, axis=-1)
@@ -259,27 +266,39 @@ def _phase_rate_bound(eps: float, a: float, x: np.ndarray,
 
 
 def _oscillation_edges(spec: BathSpec, table: KernelTable, a: float,
-                       c: np.ndarray) -> np.ndarray:
-    """Panel edges whose widths follow the phase rate of the integrand.
+                       c: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Panel edges that end on the knots, the knot interval of each panel,
+    and the doublings that the panels may take.
 
     c[0] and c[1] are the coefficients of the Q1 and Q2 splines on the
     table's grid, in PPoly layout (scipy's CubicSpline has it too).  Each
-    knot interval allows panels of width 0.25 pi / rate, clipped to
-    [T / 4000, T / 8], where rate, at least 1 / T, bounds the phase rate
-    there (_phase_rate_bound).  The budget Phi(t) integrates
-    1 / width from 0, and the ceil(Phi(T)) panels take equal steps of Phi:
-    no panel spends more than one unit of budget, whatever knots it
-    crosses, and there are 8 to 4000 panels.
+    knot interval [x[i], x[i+1]] is split into ceil(dx * rate /
+    _PANEL_PHASE) equal panels, at least one, where rate bounds the phase
+    rate there (_phase_rate_bound): no panel crosses a knot, where a cubic
+    spline's third derivative jumps, and none spends more than _PANEL_PHASE
+    (one period) of phase.
+
+    The panels take _LSO_ORDER nodes each in the first pass, and twice as
+    many in each doubling; the doublings returned are the most whose nodes,
+    summed over all passes, stay within _NODE_BUDGET.  Edges on which not
+    even one doubling fits raise AccuracyError before any node is made.
     """
     x = table.t_grid
-    T = float(x[-1])
-    rate = _phase_rate_bound(spec.eps, a, x, c)
-    width = np.clip(0.25 * np.pi / np.maximum(rate, 1.0 / T),
-                    T / 4000.0, T / 8.0)
-    phi = np.concatenate(([0.0], np.cumsum(np.diff(x) / width)))
-    # a budget that rounding lifts just past 4000 takes no 4001st panel
-    n = min(int(np.ceil(phi[-1])), 4000)
-    return np.interp(np.linspace(0.0, phi[-1], n + 1), phi, x)
+    dx = np.diff(x)
+    k = np.maximum(np.ceil(dx * _phase_rate_bound(spec.eps, a, x, c)
+                           / _PANEL_PHASE), 1.0)
+    first = _LSO_ORDER * float(np.sum(k))
+    # passes 0..r take first * (2^(r+1) - 1) nodes in all; a NaN fails too
+    if not 3.0 * first <= _NODE_BUDGET:
+        raise AccuracyError(
+            "level-shift quadrature: %.3g nodes in the first pass leave no "
+            "doubling within the budget of %d nodes" % (first, _NODE_BUDGET))
+    max_refine = (_NODE_BUDGET // int(first) + 1).bit_length() - 2
+    k = k.astype(np.intp)
+    i = np.repeat(np.arange(len(dx)), k)
+    j = np.arange(len(i)) - np.repeat(np.cumsum(k) - k, k)
+    edges = np.append(x[i] + dx[i] * (j / k[i]), x[-1])
+    return edges, i, max_refine
 
 
 def _integrate_lso(spec: BathSpec, table: KernelTable, tol: float):
@@ -287,7 +306,7 @@ def _integrate_lso(spec: BathSpec, table: KernelTable, tol: float):
 
     Raises ScalingError, before the quadrature, if the table's splines have
     a coefficient that is not finite, and AccuracyError if the quadrature
-    did not converge.
+    did not converge within its node budget (_oscillation_edges).
     """
     env = _envelope(spec, table)
     a, e_inf = env.a, env.e_inf
@@ -306,10 +325,13 @@ def _integrate_lso(spec: BathSpec, table: KernelTable, tol: float):
             "the kernel splines on the grid of t_max = %g overflow: its knot "
             "steps are too small for the kernels' rounding; use a larger "
             "t_max" % t[-1])
-    edges = _oscillation_edges(spec, table, a, coef)
+    edges, knot, max_refine = _oscillation_edges(spec, table, a, coef)
 
     def rows(tt, w):
-        q1v, q2v, qzv = _spline_values(t, coef, tt)
+        # every pass lays out the nodes of each first-pass panel, which
+        # splits but never leaves its knot interval, as one run
+        q1v, q2v, qzv = _spline_values(
+            t, coef, tt, np.repeat(knot, len(tt) // len(knot)))
         e2 = np.exp(-a * q2v)
         ez = np.exp(-a * qzv)
         ph = eps * tt
@@ -321,7 +343,9 @@ def _integrate_lso(spec: BathSpec, table: KernelTable, tol: float):
         rr = c * np.cos(a * q1v) * e2 - sub
         return np.array([np.sum(row * w) for row in (xp, xm, zz, rr)])
 
-    res = integrate_refining(rows, edges, rtol=tol, what="level-shift quadrature")
+    res = integrate_refining(rows, edges, order=_LSO_ORDER, rtol=tol,
+                             max_refine=max_refine,
+                             what="level-shift quadrature")
     env_len = float(np.trapezoid(np.exp(-a * table.q2), t))
     err_table = a * float(np.max(table.err_est)) * env_len
     if env.mismatch > 0.0:

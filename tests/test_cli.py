@@ -1,5 +1,6 @@
 """End-to-end tests of the CLI subcommands and their report files."""
 
+import concurrent.futures
 import copy
 import io
 import json
@@ -367,7 +368,7 @@ def test_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch, jobs,
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(cli, "_sweep_point", lambda task: (1.0, 1.0, 0.5, 0.0))
     values = [0.5 * (k + 1) for k in range(n_points)]
     cfg = _config(tmp_path, {"sweep": {"param_name": "q0", "values": values}})
@@ -867,3 +868,15 @@ def test_rate_and_lso_load_no_unused_scipy(tmp_path):
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-4:] == ["[]"] * 4
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # concurrent.futures.process slows every command's start; only
+    # sweep --jobs N with N > 1 loads it
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys\nsys.path.insert(0, %r)\nimport spinbath.cli\n"
+            "print('concurrent.futures.process' in sys.modules)" % str(src))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -17,7 +17,7 @@ PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
 RUNTIME_IMPORTS = {"numpy", "yaml"}
 # The package's code lines (code_lines) may not grow past this: a change
 # that adds code raises it in the same diff and says so in CHANGES.md.
-CODE_LINES_CEILING = 2079
+CODE_LINES_CEILING = 2093
 
 
 def _unread_parameters(tree):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import multiprocessing
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -349,7 +350,9 @@ def _assert_spline_is_scipys(x, y):
     outside = [x[0] - 0.01 * span, np.nextafter(x[0], -np.inf),
                np.nextafter(x[-1], np.inf), x[-1] + 0.01 * span]
     t = np.concatenate([x, mid, inner, outside])
-    assert np.array_equal(relaxation._spline_values(x, c, t), ref(t))
+    # PPoly's interval: the last knot <= t, clipped to the end intervals
+    i = np.clip(np.searchsorted(x, t, "right") - 1, 0, len(x) - 2)
+    assert np.array_equal(relaxation._spline_values(x, c, t, i), ref(t))
     assert np.array_equal(c[:, :-1] * relaxation._DERIVATIVE,
                           np.moveaxis(ref.derivative().c, -1, 0))
 
@@ -497,7 +500,7 @@ def test_not_a_knot_spline_rejects_what_scipy_rejects(x, y):
        cutoff=st.sampled_from(["exponential", "gaussian"]),
        beta=st.floats(0.5, 4.0), eps=st.floats(0.25, 1.0),
        q0=st.floats(0.5, 2.0), n=st.sampled_from([16, 40, 64]))
-def test_oscillation_edges_spend_at_most_one_unit_of_phase_budget(
+def test_oscillation_edges_end_on_the_knots_within_the_phase_budget(
         p, cutoff, beta, eps, q0, n):
     spec = _spec(beta=beta, eps=eps, q0=q0, h=sb.power_exp(p, cutoff))
     table = sb.tabulate_kernels(spec, 8.0 * max(beta, 1.0, 1.0 / eps), n,
@@ -508,23 +511,31 @@ def test_oscillation_edges_spend_at_most_one_unit_of_phase_budget(
     s1 = CubicSpline(x, table.q1)
     s2 = CubicSpline(x, table.q2)
     c = np.stack([s1.c, s2.c])
-    edges = relaxation._oscillation_edges(spec, table, a, c)
+    edges, knot, max_refine = relaxation._oscillation_edges(spec, table, a, c)
     assert edges[0] == 0.0 and edges[-1] == T
     assert np.all(np.diff(edges) > 0.0)
-    assert 8 <= len(edges) - 1 <= 4000
+    # every panel lies inside its knot interval, and every knot is an edge
+    assert np.array_equal(knot, np.searchsorted(x, edges[:-1], "right") - 1)
+    assert np.all(edges[1:] <= x[knot + 1])
+    assert np.isin(x, edges).all()
     # the bound of each knot interval holds at 64 points of it
     rate = relaxation._phase_rate_bound(spec.eps, a, x, c)
     d1, d2 = s1.derivative(), s2.derivative()
     tt = np.linspace(x[:-1], x[1:], 64)
     sampled = abs(eps) + a * (np.abs(d1(tt)) + np.abs(d2(tt)))
     assert np.all(sampled <= rate * (1.0 + 1e-12))
-    # the budget of a panel: its overlap with each interval over that
-    # interval's width
-    width = np.clip(0.25 * np.pi / np.maximum(rate, 1.0 / T),
-                    T / 4000.0, T / 8.0)
-    overlap = np.clip(np.minimum(edges[1:, None], x[None, 1:])
-                      - np.maximum(edges[:-1, None], x[None, :-1]), 0.0, None)
-    assert np.max(overlap @ (1.0 / width)) <= 1.0 + 1e-12
+    # no panel spends more than its phase budget, and an interval that
+    # takes more than one panel could not take one fewer
+    phase = np.diff(edges) * rate[knot]
+    assert np.max(phase) <= relaxation._PANEL_PHASE * (1.0 + 1e-12)
+    panels = np.bincount(knot, minlength=len(x) - 1)
+    assert np.all((panels == 1) | (np.diff(x) * rate
+                                   > (panels - 1) * relaxation._PANEL_PHASE))
+    # the most doublings whose nodes, over all passes, fit the node budget
+    first = relaxation._LSO_ORDER * (len(edges) - 1)
+    assert max_refine >= 1
+    assert first * (2 ** (max_refine + 1) - 1) <= relaxation._NODE_BUDGET
+    assert first * (2 ** (max_refine + 2) - 1) > relaxation._NODE_BUDGET
 
 
 # corners of the acceptance grid (ohmic p = -0.5) as (cutoff, beta, eps, q0)
@@ -539,8 +550,9 @@ _GRID_CORNERS = [(cutoff, beta, eps, q0)
                          if isinstance(case, tuple) else case)
 def test_level_shift_rows_match_four_times_the_panels(case, monkeypatch):
     """On the cli's tables (400 rows at tol 1e-9, the default horizon) the
-    level shift at tol 1e-8 stops after one doubling and is within 1e-9 of
-    its largest row of the same quadrature on edges refined twice."""
+    level shift at tol 1e-8 stops after one doubling and is within 1e-12 of
+    its largest row of the same quadrature on edges refined twice, at Gauss
+    order 12."""
     if case == "oracle_bath":
         spec = sb.standard_oracle_bath()
     else:
@@ -559,11 +571,65 @@ def test_level_shift_rows_match_four_times_the_panels(case, monkeypatch):
     monkeypatch.setattr(relaxation, "integrate_refining", recording)
     values = relaxation._integrate_lso(spec, table, 1e-8)[0]
     assert passes == [1]
-    edges = relaxation._oscillation_edges
-    monkeypatch.setattr(relaxation, "_oscillation_edges",
-                        lambda *args: refine_edges(refine_edges(edges(*args))))
+    edges, knot, max_refine = relaxation._oscillation_edges(
+        spec, table, relaxation._envelope(spec, table).a,
+        relaxation._not_a_knot(table.t_grid,
+                               np.stack([table.q1, table.q2, table.qz])))
+    monkeypatch.setattr(relaxation, "_oscillation_edges", lambda *args: (
+        refine_edges(refine_edges(edges)), np.repeat(knot, 4), max_refine))
+    monkeypatch.setattr(relaxation, "_LSO_ORDER", 12)
     reference = relaxation._integrate_lso(spec, table, 1e-8)[0]
-    assert np.max(np.abs(values - reference)) <= 1e-9 * np.max(np.abs(reference))
+    assert np.max(np.abs(values - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def _counting_nodes(monkeypatch):
+    """Patch the level shift's integrate_refining to count the nodes its
+    integrand is given; returns the list of counts, one per pass."""
+    counts = []
+    original = relaxation.integrate_refining
+
+    def counting(f, *args, **kwargs):
+        def counted(nodes, weights):
+            counts.append(len(nodes))
+            return f(nodes, weights)
+        return original(counted, *args, **kwargs)
+
+    monkeypatch.setattr(relaxation, "integrate_refining", counting)
+    return counts
+
+
+def test_strong_coupling_converges_after_one_doubling(monkeypatch):
+    # ohmic at beta 1, eps 0.5 and q0 5, the default horizon
+    spec = _spec(q0=5.0)
+    table = sb.tabulate_kernels(spec, sb.default_time_horizon(spec), 400,
+                                tol=1e-9)
+    counts = _counting_nodes(monkeypatch)
+    relaxation._integrate_lso(spec, table, 1e-8)
+    assert len(counts) == 2 and counts[1] == 2 * counts[0]
+
+
+@pytest.mark.parametrize("q0, t_max, message", [
+    (10.0, 16.0, "level-shift quadrature did not converge after"),
+    (100.0, 32.0, "nodes in the first pass leave no doubling within the "
+                  "budget of 1048576 nodes")])
+def test_the_node_budget_bounds_a_level_shift_at_strong_coupling(
+        q0, t_max, message, monkeypatch):
+    # rows near the rounding floor (q0 10) never meet the stop rule, and at
+    # q0 100 the phase rate asks for more nodes than the budget holds
+    spec = _spec(q0=q0)
+    table = sb.tabulate_kernels(spec, t_max, 400, tol=1e-9)
+    counts = _counting_nodes(monkeypatch)
+    tracemalloc.start()
+    try:
+        with pytest.raises(sb.AccuracyError, match=message):
+            relaxation._integrate_lso(spec, table, 1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2 ** 20
+    assert sum(counts) <= relaxation._NODE_BUDGET
+    # a first pass without room for one doubling makes no node at all
+    assert (counts == []) == (q0 == 100.0)
 
 
 @pytest.mark.parametrize("command", ["rate", "lso"])
@@ -636,7 +702,8 @@ def _phased_integrate_lso(spec, table, tol):
     s1 = CubicSpline(t, table.q1)
     s2 = CubicSpline(t, table.q2)
     sz = CubicSpline(t, table.qz)
-    edges = relaxation._oscillation_edges(spec, table, a, np.stack([s1.c, s2.c]))
+    edges, _, max_refine = relaxation._oscillation_edges(
+        spec, table, a, np.stack([s1.c, s2.c]))
 
     def rows(tt, w):
         q1v, q2v, qzv = s1(tt), s2(tt), sz(tt)
@@ -649,7 +716,8 @@ def _phased_integrate_lso(spec, table, tol):
         rr = np.cos(ph) * np.cos(a * q1v) * e2 - e_inf * np.cos(phi) * np.cos(ph)
         return np.sum(np.vstack([xp, xm, zz, rr]) * w, axis=-1)
 
-    res = integrate_refining(rows, edges, rtol=tol)
+    res = integrate_refining(rows, edges, order=relaxation._LSO_ORDER,
+                             rtol=tol, max_refine=max_refine)
     values = res.values
     if e_inf > 0.0:
         tail = e_inf * np.sin(phi) / eps
@@ -886,10 +954,10 @@ def test_a_level_shift_request_fits_and_probes_once_per_form_factor(
 # relaxation._LEVEL_SHIFT_VERSION is bumped (and this pin renewed), so that
 # no cached record of the old numerics is served.
 _LEVEL_SHIFT_PIN = (
-    "lso-v1",
-    ["0x1.2a69d8b7dc6bap-1", "0x1.10525972be3f2p-2", "0x1.e1f055c61853bp-2",
-     "0x1.b29305713b8b4p-2"],
-    "0x1.d65ab835be19ep-29", True,
+    "lso-v2",
+    ["0x1.2a69d8ba42519p-1", "0x1.105259796d28dp-2", "0x1.e1f055c82d1fdp-2",
+     "0x1.b2930576f8e60p-2"],
+    "0x1.a8750cd6f8679p-31", True,
     [("values", "<f8", (4,)), ("err", "<f8"), ("damping_ok", "|b1"),
      ("request", [("beta", "<f8"), ("q0", "<f8"), ("eps", "<f8"),
                   ("t_max", "<f8"), ("n", "<i8"), ("tol", "<f8"),
@@ -929,12 +997,12 @@ def test_the_table_salt_pins_its_record_layout():
 # bumped (and this pin renewed), so that no entry is served under a name
 # that another request wrote.
 _ENTRY_PIN = (
-    ("quad-v5-moments", "lso-v1"),
+    ("quad-v5-moments", "lso-v2"),
     {"table": ["9ebd2f5d53bd980b21c20c8f6db587a5.npy"],
-     "set": ["9ebd2f5d53bd980b21c20c8f6db587a5.npy",
-             "f6e4df1aa4f3f42be589ee90e79cd755.npy"],
+     "set": ["76e26d77a02f293009c77fb22bbea0ee.npy",
+             "9ebd2f5d53bd980b21c20c8f6db587a5.npy"],
      "auto": ["66db990b6442c9a18df1409f52d2f665.npy",
-              "81a1fed4a8333663dcf858a54f6f7a7b.npy"]})
+              "723af300166b85da9cfc71d50b8cb293.npy"]})
 
 
 def test_the_salts_pin_the_entry_names(tmp_path):
